@@ -38,7 +38,7 @@ for name in FEATURE_NAMES:
     print(f"  {name:22s} {getattr(vec, name):12.4f}")
 
 # --- the same pipeline on a generated random road ---
-random_road = generate_road(rng_seed=7)
+random_road, random_spine = generate_road(rng_seed=7)
 random_vec = extract_features(random_road)
 print(f"\nrandom road (seed 7): length {random_vec.length:.1f} m, "
       f"{random_vec.num_l_turns} left / {random_vec.num_r_turns} right turns, "
@@ -51,7 +51,7 @@ try:
 
     fig, axes = plt.subplots(1, 2, figsize=(11, 5))
     for ax, (r, sp) in zip(axes, [(road, spine),
-                                  (random_road, interpolate_spine(random_road))]):
+                                  (random_road, random_spine)]):
         xy = sp.xy
         ax.plot(xy[:, 0], xy[:, 1], "-", lw=2, label="spine")
         pts = np.asarray(r.points)

@@ -12,7 +12,7 @@ from roadsift.oracle import DriverConfig, build_dataset, simulate_drive, unsafe_
 from roadsift.oracle import generate_road
 
 # one road, three driving styles
-road = generate_road(rng_seed=11)
+road, _ = generate_road(rng_seed=11)
 for rf in (0.7, 1.5, 2.0):
     out = simulate_drive(road, DriverConfig(risk_factor=rf))
     print(f"risk factor {rf}: {out.label:6s}  drive {out.duration:5.1f} s, "

@@ -27,7 +27,7 @@ for msg in db.messages:
     sigs = ", ".join(f"{s.name}({s.bit_length}b x{s.scale})" for s in msg.signals)
     print(f"  0x{msg.can_id:03x} {msg.name:18s} dlc {msg.dlc}: {sigs}")
 
-road = generate_road(rng_seed=5)
+road, _ = generate_road(rng_seed=5)
 outcome = simulate_drive(road, DriverConfig(risk_factor=1.5))
 print(f"\ndrove {outcome.duration:.1f} s ({outcome.label}), "
       f"{len(outcome.trace)} trace states")

@@ -388,17 +388,19 @@ def open_sink(target: str):
 
 def playback(records: list[PlaybackRecord], sink,
              pacing: str = AS_FAST_AS_POSSIBLE) -> TransmissionReport:
-    """Write frames to the sink in timestamp order; real-time pacing sleeps
-    out the inter-record gaps."""
+    """Write frames to the sink in timestamp order; real-time pacing sends
+    each frame at its timestamp's offset from the first one, measured from
+    the start of playback, so write latency does not add up over a run."""
     latencies = []
     sent = 0
-    prev_ts = None
+    start_s = ts0 = None
     for rec in records:
-        if pacing == REAL_TIME and prev_ts is not None:
-            gap = (rec.timestamp_ms - prev_ts) / 1000.0
-            if gap > 0:
-                time.sleep(gap)
-        prev_ts = rec.timestamp_ms
+        if pacing == REAL_TIME:
+            if start_s is None:
+                start_s, ts0 = time.perf_counter(), rec.timestamp_ms
+            wait = start_s + (rec.timestamp_ms - ts0) / 1000.0 - time.perf_counter()
+            if wait > 0:
+                time.sleep(wait)
         frame = struct.pack("<IIB", rec.timestamp_ms, rec.can_id, rec.dlc) + rec.data
         start = time.perf_counter()
         try:

@@ -91,6 +91,13 @@ def _require(args, *names):
             raise ConfigError(f"--{name.replace('_', '-')} is required")
 
 
+def _optional(args, name, cast, default):
+    """The value of an optional setting, cast; default only when unset, so
+    an explicit 0 is kept."""
+    value = getattr(args, name, None)
+    return default if value is None else cast(value)
+
+
 def _labelled_dataset_from_csv(path: str) -> LabeledDataset:
     rows = read_feature_csv(path)
     unlabelled = [tid for tid, _, label in rows if label is None]
@@ -164,7 +171,7 @@ def cmd_benchmark(args, config) -> int:
     _resolve(args, config, {"features", "models", "k", "seed", "out"})
     _require(args, "features", "seed", "out")
     ds = _labelled_dataset_from_csv(args.features)
-    k = int(args.k) if args.k is not None else 10
+    k = _optional(args, "k", int, 10)
     families = list(FAMILIES) if args.models in (None, "all") \
         else [f.strip() for f in args.models.split(",")]
     for fam in families:
@@ -198,7 +205,7 @@ def cmd_grid_search(args, config) -> int:
     if args.family not in FAMILIES:
         raise ConfigError(f"unknown model family {args.family!r}")
     ds = _labelled_dataset_from_csv(args.features)
-    k = int(args.k) if args.k is not None else 10
+    k = _optional(args, "k", int, 10)
     cells = grid_search(args.family, ds, k, int(args.seed))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -289,10 +296,12 @@ def cmd_experiment(args, config) -> int:
     seeds = getattr(args, "seeds", None)
     if seeds is None:
         _require(args, "seed")
-        reps = int(getattr(args, "repetitions", None) or 30)
+        reps = _optional(args, "repetitions", int, 30)
+        if reps < 1:
+            raise ConfigError(f"repetitions must be >= 1, got {reps}")
         seeds = [int(args.seed) + i for i in range(reps)]
     cost = selection.CostModel(
-        overhead_s=float(getattr(args, "overhead_s", None) or 10.0))
+        overhead_s=_optional(args, "overhead_s", float, 10.0))
 
     rows = []
     if args.protocol in ("fix", "reach"):
@@ -334,11 +343,16 @@ def cmd_experiment(args, config) -> int:
             model = load_model(args.model)
         elif args.mode == "adaptive":
             spec = ClassifierSpec("logistic")
+        warmup_n = _optional(args, "warmup_n", int, 60)
+        retrain_every = _optional(args, "retrain_every", int, 1)
+        if warmup_n < 0:
+            raise ConfigError(f"warmup_n must be >= 0, got {warmup_n}")
+        if retrain_every < 1:
+            raise ConfigError(f"retrain_every must be >= 1, got {retrain_every}")
         for seed in seeds:
             cfg = selection.RealTimeConfig(
                 mode=args.mode, budget_s=float(args.budget_s), model=model,
-                spec=spec, warmup_n=int(getattr(args, "warmup_n", None) or 60),
-                retrain_every=int(getattr(args, "retrain_every", None) or 1),
+                spec=spec, warmup_n=warmup_n, retrain_every=retrain_every,
                 cost=cost, driver=driver)
             res = selection.run_realtime(cfg, seed)
             row = {"seed": seed, "executed_unsafe": res.executed_unsafe,
@@ -368,7 +382,7 @@ def cmd_can_convert(args, config) -> int:
         mapping = canbus.SignalMapping(entries=tuple(
             (e["field"], e["message"], e["signal"], float(e["factor"]))
             for e in entries))
-    period = int(args.period_ms) if args.period_ms is not None else 20
+    period = _optional(args, "period_ms", int, 20)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tests = load_dataset(args.simulation)

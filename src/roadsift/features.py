@@ -79,11 +79,11 @@ class FeatureVector:
 def extract_attributes(spine: RoadSpine, segments: list[RoadSegment]) -> dict:
     """Global road attributes: endpoint distance, length, per-kind counts,
     cumulative turn angle."""
-    first, last = spine.samples[0], spine.samples[-1]
+    (x0, y0), (x1, y1) = spine.xy[0], spine.xy[-1]
     kinds = [seg.kind for seg in segments]
     turn_angles = [seg.turn_angle for seg in segments if seg.kind != STRAIGHT]
     return {
-        "direct_distance": float(np.hypot(last.x - first.x, last.y - first.y)),
+        "direct_distance": float(np.hypot(x1 - x0, y1 - y0)),
         "length": spine.total_length,
         "num_l_turns": sum(1 for k in kinds if k == "left"),
         "num_r_turns": sum(1 for k in kinds if k == "right"),

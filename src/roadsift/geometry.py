@@ -74,44 +74,24 @@ class RoadPoints:
         return np.asarray(self.points, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class SpineSample:
-    s: float          # arc length from road start, m
-    x: float
-    y: float
-    heading: float    # rad, in (-pi, pi]
-    curvature: float  # 1/m, signed, positive = left
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoadSpine:
-    samples: tuple[SpineSample, ...]
-    total_length: float
+    """Arc-length sampled road centreline, one array per column.
 
-    # column views, built once; the dataclass stays the public carrier
-    def __post_init__(self):
-        arr = np.asarray(
-            [(p.s, p.x, p.y, p.heading, p.curvature) for p in self.samples])
-        object.__setattr__(self, "_columns", arr)
+    Not comparable with ==: the fields are numpy arrays.
+    """
 
-    @property
-    def s(self) -> np.ndarray:
-        return self._columns[:, 0]
+    s: np.ndarray           # (n,) arc length from road start, m
+    xy: np.ndarray          # (n, 2) sample positions
+    heading: np.ndarray     # (n,) rad, in (-pi, pi]
+    curvature: np.ndarray   # (n,) 1/m, signed, positive = left
 
     @property
-    def xy(self) -> np.ndarray:
-        return self._columns[:, 1:3]
-
-    @property
-    def heading(self) -> np.ndarray:
-        return self._columns[:, 3]
-
-    @property
-    def curvature(self) -> np.ndarray:
-        return self._columns[:, 4]
+    def total_length(self) -> float:
+        return float(self.s[-1])
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.s)
 
 
 @dataclass(frozen=True)
@@ -185,11 +165,7 @@ def interpolate_spine(road: RoadPoints, config: GeometryConfig | None = None) ->
 
     s = np.concatenate(
         [[0.0], np.cumsum(np.linalg.norm(np.diff(pos, axis=0), axis=1))])
-    samples = tuple(
-        SpineSample(float(s[i]), float(pos[i, 0]), float(pos[i, 1]),
-                    float(heading[i]), float(kappa[i]))
-        for i in range(len(tq)))
-    return RoadSpine(samples=samples, total_length=float(s[-1]))
+    return RoadSpine(s=s, xy=pos, heading=heading, curvature=kappa)
 
 
 def self_intersects(spine: RoadSpine, lane_width: float) -> bool:

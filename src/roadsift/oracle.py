@@ -61,7 +61,6 @@ class DriverConfig:
     max_steer_rate: float = 0.18    # rad/s, wheel swing limit
     speed_gain: float = 0.35        # s, speed-proportional lookahead growth
     grip_margin: float = 2.3        # executed lateral grip = margin * mu * g
-    overhead_s: float = 10.0        # fixed per-test cost outside the drive
 
     def __post_init__(self):
         if not 0.0 < self.mu <= 2.0:
@@ -304,9 +303,12 @@ def _candidate_points(rng: np.random.Generator, bounds: GeneratorBounds) -> list
 
 
 def generate_road(rng_seed: int, bounds: GeneratorBounds | None = None,
-                  geometry: GeometryConfig | None = None) -> RoadPoints:
+                  geometry: GeometryConfig | None = None) -> tuple[RoadPoints, RoadSpine]:
     """Sample a valid random road: chained straight/arc primitives, rejected
-    until in-map, non-self-intersecting, and inside the length bounds."""
+    until in-map, non-self-intersecting, and inside the length bounds.
+
+    Returns the road together with the spine it was accepted on, so callers
+    do not interpolate it again."""
     b = bounds or GeneratorBounds()
     geo = geometry or GeometryConfig()
     rng = np.random.default_rng(rng_seed)
@@ -325,7 +327,7 @@ def generate_road(rng_seed: int, bounds: GeneratorBounds | None = None,
             continue
         if self_intersects(spine, b.lane_width):
             continue
-        return road
+        return road, spine
     raise GenerationExhausted(
         f"no valid road after {b.max_attempts} attempts (seed {rng_seed})")
 
@@ -344,8 +346,7 @@ def build_dataset(n: int, cfg: DriverConfig, rng_seed: int,
     seeds = np.random.SeedSequence(rng_seed).generate_state(2 * n)
     tests = []
     for i in range(n):
-        road = generate_road(int(seeds[2 * i]), b, geo)
-        spine = interpolate_spine(road, geo)
+        road, spine = generate_road(int(seeds[2 * i]), b, geo)
         segments = segment_spine(spine, geo)
         vec = features_from_segments(spine, segments)
         outcome = _simulate(spine, cfg)

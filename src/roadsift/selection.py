@@ -27,7 +27,7 @@ from .oracle import (
     GeneratorBounds,
     TestCase,
     generate_road,
-    interpolate_spine,
+    interpolate_spine,  # unused here; perfbench/tracer.py wraps it under this name
     segment_spine,
 )
 from .oracle import _simulate  # deterministic oracle core
@@ -127,64 +127,33 @@ def build_pool(tests: list[TestCase], counts: tuple[int, int], rng_seed: int,
 
 
 # ---------------------------------------------------------------------------
-# strategies
+# strategies: order(pool, rng) gives the draw order; a strategy that also
+# has accepts(test) filters, and the protocols then report its confusion
 
 class RandomStrategy:
     """Seeded uniform draw order, no filtering."""
-    kind = "random"
 
     def order(self, pool: TestPool, rng: np.random.Generator) -> list[VisibleTest]:
         tests = pool.tests
         return [tests[i] for i in rng.permutation(len(tests))]
 
-    def accepts(self, test: VisibleTest) -> bool:
-        return True
-
 
 class RoadLengthStrategy:
     """Longest roads first; ties broken by test id."""
-    kind = "road_length"
 
     def order(self, pool: TestPool, rng: np.random.Generator) -> list[VisibleTest]:
         return sorted(pool.tests,
                       key=lambda t: (-t.features["length"], t.id))
 
-    def accepts(self, test: VisibleTest) -> bool:
-        return True
 
-
-class ModelStrategy:
+class ModelStrategy(RandomStrategy):
     """Draws randomly but keeps only tests the model predicts unsafe."""
-    kind = "model"
 
     def __init__(self, model: TrainedClassifier):
         self.model = model
 
-    def order(self, pool: TestPool, rng: np.random.Generator) -> list[VisibleTest]:
-        tests = pool.tests
-        return [tests[i] for i in rng.permutation(len(tests))]
-
     def accepts(self, test: VisibleTest) -> bool:
         return self.model.predict_features(test.features) == UNSAFE_CODE
-
-
-class StubStrategy:
-    """Test-only selector with a precomputed id -> prediction table."""
-    kind = "stub"
-
-    def __init__(self, predictions: dict[str, int]):
-        self.predictions = predictions
-
-    def order(self, pool: TestPool, rng: np.random.Generator) -> list[VisibleTest]:
-        tests = pool.tests
-        return [tests[i] for i in rng.permutation(len(tests))]
-
-    def accepts(self, test: VisibleTest) -> bool:
-        return self.predictions[test.id] == UNSAFE_CODE
-
-
-def _is_filtering(strategy) -> bool:
-    return strategy.kind in ("model", "stub")
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +178,7 @@ def run_fix(pool: TestPool, strategy, S: int, rng_seed: int) -> FixResult:
     rng = np.random.default_rng(rng_seed)
     order = strategy.order(pool, rng)
 
+    accepts = getattr(strategy, "accepts", None)
     suite: list[VisibleTest] = []
     rejected: list[VisibleTest] = []
     drawn = 0
@@ -216,7 +186,7 @@ def run_fix(pool: TestPool, strategy, S: int, rng_seed: int) -> FixResult:
         if len(suite) >= S:
             break
         drawn += 1
-        if strategy.accepts(test):
+        if accepts is None or accepts(test):
             suite.append(test)
         else:
             rejected.append(test)
@@ -229,7 +199,7 @@ def run_fix(pool: TestPool, strategy, S: int, rng_seed: int) -> FixResult:
     unsafe_ratio = sum(1 for v in labels.values() if v == UNSAFE_CODE) / S
 
     confusion = None
-    if _is_filtering(strategy):
+    if accepts is not None:
         y_true, y_pred = [], []
         kept_ids = {t.id for t in suite[:S - backfilled]}
         for test in order[:drawn]:
@@ -286,7 +256,7 @@ def run_reach(pool: TestPool, strategy, N: int, cost_model: CostModel,
     skipped: list[VisibleTest] = []
     predictions: dict[str, int] = {}
     truths: dict[str, int] = {}
-    filtering = _is_filtering(strategy)
+    accepts = getattr(strategy, "accepts", None)
     fallback_used = False
 
     def run_one(test: VisibleTest):
@@ -304,9 +274,9 @@ def run_reach(pool: TestPool, strategy, N: int, cost_model: CostModel,
     for test in order:
         if unsafe_seen >= N:
             break
-        if filtering:
+        if accepts is not None:
             pred_cost += cost_model.prediction_s
-            keep = strategy.accepts(test)
+            keep = accepts(test)
             predictions[test.id] = UNSAFE_CODE if keep else SAFE_CODE
             if not keep:
                 skipped.append(test)
@@ -321,7 +291,7 @@ def run_reach(pool: TestPool, strategy, N: int, cost_model: CostModel,
             run_one(test)
 
     confusion = None
-    if filtering:
+    if accepts is not None:
         y_true, y_pred = [], []
         for tid, pred in predictions.items():
             truth = truths.get(tid)
@@ -436,7 +406,10 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
     import time as _time
 
     clock = VirtualClock()
-    seeds = np.random.SeedSequence(rng_seed).generate_state(200_000)
+    # per-road seeds are drawn in doubling blocks; generate_state is
+    # prefix-stable, so road i gets the same seed whatever the block size
+    seed_seq = np.random.SeedSequence(rng_seed)
+    seeds = seed_seq.generate_state(64)
     seed_i = 0
 
     adaptive = cfg.mode == "adaptive"
@@ -478,8 +451,10 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
         since_retrain = 0
 
     def make_road():
-        road = generate_road(int(seeds[seed_i]), cfg.bounds, cfg.geometry)
-        spine = interpolate_spine(road, cfg.geometry)
+        nonlocal seeds
+        if seed_i == len(seeds):
+            seeds = seed_seq.generate_state(2 * len(seeds))
+        _, spine = generate_road(int(seeds[seed_i]), cfg.bounds, cfg.geometry)
         segments = segment_spine(spine, cfg.geometry)
         return spine, features_from_segments(spine, segments)
 

@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from roadsift.geometry import RoadSpine, SpineSample
-from roadsift.ml import ClassifierSpec, dataset_from_tests, fit, oversample_minority
+from roadsift.geometry import RoadSpine
+from roadsift.ml import (
+    UNSAFE_CODE,
+    ClassifierSpec,
+    dataset_from_tests,
+    fit,
+    oversample_minority,
+)
 from roadsift.oracle import DriverConfig, build_dataset
+from roadsift.selection import RandomStrategy
 
 
 def straight_points(length=100.0, n=3, y=100.0, x0=100.0):
@@ -37,13 +44,13 @@ def arc_between_straights(radius=30.0, arc_deg=90.0, arc_step_deg=5.0,
 def analytic_arc_spine(radius=10.0, arc_deg=180.0, step=1.0, lead=0.0):
     """Spine sampled directly from exact arc geometry (optionally with a
     straight lead-in), bypassing the spline. Curvature positive (left)."""
-    samples = []
+    rows = []
     s = 0.0
     if lead > 0.0:
         n_lead = int(math.ceil(lead / step))
         for i in range(n_lead):
             si = lead * i / n_lead
-            samples.append(SpineSample(si, si, 0.0, 0.0, 0.0))
+            rows.append((si, si, 0.0, 0.0, 0.0))
         s = lead
     arc_len = radius * math.radians(arc_deg)
     n_arc = int(math.ceil(arc_len / step))
@@ -54,9 +61,20 @@ def analytic_arc_spine(radius=10.0, arc_deg=180.0, step=1.0, lead=0.0):
         y = cy - radius * math.cos(a)
         heading = a
         heading = (heading + math.pi) % (2.0 * math.pi) - math.pi
-        samples.append(SpineSample(s + arc_len * i / n_arc, x, y, heading,
-                                   1.0 / radius))
-    return RoadSpine(samples=tuple(samples), total_length=s + arc_len)
+        rows.append((s + arc_len * i / n_arc, x, y, heading, 1.0 / radius))
+    cols = np.array(rows)
+    return RoadSpine(s=cols[:, 0], xy=cols[:, 1:3], heading=cols[:, 3],
+                     curvature=cols[:, 4])
+
+
+class StubStrategy(RandomStrategy):
+    """Selector with a precomputed id -> prediction table."""
+
+    def __init__(self, predictions: dict[str, int]):
+        self.predictions = predictions
+
+    def accepts(self, test) -> bool:
+        return self.predictions[test.id] == UNSAFE_CODE
 
 
 @pytest.fixture(scope="session")

@@ -52,12 +52,13 @@ from roadsift.selection import (
     ModelStrategy,
     RandomStrategy,
     RealTimeConfig,
-    StubStrategy,
     build_pool,
     run_fix,
     run_reach,
     run_realtime,
 )
+
+from conftest import StubStrategy
 
 RADIUS_FEATURES = ("median_radius", "std_radius", "max_radius", "min_radius",
                    "mean_radius")
@@ -113,7 +114,7 @@ def trained_logistic(big_dataset):
 def test_criterion_1_geometry_equivalence():
     started = time.perf_counter()
     for seed in range(200):
-        road = generate_road(seed)
+        road, _ = generate_road(seed)
         spine = interpolate_spine(road)
         segments = segment_spine(spine)
         vec = features_from_segments(spine, segments)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roadsift import canbus
 from roadsift.canbus import (
     AS_FAST_AS_POSSIBLE,
     BIG_ENDIAN,
@@ -19,6 +20,7 @@ from roadsift.canbus import (
     DbcSyntaxError,
     MappingError,
     OverlappingSignals,
+    REAL_TIME,
     PlaybackRecord,
     SignalMapping,
     SignalOutOfFrame,
@@ -212,7 +214,7 @@ class TestConvertTrace:
 
     def test_decode_back_matches_resampled_values(self):
         db = parse_dbc(DEFAULT_DBC)
-        out = simulate_drive(generate_road(2), DriverConfig())
+        out = simulate_drive(generate_road(2)[0], DriverConfig())
         records = convert_trace(out.trace, db, DEFAULT_MAPPING, 20)
         speed_sig = db.by_name("VEHICLE_DYNAMICS").signal("speed_kmh")
         dyn = [r for r in records if r.can_id == 0x100]
@@ -313,6 +315,32 @@ class TestPlayback:
         sink.close()
         blob = (tmp_path / "out.bin").read_bytes()
         assert read_frames(blob) == records
+
+    def test_realtime_pacing_does_not_drift(self, monkeypatch):
+        # on a fake clock every write takes 5 ms; frames 20 ms apart must
+        # still go out at their own timestamps, not 25 ms apart
+        class FakeTime:
+            now = 0.0
+
+            def perf_counter(self):
+                return self.now
+
+            def sleep(self, seconds):
+                self.now += seconds
+
+        clock = FakeTime()
+        monkeypatch.setattr(canbus, "time", clock)
+        sent_at = []
+
+        class SlowSink:
+            def write(self, blob):
+                sent_at.append(clock.now)
+                clock.now += 0.005
+
+        records = [PlaybackRecord(i * 20, 0x100, 4, bytes(4)) for i in range(50)]
+        report = playback(records, SlowSink(), REAL_TIME)
+        assert report.frames_sent == 50
+        assert sent_at[-1] == pytest.approx(0.980, abs=1e-6)
 
     def test_non_decreasing_order_preserved(self):
         records = self.make_records(50)

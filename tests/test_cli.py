@@ -164,6 +164,74 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg), "--seed", "1",
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_reach_zero_overhead_honoured(self, run_dir, tmp_path):
+        base = {
+            "protocol": "reach",
+            "dataset": str(run_dir / "simulation.full.json"),
+            "pool": {"safe": 8, "unsafe": 4},
+            "strategy": "random",
+            "N": 3,
+            "repetitions": 3,
+        }
+        reps = {}
+        for name, extra in (("default", {}), ("zero", {"overhead_s": 0})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({**base, **extra}))
+            out = tmp_path / name
+            assert main(["experiment", "--config", str(cfg), "--seed", "2",
+                         "--out", str(out)]) == 0
+            reps[name] = [json.loads(p.read_text())
+                          for p in sorted(out.glob("rep_*.json"))]
+        for default, zero in zip(reps["default"], reps["zero"]):
+            assert zero["executed_count"] == default["executed_count"]
+            cost = {k: v["elapsed_cost_safe"] + v["elapsed_cost_unsafe"]
+                    for k, v in (("default", default), ("zero", zero))}
+            assert cost["default"] - cost["zero"] == pytest.approx(
+                10.0 * default["executed_count"], rel=1e-12)
+
+    def test_adaptive_zero_warmup_honoured(self, tmp_path):
+        # with the default warm-up of 60 this budget raises BudgetTooSmall
+        cfg = tmp_path / "rt.json"
+        cfg.write_text(json.dumps({
+            "protocol": "realtime",
+            "mode": "adaptive",
+            "budget_s": 50.0,
+            "warmup_n": 0,
+            "repetitions": 1,
+        }))
+        out = tmp_path / "rt_out"
+        assert main(["experiment", "--config", str(cfg), "--seed", "3",
+                     "--out", str(out)]) == 0
+        rep = json.loads(next(out.glob("rep_*.json")).read_text())
+        assert rep["generated"] >= 1
+
+    def test_zero_repetitions_is_config_error(self, run_dir, tmp_path):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "protocol": "fix",
+            "dataset": str(run_dir / "simulation.full.json"),
+            "pool": {"safe": 8, "unsafe": 4},
+            "strategy": "random",
+            "S": 6,
+            "repetitions": 0,
+        }))
+        assert main(["experiment", "--config", str(cfg), "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("bad", [{"retrain_every": 0}, {"warmup_n": -1}])
+    def test_out_of_range_realtime_setting_is_config_error(self, tmp_path, bad):
+        cfg = tmp_path / "rt.json"
+        cfg.write_text(json.dumps({
+            "protocol": "realtime",
+            "mode": "adaptive",
+            "budget_s": 50.0,
+            "warmup_n": 2,
+            "repetitions": 1,
+            **bad,
+        }))
+        assert main(["experiment", "--config", str(cfg), "--seed", "3",
+                     "--out", str(tmp_path / "o")]) == 2
+
     def test_realtime_fractions_reported(self, tmp_path):
         cfg = tmp_path / "rt.json"
         cfg.write_text(json.dumps({

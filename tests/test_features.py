@@ -67,22 +67,20 @@ class TestAttributes:
 
     def test_length_at_least_direct_distance(self):
         for seed in range(15):
-            road = generate_road(seed)
+            road, _ = generate_road(seed)
             vec = extract_features(road)
             assert vec.length >= vec.direct_distance - 1e-9
 
     def test_counts_match_segments(self):
         for seed in range(10):
-            road = generate_road(seed)
-            spine = interpolate_spine(road)
+            _, spine = generate_road(seed)
             segs = segment_spine(spine)
             vec = features_from_segments(spine, segs)
             assert vec.num_l_turns + vec.num_r_turns + vec.num_straights == len(segs)
 
     def test_total_angle_is_sum_of_turn_angles(self):
         for seed in range(10):
-            road = generate_road(seed)
-            spine = interpolate_spine(road)
+            _, spine = generate_road(seed)
             segs = segment_spine(spine)
             vec = features_from_segments(spine, segs)
             expected = sum(s.turn_angle for s in segs if s.kind != "straight")
@@ -123,7 +121,7 @@ class TestStatistics:
 
     def test_ordering_invariants(self):
         for seed in range(10):
-            vec = extract_features(generate_road(seed))
+            vec = extract_features(generate_road(seed)[0])
             if vec.num_l_turns + vec.num_r_turns >= 1:
                 assert vec.min_angle <= vec.median_angle <= vec.max_angle
                 assert vec.min_radius <= vec.median_radius <= vec.max_radius
@@ -171,7 +169,7 @@ class TestDiversity:
 
     def test_full_at_least_mean(self):
         for seed in range(10):
-            vec = extract_features(generate_road(seed))
+            vec = extract_features(generate_road(seed)[0])
             assert vec.full_road_diversity >= vec.mean_road_diversity >= 0.0
 
     def test_shoelace_against_monte_carlo(self):
@@ -197,9 +195,8 @@ class TestDiversity:
         checked = 0
         seed = 0
         while checked < 50:
-            road = generate_road(seed)
+            _, spine = generate_road(seed)
             seed += 1
-            spine = interpolate_spine(road)
             for seg in segment_spine(spine):
                 if seg.chord_area < 50.0 or checked >= 50:
                     continue
@@ -212,7 +209,7 @@ class TestDiversity:
 
 class TestExtractFeatures:
     def test_deterministic(self):
-        road = generate_road(9)
+        road, _ = generate_road(9)
         a = extract_features(road)
         b = extract_features(road)
         assert a == b
@@ -225,7 +222,7 @@ class TestExtractFeatures:
 
     def test_generated_lengths_in_expected_range(self):
         for seed in range(20):
-            vec = extract_features(generate_road(seed))
+            vec = extract_features(generate_road(seed)[0])
             assert 50.6 <= vec.length <= 3317.9
 
     def test_mirror_swaps_only_turn_counts(self):
@@ -267,7 +264,7 @@ class TestExtractFeatures:
 
 class TestFeatureCsv:
     def test_header_and_roundtrip(self, tmp_path):
-        rows = [(f"t{i:03d}", extract_features(generate_road(i)),
+        rows = [(f"t{i:03d}", extract_features(generate_road(i)[0]),
                  "unsafe" if i % 2 else "safe")
                 for i in range(3)]
         rows.append(("t_unlabelled", rows[0][1], None))
@@ -286,7 +283,7 @@ class TestFeatureCsv:
                     getattr(vec0, name), rel=1e-9)
 
     def test_significant_digits(self, tmp_path):
-        vec = extract_features(generate_road(0))
+        vec = extract_features(generate_road(0)[0])
         path = tmp_path / "f.csv"
         write_feature_csv(path, [("t0", vec, None)])
         line = path.read_text().splitlines()[1]

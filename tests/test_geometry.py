@@ -121,8 +121,7 @@ class TestSelfIntersects:
             return bool(np.any((d < 2.0 * lane_width) & (sep > 4.0 * lane_width)))
 
         for seed in range(8):
-            road = generate_road(seed)
-            spine = interpolate_spine(road)
+            road, spine = generate_road(seed)
             assert self_intersects(spine, road.lane_width) == brute(spine, road.lane_width)
 
 
@@ -158,14 +157,14 @@ class TestSegmentSpine:
 
     def test_generated_road_radii_in_expected_range(self):
         for seed in range(25):
-            spine = interpolate_spine(generate_road(seed))
+            _, spine = generate_road(seed)
             for seg in segment_spine(spine):
                 if seg.kind != STRAIGHT:
                     assert 2.0 <= seg.radius <= 47.0
 
     def test_turn_mean_curvature_sign(self):
         for seed in range(10):
-            spine = interpolate_spine(generate_road(seed))
+            _, spine = generate_road(seed)
             kappa = spine.curvature
             for seg in segment_spine(spine):
                 mean_k = float(np.mean(kappa[seg.start_index:seg.end_index + 1]))
@@ -178,7 +177,7 @@ class TestSegmentSpine:
 class TestInvariants:
     def test_arc_length_additivity(self):
         for seed in range(10):
-            spine = interpolate_spine(generate_road(seed))
+            _, spine = generate_road(seed)
             segs = segment_spine(spine)
             total = sum(s.length for s in segs)
             assert total == pytest.approx(spine.total_length, rel=1e-6)
@@ -249,7 +248,7 @@ class TestInvariants:
         # finite differences lag; bulk agreement still has to hold
         fine = GeometryConfig(sampling_step=0.2)
         for seed in (3, 11):
-            spine = interpolate_spine(generate_road(seed), fine)
+            spine = interpolate_spine(generate_road(seed)[0], fine)
             h_err, k_err = self._fd_errors(spine)
             assert np.quantile(h_err, 0.99) < 1e-3
             assert np.max(h_err) < 1e-2

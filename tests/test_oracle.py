@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from roadsift.features import extract_features
 from roadsift.geometry import RoadPoints, interpolate_spine
 from roadsift.oracle import (
     SAFE,
@@ -94,7 +95,7 @@ class TestSpeedProfile:
 
     def test_both_pass_inequalities_hold(self):
         for seed in (0, 4):
-            spine = interpolate_spine(generate_road(seed))
+            _, spine = generate_road(seed)
             cfg = DriverConfig()
             v = plan_speed_profile(spine, cfg)
             ds = np.diff(spine.s)
@@ -124,14 +125,14 @@ class TestSimulateDrive:
         assert out.label == UNSAFE
 
     def test_deterministic_trace(self):
-        road = generate_road(3)
+        road, _ = generate_road(3)
         cfg = DriverConfig(risk_factor=1.5)
         a = simulate_drive(road, cfg)
         b = simulate_drive(road, cfg)
         assert a == b
 
     def test_trace_sanity(self):
-        road = generate_road(8)
+        road, _ = generate_road(8)
         cfg = DriverConfig()
         out = simulate_drive(road, cfg)
         trace = out.trace
@@ -144,7 +145,7 @@ class TestSimulateDrive:
         assert np.all(np.abs(np.diff(offs)) <= speeds[:-1] * cfg.timestep + 0.05)
 
     def test_throttle_brake_mutually_exclusive(self):
-        out = simulate_drive(generate_road(8), DriverConfig())
+        out = simulate_drive(generate_road(8)[0], DriverConfig())
         for st in out.trace:
             assert st.throttle * st.brake == 0.0
             assert 0.0 <= st.throttle <= 1.0
@@ -155,7 +156,7 @@ class TestSimulateDrive:
         threshold = (cfg.lane_width / 2.0 - cfg.vehicle_width / 2.0
                      + cfg.oob_fraction * cfg.vehicle_width)
         for seed in range(12):
-            out = simulate_drive(generate_road(seed), cfg)
+            out = simulate_drive(generate_road(seed)[0], cfg)
             max_off = max(abs(st.lateral_offset) for st in out.trace)
             fired = max_off >= threshold - 1e-9
             assert fired == (out.label == UNSAFE)
@@ -172,14 +173,13 @@ class TestSimulateDrive:
 
 class TestGenerator:
     def test_seed_reproducibility(self):
-        assert generate_road(42) == generate_road(42)
-        assert generate_road(42) != generate_road(43)
+        assert generate_road(42)[0] == generate_road(42)[0]
+        assert generate_road(42)[0] != generate_road(43)[0]
 
     def test_validity_of_generated_roads(self):
         from roadsift.geometry import self_intersects
         for seed in range(30):
-            road = generate_road(seed)
-            spine = interpolate_spine(road)
+            road, spine = generate_road(seed)
             assert not self_intersects(spine, road.lane_width)
             for x, y in road.points:
                 assert 0.0 <= x <= road.map_size
@@ -189,10 +189,18 @@ class TestGenerator:
     def test_median_radius_in_expected_range(self):
         from roadsift.geometry import STRAIGHT, segment_spine
         for seed in range(20):
-            spine = interpolate_spine(generate_road(seed))
+            _, spine = generate_road(seed)
             radii = [s.radius for s in segment_spine(spine) if s.kind != STRAIGHT]
             assert radii
             assert 7.0 <= float(np.median(radii)) <= 47.0
+
+    def test_returns_the_accepted_spine(self):
+        for seed in range(5):
+            road, spine = generate_road(seed)
+            fresh = interpolate_spine(road)
+            for column in ("s", "xy", "heading", "curvature"):
+                assert np.array_equal(getattr(spine, column),
+                                      getattr(fresh, column))
 
     def test_exhaustion(self):
         bounds = GeneratorBounds(length_range=(3000.0, 3001.0), max_attempts=5)
@@ -216,6 +224,17 @@ class TestBuildDataset:
         for a, b in zip(short, longer):
             assert a.road == b.road
             assert a.outcome.label == b.outcome.label
+
+    def test_one_road_preparation_path(self):
+        # build_dataset works on the spine generate_road accepted; features
+        # and drive must match a fresh interpolation of the stored road
+        cfg = DriverConfig()
+        for tc in build_dataset(12, cfg, rng_seed=17):
+            assert tc.features == extract_features(tc.road)
+            fresh = simulate_drive(tc.road, cfg)
+            assert tc.outcome.label == fresh.label
+            assert tc.outcome.duration == fresh.duration
+            assert tc.outcome.trace == fresh.trace
 
     def test_duration_scale(self, moderate_tests):
         durations = [t.outcome.duration for t in moderate_tests[:50]]

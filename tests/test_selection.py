@@ -16,7 +16,6 @@ from roadsift.selection import (
     RealTimeConfig,
     RoadLengthStrategy,
     STooLarge,
-    StubStrategy,
     TestPool,
     build_pool,
     cost_effectiveness,
@@ -24,6 +23,8 @@ from roadsift.selection import (
     run_reach,
     run_realtime,
 )
+
+from conftest import StubStrategy
 
 
 def perfect_stub(tests):
@@ -249,6 +250,24 @@ class TestRealTime:
             RealTimeConfig(mode="pretrained", budget_s=100.0)
         with pytest.raises(ValueError):
             RealTimeConfig(mode="baseline", budget_s=-5.0)
+
+    def test_road_seeds_continue_past_first_block(self, monkeypatch):
+        # seeds are drawn lazily in growing blocks; road i must still get
+        # element i of the run's seed sequence
+        import roadsift.selection as selection
+        seen = []
+        real = selection.generate_road
+
+        def recording(seed, *args):
+            seen.append(seed)
+            return real(seed, *args)
+
+        monkeypatch.setattr(selection, "generate_road", recording)
+        res = run_realtime(RealTimeConfig(mode="baseline", budget_s=3000.0),
+                           rng_seed=8)
+        assert len(seen) == res.generated > 64
+        expected = np.random.SeedSequence(8).generate_state(len(seen))
+        assert seen == [int(s) for s in expected]
 
     def test_wall_clock_mode_runs(self):
         # non-deterministic by design; just check accounting still closes
