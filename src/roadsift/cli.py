@@ -33,6 +33,7 @@ from .ml import (
     LabeledDataset,
     SingleClassDataset,
     UNSAFE_CODE,
+    canonical_form,
     fit,
     grid_search,
     kfold_evaluate,
@@ -214,8 +215,11 @@ def cmd_grid_search(args, config) -> int:
             score = "" if cell.weighted_avg_f1 is None else f"{cell.weighted_avg_f1:.6f}"
             writer.writerow([rank, cell.status, score,
                              json.dumps(cell.params, sort_keys=True)])
-    evaluated = sum(1 for c in cells if c.status == "evaluated")
-    print(f"{args.family}: {len(cells)} cells ({evaluated} evaluated) -> {args.out}")
+    evaluated = [c for c in cells if c.status == "evaluated"]
+    distinct = {canonical_form(ClassifierSpec(args.family, c.params), ds.X.shape[1])
+                for c in evaluated}
+    print(f"{args.family}: {len(cells)} cells ({len(evaluated)} evaluated, "
+          f"{len(distinct)} distinct fits) -> {args.out}")
     return EXIT_OK
 
 

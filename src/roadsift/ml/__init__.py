@@ -27,6 +27,7 @@ from .models import (
     FeatureMismatch,
     SingleClassDataset,
     TrainedClassifier,
+    canonical_form,
     fit,
     load_model,
     predict,

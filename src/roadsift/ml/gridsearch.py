@@ -5,6 +5,15 @@ Every cartesian-product cell is enumerated; cells invalid by construction
 reported as skipped rather than evaluated. Evaluated cells are scored by
 K-fold weighted average F1 and ranked descending, ties broken by fewer
 estimators, then smaller depth, then lexicographic parameters.
+
+Many cells name the same model: a fitter reads only its family's canonical
+form of the hyperparameters (``models.canonical_form``). Logistic regression
+ignores ``dual`` and ``solver``; the linear SVM ignores ``dual``; the
+decision tree ignores ``C`` when ``R`` is "yes"; the random forest reads
+``K`` only as the number of features it draws (``K`` of 0 is isqrt(d), and
+no more than d are drawn); gradient boosting treats ``deviance`` as
+``log_loss`` and ``mse`` as ``squared_error``. Each distinct form is K-fold
+evaluated once per search, and every cell is still reported with its score.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .evaluate import LabeledDataset, kfold_evaluate
-from .models import GRID_DOMAINS, ClassifierSpec
+from .models import GRID_DOMAINS, ClassifierSpec, canonical_form
 
 
 @dataclass(frozen=True)
@@ -71,16 +80,20 @@ def _tie_key(params: dict):
 def grid_search(family: str, ds: LabeledDataset, k: int,
                 rng_seed: int) -> list[GridCell]:
     """Evaluate the family's full grid by K-fold; returns evaluated cells
-    ranked by weighted F1 descending, then the skipped cells."""
+    ranked by weighted F1 descending, then the skipped cells. Cells with
+    the same canonical form share one K-fold run."""
     evaluated, skipped = [], []
+    scores: dict[tuple, float] = {}     # canonical form -> weighted F1
     for params in iter_cells(family):
         reason = skip_reason(family, params)
         if reason is not None:
             skipped.append(GridCell(params, f"skipped: {reason}", None))
             continue
         spec = ClassifierSpec(family, params)
-        report = kfold_evaluate(ds, spec, k, rng_seed)
-        evaluated.append(GridCell(params, "evaluated", report.weighted_avg_f1))
+        form = canonical_form(spec, ds.X.shape[1])
+        if form not in scores:
+            scores[form] = kfold_evaluate(ds, spec, k, rng_seed).weighted_avg_f1
+        evaluated.append(GridCell(params, "evaluated", scores[form]))
     evaluated.sort(key=lambda c: (-c.weighted_avg_f1, _tie_key(c.params)))
     return evaluated + skipped
 

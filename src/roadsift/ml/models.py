@@ -80,7 +80,8 @@ class FeatureMismatch(ValueError):
 
 
 class CorruptModelFile(ValueError):
-    """Model file is unreadable, incomplete, or has the wrong version."""
+    """Model file is unreadable, incomplete, out of its declared domains, or
+    has the wrong version."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,8 @@ class ClassifierSpec:
             if name not in domain:
                 raise ValueError(
                     f"{self.family} has no hyperparameter {name!r}")
-            if value not in domain[name]:
+            if not any(type(v) is type(value) and v == value
+                       for v in domain[name]):
                 raise ValueError(
                     f"{self.family}.{name}={value!r} not in declared domain {domain[name]}")
             merged[name] = value
@@ -341,22 +343,28 @@ def _reg_tree_predict(node, X) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# family fitters; each returns the opaque parameter payload
+# family fitters; each returns the opaque parameter payload. Beside each
+# fitter sits the canonical form of its hyperparameters on d features; the
+# fitter receives that form and nothing else of the spec.
 
-def _fit_logistic(X, y, hp):
+def _logistic_form(hp, d):
+    return (hp["penalty"], hp["max_iter"])
+
+
+def _fit_logistic(X, y, form, seed):
+    penalty, max_iter = form
     mean, std = _standardize_fit(X)
     Xs = (X - mean) / std
     n, d = Xs.shape
     w = np.zeros(d)
     b = 0.0
-    penalty = hp["penalty"]
     alpha = 1e-4
     l2 = alpha if penalty in ("l2", "elasticnet") else 0.0
     l1 = alpha if penalty in ("l1", "elasticnet") else 0.0
     sigma_max = float(np.linalg.norm(Xs, 2)) if n else 1.0
     lip = sigma_max ** 2 / (4.0 * n) + 2.0 * l2 + 1.0 / (4.0 * n)
     lr = 1.0 / max(lip, 1e-12)
-    for _ in range(int(hp["max_iter"])):
+    for _ in range(max_iter):
         z = Xs @ w + b
         p = 1.0 / (1.0 + np.exp(-z))
         err = p - y
@@ -373,7 +381,12 @@ def _fit_logistic(X, y, hp):
     return {"weights": w.tolist(), "bias": b}, (mean, std)
 
 
-def _fit_linear_svm(X, y, hp):
+def _linear_svm_form(hp, d):
+    return (hp["penalty"], hp["loss"])
+
+
+def _fit_linear_svm(X, y, form, seed):
+    penalty, loss = form
     mean, std = _standardize_fit(X)
     Xs = (X - mean) / std
     n, d = Xs.shape
@@ -381,8 +394,8 @@ def _fit_linear_svm(X, y, hp):
     w = np.zeros(d)
     b = 0.0
     alpha = 1e-3
-    squared = hp["loss"] == "squared_hinge"
-    l1 = hp["penalty"] == "l1"
+    squared = loss == "squared_hinge"
+    l1 = penalty == "l1"
     for t in range(1000):
         lr = 0.5 / math.sqrt(t + 1.0)
         margin = 1.0 - yy * (Xs @ w + b)
@@ -402,7 +415,11 @@ def _fit_linear_svm(X, y, hp):
     return {"weights": w.tolist(), "bias": b}, (mean, std)
 
 
-def _fit_naive_bayes(X, y, hp):
+def _naive_bayes_form(hp, d):
+    return ()
+
+
+def _fit_naive_bayes(X, y, form, seed):
     params = {"priors": [], "means": [], "vars": []}
     n = len(y)
     for cls in (SAFE_CODE, UNSAFE_CODE):
@@ -413,10 +430,16 @@ def _fit_naive_bayes(X, y, hp):
     return params, None
 
 
-def _fit_decision_tree(X, y, hp, seed):
-    min_leaf = int(hp["M"])
-    z = NormalDist().inv_cdf(1.0 - float(hp["C"])) if float(hp["C"]) < 0.5 else 0.0
+def _decision_tree_form(hp, d):
+    # reduced-error pruning scores a held-out prune set and never reads C
     if hp["R"] == "yes":
+        return (hp["M"], "yes", hp["S"])
+    return (hp["C"], hp["M"], "no", hp["S"])
+
+
+def _fit_decision_tree(X, y, form, seed):
+    min_leaf, reduced_error, subtree_raise = form[-3:]
+    if reduced_error == "yes":
         rng = np.random.default_rng(seed)
         prune_idx = []
         for cls in (SAFE_CODE, UNSAFE_CODE):
@@ -427,25 +450,31 @@ def _fit_decision_tree(X, y, hp, seed):
         prune_mask[prune_idx] = True
         tree = _grow_class_tree(X[~prune_mask], y[~prune_mask], min_leaf, 0)
         tree = _reduced_error_prune(tree, X[prune_mask], y[prune_mask])
-        if hp["S"] == "yes":
+        if subtree_raise == "yes":
             tree = _subtree_raise(tree, X[prune_mask], y[prune_mask], 0.0)
     else:
+        confidence = form[0]
+        z = NormalDist().inv_cdf(1.0 - confidence) if confidence < 0.5 else 0.0
         tree = _grow_class_tree(X, y, min_leaf, 0)
         tree = _pessimistic_prune(tree, z)
-        if hp["S"] == "yes":
+        if subtree_raise == "yes":
             tree = _subtree_raise(tree, X, y, z)
     return {"tree": tree}, None
 
 
-def _fit_random_forest(X, y, hp, seed):
-    n, d = X.shape
-    n_trees = int(hp["I"])
-    k = int(hp["K"])
-    if k == 0:
-        k = max(1, int(math.isqrt(d)))
-    k = min(k, d)
-    depth = int(hp["depth"])
-    min_leaf = int(hp["M"])
+def _forest_split_features(K: int, d: int) -> int:
+    """Features drawn at each forest split: K, or isqrt(d) when K is 0,
+    never more than the d there are."""
+    return min(K or math.isqrt(d), d)
+
+
+def _random_forest_form(hp, d):
+    return (hp["I"], _forest_split_features(hp["K"], d), hp["depth"], hp["M"])
+
+
+def _fit_random_forest(X, y, form, seed):
+    n_trees, k, depth, min_leaf = form
+    n = len(y)
     seeds = np.random.SeedSequence(seed).generate_state(n_trees)
     trees = []
     for ts in seeds:
@@ -456,12 +485,15 @@ def _fit_random_forest(X, y, hp, seed):
     return {"trees": trees}, None
 
 
-def _fit_gradient_boosting(X, y, hp):
+def _gradient_boosting_form(hp, d):
+    # deviance is log_loss and mse is squared_error under another name
+    return (hp["loss"] == "exponential", hp["learning_rate"],
+            hp["n_estimators"], hp["criterion"] == "friedman_mse")
+
+
+def _fit_gradient_boosting(X, y, form, seed):
+    exponential, lr, n_estimators, friedman = form
     yy = 2.0 * y - 1.0
-    lr = float(hp["learning_rate"])
-    loss = hp["loss"]
-    friedman = hp["criterion"] == "friedman_mse"
-    exponential = loss == "exponential"
     p1 = float(np.clip(y.mean(), 1e-6, 1 - 1e-6))
     if exponential:
         f0 = 0.5 * math.log(p1 / (1.0 - p1))
@@ -469,7 +501,7 @@ def _fit_gradient_boosting(X, y, hp):
         f0 = math.log(p1 / (1.0 - p1))
     f = np.full(len(y), f0)
     trees = []
-    for _ in range(int(hp["n_estimators"])):
+    for _ in range(n_estimators):
         if exponential:
             e = np.exp(-yy * f)
             grad = yy * e
@@ -483,6 +515,28 @@ def _fit_gradient_boosting(X, y, hp):
         f = f + lr * _reg_tree_predict(tree, X)
         trees.append(tree)
     return {"init": f0, "trees": trees, "learning_rate": lr}, None
+
+
+# family -> (canonical form of its hyperparameters on d features, fitter that
+# reads only that form and returns (parameters, standardization or None))
+_FAMILY_FITS = {
+    "logistic": (_logistic_form, _fit_logistic),
+    "naive_bayes": (_naive_bayes_form, _fit_naive_bayes),
+    "decision_tree": (_decision_tree_form, _fit_decision_tree),
+    "random_forest": (_random_forest_form, _fit_random_forest),
+    "gradient_boosting": (_gradient_boosting_form, _fit_gradient_boosting),
+    "linear_svm": (_linear_svm_form, _fit_linear_svm),
+}
+
+
+def canonical_form(spec: ClassifierSpec, n_features: int) -> tuple:
+    """The hyperparameter values spec's fitter reads on n_features columns.
+
+    The fitter sees nothing else of the spec, so two specs of one family
+    with equal forms train identical models on the same data and seed.
+    """
+    form, _ = _FAMILY_FITS[spec.family]
+    return form(spec.hyperparameters, n_features)
 
 
 # ---------------------------------------------------------------------------
@@ -556,22 +610,9 @@ def fit(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=np.int64)
     if len(np.unique(y)) < 2:
         raise SingleClassDataset("training data contains a single class")
-    hp = spec.hyperparameters
-    standardization = None
-    if spec.family == "logistic":
-        params, standardization = _fit_logistic(X, y, hp)
-    elif spec.family == "linear_svm":
-        params, standardization = _fit_linear_svm(X, y, hp)
-    elif spec.family == "naive_bayes":
-        params, _ = _fit_naive_bayes(X, y, hp)
-    elif spec.family == "decision_tree":
-        params, _ = _fit_decision_tree(X, y, hp, rng_seed)
-    elif spec.family == "random_forest":
-        params, _ = _fit_random_forest(X, y, hp, rng_seed)
-    elif spec.family == "gradient_boosting":
-        params, _ = _fit_gradient_boosting(X, y, hp)
-    else:
-        raise ValueError(f"unknown family {spec.family!r}")
+    _, fitter = _FAMILY_FITS[spec.family]
+    params, standardization = fitter(X, y, canonical_form(spec, X.shape[1]),
+                                     rng_seed)
     return TrainedClassifier(spec=spec, feature_names=tuple(feature_names),
                              standardization=standardization, parameters=params)
 
@@ -598,6 +639,31 @@ def save_model(model: TrainedClassifier, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload) + "\n")
 
 
+# the parameter keys predict_matrix reads, per family
+_PARAMETER_KEYS = {
+    "logistic": ("weights", "bias"),
+    "naive_bayes": ("priors", "means", "vars"),
+    "decision_tree": ("tree",),
+    "random_forest": ("trees",),
+    "gradient_boosting": ("init", "trees", "learning_rate"),
+    "linear_svm": ("weights", "bias"),
+}
+
+
+def _check_parameters(family: str, parameters, n_features: int) -> None:
+    """Raise TypeError or ValueError when a loaded payload lacks what
+    predict_matrix reads, or a linear model's weights miss a feature."""
+    if not isinstance(parameters, dict):
+        raise TypeError("parameters is not a JSON object")
+    keys = _PARAMETER_KEYS[family]
+    missing = [key for key in keys if key not in parameters]
+    if missing:
+        raise ValueError(f"{family} parameters lack {missing}")
+    if "weights" in keys and len(parameters["weights"]) != n_features:
+        raise ValueError(f"{len(parameters['weights'])} weights for "
+                         f"{n_features} features")
+
+
 def load_model(path: str | Path) -> TrainedClassifier:
     try:
         payload = json.loads(Path(path).read_text())
@@ -611,15 +677,18 @@ def load_model(path: str | Path) -> TrainedClassifier:
             f"model file {path} has format_version {version!r}, "
             f"expected {MODEL_FORMAT_VERSION}")
     try:
+        if not isinstance(payload["hyperparameters"], dict):
+            raise TypeError("hyperparameters is not a JSON object")
         spec = ClassifierSpec(payload["family"], payload["hyperparameters"])
+        feature_names = tuple(payload["feature_names"])
         std = payload["standardization"]
         standardization = None
         if std is not None:
             standardization = (np.asarray(std["mean"]), np.asarray(std["std"]))
-        return TrainedClassifier(
-            spec=spec,
-            feature_names=tuple(payload["feature_names"]),
-            standardization=standardization,
-            parameters=payload["parameters"])
-    except (KeyError, TypeError) as exc:
-        raise CorruptModelFile(f"model file {path} is incomplete: {exc}") from exc
+        parameters = payload["parameters"]
+        _check_parameters(spec.family, parameters, len(feature_names))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptModelFile(f"model file {path} is invalid: {exc}") from exc
+    return TrainedClassifier(spec=spec, feature_names=feature_names,
+                             standardization=standardization,
+                             parameters=parameters)

@@ -113,12 +113,30 @@ class TestExtractAndPredict:
                      "--out", str(tmp_path / "p.csv")]) == 2
 
 
+    @pytest.mark.parametrize("parameters", [{}, {"weights": [0.1], "bias": 0.0}])
+    def test_invalid_model_parameters_are_config_error(self, run_dir, tmp_path,
+                                                       parameters):
+        bench = tmp_path / "bench"
+        main(["benchmark", "--features", str(run_dir / "features.csv"),
+              "--models", "logistic", "--k", "3", "--seed", "5",
+              "--out", str(bench)])
+        model_path = bench / "best_model.json"
+        payload = json.loads(model_path.read_text())
+        payload["parameters"] = parameters
+        model_path.write_text(json.dumps(payload))
+        assert main(["predict", "--model", str(model_path),
+                     "--features", str(run_dir / "features.csv"),
+                     "--out", str(tmp_path / "p.csv")]) == 2
+
+
 class TestGridAndRanking:
-    def test_grid_search_j48_row_count(self, run_dir, tmp_path):
+    def test_grid_search_j48_row_count(self, run_dir, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         assert main(["grid-search", "--family", "decision_tree",
                      "--features", str(run_dir / "features.csv"),
                      "--k", "2", "--seed", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"decision_tree: 100 cells (100 evaluated, 60 distinct fits) -> {out}\n")
         lines = out.read_text().splitlines()
         assert len(lines) == 101           # header + 100 cells
         assert all("evaluated" in line for line in lines[1:])

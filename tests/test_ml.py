@@ -2,8 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from roadsift.ml import (
+    FAMILIES,
+    GRID_DOMAINS,
     ClassifierSpec,
     CorruptModelFile,
     FeatureMismatch,
@@ -11,6 +15,7 @@ from roadsift.ml import (
     SingleClassDataset,
     TooFewRows,
     balanced_training_set,
+    canonical_form,
     confusion_from_predictions,
     fit,
     grid_sizes,
@@ -28,7 +33,8 @@ from roadsift.ml import (
     split,
     stratified_folds,
 )
-from roadsift.ml.gridsearch import grid_search
+from roadsift.ml import gridsearch
+from roadsift.ml.gridsearch import GridCell, grid_search
 
 NAMES2 = ("f0", "f1")
 
@@ -44,6 +50,14 @@ def separable_ds(n=400, seed=0):
     X = rng.normal(size=(n, 2))
     y = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(int)
     return make_ds(X, y)
+
+
+def noisy_ds(n=30, d=4, seed=3):
+    """Overlapping classes, so pruning and regularisation change models."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    y = (X[:, 0] + X[:, 1] + rng.normal(scale=0.8, size=n) > 0).astype(int)
+    return make_ds(X, y, tuple(f"f{i}" for i in range(d)))
 
 
 def xor_ds(per_cluster=100, seed=1):
@@ -255,6 +269,15 @@ class TestFamilies:
         with pytest.raises(ValueError):
             ClassifierSpec("unknown_family")
 
+    @pytest.mark.parametrize("family,params", [
+        ("logistic", {"dual": 0}),             # bool domain, int value
+        ("decision_tree", {"M": 1.0}),         # int domain, float value
+        ("random_forest", {"K": False}),       # int domain, bool value
+    ])
+    def test_hyperparameter_type_must_match_domain(self, family, params):
+        with pytest.raises(ValueError, match="not in declared domain"):
+            ClassifierSpec(family, params)
+
 
 class TestMetrics:
     def test_reference_confusion_matrix(self):
@@ -322,6 +345,79 @@ class TestGrids:
         scores = [c.weighted_avg_f1 for c in evaluated]
         assert scores == sorted(scores, reverse=True)
         assert all(c.weighted_avg_f1 is None for c in cells[4:])
+
+
+def naive_grid_search(family, ds, k, rng_seed):
+    """Per-cell reference: one K-fold run for every valid cell."""
+    evaluated, skipped = [], []
+    for params in iter_cells(family):
+        reason = skip_reason(family, params)
+        if reason is not None:
+            skipped.append(GridCell(params, f"skipped: {reason}", None))
+            continue
+        report = kfold_evaluate(ds, ClassifierSpec(family, params), k, rng_seed)
+        evaluated.append(GridCell(params, "evaluated", report.weighted_avg_f1))
+
+    def rank(cell):
+        p = cell.params
+        return (-cell.weighted_avg_f1, p.get("I", p.get("n_estimators", 0)),
+                p.get("depth", 0), sorted((n, str(v)) for n, v in p.items()))
+    return sorted(evaluated, key=rank) + skipped
+
+
+def small_ensemble_cells(family):
+    """Valid cells whose ensembles have at most 10 members."""
+    return [c for c in iter_cells(family) if skip_reason(family, c) is None
+            and c.get("I", 5) in (5, 10) and c.get("n_estimators", 10) == 10]
+
+
+class TestCanonicalForm:
+    def test_distinct_forms_on_eighteen_features(self):
+        distinct = {
+            family: len({canonical_form(ClassifierSpec(family, c), 18)
+                         for c in iter_cells(family)
+                         if skip_reason(family, c) is None})
+            for family in FAMILIES}
+        assert distinct == {"logistic": 12, "naive_bayes": 1,
+                            "decision_tree": 60, "random_forest": 300,
+                            "gradient_boosting": 48, "linear_svm": 3}
+
+    @pytest.mark.parametrize("family", [f for f in FAMILIES if GRID_DOMAINS[f]])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_ignored_hyperparameters_leave_the_model_unchanged(self, family, data):
+        ds = noisy_ds()
+        d = ds.X.shape[1]
+        cell = data.draw(st.sampled_from(small_ensemble_cells(family)))
+        form = canonical_form(ClassifierSpec(family, cell), d)
+        twins = [c for c in iter_cells(family) if c != cell
+                 and canonical_form(ClassifierSpec(family, c), d) == form]
+        assume(twins)
+        twin = data.draw(st.sampled_from(twins))
+        seed = data.draw(st.integers(0, 2**16))
+        a = fit(ClassifierSpec(family, cell), ds.X, ds.y, ds.feature_names, seed)
+        b = fit(ClassifierSpec(family, twin), ds.X, ds.y, ds.feature_names, seed)
+        assert a.parameters == b.parameters
+        if a.standardization is None:
+            assert b.standardization is None
+        else:
+            for mine, theirs in zip(a.standardization, b.standardization):
+                assert np.array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("family,distinct", [
+        ("logistic", 12), ("linear_svm", 3), ("decision_tree", 60)])
+    def test_grid_search_matches_per_cell_reference(self, family, distinct,
+                                                    monkeypatch):
+        ds = noisy_ds()
+        runs = []
+
+        def counted(*args):
+            runs.append(args[1])
+            return kfold_evaluate(*args)
+        monkeypatch.setattr(gridsearch, "kfold_evaluate", counted)
+        cells = grid_search(family, ds, 3, 7)
+        assert len(runs) == distinct
+        assert cells == naive_grid_search(family, ds, 3, 7)
 
 
 class TestRanking:
@@ -393,4 +489,28 @@ class TestPersistence:
         payload["format_version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(CorruptModelFile, match="format_version"):
+            load_model(path)
+
+    @pytest.mark.parametrize("family,edit", [
+        ("logistic", {"hyperparameters": {"dual": 0}}),
+        ("decision_tree", {"hyperparameters": {"M": 1.0}}),
+        ("random_forest", {"hyperparameters": {"I": 5, "K": False}}),
+        ("logistic", {"hyperparameters": []}),
+        ("logistic", {"parameters": {}}),
+        ("logistic", {"parameters": []}),
+        ("linear_svm", {"parameters": {"weights": [0.5], "bias": 0.0}}),
+        ("naive_bayes", {"parameters": {"priors": [0.5, 0.5]}}),
+        ("gradient_boosting", {"parameters": {"init": 0.0, "trees": []}}),
+    ])
+    def test_invalid_payload_is_corrupt(self, tmp_path, family, edit):
+        ds = separable_ds(40)
+        params = {"random_forest": {"I": 5},
+                  "gradient_boosting": {"n_estimators": 10}}.get(family, {})
+        model = fit(ClassifierSpec(family, params), ds.X, ds.y, NAMES2, 0)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        payload.update(edit)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptModelFile):
             load_model(path)
