@@ -124,65 +124,104 @@ def _binary_entropy(p: np.ndarray) -> np.ndarray:
     return -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p))
 
 
-def _best_gain_split(X, y, feature_idx, min_leaf):
-    """Best (gain, feature, threshold) over candidate features; information
-    gain with entropy, thresholds at midpoints of consecutive distinct
-    values. Returns None when no split has positive gain."""
-    n = len(y)
-    parent = _binary_entropy(np.array([y.mean()]))[0]
-    best = None
-    for j in feature_idx:
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        cum = np.cumsum(ys)
-        pos = np.nonzero(xs[1:] > xs[:-1])[0]        # split between pos, pos+1
-        if len(pos) == 0:
-            continue
-        nl = pos + 1
-        keep = (nl >= min_leaf) & (n - nl >= min_leaf)
-        if not np.any(keep):
-            continue
-        nl = nl[keep]
-        pos = pos[keep]
-        ones_l = cum[pos]
-        ones_r = cum[-1] - ones_l
-        nr = n - nl
-        h = (nl * _binary_entropy(ones_l / nl)
-             + nr * _binary_entropy(ones_r / nr)) / n
-        gain = parent - h
-        k = int(np.argmax(gain))
-        if gain[k] > 1e-12 and (best is None or gain[k] > best[0] + 1e-15):
-            thr = 0.5 * (xs[pos[k]] + xs[pos[k] + 1])
-            best = (float(gain[k]), int(j), float(thr))
-    return best
+def _presort(X: np.ndarray) -> np.ndarray:
+    """Presorted index of X: row f lists the row numbers by ascending
+    X[:, f], ties by ascending row number, as a (d, n) array."""
+    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
 
 
-def _grow_class_tree(X, y, min_leaf, max_depth, rng=None, k_features=0, depth=0):
-    n = len(y)
-    ones = int(y.sum())
-    node = {"n": n, "ones": ones}
-    pure = ones == 0 or ones == n
-    if pure or n < 2 * min_leaf or (max_depth and depth >= max_depth):
-        node["leaf"] = True
-        return node
+def _partition(X, rows, order, feature, threshold):
+    """(rows, order) of the left (X[:, feature] <= threshold) and the right
+    child of a node. Both keep their parent's relative order, so each row of
+    a child's order is what argsorting the child's rows again would give."""
+    left = X[:, feature] <= threshold
+    in_left = left[order]
+    d = len(order)
+    return ((rows[left[rows]], order[in_left].reshape(d, -1)),
+            (rows[~left[rows]], order[~in_left].reshape(d, -1)))
+
+
+def _cut_points(xs, min_leaf):
+    """Left sizes 1..n-1 of the cuts between consecutive sorted rows, and
+    which cuts are valid: between distinct values, min_leaf rows a side."""
+    n = xs.shape[1]
+    nl = np.arange(1, n)
+    valid = (xs[:, 1:] > xs[:, :-1]) & (nl >= min_leaf) & (n - nl >= min_leaf)
+    return nl, valid
+
+
+def _best_cut(score, xs, features, valid):
+    """(feature, threshold) of the best valid cut, or None; overwrites the
+    invalid entries of score. Each feature's first maximal valid cut
+    competes, and a later feature must beat the best so far by more than
+    1e-15."""
+    score[~valid] = -np.inf
+    k = score.argmax(axis=1)
+    top = score[np.arange(len(k)), k].tolist()
+    best = pick = None
+    for i in np.flatnonzero(valid.any(axis=1)).tolist():
+        if best is None or top[i] > best + 1e-15:
+            best, pick = top[i], i
+    if pick is None:
+        return None
+    cut = k[pick]
+    return (int(features[pick]),
+            float(0.5 * (xs[pick, cut] + xs[pick, cut + 1])))
+
+
+def _best_gain_split(X, y, order, features, ones, min_leaf):
+    """Best (feature, threshold) over the candidate features of a node with
+    the given presorted index and count of ones; information gain with
+    entropy, thresholds at midpoints of consecutive distinct values. None
+    when no split has positive gain. All candidates are scored as one
+    (m, n-1) array."""
+    sub = order[features]
+    n = sub.shape[1]
+    xs = X[sub, features[:, None]]
+    cum = np.cumsum(y[sub], axis=1)
+    nl, valid = _cut_points(xs, min_leaf)
+    nr = n - nl
+    ones_l = cum[:, :-1]
+    ones_r = ones - ones_l
+    parent = _binary_entropy(np.array([ones / n]))[0]
+    h = (nl * _binary_entropy(ones_l / nl)
+         + nr * _binary_entropy(ones_r / nr)) / n
+    gain = parent - h
+    return _best_cut(gain, xs, features, valid & (gain > 1e-12))
+
+
+def _grow_class_tree(X, y, min_leaf, max_depth, rng=None, k_features=0):
+    """Entropy-gain classification tree on (X, y), argsorting X once. With
+    rng and 0 < k_features < d each node draws k_features candidate features
+    (the forest's feature subsampling), otherwise every feature is one."""
     d = X.shape[1]
-    if k_features and k_features < d and rng is not None:
-        feature_idx = np.sort(rng.choice(d, size=k_features, replace=False))
-    else:
-        feature_idx = np.arange(d)
-    split = _best_gain_split(X, y, feature_idx, min_leaf)
-    if split is None:
-        node["leaf"] = True
+    every = np.arange(d)
+    draw = k_features and k_features < d and rng is not None
+
+    def grow(rows, order, depth):
+        n = len(rows)
+        ones = int(y[rows].sum())
+        node = {"n": n, "ones": ones}
+        pure = ones == 0 or ones == n
+        if pure or n < 2 * min_leaf or (max_depth and depth >= max_depth):
+            node["leaf"] = True
+            return node
+        if draw:
+            features = np.sort(rng.choice(d, size=k_features, replace=False))
+        else:
+            features = every
+        split = _best_gain_split(X, y, order, features, ones, min_leaf)
+        if split is None:
+            node["leaf"] = True
+            return node
+        j, thr = split
+        left, right = _partition(X, rows, order, j, thr)
+        node.update(leaf=False, feature=j, threshold=thr)
+        node["left"] = grow(*left, depth + 1)
+        node["right"] = grow(*right, depth + 1)
         return node
-    _, j, thr = split
-    mask = X[:, j] <= thr
-    node.update(leaf=False, feature=j, threshold=thr)
-    node["left"] = _grow_class_tree(X[mask], y[mask], min_leaf, max_depth,
-                                    rng, k_features, depth + 1)
-    node["right"] = _grow_class_tree(X[~mask], y[~mask], min_leaf, max_depth,
-                                     rng, k_features, depth + 1)
-    return node
+
+    return grow(np.arange(len(y)), _presort(X), 0)
 
 
 def _leaf_label(node) -> int:
@@ -279,57 +318,47 @@ def _subtree_raise(node, X, y, z: float):
 # ---------------------------------------------------------------------------
 # regression trees for boosting
 
-def _best_sse_split(X, g, min_leaf, friedman: bool):
-    n = len(g)
-    best = None
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        gs = g[order]
-        cum = np.cumsum(gs)
-        pos = np.nonzero(xs[1:] > xs[:-1])[0]
-        if len(pos) == 0:
-            continue
-        nl = pos + 1
-        keep = (nl >= min_leaf) & (n - nl >= min_leaf)
-        if not np.any(keep):
-            continue
-        nl = nl[keep]
-        pos = pos[keep]
-        sum_l = cum[pos]
-        sum_r = cum[-1] - sum_l
-        nr = n - nl
-        if friedman:
-            diff = sum_l / nl - sum_r / nr
-            score = (nl * nr) / (nl + nr) * diff * diff
-        else:
-            score = sum_l * sum_l / nl + sum_r * sum_r / nr
-        k = int(np.argmax(score))
-        if best is None or score[k] > best[0] + 1e-15:
-            thr = 0.5 * (xs[pos[k]] + xs[pos[k] + 1])
-            best = (float(score[k]), int(j), float(thr))
-    return best
+def _best_sse_split(X, grad, order, min_leaf, friedman: bool):
+    """Best (feature, threshold) over all features of a node with the given
+    presorted index, by Friedman's improvement or by the reduction in the
+    squared error of grad; None when no feature has a valid cut."""
+    d, n = order.shape
+    features = np.arange(d)
+    xs = X[order, features[:, None]]
+    cum = np.cumsum(grad[order], axis=1)
+    nl, valid = _cut_points(xs, min_leaf)
+    nr = n - nl
+    sum_l = cum[:, :-1]
+    sum_r = cum[:, -1:] - sum_l
+    if friedman:
+        diff = sum_l / nl - sum_r / nr
+        score = (nl * nr) / (nl + nr) * diff * diff
+    else:
+        score = sum_l * sum_l / nl + sum_r * sum_r / nr
+    return _best_cut(score, xs, features, valid)
 
 
-def _grow_reg_tree(X, grad, hess, max_depth, min_leaf, friedman, depth=0):
-    node = {}
-    if depth >= max_depth or len(grad) < 2 * min_leaf:
-        node["leaf"] = True
-        node["value"] = float(grad.sum() / max(hess.sum(), 1e-12))
-        return node
-    split = _best_sse_split(X, grad, min_leaf, friedman)
-    if split is None:
-        node["leaf"] = True
-        node["value"] = float(grad.sum() / max(hess.sum(), 1e-12))
-        return node
-    _, j, thr = split
-    mask = X[:, j] <= thr
-    node.update(leaf=False, feature=j, threshold=thr)
-    node["left"] = _grow_reg_tree(X[mask], grad[mask], hess[mask],
-                                  max_depth, min_leaf, friedman, depth + 1)
-    node["right"] = _grow_reg_tree(X[~mask], grad[~mask], hess[~mask],
-                                   max_depth, min_leaf, friedman, depth + 1)
-    return node
+def _grow_reg_tree(X, order, grad, hess, max_depth, min_leaf, friedman):
+    """Regression tree on the rows of X, whose presorted index is order; a
+    leaf holds sum(grad) / sum(hess) over its rows. Returns the tree and
+    each row's leaf value, which equals _reg_tree_predict(tree, X)."""
+    fitted = np.empty(len(grad))
+
+    def grow(rows, order, depth):
+        if depth < max_depth and len(rows) >= 2 * min_leaf:
+            split = _best_sse_split(X, grad, order, min_leaf, friedman)
+            if split is not None:
+                j, thr = split
+                left, right = _partition(X, rows, order, j, thr)
+                return {"leaf": False, "feature": j, "threshold": thr,
+                        "left": grow(*left, depth + 1),
+                        "right": grow(*right, depth + 1)}
+        # rows ascend, so both sums add the leaf's rows in row order
+        value = float(grad[rows].sum() / max(hess[rows].sum(), 1e-12))
+        fitted[rows] = value
+        return {"leaf": True, "value": value}
+
+    return grow(np.arange(len(grad)), order, 0), fitted
 
 
 def _reg_tree_predict(node, X) -> np.ndarray:
@@ -500,6 +529,7 @@ def _fit_gradient_boosting(X, y, form, seed):
     else:
         f0 = math.log(p1 / (1.0 - p1))
     f = np.full(len(y), f0)
+    order = _presort(X)
     trees = []
     for _ in range(n_estimators):
         if exponential:
@@ -510,9 +540,9 @@ def _fit_gradient_boosting(X, y, form, seed):
             p = 1.0 / (1.0 + np.exp(-f))
             grad = y - p
             hess = np.maximum(p * (1.0 - p), 1e-12)
-        tree = _grow_reg_tree(X, grad, hess, max_depth=3, min_leaf=1,
-                              friedman=friedman)
-        f = f + lr * _reg_tree_predict(tree, X)
+        tree, fitted = _grow_reg_tree(X, order, grad, hess, max_depth=3,
+                                      min_leaf=1, friedman=friedman)
+        f = f + lr * fitted
         trees.append(tree)
     return {"init": f0, "trees": trees, "learning_rate": lr}, None
 
@@ -650,9 +680,40 @@ _PARAMETER_KEYS = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_tree(tree, boosting: bool, n_features: int) -> None:
+    """Raise ValueError unless every node of tree is an object with a bool
+    leaf; an internal node splits on an int feature below n_features at a
+    numeric threshold and has left and right; a leaf holds a numeric value
+    (boosting) or int counts n and ones. The walk keeps an explicit stack,
+    so a deep tree cannot exhaust the interpreter's recursion limit."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, dict) or not isinstance(node.get("leaf"), bool):
+            raise ValueError("tree node is not an object with a bool 'leaf'")
+        if not node["leaf"]:
+            feature = node.get("feature")
+            if type(feature) is not int or not 0 <= feature < n_features:
+                raise ValueError(f"tree node splits on feature {feature!r}, "
+                                 f"not one of {n_features}")
+            if not _is_number(node.get("threshold")):
+                raise ValueError("tree node has no numeric threshold")
+            stack += (node.get("left"), node.get("right"))
+        elif boosting:
+            if not _is_number(node.get("value")):
+                raise ValueError("tree leaf has no numeric value")
+        elif type(node.get("n")) is not int or type(node.get("ones")) is not int:
+            raise ValueError("tree leaf lacks int counts n and ones")
+
+
 def _check_parameters(family: str, parameters, n_features: int) -> None:
     """Raise TypeError or ValueError when a loaded payload lacks what
-    predict_matrix reads, or a linear model's weights miss a feature."""
+    predict_matrix reads, a linear model's weights miss a feature, or a
+    tree is malformed."""
     if not isinstance(parameters, dict):
         raise TypeError("parameters is not a JSON object")
     keys = _PARAMETER_KEYS[family]
@@ -662,12 +723,24 @@ def _check_parameters(family: str, parameters, n_features: int) -> None:
     if "weights" in keys and len(parameters["weights"]) != n_features:
         raise ValueError(f"{len(parameters['weights'])} weights for "
                          f"{n_features} features")
+    if family == "decision_tree":
+        _check_tree(parameters["tree"], False, n_features)
+    elif "trees" in keys:
+        trees = parameters["trees"]
+        if not isinstance(trees, list) or not trees:
+            raise ValueError("trees is not a non-empty list")
+        boosting = family == "gradient_boosting"
+        if boosting and not (_is_number(parameters["init"])
+                             and _is_number(parameters["learning_rate"])):
+            raise ValueError("init or learning_rate is not a number")
+        for tree in trees:
+            _check_tree(tree, boosting, n_features)
 
 
 def load_model(path: str | Path) -> TrainedClassifier:
     try:
         payload = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, OSError) as exc:
+    except (json.JSONDecodeError, RecursionError, OSError) as exc:
         raise CorruptModelFile(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise CorruptModelFile(f"model file {path} is not a JSON object")

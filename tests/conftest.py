@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from roadsift.geometry import RoadSpine
 from roadsift.ml import (
@@ -15,6 +16,11 @@ from roadsift.ml import (
 )
 from roadsift.oracle import DriverConfig, build_dataset
 from roadsift.selection import RandomStrategy
+
+# Tier-1 runs the same examples every time, and fit-heavy examples are not
+# failed for running slowly on a loaded machine.
+settings.register_profile("tier1", deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 
 def straight_points(length=100.0, n=3, y=100.0, x0=100.0):

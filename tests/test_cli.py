@@ -128,6 +128,25 @@ class TestExtractAndPredict:
                      "--features", str(run_dir / "features.csv"),
                      "--out", str(tmp_path / "p.csv")]) == 2
 
+    @pytest.mark.parametrize("tree", [
+        {},
+        {"leaf": False, "feature": 99, "threshold": 0.0,
+         "left": {"n": 1, "ones": 0, "leaf": True},
+         "right": {"n": 1, "ones": 1, "leaf": True}},
+    ])
+    def test_corrupt_tree_is_config_error(self, run_dir, tmp_path, tree):
+        bench = tmp_path / "bench"
+        main(["benchmark", "--features", str(run_dir / "features.csv"),
+              "--models", "decision_tree", "--k", "3", "--seed", "5",
+              "--out", str(bench)])
+        model_path = bench / "best_model.json"
+        payload = json.loads(model_path.read_text())
+        payload["parameters"]["tree"] = tree
+        model_path.write_text(json.dumps(payload))
+        assert main(["predict", "--model", str(model_path),
+                     "--features", str(run_dir / "features.csv"),
+                     "--out", str(tmp_path / "p.csv")]) == 2
+
 
 class TestGridAndRanking:
     def test_grid_search_j48_row_count(self, run_dir, tmp_path, capsys):

@@ -33,8 +33,10 @@ from roadsift.ml import (
     split,
     stratified_folds,
 )
-from roadsift.ml import gridsearch
+from roadsift.ml import gridsearch, models
 from roadsift.ml.gridsearch import GridCell, grid_search
+
+import reference_trees
 
 NAMES2 = ("f0", "f1")
 
@@ -420,6 +422,75 @@ class TestCanonicalForm:
         assert cells == naive_grid_search(family, ds, 3, 7)
 
 
+@st.composite
+def oversampled_folds(draw):
+    """A small matrix shaped like an oversampled training fold: columns
+    quantised to a few levels, so values tie, and duplicated rows
+    appended."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 12))
+    levels = draw(st.lists(st.sampled_from([2, 3, 5, 40]), min_size=d, max_size=d))
+    scale = draw(st.sampled_from([0.5, 1.0 / 3.0, 7.25]))
+    codes = draw(st.lists(st.lists(st.integers(0, 39), min_size=d, max_size=d),
+                          min_size=n, max_size=n))
+    X = (np.asarray(codes) % levels) * scale
+    y = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[:2] = (0, 1)
+    extra = draw(st.lists(st.integers(0, n - 1), max_size=30))
+    rows = np.concatenate([np.arange(n), extra]).astype(int)
+    return X[rows], y[rows]
+
+
+# grid domains for the reference comparison: full where fitting is cheap,
+# small ensembles otherwise
+PRESORT_DOMAINS = {
+    "decision_tree": GRID_DOMAINS["decision_tree"],
+    "random_forest": {**GRID_DOMAINS["random_forest"], "I": [5]},
+    "gradient_boosting": {**GRID_DOMAINS["gradient_boosting"],
+                          "n_estimators": [10]},
+}
+
+
+class TestPresortedGrowth:
+    @pytest.mark.parametrize("family", list(PRESORT_DOMAINS))
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_matches_per_node_reference(self, family, data):
+        X, y = data.draw(oversampled_folds())
+        spec = ClassifierSpec(family, {
+            name: data.draw(st.sampled_from(values), label=name)
+            for name, values in PRESORT_DOMAINS[family].items()})
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        names = tuple(f"f{i}" for i in range(X.shape[1]))
+        fast = fit(spec, X, y, names, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "_grow_class_tree", reference_trees.grow_class_tree)
+            mp.setitem(models._FAMILY_FITS, "gradient_boosting",
+                       (models._gradient_boosting_form,
+                        reference_trees.fit_gradient_boosting))
+            slow = fit(spec, X, y, names, seed)
+        assert json.dumps(fast.parameters) == json.dumps(slow.parameters)
+
+    @pytest.mark.parametrize("loss", ["log_loss", "exponential"])
+    def test_leaf_values_are_the_margin_update(self, loss, monkeypatch):
+        ds = oversample_minority(noisy_ds(n=40, d=5), 2)
+        X = np.round(ds.X * 2.0) / 2.0              # tied values
+        grown = []
+        grow = models._grow_reg_tree
+
+        def recorded(*args, **kwargs):
+            tree, fitted = grow(*args, **kwargs)
+            grown.append((tree, fitted.copy()))
+            return tree, fitted
+        monkeypatch.setattr(models, "_grow_reg_tree", recorded)
+        model = fit(ClassifierSpec("gradient_boosting",
+                                   {"n_estimators": 10, "loss": loss}),
+                    X, ds.y, ds.feature_names, 0)
+        assert [tree for tree, _ in grown] == model.parameters["trees"]
+        for tree, fitted in grown:
+            assert fitted.tobytes() == models._reg_tree_predict(tree, X).tobytes()
+
+
 class TestRanking:
     def test_perfect_predictor(self):
         rng = np.random.default_rng(0)
@@ -455,6 +526,17 @@ class TestRanking:
             rank_features(ds)
 
 
+CLASS_LEAF = {"n": 1, "ones": 0, "leaf": True}
+VALUE_LEAF = {"leaf": True, "value": 0.5}
+
+
+def split_node(leaf, feature=0, threshold=0.0, **children):
+    """A tree node splitting one of two features, with two `leaf` children
+    unless children replaces left or right."""
+    return {"leaf": False, "feature": feature, "threshold": threshold,
+            "left": leaf, "right": leaf, **children}
+
+
 class TestPersistence:
     def test_roundtrip_identical_predictions(self, tmp_path):
         ds = separable_ds(150, seed=8)
@@ -480,6 +562,12 @@ class TestPersistence:
         with pytest.raises(CorruptModelFile):
             load_model(path)
 
+    def test_nesting_too_deep_to_parse(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"parameters": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        with pytest.raises(CorruptModelFile, match="cannot read"):
+            load_model(path)
+
     def test_version_mismatch_detail(self, tmp_path):
         ds = separable_ds(40)
         model = fit(ClassifierSpec("logistic"), ds.X, ds.y, NAMES2, 0)
@@ -501,6 +589,27 @@ class TestPersistence:
         ("linear_svm", {"parameters": {"weights": [0.5], "bias": 0.0}}),
         ("naive_bayes", {"parameters": {"priors": [0.5, 0.5]}}),
         ("gradient_boosting", {"parameters": {"init": 0.0, "trees": []}}),
+        ("decision_tree", {"parameters": {"tree": {}}}),
+        ("decision_tree", {"parameters": {"tree": [CLASS_LEAF]}}),
+        ("decision_tree", {"parameters": {"tree": {**CLASS_LEAF, "leaf": 1}}}),
+        ("decision_tree", {"parameters": {"tree": split_node(CLASS_LEAF, feature=99)}}),
+        ("decision_tree", {"parameters": {"tree": split_node(CLASS_LEAF, feature=2)}}),
+        ("decision_tree", {"parameters": {"tree": split_node(CLASS_LEAF, feature=-1)}}),
+        ("decision_tree", {"parameters": {"tree": split_node(CLASS_LEAF, feature=True)}}),
+        ("decision_tree", {"parameters": {"tree": split_node(CLASS_LEAF, threshold="0")}}),
+        ("decision_tree", {"parameters": {"tree": split_node(CLASS_LEAF, right=None)}}),
+        ("decision_tree", {"parameters": {"tree": split_node(
+            CLASS_LEAF, right=split_node(CLASS_LEAF, left={"n": 1, "leaf": True}))}}),
+        ("random_forest", {"parameters": {"trees": []}}),
+        ("random_forest", {"parameters": {"trees": [
+            CLASS_LEAF, split_node(CLASS_LEAF, feature=7)]}}),
+        ("gradient_boosting", {"parameters": {"init": 0.0, "learning_rate": 0.1,
+                                              "trees": [CLASS_LEAF]}}),
+        ("gradient_boosting", {"parameters": {"init": 0.0, "learning_rate": 0.1,
+                                              "trees": [split_node(
+                                                  VALUE_LEAF, right={"leaf": True})]}}),
+        ("gradient_boosting", {"parameters": {"init": 0.0, "learning_rate": "0.1",
+                                              "trees": [VALUE_LEAF]}}),
     ])
     def test_invalid_payload_is_corrupt(self, tmp_path, family, edit):
         ds = separable_ds(40)
@@ -514,3 +623,19 @@ class TestPersistence:
         path.write_text(json.dumps(payload))
         with pytest.raises(CorruptModelFile):
             load_model(path)
+
+    @pytest.mark.parametrize("family,parameters", [
+        ("decision_tree", {"tree": split_node(
+            CLASS_LEAF, feature=1, right=split_node(CLASS_LEAF))}),
+        ("random_forest", {"trees": [CLASS_LEAF, split_node(CLASS_LEAF, 1)]}),
+        ("gradient_boosting", {"init": 0, "learning_rate": 0.1,
+                               "trees": [split_node(VALUE_LEAF, 1, -2)]}),
+    ])
+    def test_handmade_trees_load_and_predict(self, tmp_path, family, parameters):
+        payload = {"format_version": 1, "family": family, "hyperparameters": {},
+                   "feature_names": list(NAMES2), "standardization": None,
+                   "parameters": parameters}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        model = load_model(path)
+        assert model.predict_matrix(np.zeros((3, 2))).shape == (3,)
