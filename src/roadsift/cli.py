@@ -255,11 +255,11 @@ def cmd_predict(args, config) -> int:
             rows.append((road_id, extract_features(road)))
     else:
         raise ConfigError("need --roads or --features")
+    codes = model.predict_matrix(model.feature_matrix([v for _, v in rows]))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["test_id", "predicted"])
-        for tid, vec in rows:
-            code = model.predict_features(vec)
+        for (tid, _), code in zip(rows, codes.tolist()):
             writer.writerow([tid, UNSAFE if code == UNSAFE_CODE else SAFE])
     print(f"{len(rows)} predictions -> {args.out}")
     return EXIT_OK

@@ -30,7 +30,6 @@ from .models import (
     canonical_form,
     fit,
     load_model,
-    predict,
     save_model,
 )
 from .ranking import (

@@ -5,8 +5,10 @@ decision tree with C4.5-style pruning knobs, a random forest, a linear SVM,
 and gradient-boosted depth-3 trees. Unsafe is the positive class (1)
 everywhere; every tie breaks toward unsafe, the fail-safe direction.
 
-All training is deterministic: full-batch optimizers, seeded bootstraps and
-feature subsampling.
+All training is deterministic. Logistic regression is solved to the
+optimum of its penalised log-loss by damped Newton steps (_logistic_solve);
+the linear SVM takes a fixed number of full-batch subgradient steps; the
+ensembles draw seeded bootstraps and feature subsets.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
+from scipy.special import expit
 
 SAFE_CODE = 0
 UNSAFE_CODE = 1
@@ -380,33 +383,147 @@ def _logistic_form(hp, d):
     return (hp["penalty"], hp["max_iter"])
 
 
+# The logistic solver's fixed settings. They say how closely the one
+# objective is solved, so they are constants and not hyperparameters.
+_LOGISTIC_ALPHA = 1e-4      # strength of each penalty the form switches on
+_GRAD_TOL = 1e-8            # converged: every (sub)gradient entry below this
+_STEP_TOL = 1e-12           # stalled: no coordinate moved by more than this
+_ARMIJO = 1e-4              # fraction of the predicted decrease a step keeps
+_MAX_HALVINGS = 40          # line-search halvings before the solver stalls
+_INNER_SOLVES = 100         # linear solves per l1 Newton step
+_DAMPING = 1e-10            # Hessian diagonal shift, relative to its largest
+
+
+def _min_norm_subgradient(g, theta, l1):
+    """Smallest element of the subdifferential of the objective at theta,
+    given the gradient g of its smooth part; the bias (last) is never
+    penalised."""
+    if not l1:
+        return g
+    w, gw = theta[:-1], g[:-1]
+    sub = np.where(w > 0.0, gw + l1, gw - l1)
+    at_zero = np.sign(gw) * np.maximum(np.abs(gw) - l1, 0.0)
+    return np.append(np.where(w == 0.0, at_zero, sub), g[-1])
+
+
+def _l1_model_minimiser(H, g, theta, l1):
+    """Minimiser u of the Newton model g·(u - theta) + (u - theta)·H·(u -
+    theta)/2 + l1·‖u_w‖₁ of the objective around theta, by feature-sign
+    search (Lee, Battle, Raina & Ng, NIPS 2006) from theta's signs.
+
+    On a sign pattern the l1 term is linear, so the pattern's minimiser is
+    one linear solve in its free coordinates: the bias and the nonzero
+    weights. A step toward it stops where a weight would change sign, and
+    that weight drops out at zero. Once the minimiser keeps its pattern, the
+    zero weight whose model gradient exceeds l1 the most joins with the sign
+    that lowers the model. Every move lowers the model. Ends when no zero
+    weight's model gradient exceeds l1, or after _INNER_SOLVES solves."""
+    m = len(theta)
+    c = g - H @ theta               # the model's smooth gradient is c + H u
+    u = theta.copy()
+    s = np.sign(u)
+    s[-1] = 0.0
+    free = s != 0.0
+    free[-1] = True
+    for _ in range(_INNER_SOLVES):
+        target = np.zeros(m)
+        target[free] = np.linalg.solve(H[np.ix_(free, free)],
+                                       -(c + l1 * s)[free])
+        flips = np.flatnonzero(free[:-1] & (np.sign(target[:-1]) != s[:-1]))
+        if flips.size:
+            cross = u[flips] / (u[flips] - target[flips])
+            first = float(cross.min())
+            u = u + first * (target - u)
+            gone = flips[cross <= first]
+            u[gone] = 0.0
+            s[gone] = 0.0
+            free[gone] = False
+            continue
+        u = target
+        grad = c + H @ u
+        excess = np.where(free, -np.inf, np.abs(grad) - l1)
+        j = int(excess.argmax())
+        if excess[j] <= 1e-3 * _GRAD_TOL:
+            break
+        s[j] = -np.sign(grad[j])
+        free[j] = True
+    return u
+
+
+def _logistic_solve(Xs, y, penalty, max_iter):
+    """Minimise mean log-loss + l2·‖w‖² + l1·‖w‖₁ over weights w and an
+    unpenalised bias b on the standardised rows Xs; returns (w, b, steps,
+    converged).
+
+    Each step takes the Newton (IRLS) quadratic model of the log-loss at the
+    current point. Without an l1 term the step solves one (d+1)×(d+1) linear
+    system; with one, _l1_model_minimiser minimises the model plus the l1
+    term. A backtracking (Armijo) line search on the true objective damps
+    the step. The solve stops as converged when every entry of the
+    minimum-norm subgradient is below _GRAD_TOL, and as stalled when the
+    line search finds no decrease or the step moves no coordinate by more
+    than _STEP_TOL; max_iter caps the steps. The gradient test is what ends
+    an unpenalised fit on separable rows, whose weights grow without bound.
+    """
+    n, d = Xs.shape
+    A = np.hstack([Xs, np.ones((n, 1))])
+    sign = 1.0 - 2.0 * y            # each row's loss is softplus(sign * z)
+    l1 = _LOGISTIC_ALPHA if penalty in ("l1", "elasticnet") else 0.0
+    l2 = _LOGISTIC_ALPHA if penalty in ("l2", "elasticnet") else 0.0
+    ridge = np.append(np.full(d, 2.0 * l2), 0.0)
+
+    def objective(theta):
+        w = theta[:-1]
+        loss = np.logaddexp(0.0, sign * (A @ theta)).mean()
+        return float(loss + l2 * (w @ w) + l1 * np.abs(w).sum())
+
+    theta = np.zeros(d + 1)
+    f = objective(theta)
+    moved = math.inf
+    for steps in range(max_iter + 1):
+        q = expit(sign * (A @ theta))
+        g = A.T @ (sign * q) / n + ridge * theta
+        kkt = float(np.max(np.abs(_min_norm_subgradient(g, theta, l1))))
+        if kkt < _GRAD_TOL:
+            return theta[:-1], float(theta[-1]), steps, True
+        if steps == max_iter or moved <= _STEP_TOL:
+            break
+        H = (A.T * (q * (1.0 - q) / n)) @ A
+        H[np.diag_indices_from(H)] += ridge + _DAMPING * H.diagonal().max()
+        if l1:
+            step = _l1_model_minimiser(H, g, theta, l1) - theta
+            w, sw = theta[:-1], step[:-1]
+            decrease = float(g @ step) + l1 * float(
+                np.abs(w + sw).sum() - np.abs(w).sum())
+        else:
+            step = -np.linalg.solve(H, g)
+            decrease = float(g @ step)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = theta + t * step
+            f_trial = objective(trial)
+            if f_trial <= f + _ARMIJO * t * decrease:
+                break
+            t *= 0.5
+        else:
+            break
+        moved = float(np.max(np.abs(trial - theta)))
+        theta, f = trial, f_trial
+    return theta[:-1], float(theta[-1]), steps, False
+
+
 def _fit_logistic(X, y, form, seed):
+    """Penalised logistic regression on standardised columns: mean log-loss
+    plus 1e-4·‖w‖² (l2, elasticnet) plus 1e-4·‖w‖₁ (l1, elasticnet), with an
+    unpenalised bias. l2 and none take damped Newton (IRLS) steps; l1 and
+    elasticnet take the same steps with the l1 term kept exact in each
+    step's quadratic model (a proximal Newton method, as in glmnet), with
+    the same line search. max_iter caps the Newton steps; the fit stops
+    early once every entry of the (minimum-norm sub)gradient is below 1e-8.
+    See _logistic_solve."""
     penalty, max_iter = form
     mean, std = _standardize_fit(X)
-    Xs = (X - mean) / std
-    n, d = Xs.shape
-    w = np.zeros(d)
-    b = 0.0
-    alpha = 1e-4
-    l2 = alpha if penalty in ("l2", "elasticnet") else 0.0
-    l1 = alpha if penalty in ("l1", "elasticnet") else 0.0
-    sigma_max = float(np.linalg.norm(Xs, 2)) if n else 1.0
-    lip = sigma_max ** 2 / (4.0 * n) + 2.0 * l2 + 1.0 / (4.0 * n)
-    lr = 1.0 / max(lip, 1e-12)
-    for _ in range(max_iter):
-        z = Xs @ w + b
-        p = 1.0 / (1.0 + np.exp(-z))
-        err = p - y
-        grad_w = Xs.T @ err / n + 2.0 * l2 * w
-        grad_b = float(err.mean())
-        w_new = w - lr * grad_w
-        if l1 > 0.0:
-            w_new = np.sign(w_new) * np.maximum(np.abs(w_new) - lr * l1, 0.0)
-        b_new = b - lr * grad_b
-        step = max(float(np.max(np.abs(w_new - w))), abs(b_new - b))
-        w, b = w_new, b_new
-        if step < 1e-6:
-            break
+    w, b, _, _ = _logistic_solve((X - mean) / std, y, penalty, max_iter)
     return {"weights": w.tolist(), "bias": b}, (mean, std)
 
 
@@ -622,15 +739,23 @@ class TrainedClassifier:
             return (f >= 0.0).astype(np.int64)
         raise ValueError(f"unknown family {family!r}")
 
+    def feature_matrix(self, rows) -> np.ndarray:
+        """(n, d) matrix in the model's feature order from n feature
+        mappings (dicts or FeatureVectors)."""
+        table = []
+        for features in rows:
+            if hasattr(features, "as_dict"):
+                features = features.as_dict()
+            missing = [n for n in self.feature_names if n not in features]
+            if missing:
+                raise FeatureMismatch(f"missing features: {missing}")
+            table.append([features[n] for n in self.feature_names])
+        shape = (len(rows), len(self.feature_names))
+        return np.array(table, dtype=float).reshape(shape)
+
     def predict_features(self, features) -> int:
         """Class code for one feature mapping (dict or FeatureVector)."""
-        if hasattr(features, "as_dict"):
-            features = features.as_dict()
-        missing = [n for n in self.feature_names if n not in features]
-        if missing:
-            raise FeatureMismatch(f"missing features: {missing}")
-        row = np.array([[features[n] for n in self.feature_names]])
-        return int(self.predict_matrix(row)[0])
+        return int(self.predict_matrix(self.feature_matrix([features]))[0])
 
 
 def fit(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray,
@@ -645,12 +770,6 @@ def fit(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray,
                                      rng_seed)
     return TrainedClassifier(spec=spec, feature_names=tuple(feature_names),
                              standardization=standardization, parameters=params)
-
-
-def predict(model: TrainedClassifier, features) -> str:
-    """Label one feature vector: "unsafe" or "safe"."""
-    code = model.predict_features(features)
-    return "unsafe" if code == UNSAFE_CODE else "safe"
 
 
 def save_model(model: TrainedClassifier, path: str | Path) -> None:

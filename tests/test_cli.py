@@ -82,6 +82,37 @@ class TestExtractAndPredict:
         assert lines[0] == "test_id,predicted"
         assert len(lines) == 21
 
+    @pytest.mark.parametrize("family", ["logistic", "naive_bayes",
+                                        "decision_tree", "random_forest"])
+    def test_predict_is_one_batch(self, run_dir, tmp_path, family,
+                                  monkeypatch):
+        from roadsift.features import read_feature_csv
+        from roadsift.ml import ClassifierSpec, TrainedClassifier, fit, save_model
+        from roadsift.ml.models import UNSAFE_CODE
+        rows = read_feature_csv(run_dir / "features.csv")
+        names = tuple(rows[0][1].as_dict())
+        model = fit(ClassifierSpec(family),
+                    [list(vec.as_dict().values()) for _, vec, _ in rows],
+                    [int(label == "unsafe") for _, _, label in rows], names, 3)
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        one_row = ["test_id,predicted"] + [
+            f"{tid},{'unsafe' if model.predict_features(vec) == UNSAFE_CODE else 'safe'}"
+            for tid, vec, _ in rows]
+        batches = []
+        predict_matrix = TrainedClassifier.predict_matrix
+
+        def counted(self, X):
+            batches.append(len(X))
+            return predict_matrix(self, X)
+        monkeypatch.setattr(TrainedClassifier, "predict_matrix", counted)
+        preds = tmp_path / "preds.csv"
+        assert main(["predict", "--model", str(model_path),
+                     "--features", str(run_dir / "features.csv"),
+                     "--out", str(preds)]) == 0
+        assert batches == [len(rows)]
+        assert preds.read_text().splitlines() == one_row
+
     def test_predict_is_pure(self, run_dir, tmp_path):
         bench = tmp_path / "bench"
         main(["benchmark", "--features", str(run_dir / "features.csv"),

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from roadsift.ml import (
 from roadsift.ml import gridsearch, models
 from roadsift.ml.gridsearch import GridCell, grid_search
 
+import reference_logistic
 import reference_trees
 
 NAMES2 = ("f0", "f1")
@@ -489,6 +491,91 @@ class TestPresortedGrowth:
         assert [tree for tree, _ in grown] == model.parameters["trees"]
         for tree, fitted in grown:
             assert fitted.tobytes() == models._reg_tree_predict(tree, X).tobytes()
+
+
+@st.composite
+def separable_matrices(draw):
+    """A small matrix with columns quantised to a few levels, one constant
+    column, and labels from a linear rule, so both classes are linearly
+    separable."""
+    n = draw(st.integers(4, 30))
+    d = draw(st.integers(1, 6))
+    levels = draw(st.lists(st.sampled_from([2, 3, 5, 40]), min_size=d, max_size=d))
+    codes = draw(st.lists(st.lists(st.integers(0, 39), min_size=d, max_size=d),
+                          min_size=n, max_size=n))
+    X = (np.asarray(codes) % levels) * draw(st.sampled_from([0.5, 7.25]))
+    X = np.insert(X, draw(st.integers(0, d)), 3.0, axis=1)
+    rule = draw(st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1))
+    score = X @ np.asarray(rule, dtype=float)
+    cuts = np.unique(score)
+    assume(len(cuts) >= 2)
+    i = draw(st.integers(0, len(cuts) - 2))
+    y = (score > 0.5 * (cuts[i] + cuts[i + 1])).astype(np.int64)
+    return X, y
+
+
+LOGISTIC_FORMS = [(penalty, max_iter)
+                  for penalty in GRID_DOMAINS["logistic"]["penalty"]
+                  for max_iter in GRID_DOMAINS["logistic"]["max_iter"]]
+
+
+class TestLogisticSolver:
+    @pytest.mark.parametrize("form", LOGISTIC_FORMS, ids=lambda f: f"{f[0]}-{f[1]}")
+    @settings(max_examples=25)
+    @given(data=separable_matrices())
+    def test_no_worse_than_gradient_descent(self, form, data):
+        X, y = data
+        penalty, max_iter = form
+        mean, std = models._standardize_fit(X)
+        Xs = (X - mean) / std
+        w, b, steps, converged = models._logistic_solve(Xs, y, penalty, max_iter)
+        ref, _ = reference_logistic.fit_logistic(X, y, form, 0)
+        objective = reference_logistic.objective
+        assert objective(Xs, y, w, b, penalty) <= (
+            objective(Xs, y, ref["weights"], ref["bias"], penalty) + 1e-12)
+        assert steps <= max_iter and np.all(np.isfinite(w))
+        # Newton needs about 20 steps here even on separable rows
+        assert converged or max_iter < 100
+        if converged:
+            assert reference_logistic.kkt_residual(Xs, y, w, b, penalty) < 2e-8
+
+    def test_fit_wraps_the_solver(self):
+        ds = noisy_ds()
+        for penalty in GRID_DOMAINS["logistic"]["penalty"]:
+            model = fit(ClassifierSpec("logistic", {"penalty": penalty}),
+                        ds.X, ds.y, ds.feature_names)
+            mean, std = model.standardization
+            w, b, _, converged = models._logistic_solve(
+                (ds.X - mean) / std, ds.y, penalty, 1000)
+            assert converged
+            assert model.parameters == {"weights": w.tolist(), "bias": b}
+
+    def test_every_step_lowers_the_objective(self):
+        # on these separable rows a full Newton step overshoots at step 6
+        X = np.array([[8, -12], [-20, -13], [10, -19], [10, 13], [13, -16],
+                      [6, -11], [19, -9]], dtype=float)
+        y = np.array([0, 1, 0, 1, 0, 1, 0])
+        mean, std = models._standardize_fit(X)
+        Xs = (X - mean) / std
+        values = [reference_logistic.objective(
+            Xs, y, *models._logistic_solve(Xs, y, "none", k)[:2], "none")
+            for k in range(11)]
+        assert all(b <= a for a, b in zip(values, values[1:]))
+
+    def test_separable_unpenalised_stops_on_the_gradient(self):
+        # the weights of an unpenalised fit grow without bound on separable
+        # rows, so no step is ever small; only the gradient test ends it
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(40, 18))
+        y = (X @ rng.normal(size=18) > 0).astype(np.int64)
+        mean, std = models._standardize_fit(X)
+        w, b, steps, converged = models._logistic_solve(
+            (X - mean) / std, y, "none", 1000)
+        assert converged and steps <= 50
+        assert np.all(np.isfinite(w)) and math.isfinite(b)
+        names = tuple(f"f{i}" for i in range(18))
+        model = fit(ClassifierSpec("logistic", {"penalty": "none"}), X, y, names)
+        assert np.array_equal(model.predict_matrix(X), y)
 
 
 class TestRanking:
