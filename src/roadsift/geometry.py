@@ -128,20 +128,13 @@ def interpolate_spine(road: RoadPoints, config: GeometryConfig | None = None) ->
     cfg = config or GeometryConfig()
     pts = road.as_array()
     knots = _centripetal_knots(pts)
-    spline_x = CubicSpline(knots, pts[:, 0], bc_type="natural")
-    spline_y = CubicSpline(knots, pts[:, 1], bc_type="natural")
-
-    def evaluate(tq):
-        pos = np.column_stack([spline_x(tq), spline_y(tq)])
-        d1 = np.column_stack([spline_x(tq, 1), spline_y(tq, 1)])
-        d2 = np.column_stack([spline_x(tq, 2), spline_y(tq, 2)])
-        return pos, d1, d2
+    spline = CubicSpline(knots, pts, bc_type="natural", axis=0)
 
     # dense pre-pass to build the arc-length -> parameter map
     approx_len = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
     n_fine = max(32, int(math.ceil(approx_len / (cfg.sampling_step / 4.0))))
     tq_fine = np.linspace(knots[0], knots[-1], n_fine + 1)
-    pos_fine, _, _ = evaluate(tq_fine)
+    pos_fine = spline(tq_fine)
     arc_fine = np.concatenate(
         [[0.0], np.cumsum(np.linalg.norm(np.diff(pos_fine, axis=0), axis=1))])
     total = float(arc_fine[-1])
@@ -156,7 +149,7 @@ def interpolate_spine(road: RoadPoints, config: GeometryConfig | None = None) ->
     tq = tq_fine[idx] + frac * (tq_fine[idx + 1] - tq_fine[idx])
     tq[0], tq[-1] = knots[0], knots[-1]
 
-    pos, d1, d2 = evaluate(tq)
+    pos, d1, d2 = spline(tq), spline(tq, 1), spline(tq, 2)
     heading = _wrap_angle(np.arctan2(d1[:, 1], d1[:, 0]))
     speed_sq = d1[:, 0] ** 2 + d1[:, 1] ** 2
     denom = np.maximum(speed_sq, 1e-12) ** 1.5

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,10 @@ class NonPositiveRadius(ValueError):
 
 class GenerationExhausted(RuntimeError):
     """Rejection sampling failed to produce a valid road."""
+
+
+class DriveTimeout(RuntimeError):
+    """A drive reached its step cap without finishing or failing."""
 
 
 @dataclass(frozen=True)
@@ -122,33 +126,63 @@ def plan_speed_profile(spine: RoadSpine, cfg: DriverConfig) -> np.ndarray:
     v[turning] = np.minimum(
         cfg.v_max,
         cfg.risk_factor * np.sqrt(cfg.mu * cfg.g / kappa[turning]))
-    ds = np.diff(spine.s)
+    # both passes index Python lists: numpy scalar indexing is slower
+    v = v.tolist()
+    ds = np.diff(spine.s).tolist()
     v[0] = 0.0
     for i in range(len(v) - 2, -1, -1):          # braking feasibility
         v[i] = min(v[i], math.sqrt(v[i + 1] ** 2 + 2.0 * cfg.a_brake * ds[i]))
     for i in range(len(v) - 1):                  # acceleration feasibility
         v[i + 1] = min(v[i + 1], math.sqrt(v[i] ** 2 + 2.0 * cfg.a_accel * ds[i]))
-    return v
+    return np.array(v)
 
 
-def _simulate(spine: RoadSpine, cfg: DriverConfig) -> TestOutcome:
-    sx = spine.xy[:, 0]
-    sy = spine.xy[:, 1]
-    s_arc = spine.s
+def _simulate(spine: RoadSpine, cfg: DriverConfig,
+              keep_trace: bool = True) -> TestOutcome:
+    """Drive the spine once from a standing start and return the verdict.
+
+    Each step advances the progress pointer, measures the lateral offset,
+    steers by pure pursuit and tracks the planned speed profile. The drive
+    ends UNSAFE when the car leaves its lane and SAFE within 0.5 m of the
+    road's end.
+
+    keep_trace=True records one VehicleState per step; with False the
+    outcome's trace is empty and no state is built. Label, duration and
+    max_abs_lateral_offset are the same either way.
+
+    Raises DriveTimeout if neither end is reached within the step cap of
+    (total_length / 1 m/s + 120 s) of simulated time.
+    """
+    # the loop reads Python lists and locals: numpy scalar indexing and
+    # attribute lookups dominated its cost
+    sx = spine.xy[:, 0].tolist()
+    sy = spine.xy[:, 1].tolist()
+    s_arc = spine.s.tolist()
+    spine_heading = spine.heading.tolist()
+    profile = plan_speed_profile(spine, cfg).tolist()
     n = len(sx)
-    profile = plan_speed_profile(spine, cfg)
 
     dt = cfg.timestep
     half_lane = cfg.lane_width / 2.0
     half_width = cfg.vehicle_width / 2.0
+    vehicle_width = cfg.vehicle_width
+    oob_fraction = cfg.oob_fraction
     pursuit_base = cfg.lookahead / cfg.risk_factor
+    speed_gain = cfg.speed_gain
+    wheelbase = cfg.wheelbase
+    max_steer = cfg.max_steer
+    a_accel = cfg.a_accel
+    a_brake = cfg.a_brake
     yaw_cap_acc = cfg.grip_margin * cfg.mu * cfg.g
     end_s = spine.total_length - 0.5
+    cos, sin, tan, atan2, hypot = math.cos, math.sin, math.tan, math.atan2, math.hypot
+    pi = math.pi
+    two_pi = 2.0 * math.pi
 
-    x, y = float(sx[0]), float(sy[0])
-    heading = float(spine.heading[0])
+    x, y = sx[0], sy[0]
+    heading = spine_heading[0]
     speed = 0.0
-    steer_prev = 0.0
+    steer = steer_prev = throttle = brake = 0.0
     rate_step = cfg.max_steer_rate * dt
     ptr = 0
     look = 0
@@ -172,8 +206,8 @@ def _simulate(spine: RoadSpine, cfg: DriverConfig) -> TestOutcome:
                 break
 
         # signed lateral offset from the local tangent
-        hx = math.cos(spine.heading[ptr])
-        hy = math.sin(spine.heading[ptr])
+        hx = cos(spine_heading[ptr])
+        hy = sin(spine_heading[ptr])
         ex = x - sx[ptr]
         ey = y - sy[ptr]
         offset = hx * ey - hy * ex
@@ -181,12 +215,12 @@ def _simulate(spine: RoadSpine, cfg: DriverConfig) -> TestOutcome:
         if abs_off > max_off:
             max_off = abs_off
 
-        oob = (abs_off + half_width - half_lane) / cfg.vehicle_width
-        if oob >= cfg.oob_fraction:
+        oob = (abs_off + half_width - half_lane) / vehicle_width
+        if oob >= oob_fraction:
             failed = True
-            trace.append(VehicleState(t, x, y, heading, speed, steer if trace else 0.0,
-                                      throttle if trace else 0.0, brake if trace else 0.0,
-                                      offset))
+            if keep_trace:
+                trace.append(VehicleState(t, x, y, heading, speed, steer,
+                                          throttle, brake, offset))
             break
 
         progress = s_arc[ptr] + hx * ex + hy * ey
@@ -194,42 +228,47 @@ def _simulate(spine: RoadSpine, cfg: DriverConfig) -> TestOutcome:
             break
 
         # pure pursuit toward the point lookahead distance ahead by arc
-        pursuit = pursuit_base + cfg.speed_gain * speed
+        pursuit = pursuit_base + speed_gain * speed
         target_s = progress + pursuit
         if look < ptr:
             look = ptr
         while look < n - 1 and s_arc[look] < target_s:
             look += 1
         tx, ty = sx[look], sy[look]
-        alpha = math.atan2(ty - y, tx - x) - heading
-        alpha = (alpha + math.pi) % (2.0 * math.pi) - math.pi
-        dist = max(math.hypot(tx - x, ty - y), 1e-6)
-        steer = math.atan2(2.0 * cfg.wheelbase * math.sin(alpha), dist)
-        steer = max(-cfg.max_steer, min(cfg.max_steer, steer))
+        alpha = atan2(ty - y, tx - x) - heading
+        alpha = (alpha + pi) % two_pi - pi
+        dist = max(hypot(tx - x, ty - y), 1e-6)
+        steer = atan2(2.0 * wheelbase * sin(alpha), dist)
+        steer = max(-max_steer, min(max_steer, steer))
         steer = max(steer_prev - rate_step, min(steer_prev + rate_step, steer))
         steer_prev = steer
 
         # longitudinal control toward the planned profile
         v_ref = profile[min(ptr + 1, n - 1)]
         accel = (v_ref - speed) / dt
-        accel = max(-cfg.a_brake, min(cfg.a_accel, accel))
-        throttle = accel / cfg.a_accel if accel > 0.0 else 0.0
-        brake = -accel / cfg.a_brake if accel < 0.0 else 0.0
+        accel = max(-a_brake, min(a_accel, accel))
+        throttle = accel / a_accel if accel > 0.0 else 0.0
+        brake = -accel / a_brake if accel < 0.0 else 0.0
 
-        trace.append(VehicleState(t, x, y, heading, speed, steer,
-                                  throttle, brake, offset))
+        if keep_trace:
+            trace.append(VehicleState(t, x, y, heading, speed, steer,
+                                      throttle, brake, offset))
 
         # kinematic bicycle with a friction-circle yaw-rate cap: demanding
         # more lateral acceleration than the tyres have makes the car run wide
-        yaw_rate = speed * math.tan(steer) / cfg.wheelbase
+        yaw_rate = speed * tan(steer) / wheelbase
         if speed > 0.1:
             cap = yaw_cap_acc / speed
             yaw_rate = max(-cap, min(cap, yaw_rate))
-        x += speed * math.cos(heading) * dt
-        y += speed * math.sin(heading) * dt
-        heading = (heading + yaw_rate * dt + math.pi) % (2.0 * math.pi) - math.pi
+        x += speed * cos(heading) * dt
+        y += speed * sin(heading) * dt
+        heading = (heading + yaw_rate * dt + pi) % two_pi - pi
         speed = max(0.0, speed + accel * dt)
         t += dt
+    else:
+        raise DriveTimeout(
+            f"drive did not finish within {max_steps} steps "
+            f"({max_steps * dt:.2f} s simulated)")
 
     duration = max(t, dt)
     return TestOutcome(
@@ -349,9 +388,7 @@ def build_dataset(n: int, cfg: DriverConfig, rng_seed: int,
         road, spine = generate_road(int(seeds[2 * i]), b, geo)
         segments = segment_spine(spine, geo)
         vec = features_from_segments(spine, segments)
-        outcome = _simulate(spine, cfg)
-        if not keep_traces:
-            outcome = replace(outcome, trace=())
+        outcome = _simulate(spine, cfg, keep_trace=keep_traces)
         tests.append(TestCase(id=f"test_{i:05d}", road=road,
                               features=vec, outcome=outcome))
     return tests

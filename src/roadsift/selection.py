@@ -147,13 +147,24 @@ class RoadLengthStrategy:
 
 
 class ModelStrategy(RandomStrategy):
-    """Draws randomly but keeps only tests the model predicts unsafe."""
+    """Draws randomly but keeps only tests the model predicts unsafe.
+
+    order() predicts the whole pool in one batch; accepts() reads those
+    predictions, so it only answers for tests of the last ordered pool."""
 
     def __init__(self, model: TrainedClassifier):
         self.model = model
+        self._codes: dict[str, int] = {}
+
+    def order(self, pool: TestPool, rng: np.random.Generator) -> list[VisibleTest]:
+        tests = pool.tests
+        codes = self.model.predict_matrix(
+            self.model.feature_matrix([t.features for t in tests]))
+        self._codes = dict(zip((t.id for t in tests), codes.tolist()))
+        return super().order(pool, rng)
 
     def accepts(self, test: VisibleTest) -> bool:
-        return self.model.predict_features(test.features) == UNSAFE_CODE
+        return self._codes[test.id] == UNSAFE_CODE
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +488,7 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
             execute = predicted == UNSAFE_CODE
 
         if execute:
-            outcome = _simulate(spine, cfg.driver)
+            outcome = _simulate(spine, cfg.driver, keep_trace=False)
             truth = UNSAFE_CODE if outcome.label == UNSAFE else SAFE_CODE
             # execution cost is the simulated drive in either clock mode
             charge = outcome.duration + cfg.cost.overhead_s
@@ -505,7 +516,7 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
     confusion = None
     if cfg.mode != "baseline":
         for spine, predicted in rejected_spines:
-            outcome = _simulate(spine, cfg.driver)
+            outcome = _simulate(spine, cfg.driver, keep_trace=False)
             predictions.append(predicted)
             truths.append(UNSAFE_CODE if outcome.label == UNSAFE else SAFE_CODE)
         if predictions:

@@ -1,11 +1,13 @@
 """Golden artifacts: the sha256 digests that fixed seeds give today.
 
 Any change to road generation, driving, feature extraction, dataset output
-or the decision tree shows up here as a changed digest, so an intended
-change must update a digest in the same commit and say why.
+(with and without traces), the decision tree, the real-time loop or
+model-based FIX / REACH selection shows up here as a changed digest, so an
+intended change must update a digest in the same commit and say why.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -46,3 +48,53 @@ def test_decision_tree_grid(data_set_1, tmp_path):
                  "--out", str(grid)]) == 0
     assert sha256(grid) == (
         "7a322a5122fa855d786c26f1b3a70d25e4c68c0853590cab013880dc1fdaedcc")
+
+
+@pytest.fixture(scope="module")
+def traced_set(tmp_path_factory):
+    out = tmp_path_factory.mktemp("traced")
+    assert main(["generate", "-n", "20", "--rf", "1.5", "--seed", "7",
+                 "--out", str(out)]) == 0
+    return out
+
+
+def test_generate_with_traces(traced_set):
+    assert sha256(traced_set / "features.csv") == (
+        "ea2e8e54fd869e0f8bee4f026641005030edba4dadfd68fc2f206e2e28388988")
+    assert sha256(traced_set / "simulation.full.json") == (
+        "61ac165e43e8878ab0a59e58f82cc0c5b0e8458906a97c6fac52644f7716a3fa")
+
+
+def test_realtime_adaptive(tmp_path):
+    cfg = tmp_path / "rt.json"
+    cfg.write_text(json.dumps({"protocol": "realtime", "mode": "adaptive",
+                               "budget_s": 600.0, "warmup_n": 8,
+                               "repetitions": 1}))
+    out = tmp_path / "rt"
+    assert main(["experiment", "--config", str(cfg), "--seed", "3",
+                 "--out", str(out)]) == 0
+    assert sha256(out / "aggregate.csv") == (
+        "ebcb389ca9f696098ff8587cd17cb45027253a2ed444ca006d1dde2fe5c8995d")
+
+
+@pytest.mark.parametrize("protocol, target, digest", [
+    ("fix", {"S": 6},
+     "aa70629a6371e42bebdc1b472fc2ae9e754d59deae1aef2d4f2c3b0313af4a14"),
+    ("reach", {"N": 4},
+     "8fea5286c65e22520f2c851190479f391c6270a212e855bfc0883ec8ed295fb4"),
+], ids=["fix", "reach"])
+def test_model_strategy(traced_set, tmp_path, protocol, target, digest):
+    assert main(["benchmark", "--features", str(traced_set / "features.csv"),
+                 "--models", "logistic", "--k", "3", "--seed", "1",
+                 "--out", str(tmp_path / "bm")]) == 0
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "protocol": protocol,
+        "dataset": str(traced_set / "simulation.full.json"),
+        "pool": {"safe": 8, "unsafe": 7}, "strategy": "model",
+        "model": str(tmp_path / "bm" / "best_model.json"),
+        "repetitions": 5, **target}))
+    out = tmp_path / protocol
+    assert main(["experiment", "--config", str(cfg), "--seed", "11",
+                 "--out", str(out)]) == 0
+    assert sha256(out / "aggregate.csv") == digest

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadsift.features import extract_features
 from roadsift.geometry import RoadPoints, interpolate_spine
 from roadsift.oracle import (
     SAFE,
     UNSAFE,
+    DriveTimeout,
     DriverConfig,
     GenerationExhausted,
     GeneratorBounds,
@@ -21,6 +24,7 @@ from roadsift.oracle import (
     simulate_drive,
     unsafe_fraction,
 )
+from roadsift.oracle import _simulate
 
 from conftest import arc_between_straights, straight_points
 
@@ -160,6 +164,25 @@ class TestSimulateDrive:
             max_off = max(abs(st.lateral_offset) for st in out.trace)
             fired = max_off >= threshold - 1e-9
             assert fired == (out.label == UNSAFE)
+
+    def test_step_cap_raises(self):
+        # at 0.5 m/s this road needs more simulated time than the cap allows
+        with pytest.raises(DriveTimeout):
+            simulate_drive(generate_road(3)[0], DriverConfig(v_max=0.5))
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), rf=st.floats(0.5, 2.5))
+    def test_trace_free_drive_matches_traced(self, seed, rf):
+        _, spine = generate_road(seed)
+        cfg = DriverConfig(risk_factor=rf)
+        traced = _simulate(spine, cfg, keep_trace=True)
+        bare = _simulate(spine, cfg, keep_trace=False)
+        assert bare.label == traced.label
+        assert bare.duration == traced.duration
+        assert bare.max_abs_lateral_offset == traced.max_abs_lateral_offset
+        assert bare.trace == ()
+        assert traced.trace
+        assert traced.trace[-1].t <= traced.duration
 
     def test_risk_monotonicity(self):
         counts = []

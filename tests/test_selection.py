@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from roadsift.ml import ClassifierSpec, UNSAFE_CODE
+from roadsift.ml.models import TrainedClassifier
 from roadsift.oracle import UNSAFE
 from roadsift.selection import (
     BudgetTooSmall,
@@ -136,6 +137,25 @@ class TestFix:
         res = run_fix(pool, nothing, 12, 1)
         assert res.backfilled == 12
         assert len(res.suite_ids) == 12
+
+    def test_model_strategy_predicts_the_pool_once(self, moderate_model,
+                                                   pool_6040, monkeypatch):
+        model, _ = moderate_model
+        expected = {t.id: model.predict_features(t.features) == UNSAFE_CODE
+                    for t in pool_6040.tests}
+        rows = []
+        predict_matrix = TrainedClassifier.predict_matrix
+
+        def counted(self, X):
+            rows.append(len(X))
+            return predict_matrix(self, X)
+
+        monkeypatch.setattr(TrainedClassifier, "predict_matrix", counted)
+        strategy = ModelStrategy(model)
+        run_fix(pool_6040, strategy, 30, 7)
+        run_reach(pool_6040, strategy, 10, CostModel(), 7)
+        assert rows == [len(pool_6040), len(pool_6040)]
+        assert {t.id: strategy.accepts(t) for t in pool_6040.tests} == expected
 
     def test_confusion_consistent(self, moderate_tests, moderate_model, pool_6040):
         model, _ = moderate_model
