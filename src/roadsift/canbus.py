@@ -18,6 +18,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .oracle import TRACE_KEYS
+
 LITTLE_ENDIAN = "little"
 BIG_ENDIAN = "big"
 
@@ -247,7 +249,7 @@ class SignalMapping:
     """Pairs (trace field, message name, signal name, conversion factor)."""
     entries: tuple[tuple[str, str, str, float], ...]
 
-    def validate(self, db: CanDatabase, trace_fields: set[str]) -> None:
+    def validate(self, db: CanDatabase, trace_fields: tuple[str, ...]) -> None:
         for field_name, msg_name, sig_name, _ in self.entries:
             if field_name not in trace_fields:
                 raise MappingError(f"trace has no field {field_name!r}")
@@ -260,8 +262,6 @@ DEFAULT_MAPPING = SignalMapping(entries=(
     ("throttle", "PEDALS", "throttle_pct", 100.0),
     ("brake", "PEDALS", "brake_pct", 100.0),
 ))
-
-TRACE_FIELDS = {"t", "x", "y", "heading", "speed", "steering", "throttle", "brake"}
 
 
 @dataclass(frozen=True)
@@ -286,7 +286,7 @@ def convert_trace(trace, db: CanDatabase, mapping: SignalMapping,
     """
     if not trace:
         raise MappingError("empty trace")
-    mapping.validate(db, TRACE_FIELDS)
+    mapping.validate(db, TRACE_KEYS)
     per_message: dict[str, list] = {}
     for entry in mapping.entries:
         per_message.setdefault(entry[1], []).append(entry)

@@ -2,9 +2,9 @@
 
 Subcommands: generate, extract-features, benchmark, grid-search,
 rank-features, predict, experiment, can-convert, can-play. Every subcommand
-accepts --config <json> whose keys mirror the flags (explicit flags win,
-unknown keys are rejected). Exit codes: 0 success, 2 usage or configuration
-error, 3 runtime failure.
+accepts --config <json> whose keys are its flags' names, plus the experiment
+keys for experiment (explicit flags win, unknown keys are rejected). Exit
+codes: 0 success, 2 usage or configuration error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -126,8 +126,7 @@ def _driver_config(args) -> DriverConfig:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def cmd_generate(args, config) -> int:
-    _resolve(args, config, {"n", "seed", "rf", "mu", "oob", "out", "keep_traces"})
+def cmd_generate(args) -> int:
     _require(args, "n", "seed", "out")
     n = int(args.n)
     if n < 1:
@@ -150,8 +149,7 @@ def cmd_generate(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_extract_features(args, config) -> int:
-    _resolve(args, config, {"roads", "simulation", "out"})
+def cmd_extract_features(args) -> int:
     _require(args, "out")
     rows = []
     if args.simulation is not None:
@@ -168,8 +166,7 @@ def cmd_extract_features(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_benchmark(args, config) -> int:
-    _resolve(args, config, {"features", "models", "k", "seed", "out"})
+def cmd_benchmark(args) -> int:
     _require(args, "features", "seed", "out")
     ds = _labelled_dataset_from_csv(args.features)
     k = _optional(args, "k", int, 10)
@@ -200,8 +197,7 @@ def cmd_benchmark(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_grid_search(args, config) -> int:
-    _resolve(args, config, {"family", "features", "k", "seed", "out"})
+def cmd_grid_search(args) -> int:
     _require(args, "family", "features", "seed", "out")
     if args.family not in FAMILIES:
         raise ConfigError(f"unknown model family {args.family!r}")
@@ -223,8 +219,7 @@ def cmd_grid_search(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_rank_features(args, config) -> int:
-    _resolve(args, config, {"features", "out"})
+def cmd_rank_features(args) -> int:
     _require(args, "features", "out")
     ds = _labelled_dataset_from_csv(args.features)
     result = rank_features(ds)
@@ -241,8 +236,7 @@ def cmd_rank_features(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_predict(args, config) -> int:
-    _resolve(args, config, {"model", "roads", "features", "out"})
+def cmd_predict(args) -> int:
     _require(args, "model", "out")
     model = load_model(args.model)
     rows = []
@@ -287,12 +281,7 @@ def _aggregate_csv(path: Path, rows: list[dict]) -> None:
             writer.writerow([key, f"{vals.mean():.9g}", f"{vals.std():.9g}"])
 
 
-def cmd_experiment(args, config) -> int:
-    # the experiment definition lives in the config file itself
-    allowed = {"protocol", "dataset", "pool", "strategy", "model", "S", "N",
-               "seeds", "repetitions", "budget_s", "mode", "warmup_n",
-               "retrain_every", "rf", "out", "seed", "overhead_s"}
-    _resolve(args, config, allowed)
+def cmd_experiment(args) -> int:
     _require(args, "protocol", "out")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -304,33 +293,32 @@ def cmd_experiment(args, config) -> int:
         if reps < 1:
             raise ConfigError(f"repetitions must be >= 1, got {reps}")
         seeds = [int(args.seed) + i for i in range(reps)]
+    elif not (isinstance(seeds, list)
+              and all(isinstance(seed, int) for seed in seeds)):
+        raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
     cost = selection.CostModel(
         overhead_s=_optional(args, "overhead_s", float, 10.0))
 
     rows = []
     if args.protocol in ("fix", "reach"):
         _require(args, "dataset", "pool", "strategy")
-        tests = load_dataset(args.dataset)
         pool_cfg = args.pool
+        if not (isinstance(pool_cfg, dict) and pool_cfg.keys() >= {"safe", "unsafe"}):
+            raise ConfigError('pool must be an object with "safe" and "unsafe" '
+                              f"counts, got {pool_cfg!r}")
+        tests = load_dataset(args.dataset)
         strategy = _strategy_from_name(args.strategy, getattr(args, "model", None))
         for seed in seeds:
             pool = selection.build_pool(
                 tests, (int(pool_cfg["safe"]), int(pool_cfg["unsafe"])), seed)
             if args.protocol == "fix":
                 _require(args, "S")
-                S = int(args.S)
-                if S > len(pool):
-                    raise ConfigError(f"S={S} exceeds pool size {len(pool)}")
-                res = selection.run_fix(pool, strategy, S, seed)
+                res = selection.run_fix(pool, strategy, int(args.S), seed)
                 row = {"seed": seed, "unsafe_ratio": res.unsafe_ratio,
                        "drawn": res.drawn, "backfilled": res.backfilled}
             else:
                 _require(args, "N")
-                N = int(args.N)
-                if N > pool.unsafe_count:
-                    raise ConfigError(
-                        f"N={N} exceeds pool unsafe count {pool.unsafe_count}")
-                res = selection.run_reach(pool, strategy, N, cost, seed)
+                res = selection.run_reach(pool, strategy, int(args.N), cost, seed)
                 row = {"seed": seed, "executed_count": res.executed_count,
                        "elapsed_cost_safe": res.elapsed_cost_safe,
                        "elapsed_cost_unsafe": res.elapsed_cost_unsafe,
@@ -347,17 +335,12 @@ def cmd_experiment(args, config) -> int:
             model = load_model(args.model)
         elif args.mode == "adaptive":
             spec = ClassifierSpec("logistic")
-        warmup_n = _optional(args, "warmup_n", int, 60)
-        retrain_every = _optional(args, "retrain_every", int, 1)
-        if warmup_n < 0:
-            raise ConfigError(f"warmup_n must be >= 0, got {warmup_n}")
-        if retrain_every < 1:
-            raise ConfigError(f"retrain_every must be >= 1, got {retrain_every}")
+        cfg = selection.RealTimeConfig(
+            mode=args.mode, budget_s=float(args.budget_s), model=model,
+            spec=spec, warmup_n=_optional(args, "warmup_n", int, 60),
+            retrain_every=_optional(args, "retrain_every", int, 1),
+            cost=cost, driver=driver)
         for seed in seeds:
-            cfg = selection.RealTimeConfig(
-                mode=args.mode, budget_s=float(args.budget_s), model=model,
-                spec=spec, warmup_n=warmup_n, retrain_every=retrain_every,
-                cost=cost, driver=driver)
             res = selection.run_realtime(cfg, seed)
             row = {"seed": seed, "executed_unsafe": res.executed_unsafe,
                    "executed_safe": res.executed_safe,
@@ -375,14 +358,18 @@ def cmd_experiment(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_can_convert(args, config) -> int:
-    _resolve(args, config, {"simulation", "dbc", "mapping", "out", "period_ms"})
+def cmd_can_convert(args) -> int:
     _require(args, "simulation", "out")
     db = canbus.parse_dbc(
         Path(args.dbc).read_text() if args.dbc else canbus.DEFAULT_DBC)
     mapping = canbus.DEFAULT_MAPPING
     if args.mapping:
         entries = json.loads(Path(args.mapping).read_text())
+        keys = {"field", "message", "signal", "factor"}
+        if not (isinstance(entries, list)
+                and all(isinstance(e, dict) and e.keys() >= keys for e in entries)):
+            raise ConfigError(f"{args.mapping}: each mapping entry needs the "
+                              f"keys {sorted(keys)}")
         mapping = canbus.SignalMapping(entries=tuple(
             (e["field"], e["message"], e["signal"], float(e["factor"]))
             for e in entries))
@@ -401,8 +388,7 @@ def cmd_can_convert(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_can_play(args, config) -> int:
-    _resolve(args, config, {"playback", "target", "pacing"})
+def cmd_can_play(args) -> int:
     _require(args, "playback", "target")
     records = canbus.read_playback_csv(args.playback)
     pacing = args.pacing or canbus.AS_FAST_AS_POSSIBLE
@@ -425,13 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Road-geometry test selection toolkit")
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, handler, flags):
+    def add(name, handler, flags, config_only=()):
+        """A subcommand whose config keys are its flags' names plus
+        config_only."""
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        for flag, kw in flags:
-            p.add_argument(flag, **kw)
-        p.set_defaults(handler=handler)
-        return p
+        keys = {p.add_argument(flag, **kw).dest for flag, kw in flags}
+        p.set_defaults(handler=handler,
+                       config_keys=frozenset(keys.union(config_only)))
 
     add("generate", cmd_generate, [
         ("-n", dict(dest="n", type=int, default=None)),
@@ -472,10 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("--features", dict(default=None)),
         ("--out", dict(default=None)),
     ])
+    # the experiment definition lives in the config file itself
     add("experiment", cmd_experiment, [
         ("--seed", dict(type=int, default=None)),
         ("--out", dict(default=None)),
-    ])
+    ], config_only=("protocol", "dataset", "pool", "strategy", "model", "S",
+                    "N", "seeds", "repetitions", "budget_s", "mode",
+                    "warmup_n", "retrain_every", "rf", "overhead_s"))
     add("can-convert", cmd_can_convert, [
         ("--simulation", dict(default=None)),
         ("--dbc", dict(default=None)),
@@ -498,8 +488,8 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_CONFIG
     try:
-        config = _load_config(args.config)
-        return args.handler(args, config)
+        _resolve(args, _load_config(args.config), args.config_keys)
+        return args.handler(args)
     except (ConfigError, ValueError) as exc:
         # bad flags, config keys, input files, parameters
         print(f"error: {exc}", file=sys.stderr)

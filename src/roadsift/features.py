@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -24,27 +25,6 @@ from .geometry import (
     interpolate_spine,
     segment_spine,
     self_intersects,
-)
-
-FEATURE_NAMES = (
-    "direct_distance",
-    "length",
-    "num_l_turns",
-    "num_r_turns",
-    "num_straights",
-    "total_angle",
-    "median_angle",
-    "std_angle",
-    "max_angle",
-    "min_angle",
-    "mean_angle",
-    "median_radius",
-    "std_radius",
-    "max_radius",
-    "min_radius",
-    "mean_radius",
-    "full_road_diversity",
-    "mean_road_diversity",
 )
 
 
@@ -70,10 +50,16 @@ class FeatureVector:
     mean_road_diversity: float
 
     def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {n: getattr(self, n) for n in FEATURE_NAMES}
 
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, n) for n in FEATURE_NAMES], dtype=np.float64)
+
+
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
+# counts, written and read as integers
+_INT_FEATURES = frozenset(
+    n for n, t in get_type_hints(FeatureVector).items() if t is int)
 
 
 def extract_attributes(spine: RoadSpine, segments: list[RoadSegment]) -> dict:
@@ -153,7 +139,7 @@ def extract_features(road: RoadPoints, config: GeometryConfig | None = None) -> 
 
 
 def _format_value(name: str, value: float) -> str:
-    if name.startswith("num_"):
+    if name in _INT_FEATURES:
         return str(int(value))
     return format(float(value), ".12g")
 
@@ -182,7 +168,7 @@ def read_feature_csv(path: str | Path) -> list[tuple[str, FeatureVector, str | N
         for line in reader:
             test_id = line[0]
             values = {n: float(v) for n, v in zip(FEATURE_NAMES, line[1:-1])}
-            for n in ("num_l_turns", "num_r_turns", "num_straights"):
+            for n in _INT_FEATURES:
                 values[n] = int(values[n])
             label = line[-1] or None
             rows.append((test_id, FeatureVector(**values), label))

@@ -280,14 +280,24 @@ def segment_spine(spine: RoadSpine, config: GeometryConfig | None = None) -> lis
     return segments
 
 
-def load_road(path: str | Path) -> tuple[str, RoadPoints]:
-    """Read a road description file: {"id", "lane_width", "map_size", "road_points"}."""
-    obj = json.loads(Path(path).read_text())
-    road = RoadPoints(
+def road_from_json(obj: dict) -> RoadPoints:
+    """The road of a road file or a dataset row: "road_points",
+    "lane_width" and an optional "map_size". A missing key raises KeyError."""
+    return RoadPoints(
         points=tuple((p[0], p[1]) for p in obj["road_points"]),
         lane_width=float(obj["lane_width"]),
         map_size=float(obj.get("map_size", 500.0)))
-    return str(obj["id"]), road
+
+
+def load_road(path: str | Path) -> tuple[str, RoadPoints]:
+    """Read a road description file: {"id", "lane_width", "map_size", "road_points"}.
+
+    Raises ValueError naming the file and the key when a key is missing."""
+    obj = json.loads(Path(path).read_text())
+    try:
+        return str(obj["id"]), road_from_json(obj)
+    except KeyError as exc:
+        raise ValueError(f"{path}: no key {exc}") from None
 
 
 def save_road(path: str | Path, road_id: str, road: RoadPoints) -> None:

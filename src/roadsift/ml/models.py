@@ -232,14 +232,15 @@ def _leaf_label(node) -> int:
     return UNSAFE_CODE if 2 * ones >= node["n"] else SAFE_CODE
 
 
-def _tree_predict_one(node, x) -> int:
+def _leaf(node, x):
+    """The leaf of the tree under node that row x falls into."""
     while not node["leaf"]:
         node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return _leaf_label(node)
+    return node
 
 
 def _tree_predict(node, X) -> np.ndarray:
-    return np.array([_tree_predict_one(node, x) for x in X], dtype=np.int64)
+    return np.array([_leaf_label(_leaf(node, x)) for x in X], dtype=np.int64)
 
 
 def _pessimistic_errors(node, z: float) -> float:
@@ -257,65 +258,56 @@ def _pessimistic_errors(node, z: float) -> float:
     return ub * n
 
 
-def _subtree_pessimistic_errors(node, z: float) -> float:
-    if node["leaf"]:
-        return _pessimistic_errors(node, z)
-    return (_subtree_pessimistic_errors(node["left"], z)
-            + _subtree_pessimistic_errors(node["right"], z))
-
-
 def _pessimistic_prune(node, z: float):
+    """Bottom-up: collapse a subtree to a leaf whenever its pessimistic
+    error as a leaf is no larger than its leaves' sum. Returns the pruned
+    node and that sum over its leaves."""
     if node["leaf"]:
-        return node
-    node["left"] = _pessimistic_prune(node["left"], z)
-    node["right"] = _pessimistic_prune(node["right"], z)
+        return node, _pessimistic_errors(node, z)
+    node["left"], errs_left = _pessimistic_prune(node["left"], z)
+    node["right"], errs_right = _pessimistic_prune(node["right"], z)
     as_leaf = _pessimistic_errors(node, z)
-    as_tree = _subtree_pessimistic_errors(node, z)
+    as_tree = errs_left + errs_right
     if as_leaf <= as_tree + 1e-9:
-        return {"n": node["n"], "ones": node["ones"], "leaf": True}
-    return node
-
-
-def _prune_set_errors(node, X, y) -> int:
-    if len(y) == 0:
-        return 0
-    pred = _tree_predict(node, X)
-    return int(np.sum(pred != y))
+        return {"n": node["n"], "ones": node["ones"], "leaf": True}, as_leaf
+    return node, as_tree
 
 
 def _reduced_error_prune(node, X, y):
     """Bottom-up: collapse a subtree to a leaf whenever that does not
-    increase the error on the held-out prune set."""
-    if node["leaf"] or len(y) == 0:
-        return node
+    increase the error on the held-out prune set. Returns the pruned node
+    and its error count on (X, y)."""
+    if node["leaf"]:
+        return node, int(np.sum(y != _leaf_label(node)))
+    if len(y) == 0:
+        return node, 0
     mask = X[:, node["feature"]] <= node["threshold"]
-    node["left"] = _reduced_error_prune(node["left"], X[mask], y[mask])
-    node["right"] = _reduced_error_prune(node["right"], X[~mask], y[~mask])
+    node["left"], errs_left = _reduced_error_prune(node["left"], X[mask], y[mask])
+    node["right"], errs_right = _reduced_error_prune(node["right"], X[~mask], y[~mask])
     leaf = {"n": node["n"], "ones": node["ones"], "leaf": True}
     errs_leaf = int(np.sum(y != _leaf_label(leaf)))
-    errs_tree = _prune_set_errors(node, X, y)
-    return leaf if errs_leaf <= errs_tree else node
+    errs_tree = errs_left + errs_right
+    return (leaf, errs_leaf) if errs_leaf <= errs_tree else (node, errs_tree)
 
 
 def _subtree_raise(node, X, y, z: float):
     """Try replacing an internal node with its more-populated child,
-    re-scoring the node's own training rows through the raised subtree."""
+    re-scoring the node's own training rows through the raised subtree.
+    Returns the node kept and its error count on (X, y)."""
     if node["leaf"]:
-        return node
+        return node, int(np.sum(y != _leaf_label(node)))
     mask = X[:, node["feature"]] <= node["threshold"]
-    node["left"] = _subtree_raise(node["left"], X[mask], y[mask], z)
-    node["right"] = _subtree_raise(node["right"], X[~mask], y[~mask], z)
-    if node["left"]["leaf"] and node["right"]["leaf"]:
-        return node
+    node["left"], errs_left = _subtree_raise(node["left"], X[mask], y[mask], z)
+    node["right"], errs_right = _subtree_raise(node["right"], X[~mask], y[~mask], z)
+    current = errs_left + errs_right
+    if (node["left"]["leaf"] and node["right"]["leaf"]) or len(y) == 0:
+        return node, current
     child = node["left"] if node["left"]["n"] >= node["right"]["n"] else node["right"]
-    if len(y) == 0:
-        return node
     raised_errs = int(np.sum(_tree_predict(child, X) != y))
     raised_pess = raised_errs + (z * math.sqrt(len(y)) * 0.5 if z > 0 else 0.0)
-    current = _prune_set_errors(node, X, y)
     if raised_pess <= current:
-        return child
-    return node
+        return child, raised_errs
+    return node, current
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +357,7 @@ def _grow_reg_tree(X, order, grad, hess, max_depth, min_leaf, friedman):
 
 
 def _reg_tree_predict(node, X) -> np.ndarray:
-    out = np.empty(len(X))
-    for i, x in enumerate(X):
-        nd = node
-        while not nd["leaf"]:
-            nd = nd["left"] if x[nd["feature"]] <= nd["threshold"] else nd["right"]
-        out[i] = nd["value"]
-    return out
+    return np.array([_leaf(node, x)["value"] for x in X], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -595,16 +581,16 @@ def _fit_decision_tree(X, y, form, seed):
         prune_mask = np.zeros(len(y), dtype=bool)
         prune_mask[prune_idx] = True
         tree = _grow_class_tree(X[~prune_mask], y[~prune_mask], min_leaf, 0)
-        tree = _reduced_error_prune(tree, X[prune_mask], y[prune_mask])
+        tree, _ = _reduced_error_prune(tree, X[prune_mask], y[prune_mask])
         if subtree_raise == "yes":
-            tree = _subtree_raise(tree, X[prune_mask], y[prune_mask], 0.0)
+            tree, _ = _subtree_raise(tree, X[prune_mask], y[prune_mask], 0.0)
     else:
         confidence = form[0]
         z = NormalDist().inv_cdf(1.0 - confidence) if confidence < 0.5 else 0.0
         tree = _grow_class_tree(X, y, min_leaf, 0)
-        tree = _pessimistic_prune(tree, z)
+        tree, _ = _pessimistic_prune(tree, z)
         if subtree_raise == "yes":
-            tree = _subtree_raise(tree, X, y, z)
+            tree, _ = _subtree_raise(tree, X, y, z)
     return {"tree": tree}, None
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from .geometry import (
     RoadSpine,
     SelfIntersecting,
     interpolate_spine,
+    road_from_json,
     segment_spine,
     self_intersects,
 )
@@ -57,7 +59,6 @@ class DriverConfig:
     a_brake: float = 6.0            # m/s^2
     lookahead: float = 3.0          # m, base pursuit distance (shrunk by rf)
     timestep: float = 0.05          # s
-    lane_width: float = 4.0         # m, drivable lane centred on the spine
     oob_fraction: float = 0.5       # vehicle-width fraction outside = failure
     vehicle_width: float = 2.0      # m
     wheelbase: float = 2.5          # m
@@ -88,6 +89,13 @@ class VehicleState:
     throttle: float
     brake: float
     lateral_offset: float
+
+
+# the VehicleState fields, in field order, that a dataset file keeps for
+# each trace row; lateral_offset is not written, and load_dataset fills it
+# with zeros
+TRACE_KEYS = tuple(f.name for f in fields(VehicleState)
+                   if f.name != "lateral_offset")
 
 
 @dataclass(frozen=True)
@@ -137,14 +145,14 @@ def plan_speed_profile(spine: RoadSpine, cfg: DriverConfig) -> np.ndarray:
     return np.array(v)
 
 
-def _simulate(spine: RoadSpine, cfg: DriverConfig,
+def _simulate(spine: RoadSpine, cfg: DriverConfig, lane_width: float,
               keep_trace: bool = True) -> TestOutcome:
     """Drive the spine once from a standing start and return the verdict.
 
     Each step advances the progress pointer, measures the lateral offset,
     steers by pure pursuit and tracks the planned speed profile. The drive
-    ends UNSAFE when the car leaves its lane and SAFE within 0.5 m of the
-    road's end.
+    ends UNSAFE when the car leaves its lane, lane_width wide and centred on
+    the spine, and SAFE within 0.5 m of the road's end.
 
     keep_trace=True records one VehicleState per step; with False the
     outcome's trace is empty and no state is built. Label, duration and
@@ -163,7 +171,7 @@ def _simulate(spine: RoadSpine, cfg: DriverConfig,
     n = len(sx)
 
     dt = cfg.timestep
-    half_lane = cfg.lane_width / 2.0
+    half_lane = lane_width / 2.0
     half_width = cfg.vehicle_width / 2.0
     vehicle_width = cfg.vehicle_width
     oob_fraction = cfg.oob_fraction
@@ -285,7 +293,7 @@ def simulate_drive(road: RoadPoints, cfg: DriverConfig,
     spine = interpolate_spine(road, geo)
     if self_intersects(spine, road.lane_width):
         raise SelfIntersecting("cannot drive a self-intersecting road")
-    return _simulate(spine, cfg)
+    return _simulate(spine, cfg, road.lane_width)
 
 
 @dataclass(frozen=True)
@@ -388,7 +396,7 @@ def build_dataset(n: int, cfg: DriverConfig, rng_seed: int,
         road, spine = generate_road(int(seeds[2 * i]), b, geo)
         segments = segment_spine(spine, geo)
         vec = features_from_segments(spine, segments)
-        outcome = _simulate(spine, cfg, keep_trace=keep_traces)
+        outcome = _simulate(spine, cfg, road.lane_width, keep_trace=keep_traces)
         tests.append(TestCase(id=f"test_{i:05d}", road=road,
                               features=vec, outcome=outcome))
     return tests
@@ -403,6 +411,7 @@ def unsafe_fraction(tests: list[TestCase]) -> float:
 
 def save_dataset(path: str | Path, tests: list[TestCase]) -> None:
     """Write the labelled-dataset JSON consumed by the CAN conversion step."""
+    state_values = attrgetter(*TRACE_KEYS)
     rows = []
     for tc in tests:
         if tc.features is None or tc.outcome is None:
@@ -412,37 +421,33 @@ def save_dataset(path: str | Path, tests: list[TestCase]) -> None:
             "road_points": [[x, y] for x, y in tc.road.points],
             "lane_width": tc.road.lane_width,
             "map_size": tc.road.map_size,
-            "features": {k: v for k, v in tc.features.as_dict().items()},
+            "features": tc.features.as_dict(),
             "label": tc.outcome.label,
             "duration_s": tc.outcome.duration,
-            "trace": [
-                {"t": st.t, "x": st.x, "y": st.y, "heading": st.heading,
-                 "speed": st.speed, "steering": st.steering,
-                 "throttle": st.throttle, "brake": st.brake}
-                for st in tc.outcome.trace
-            ],
+            "trace": [dict(zip(TRACE_KEYS, state_values(st)))
+                      for st in tc.outcome.trace],
         })
     Path(path).write_text(json.dumps(rows, indent=1) + "\n")
 
 
 def load_dataset(path: str | Path) -> list[TestCase]:
+    """Read a file written by save_dataset. Trace rows get a zero
+    lateral_offset and outcomes a zero max_abs_lateral_offset, since the
+    file keeps neither. Raises ValueError naming the file and the key when
+    a key is missing."""
     rows = json.loads(Path(path).read_text())
+    state_values = itemgetter(*TRACE_KEYS)
     tests = []
-    for row in rows:
-        road = RoadPoints(
-            points=tuple((p[0], p[1]) for p in row["road_points"]),
-            lane_width=float(row["lane_width"]),
-            map_size=float(row.get("map_size", 500.0)))
-        trace = tuple(
-            VehicleState(t=st["t"], x=st["x"], y=st["y"], heading=st["heading"],
-                         speed=st["speed"], steering=st["steering"],
-                         throttle=st["throttle"], brake=st["brake"],
-                         lateral_offset=0.0)
-            for st in row.get("trace", []))
-        outcome = TestOutcome(
-            label=row["label"], duration=float(row["duration_s"]),
-            max_abs_lateral_offset=0.0, trace=trace)
-        vec = FeatureVector(**row["features"])
-        tests.append(TestCase(id=row["id"], road=road, features=vec,
-                              outcome=outcome))
+    try:
+        for row in rows:
+            trace = tuple(VehicleState(*state_values(st), 0.0)
+                          for st in row.get("trace", []))
+            outcome = TestOutcome(
+                label=row["label"], duration=float(row["duration_s"]),
+                max_abs_lateral_offset=0.0, trace=trace)
+            tests.append(TestCase(id=row["id"], road=road_from_json(row),
+                                  features=FeatureVector(**row["features"]),
+                                  outcome=outcome))
+    except KeyError as exc:
+        raise ValueError(f"{path}: no key {exc}") from None
     return tests

@@ -387,6 +387,10 @@ class RealTimeConfig:
             raise ValueError("pretrained mode needs a model")
         if self.mode == "adaptive" and self.spec is None:
             raise ValueError("adaptive mode needs a classifier spec")
+        if self.warmup_n < 0:
+            raise ValueError(f"warmup_n must be >= 0, got {self.warmup_n}")
+        if self.retrain_every < 1:
+            raise ValueError(f"retrain_every must be >= 1, got {self.retrain_every}")
 
 
 @dataclass(frozen=True)
@@ -488,7 +492,8 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
             execute = predicted == UNSAFE_CODE
 
         if execute:
-            outcome = _simulate(spine, cfg.driver, keep_trace=False)
+            outcome = _simulate(spine, cfg.driver, cfg.bounds.lane_width,
+                                keep_trace=False)
             truth = UNSAFE_CODE if outcome.label == UNSAFE else SAFE_CODE
             # execution cost is the simulated drive in either clock mode
             charge = outcome.duration + cfg.cost.overhead_s
@@ -516,7 +521,8 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
     confusion = None
     if cfg.mode != "baseline":
         for spine, predicted in rejected_spines:
-            outcome = _simulate(spine, cfg.driver, keep_trace=False)
+            outcome = _simulate(spine, cfg.driver, cfg.bounds.lane_width,
+                                keep_trace=False)
             predictions.append(predicted)
             truths.append(UNSAFE_CODE if outcome.label == UNSAFE else SAFE_CODE)
         if predictions:

@@ -212,6 +212,14 @@ class TestConvertTrace:
         with pytest.raises(MappingError):
             convert_trace(flat_trace(1.0), db, bad, 100)
 
+    def test_lateral_offset_not_mappable(self):
+        # a VehicleState has the attribute, but dataset files do not keep it
+        # and load_dataset fills it with zeros
+        db = parse_dbc(DEFAULT_DBC)
+        bad = SignalMapping(entries=(("lateral_offset", "PEDALS", "brake_pct", 1.0),))
+        with pytest.raises(MappingError):
+            convert_trace(flat_trace(1.0), db, bad, 100)
+
     def test_decode_back_matches_resampled_values(self):
         db = parse_dbc(DEFAULT_DBC)
         out = simulate_drive(generate_road(2)[0], DriverConfig())

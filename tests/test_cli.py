@@ -317,6 +317,47 @@ class TestExperiment:
         assert sum(fractions) == pytest.approx(1.0, abs=1e-9)
 
 
+
+@pytest.mark.parametrize("case", ["pool_without_unsafe", "seeds_not_a_list",
+                                  "mapping_without_signal",
+                                  "road_without_points",
+                                  "dataset_row_without_label"])
+def test_malformed_input_is_config_error(run_dir, tmp_path, capsys, case):
+    sim = str(run_dir / "simulation.full.json")
+    if case == "road_without_points":
+        roads = tmp_path / "roads"
+        roads.mkdir()
+        (roads / "r.json").write_text(json.dumps({"id": "r", "lane_width": 4.0}))
+        argv = ["extract-features", "--roads", str(roads),
+                "--out", str(tmp_path / "f.csv")]
+    elif case == "dataset_row_without_label":
+        rows = json.loads((run_dir / "simulation.full.json").read_text())
+        del rows[0]["label"]
+        bad = tmp_path / "sim.json"
+        bad.write_text(json.dumps(rows))
+        argv = ["can-convert", "--simulation", str(bad),
+                "--out", str(tmp_path / "c")]
+    elif case == "mapping_without_signal":
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps([{"field": "speed",
+                                        "message": "VEHICLE_DYNAMICS",
+                                        "factor": 3.6}]))
+        argv = ["can-convert", "--simulation", sim, "--mapping", str(mapping),
+                "--out", str(tmp_path / "c")]
+    else:
+        exp = {"protocol": "fix", "dataset": sim, "strategy": "random",
+               "S": 6, "pool": {"safe": 8, "unsafe": 4}, "seeds": [1, 2]}
+        if case == "pool_without_unsafe":
+            exp["pool"] = {"safe": 8}
+        else:
+            exp["seeds"] = 5
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(exp))
+        argv = ["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
 class TestCanCommands:
     def test_convert_and_play(self, run_dir, tmp_path):
         out = tmp_path / "can"

@@ -1,9 +1,10 @@
 """Golden artifacts: the sha256 digests that fixed seeds give today.
 
 Any change to road generation, driving, feature extraction, dataset output
-(with and without traces), the decision tree, the real-time loop or
-model-based FIX / REACH selection shows up here as a changed digest, so an
-intended change must update a digest in the same commit and say why.
+(with and without traces) and its reading back, road files, CAN conversion,
+the decision tree, the real-time loop or model-based FIX / REACH selection
+shows up here as a changed digest, so an intended change must update a
+digest in the same commit and say why.
 """
 
 import hashlib
@@ -63,6 +64,25 @@ def test_generate_with_traces(traced_set):
         "ea2e8e54fd869e0f8bee4f026641005030edba4dadfd68fc2f206e2e28388988")
     assert sha256(traced_set / "simulation.full.json") == (
         "61ac165e43e8878ab0a59e58f82cc0c5b0e8458906a97c6fac52644f7716a3fa")
+    assert sha256(traced_set / "roads" / "test_00000.json") == (
+        "04047341494d1753648e3773aa2833f36aff384b5ffe9fbbd50f582a8dc378be")
+
+
+def test_can_convert(traced_set, tmp_path):
+    out = tmp_path / "can"
+    assert main(["can-convert", "--simulation",
+                 str(traced_set / "simulation.full.json"),
+                 "--out", str(out)]) == 0
+    assert sha256(out / "test_00000.canplayback.csv") == (
+        "b3b2e00a4cc3e18cb6d58bab8a0c776bdcc0b7d1989b2ca62cff5a1fb97527c3")
+
+
+def test_extract_features_from_simulation(traced_set, tmp_path):
+    out = tmp_path / "features.csv"
+    assert main(["extract-features", "--simulation",
+                 str(traced_set / "simulation.full.json"),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (traced_set / "features.csv").read_bytes()
 
 
 def test_realtime_adaptive(tmp_path):

@@ -115,8 +115,9 @@ class TestSimulateDrive:
         assert out.label == SAFE
         assert out.duration > 0
 
-    def test_forced_departure_on_hairpin(self):
-        # long run-up to v_max, brake disabled, into a 2 m hairpin
+    @staticmethod
+    def hairpin(lane_width):
+        # long run-up to v_max into a 2 m hairpin
         pts = [(20.0 + d, 100.0) for d in np.arange(0.0, 160.0 + 1e-9, 10.0)]
         cx, cy = pts[-1][0], pts[-1][1] + 2.0
         for k in range(1, 13):
@@ -124,9 +125,22 @@ class TestSimulateDrive:
             pts.append((cx + 2.0 * math.cos(phi), cy + 2.0 * math.sin(phi)))
         ex, ey = pts[-1]
         pts.extend((ex - d, ey) for d in np.arange(10.0, 40.0 + 1e-9, 10.0))
-        road = RoadPoints(points=tuple(pts), lane_width=1.8)
-        out = simulate_drive(road, DriverConfig(risk_factor=2.5, a_brake=1e-9))
+        return RoadPoints(points=tuple(pts), lane_width=lane_width)
+
+    def test_forced_departure_on_hairpin(self):
+        # brake disabled
+        out = simulate_drive(self.hairpin(1.8),
+                             DriverConfig(risk_factor=2.5, a_brake=1e-9))
         assert out.label == UNSAFE
+
+    def test_road_lane_width_is_driven(self):
+        # a narrower lane is left sooner; wider than 2 m the hairpin
+        # self-intersects
+        cfg = DriverConfig(risk_factor=2.5, a_brake=1e-9)
+        narrow = simulate_drive(self.hairpin(1.0), cfg)
+        wide = simulate_drive(self.hairpin(1.8), cfg)
+        assert narrow.label == wide.label == UNSAFE
+        assert narrow.duration < wide.duration
 
     def test_deterministic_trace(self):
         road, _ = generate_road(3)
@@ -157,10 +171,11 @@ class TestSimulateDrive:
 
     def test_label_recheckable_from_trace(self):
         cfg = DriverConfig()
-        threshold = (cfg.lane_width / 2.0 - cfg.vehicle_width / 2.0
-                     + cfg.oob_fraction * cfg.vehicle_width)
         for seed in range(12):
-            out = simulate_drive(generate_road(seed)[0], cfg)
+            road = generate_road(seed)[0]
+            threshold = (road.lane_width / 2.0 - cfg.vehicle_width / 2.0
+                         + cfg.oob_fraction * cfg.vehicle_width)
+            out = simulate_drive(road, cfg)
             max_off = max(abs(st.lateral_offset) for st in out.trace)
             fired = max_off >= threshold - 1e-9
             assert fired == (out.label == UNSAFE)
@@ -173,10 +188,10 @@ class TestSimulateDrive:
     @settings(max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), rf=st.floats(0.5, 2.5))
     def test_trace_free_drive_matches_traced(self, seed, rf):
-        _, spine = generate_road(seed)
+        road, spine = generate_road(seed)
         cfg = DriverConfig(risk_factor=rf)
-        traced = _simulate(spine, cfg, keep_trace=True)
-        bare = _simulate(spine, cfg, keep_trace=False)
+        traced = _simulate(spine, cfg, road.lane_width, keep_trace=True)
+        bare = _simulate(spine, cfg, road.lane_width, keep_trace=False)
         assert bare.label == traced.label
         assert bare.duration == traced.duration
         assert bare.max_abs_lateral_offset == traced.max_abs_lateral_offset

@@ -271,6 +271,12 @@ class TestRealTime:
         with pytest.raises(ValueError):
             RealTimeConfig(mode="baseline", budget_s=-5.0)
 
+    @pytest.mark.parametrize("bad", [{"retrain_every": 0}, {"warmup_n": -1}])
+    def test_retrain_and_warmup_validation(self, bad):
+        with pytest.raises(ValueError):
+            RealTimeConfig(mode="adaptive", budget_s=100.0,
+                           spec=ClassifierSpec("logistic"), **bad)
+
     def test_road_seeds_continue_past_first_block(self, monkeypatch):
         # seeds are drawn lazily in growing blocks; road i must still get
         # element i of the run's seed sequence
