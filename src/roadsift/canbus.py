@@ -5,6 +5,11 @@ values into classic 8-byte CAN frames (Intel and Motorola byte orders),
 converts labelled drive traces into timestamped playback records, and
 streams them to a byte sink with optional real-time pacing.
 
+Conversion compiles the mapped messages' layout once per trace and packs
+each frame as an int. Records come out ordered by timestamp, then can_id,
+then message name; the frames of an instant that holds the same trace state
+as the one before are reused, not packed again.
+
 Wire framing: timestamp_ms (u32 LE) | can_id (u32 LE) | dlc (u8) | data.
 """
 
@@ -191,10 +196,13 @@ def parse_dbc(text: str) -> CanDatabase:
 # ---------------------------------------------------------------------------
 # codec
 
-def encode_signal(sig: CanSignalDef, value: float, frame: bytearray,
-                  clamp: bool = True) -> None:
-    """Pack a physical value into the frame buffer, touching only the
-    signal's own bits."""
+# A frame is handled as one int read little-endian from its bytes, so frame
+# bit index byte*8 + bit-in-byte is int bit index.
+
+def _quantise(sig: CanSignalDef, value: float, clamp: bool = True) -> int:
+    """The raw field of a physical value: clamp to [min, max] (or raise),
+    round to the scale, saturate to the field's range, and take the two's
+    complement when signed."""
     if clamp:
         value = min(max(value, sig.minimum), sig.maximum)
     elif not sig.minimum <= value <= sig.maximum:
@@ -208,19 +216,48 @@ def encode_signal(sig: CanSignalDef, value: float, frame: bytearray,
         raw &= (1 << sig.bit_length) - 1      # two's complement
     else:
         raw = min(max(raw, 0), (1 << sig.bit_length) - 1)
-    for k, pos in enumerate(sig.bit_positions()):
-        byte_i, bit_i = divmod(pos, 8)
-        if raw >> k & 1:
-            frame[byte_i] |= 1 << bit_i
-        else:
-            frame[byte_i] &= ~(1 << bit_i)
+    return raw
+
+
+def _place(raw: int, start_bit: int, positions: tuple[int, ...] | None) -> int:
+    """The frame bits of a raw field."""
+    if positions is None:
+        return raw << start_bit
+    bits = 0
+    for k, pos in enumerate(positions):
+        bits |= (raw >> k & 1) << pos
+    return bits
+
+
+def _layout(sig: CanSignalDef) -> tuple[tuple[int, ...] | None, int]:
+    """Where a signal's bits go: its bit positions, raw-LSB first, for a
+    Motorola signal, or None for an Intel one, whose bits run upward from
+    start_bit so that a shift places it; and the mask of those bits."""
+    positions = (None if sig.byte_order == LITTLE_ENDIAN
+                 else tuple(sig.bit_positions()))
+    return positions, _place((1 << sig.bit_length) - 1, sig.start_bit, positions)
+
+
+def encode_signal(sig: CanSignalDef, value: float, frame: bytearray,
+                  clamp: bool = True) -> None:
+    """Pack a physical value into the frame buffer, touching only the
+    signal's own bits."""
+    raw = _quantise(sig, value, clamp)
+    positions, mask = _layout(sig)
+    bits = (int.from_bytes(frame, "little") & ~mask
+            | _place(raw, sig.start_bit, positions))
+    frame[:] = bits.to_bytes(len(frame), "little")
 
 
 def decode_signal(sig: CanSignalDef, frame: bytes | bytearray) -> float:
-    raw = 0
-    for k, pos in enumerate(sig.bit_positions()):
-        byte_i, bit_i = divmod(pos, 8)
-        raw |= (frame[byte_i] >> bit_i & 1) << k
+    bits = int.from_bytes(frame, "little")
+    positions, mask = _layout(sig)
+    if positions is None:
+        raw = (bits & mask) >> sig.start_bit
+    else:
+        raw = 0
+        for k, pos in enumerate(positions):
+            raw |= (bits >> pos & 1) << k
     if sig.signed and raw >> (sig.bit_length - 1):
         raw -= 1 << sig.bit_length
     return raw * sig.scale + sig.offset
@@ -277,39 +314,59 @@ class PlaybackRecord:
                 f"data length {len(self.data)} != dlc {self.dlc}")
 
 
+def _compile(db: CanDatabase, mapping: SignalMapping) -> list[tuple]:
+    """The layout of each mapped message, in (can_id, name) order:
+    (can_id, dlc, signals), each signal (trace field, factor, definition,
+    start bit, Motorola positions or None, mask clearing its bits), in
+    mapping order."""
+    mapping.validate(db, TRACE_KEYS)
+    per_message: dict[str, list] = {}
+    for field_name, msg_name, sig_name, factor in mapping.entries:
+        sig = db.by_name(msg_name).signal(sig_name)
+        positions, mask = _layout(sig)
+        per_message.setdefault(msg_name, []).append(
+            (field_name, factor, sig, sig.start_bit, positions, ~mask))
+    messages = sorted((db.by_name(name) for name in per_message),
+                      key=lambda msg: (msg.can_id, msg.name))
+    return [(msg.can_id, msg.dlc, per_message[msg.name]) for msg in messages]
+
+
 def convert_trace(trace, db: CanDatabase, mapping: SignalMapping,
                   sample_period_ms: int = 20) -> list[PlaybackRecord]:
     """Zero-order-hold resample of the trace, one record per mapped message
-    per sample instant, sorted by timestamp then id.
+    per sample instant, ordered by timestamp, then can_id, then message
+    name.
+
+    The layout is compiled once per call, and the frames of an instant are
+    reused for the following instants while they hold the same trace state.
+    Within a frame, mapped signals are written in mapping order, so a signal
+    mapped twice carries the later entry's value.
 
     trace: sequence of VehicleState-like objects (attribute access).
     """
     if not trace:
         raise MappingError("empty trace")
-    mapping.validate(db, TRACE_KEYS)
-    per_message: dict[str, list] = {}
-    for entry in mapping.entries:
-        per_message.setdefault(entry[1], []).append(entry)
-
-    end_ms = round(trace[-1].t * 1000.0)
-    instants = range(0, end_ms + 1, sample_period_ms)
+    plan = _compile(db, mapping)
+    times_ms = [round(state.t * 1000.0) for state in trace]
+    last = len(trace) - 1
     records = []
     idx = 0
-    for ms in instants:
-        while (idx + 1 < len(trace)
-               and round(trace[idx + 1].t * 1000.0) <= ms):
+    held = -1
+    for ms in range(0, times_ms[-1] + 1, sample_period_ms):
+        while idx < last and times_ms[idx + 1] <= ms:
             idx += 1
-        state = trace[idx]
-        for msg_name in sorted(per_message):
-            msg = db.by_name(msg_name)
-            frame = bytearray(msg.dlc)
-            for field_name, _, sig_name, factor in per_message[msg_name]:
-                value = getattr(state, field_name) * factor
-                encode_signal(msg.signal(sig_name), value, frame)
-            records.append(PlaybackRecord(
-                timestamp_ms=ms, can_id=msg.can_id, dlc=msg.dlc,
-                data=bytes(frame)))
-    records.sort(key=lambda r: (r.timestamp_ms, r.can_id))
+        if idx != held:
+            held = idx
+            state = trace[idx]
+            frames = []
+            for can_id, dlc, signals in plan:
+                bits = 0
+                for field_name, factor, sig, start_bit, positions, clear in signals:
+                    raw = _quantise(sig, getattr(state, field_name) * factor)
+                    bits = bits & clear | _place(raw, start_bit, positions)
+                frames.append((can_id, dlc, bits.to_bytes(dlc, "little")))
+        for can_id, dlc, data in frames:
+            records.append(PlaybackRecord(ms, can_id, dlc, data))
     return records
 
 

@@ -153,7 +153,7 @@ def cmd_extract_features(args) -> int:
     _require(args, "out")
     rows = []
     if args.simulation is not None:
-        for tc in load_dataset(args.simulation):
+        for tc in load_dataset(args.simulation, keep_traces=False):
             rows.append((tc.id, tc.features, tc.outcome.label))
     elif args.roads is not None:
         for path in sorted(Path(args.roads).glob("*.json")):
@@ -306,7 +306,7 @@ def cmd_experiment(args) -> int:
         if not (isinstance(pool_cfg, dict) and pool_cfg.keys() >= {"safe", "unsafe"}):
             raise ConfigError('pool must be an object with "safe" and "unsafe" '
                               f"counts, got {pool_cfg!r}")
-        tests = load_dataset(args.dataset)
+        tests = load_dataset(args.dataset, keep_traces=False)
         strategy = _strategy_from_name(args.strategy, getattr(args, "model", None))
         for seed in seeds:
             pool = selection.build_pool(

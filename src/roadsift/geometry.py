@@ -292,12 +292,15 @@ def road_from_json(obj: dict) -> RoadPoints:
 def load_road(path: str | Path) -> tuple[str, RoadPoints]:
     """Read a road description file: {"id", "lane_width", "map_size", "road_points"}.
 
-    Raises ValueError naming the file and the key when a key is missing."""
+    Raises ValueError naming the file when a key is missing or a value has
+    the wrong type."""
     obj = json.loads(Path(path).read_text())
     try:
         return str(obj["id"]), road_from_json(obj)
     except KeyError as exc:
         raise ValueError(f"{path}: no key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_road(path: str | Path, road_id: str, road: RoadPoints) -> None:

@@ -430,18 +430,20 @@ def save_dataset(path: str | Path, tests: list[TestCase]) -> None:
     Path(path).write_text(json.dumps(rows, indent=1) + "\n")
 
 
-def load_dataset(path: str | Path) -> list[TestCase]:
+def load_dataset(path: str | Path, keep_traces: bool = True) -> list[TestCase]:
     """Read a file written by save_dataset. Trace rows get a zero
     lateral_offset and outcomes a zero max_abs_lateral_offset, since the
-    file keeps neither. Raises ValueError naming the file and the key when
-    a key is missing."""
+    file keeps neither; with keep_traces false every outcome's trace is
+    empty. Raises ValueError naming the file when a key is missing or a
+    value has the wrong type."""
     rows = json.loads(Path(path).read_text())
     state_values = itemgetter(*TRACE_KEYS)
     tests = []
     try:
         for row in rows:
-            trace = tuple(VehicleState(*state_values(st), 0.0)
-                          for st in row.get("trace", []))
+            trace = (tuple(VehicleState(*state_values(st), 0.0)
+                           for st in row.get("trace", []))
+                     if keep_traces else ())
             outcome = TestOutcome(
                 label=row["label"], duration=float(row["duration_s"]),
                 max_abs_lateral_offset=0.0, trace=trace)
@@ -450,4 +452,6 @@ def load_dataset(path: str | Path) -> list[TestCase]:
                                   outcome=outcome))
     except KeyError as exc:
         raise ValueError(f"{path}: no key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return tests

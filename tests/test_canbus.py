@@ -36,7 +36,15 @@ from roadsift.canbus import (
     read_playback_csv,
     write_playback_csv,
 )
-from roadsift.oracle import DriverConfig, VehicleState, generate_road, simulate_drive
+from roadsift.oracle import (
+    TRACE_KEYS,
+    DriverConfig,
+    VehicleState,
+    generate_road,
+    simulate_drive,
+)
+
+import reference_canbus
 
 
 class TestParseDbc:
@@ -239,6 +247,65 @@ class TestConvertTrace:
         records = convert_trace(flat_trace(2.0), db, DEFAULT_MAPPING, 50)
         keys = [(r.timestamp_ms, r.can_id) for r in records]
         assert keys == sorted(keys)
+
+
+def draw_message(data, can_id, name):
+    """A message of random dlc with up to four signals (Intel and Motorola,
+    signed and unsigned) at random places; one that would overlap another or
+    leave the frame is dropped."""
+    dlc = data.draw(st.integers(1, 8))
+    used: set[int] = set()
+    signals = []
+    for k in range(data.draw(st.integers(1, 4))):
+        order = data.draw(st.sampled_from([LITTLE_ENDIAN, BIG_ENDIAN]))
+        bit_length = data.draw(st.integers(1, min(24, dlc * 8)))
+        start = data.draw(st.integers(
+            0, dlc * 8 - (bit_length if order == LITTLE_ENDIAN else 1)))
+        lo, hi = sorted(data.draw(st.lists(
+            st.floats(-5000.0, 5000.0), min_size=2, max_size=2)))
+        sig = CanSignalDef(
+            f"s{k}", start, bit_length, order, data.draw(st.booleans()),
+            data.draw(st.sampled_from([0.01, 0.25, 0.5, 1.0, 3.0])),
+            data.draw(st.sampled_from([-100.0, 0.0, 37.5])), lo, hi)
+        bits = set(sig.bit_positions())
+        if max(bits) < dlc * 8 and not bits & used:
+            used |= bits
+            signals.append(sig)
+    return CanMessageDef(can_id, name, dlc, tuple(signals))
+
+
+class TestCompiledConversion:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_converter(self, data):
+        # few ids for several names, so ids are shared and name order
+        # differs from id order
+        names = data.draw(st.lists(
+            st.sampled_from(["PEDALS", "STEERING", "A", "Z", "M"]),
+            min_size=1, max_size=4, unique=True))
+        db = CanDatabase(messages=tuple(
+            draw_message(data, data.draw(st.integers(256, 259)), name)
+            for name in names))
+        targets = [(msg.name, sig.name) for msg in db.messages
+                   for sig in msg.signals]
+        mapping = SignalMapping(entries=tuple(
+            (data.draw(st.sampled_from(TRACE_KEYS)), msg_name, sig_name,
+             data.draw(st.sampled_from([1.0, -2.5, 3.6, 100.0, 1e-3])))
+            for msg_name, sig_name in data.draw(
+                st.lists(st.sampled_from(targets), min_size=1, max_size=8)
+                if targets else st.just([]))))
+        # repeated timestamps and steps below 1 ms round onto one instant
+        t = data.draw(st.sampled_from([0.0, 0.0004, 0.013]))
+        trace = []
+        for _ in range(data.draw(st.integers(1, 25))):
+            values = data.draw(st.lists(st.floats(-1000.0, 1000.0),
+                                        min_size=7, max_size=7))
+            trace.append(VehicleState(t, *values, 0.0))
+            t += data.draw(st.sampled_from(
+                [0.0, 0.0002, 0.0006, 0.001, 0.02, 0.05, 0.137]))
+        period = data.draw(st.integers(1, 100))
+        assert (convert_trace(trace, db, mapping, period)
+                == reference_canbus.convert_trace(trace, db, mapping, period))
 
 
 class TestPlaybackCsv:

@@ -321,7 +321,9 @@ class TestExperiment:
 @pytest.mark.parametrize("case", ["pool_without_unsafe", "seeds_not_a_list",
                                   "mapping_without_signal",
                                   "road_without_points",
-                                  "dataset_row_without_label"])
+                                  "road_file_holding_a_list",
+                                  "dataset_row_without_label",
+                                  "features_without_length"])
 def test_malformed_input_is_config_error(run_dir, tmp_path, capsys, case):
     sim = str(run_dir / "simulation.full.json")
     if case == "road_without_points":
@@ -329,6 +331,19 @@ def test_malformed_input_is_config_error(run_dir, tmp_path, capsys, case):
         roads.mkdir()
         (roads / "r.json").write_text(json.dumps({"id": "r", "lane_width": 4.0}))
         argv = ["extract-features", "--roads", str(roads),
+                "--out", str(tmp_path / "f.csv")]
+    elif case == "road_file_holding_a_list":
+        roads = tmp_path / "roads"
+        roads.mkdir()
+        (roads / "r.json").write_text(json.dumps([[0.0, 0.0], [10.0, 0.0]]))
+        argv = ["extract-features", "--roads", str(roads),
+                "--out", str(tmp_path / "f.csv")]
+    elif case == "features_without_length":
+        rows = json.loads((run_dir / "simulation.full.json").read_text())
+        del rows[0]["features"]["length"]
+        bad = tmp_path / "sim.json"
+        bad.write_text(json.dumps(rows))
+        argv = ["extract-features", "--simulation", str(bad),
                 "--out", str(tmp_path / "f.csv")]
     elif case == "dataset_row_without_label":
         rows = json.loads((run_dir / "simulation.full.json").read_text())
@@ -356,7 +371,10 @@ def test_malformed_input_is_config_error(run_dir, tmp_path, capsys, case):
         argv = ["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]
     capsys.readouterr()
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if case in ("road_file_holding_a_list", "features_without_length"):
+        assert ("r.json" if case.startswith("road") else "sim.json") in err
 
 class TestCanCommands:
     def test_convert_and_play(self, run_dir, tmp_path):

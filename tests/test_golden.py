@@ -1,10 +1,10 @@
 """Golden artifacts: the sha256 digests that fixed seeds give today.
 
 Any change to road generation, driving, feature extraction, dataset output
-(with and without traces) and its reading back, road files, CAN conversion,
-the decision tree, the real-time loop or model-based FIX / REACH selection
-shows up here as a changed digest, so an intended change must update a
-digest in the same commit and say why.
+(with and without traces) and its reading back, road files, CAN conversion
+and wire framing, the decision tree, the real-time loop or model-based
+FIX / REACH selection shows up here as a changed digest, so an intended
+change must update a digest in the same commit and say why.
 """
 
 import hashlib
@@ -75,6 +75,18 @@ def test_can_convert(traced_set, tmp_path):
                  "--out", str(out)]) == 0
     assert sha256(out / "test_00000.canplayback.csv") == (
         "b3b2e00a4cc3e18cb6d58bab8a0c776bdcc0b7d1989b2ca62cff5a1fb97527c3")
+    playbacks = sorted(out.glob("*.canplayback.csv"))
+    assert len(playbacks) == 20
+    every = hashlib.sha256()
+    for path in playbacks:
+        every.update(path.read_bytes())
+    assert every.hexdigest() == (
+        "e235827452c0f5f5eef61e36fc6559b2cc5c020c2caffdbe2dffbaaa01ed6ecf")
+    frames = tmp_path / "frames.bin"
+    assert main(["can-play", "--playback", str(playbacks[0]),
+                 "--target", f"file://{frames}", "--pacing", "fast"]) == 0
+    assert sha256(frames) == (
+        "57717ad7c90b524929c8b8c85da450f2068258db245250a504e5a6b7721e28a9")
 
 
 def test_extract_features_from_simulation(traced_set, tmp_path):

@@ -290,3 +290,15 @@ class TestBuildDataset:
             assert b.outcome.duration == pytest.approx(a.outcome.duration)
             assert len(b.outcome.trace) == len(a.outcome.trace)
             assert b.features == a.features
+
+    def test_dataset_read_without_traces(self, tmp_path):
+        path = tmp_path / "simulation.full.json"
+        save_dataset(path, build_dataset(4, DriverConfig(), rng_seed=6))
+        full = load_dataset(path)
+        lean = load_dataset(path, keep_traces=False)
+        assert all(t.outcome.trace for t in full)
+        assert all(t.outcome.trace == () for t in lean)
+        assert ([(t.id, t.road, t.features, t.outcome.label, t.outcome.duration)
+                 for t in lean]
+                == [(t.id, t.road, t.features, t.outcome.label, t.outcome.duration)
+                    for t in full])
