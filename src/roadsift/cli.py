@@ -41,6 +41,7 @@ from .ml import (
     oversample_minority,
     rank_features,
     save_model,
+    shared_fit_key,
 )
 from .oracle import (
     SAFE,
@@ -211,11 +212,14 @@ def cmd_grid_search(args) -> int:
             score = "" if cell.weighted_avg_f1 is None else f"{cell.weighted_avg_f1:.6f}"
             writer.writerow([rank, cell.status, score,
                              json.dumps(cell.params, sort_keys=True)])
-    evaluated = [c for c in cells if c.status == "evaluated"]
-    distinct = {canonical_form(ClassifierSpec(args.family, c.params), ds.X.shape[1])
-                for c in evaluated}
+    evaluated = [ClassifierSpec(args.family, c.params)
+                 for c in cells if c.status == "evaluated"]
+    d = ds.X.shape[1]
+    forms = {canonical_form(spec, d) for spec in evaluated}
+    fits = {shared_fit_key(spec, d) for spec in evaluated}
     print(f"{args.family}: {len(cells)} cells ({len(evaluated)} evaluated, "
-          f"{len(distinct)} distinct fits) -> {args.out}")
+          f"{len(forms)} distinct forms, {len(fits)} fits per fold) "
+          f"-> {args.out}")
     return EXIT_OK
 
 

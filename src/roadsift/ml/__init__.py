@@ -10,6 +10,7 @@ from .evaluate import (
     dataset_from_tests,
     holdout_evaluate,
     kfold_evaluate,
+    kfold_evaluate_many,
     oversample_minority,
     report_from_confusion,
     split,
@@ -29,8 +30,10 @@ from .models import (
     TrainedClassifier,
     canonical_form,
     fit,
+    fit_many,
     load_model,
     save_model,
+    shared_fit_key,
 )
 from .ranking import (
     CORRELATION_THRESHOLD,

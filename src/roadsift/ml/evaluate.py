@@ -17,7 +17,8 @@ from .models import (
     ClassifierSpec,
     SingleClassDataset,
     TrainedClassifier,
-    fit,
+    fit,  # unused here; perfbench/tracer.py wraps it under this name
+    fit_many,
 )
 
 
@@ -26,7 +27,8 @@ class EmptySplit(ValueError):
 
 
 class TooFewRows(ValueError):
-    """Dataset too small for the requested fold count."""
+    """Dataset too small for the requested fold count, or a class too small
+    for every training fold to hold it."""
 
 
 @dataclass(frozen=True)
@@ -207,16 +209,26 @@ def stratified_folds(y: np.ndarray, k: int, rng_seed: int) -> list[np.ndarray]:
     return [np.sort(np.array(b, dtype=np.int64)) for b in buckets]
 
 
-def kfold_evaluate(ds: LabeledDataset, spec: ClassifierSpec, k: int,
-                   rng_seed: int) -> EvalReport:
-    """Stratified K-fold: train folds oversampled, held-out fold raw;
-    confusion summed across folds, rates derived once at the end."""
+def kfold_evaluate_many(ds: LabeledDataset, specs: list[ClassifierSpec],
+                        k: int, rng_seed: int) -> list[EvalReport]:
+    """Stratified K-fold of several specs of one family: train folds
+    oversampled, held-out fold raw; each spec's confusion summed across
+    folds, rates derived once at the end. The loop is fold-major: each
+    fold's training set is built once and fit_many shares work across the
+    specs; each model is scored and dropped before the next. Report i
+    equals kfold_evaluate(ds, specs[i], k, rng_seed)."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if len(ds) < k:
         raise TooFewRows(f"dataset of {len(ds)} rows cannot make {k} folds")
+    for name, count in zip(("safe", "unsafe"), ds.class_counts()):
+        # the training side of the fold holding a lone row lacks its class
+        if count < 2:
+            raise TooFewRows(
+                f"the {name} class has {count} {'row' if count == 1 else 'rows'}; "
+                f"K-fold needs 2 or more of each class")
     folds = stratified_folds(ds.y, k, rng_seed)
-    tp = fp = tn = fn = 0
+    confusion = np.zeros((len(specs), 4), dtype=np.int64)
     mask = np.ones(len(ds), dtype=bool)
     for i, fold in enumerate(folds):
         if len(fold) == 0:
@@ -225,15 +237,17 @@ def kfold_evaluate(ds: LabeledDataset, spec: ClassifierSpec, k: int,
         mask[fold] = False
         train = ds.subset(np.flatnonzero(mask))
         train = oversample_minority(train, rng_seed + 1000 + i)
-        model = fit(spec, train.X, train.y, ds.feature_names,
-                    rng_seed=rng_seed + 2000 + i)
-        pred = model.predict_matrix(ds.X[fold])
-        dtp, dfp, dtn, dfn = confusion_from_predictions(ds.y[fold], pred)
-        tp += dtp
-        fp += dfp
-        tn += dtn
-        fn += dfn
-    return report_from_confusion(tp, fp, tn, fn)
+        for j, model in fit_many(specs, train.X, train.y, ds.feature_names,
+                                 rng_seed=rng_seed + 2000 + i):
+            pred = model.predict_matrix(ds.X[fold])
+            confusion[j] += confusion_from_predictions(ds.y[fold], pred)
+    return [report_from_confusion(*map(int, counts)) for counts in confusion]
+
+
+def kfold_evaluate(ds: LabeledDataset, spec: ClassifierSpec, k: int,
+                   rng_seed: int) -> EvalReport:
+    """Stratified K-fold of one spec; see kfold_evaluate_many."""
+    return kfold_evaluate_many(ds, [spec], k, rng_seed)[0]
 
 
 def holdout_evaluate(model: TrainedClassifier, test: LabeledDataset) -> EvalReport:

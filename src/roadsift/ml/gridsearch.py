@@ -14,6 +14,12 @@ decision tree ignores ``C`` when ``R`` is "yes"; the random forest reads
 no more than d are drawn); gradient boosting treats ``deviance`` as
 ``log_loss`` and ``mse`` as ``squared_error``. Each distinct form is K-fold
 evaluated once per search, and every cell is still reported with its score.
+
+The distinct forms share one K-fold run, fold by fold, and inside a fold
+they share work (``models.shared_fit_key``): logistic regression solves
+once per penalty, and the caps of ``max_iter`` read that one solve at their
+step; the decision tree grows once per ``M`` and ``R``, and each ``C`` and
+``S`` prunes that tree. Other families fit each form on its own.
 """
 
 from __future__ import annotations
@@ -21,7 +27,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .evaluate import LabeledDataset, kfold_evaluate
+from .evaluate import (
+    LabeledDataset,
+    kfold_evaluate,  # unused here; perfbench/tracer.py wraps it under this name
+    kfold_evaluate_many,
+)
 from .models import GRID_DOMAINS, ClassifierSpec, canonical_form
 
 
@@ -81,9 +91,10 @@ def grid_search(family: str, ds: LabeledDataset, k: int,
                 rng_seed: int) -> list[GridCell]:
     """Evaluate the family's full grid by K-fold; returns evaluated cells
     ranked by weighted F1 descending, then the skipped cells. Cells with
-    the same canonical form share one K-fold run."""
-    evaluated, skipped = [], []
-    scores: dict[tuple, float] = {}     # canonical form -> weighted F1
+    the same canonical form share one score, and all forms share one
+    K-fold run."""
+    valid, skipped = [], []
+    specs: dict[tuple, ClassifierSpec] = {}  # canonical form -> its first cell
     for params in iter_cells(family):
         reason = skip_reason(family, params)
         if reason is not None:
@@ -91,9 +102,13 @@ def grid_search(family: str, ds: LabeledDataset, k: int,
             continue
         spec = ClassifierSpec(family, params)
         form = canonical_form(spec, ds.X.shape[1])
-        if form not in scores:
-            scores[form] = kfold_evaluate(ds, spec, k, rng_seed).weighted_avg_f1
-        evaluated.append(GridCell(params, "evaluated", scores[form]))
+        specs.setdefault(form, spec)
+        valid.append((params, form))
+    reports = kfold_evaluate_many(ds, list(specs.values()), k, rng_seed)
+    scores = {form: report.weighted_avg_f1
+              for form, report in zip(specs, reports)}
+    evaluated = [GridCell(params, "evaluated", scores[form])
+                 for params, form in valid]
     evaluated.sort(key=lambda c: (-c.weighted_avg_f1, _tie_key(c.params)))
     return evaluated + skipped
 

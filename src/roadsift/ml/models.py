@@ -258,19 +258,31 @@ def _pessimistic_errors(node, z: float) -> float:
     return ub * n
 
 
+# The pruners below never modify the tree they are given: a node whose
+# children change is copied, so several prunings can start from one grown
+# tree, and unchanged subtrees are shared between the results.
+
+def _with_children(node, left, right):
+    return {**node, "left": left, "right": right}
+
+
+def _collapsed(node):
+    return {"n": node["n"], "ones": node["ones"], "leaf": True}
+
+
 def _pessimistic_prune(node, z: float):
     """Bottom-up: collapse a subtree to a leaf whenever its pessimistic
     error as a leaf is no larger than its leaves' sum. Returns the pruned
     node and that sum over its leaves."""
     if node["leaf"]:
         return node, _pessimistic_errors(node, z)
-    node["left"], errs_left = _pessimistic_prune(node["left"], z)
-    node["right"], errs_right = _pessimistic_prune(node["right"], z)
+    left, errs_left = _pessimistic_prune(node["left"], z)
+    right, errs_right = _pessimistic_prune(node["right"], z)
     as_leaf = _pessimistic_errors(node, z)
     as_tree = errs_left + errs_right
     if as_leaf <= as_tree + 1e-9:
-        return {"n": node["n"], "ones": node["ones"], "leaf": True}, as_leaf
-    return node, as_tree
+        return _collapsed(node), as_leaf
+    return _with_children(node, left, right), as_tree
 
 
 def _reduced_error_prune(node, X, y):
@@ -282,12 +294,14 @@ def _reduced_error_prune(node, X, y):
     if len(y) == 0:
         return node, 0
     mask = X[:, node["feature"]] <= node["threshold"]
-    node["left"], errs_left = _reduced_error_prune(node["left"], X[mask], y[mask])
-    node["right"], errs_right = _reduced_error_prune(node["right"], X[~mask], y[~mask])
-    leaf = {"n": node["n"], "ones": node["ones"], "leaf": True}
+    left, errs_left = _reduced_error_prune(node["left"], X[mask], y[mask])
+    right, errs_right = _reduced_error_prune(node["right"], X[~mask], y[~mask])
+    leaf = _collapsed(node)
     errs_leaf = int(np.sum(y != _leaf_label(leaf)))
     errs_tree = errs_left + errs_right
-    return (leaf, errs_leaf) if errs_leaf <= errs_tree else (node, errs_tree)
+    if errs_leaf <= errs_tree:
+        return leaf, errs_leaf
+    return _with_children(node, left, right), errs_tree
 
 
 def _subtree_raise(node, X, y, z: float):
@@ -297,12 +311,13 @@ def _subtree_raise(node, X, y, z: float):
     if node["leaf"]:
         return node, int(np.sum(y != _leaf_label(node)))
     mask = X[:, node["feature"]] <= node["threshold"]
-    node["left"], errs_left = _subtree_raise(node["left"], X[mask], y[mask], z)
-    node["right"], errs_right = _subtree_raise(node["right"], X[~mask], y[~mask], z)
+    left, errs_left = _subtree_raise(node["left"], X[mask], y[mask], z)
+    right, errs_right = _subtree_raise(node["right"], X[~mask], y[~mask], z)
+    node = _with_children(node, left, right)
     current = errs_left + errs_right
-    if (node["left"]["leaf"] and node["right"]["leaf"]) or len(y) == 0:
+    if (left["leaf"] and right["leaf"]) or len(y) == 0:
         return node, current
-    child = node["left"] if node["left"]["n"] >= node["right"]["n"] else node["right"]
+    child = left if left["n"] >= right["n"] else right
     raised_errs = int(np.sum(_tree_predict(child, X) != y))
     raised_pess = raised_errs + (z * math.sqrt(len(y)) * 0.5 if z > 0 else 0.0)
     if raised_pess <= current:
@@ -361,12 +376,27 @@ def _reg_tree_predict(node, X) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# family fitters; each returns the opaque parameter payload. Beside each
-# fitter sits the canonical form of its hyperparameters on d features; the
-# fitter receives that form and nothing else of the spec.
+# family fitters. Beside each fitter sits the canonical form of its
+# hyperparameters on d features and the key of the work forms share: the
+# fitter receives forms with one key and nothing else of the specs, and
+# yields one (parameters, standardization or None) per form, in order.
+
+def _alone(fit_one):
+    """(share key, fitter) of a family whose forms share no work: each
+    form is its own group, fitted by fit_one(X, y, form, seed)."""
+    def fit_each(X, y, forms, seed):
+        for form in forms:
+            yield fit_one(X, y, form, seed)
+    return (lambda form: form), fit_each
+
 
 def _logistic_form(hp, d):
     return (hp["penalty"], hp["max_iter"])
+
+
+def _logistic_share(form):
+    # the max_iter caps truncate one solve of the penalty's objective
+    return form[0]
 
 
 # The logistic solver's fixed settings. They say how closely the one
@@ -436,10 +466,10 @@ def _l1_model_minimiser(H, g, theta, l1):
     return u
 
 
-def _logistic_solve(Xs, y, penalty, max_iter):
+def _logistic_solve(Xs, y, penalty, caps):
     """Minimise mean log-loss + l2·‖w‖² + l1·‖w‖₁ over weights w and an
-    unpenalised bias b on the standardised rows Xs; returns (w, b, steps,
-    converged).
+    unpenalised bias b on the standardised rows Xs; returns one (w, b,
+    steps, converged) for each step cap in the ascending list caps.
 
     Each step takes the Newton (IRLS) quadratic model of the log-loss at the
     current point. Without an l1 term the step solves one (d+1)×(d+1) linear
@@ -448,8 +478,13 @@ def _logistic_solve(Xs, y, penalty, max_iter):
     the step. The solve stops as converged when every entry of the
     minimum-norm subgradient is below _GRAD_TOL, and as stalled when the
     line search finds no decrease or the step moves no coordinate by more
-    than _STEP_TOL; max_iter caps the steps. The gradient test is what ends
-    an unpenalised fit on separable rows, whose weights grow without bound.
+    than _STEP_TOL; a cap ends it, not converged, after that many steps.
+    The gradient test is what ends an unpenalised fit on separable rows,
+    whose weights grow without bound.
+
+    The path is deterministic, so a smaller cap only truncates it: the solve
+    runs once, to the largest cap, and reports for each cap the iterate at
+    that step, or the final one when the solve ended before it.
     """
     n, d = Xs.shape
     A = np.hstack([Xs, np.ones((n, 1))])
@@ -466,13 +501,20 @@ def _logistic_solve(Xs, y, penalty, max_iter):
     theta = np.zeros(d + 1)
     f = objective(theta)
     moved = math.inf
-    for steps in range(max_iter + 1):
+    reports = []
+    converged = False
+    for steps in range(caps[-1] + 1):
         q = expit(sign * (A @ theta))
         g = A.T @ (sign * q) / n + ridge * theta
         kkt = float(np.max(np.abs(_min_norm_subgradient(g, theta, l1))))
         if kkt < _GRAD_TOL:
-            return theta[:-1], float(theta[-1]), steps, True
-        if steps == max_iter or moved <= _STEP_TOL:
+            converged = True
+            break
+        if steps == caps[len(reports)]:
+            reports.append((theta[:-1], float(theta[-1]), steps, False))
+            if len(reports) == len(caps):
+                return reports
+        if moved <= _STEP_TOL:
             break
         H = (A.T * (q * (1.0 - q) / n)) @ A
         H[np.diag_indices_from(H)] += ridge + _DAMPING * H.diagonal().max()
@@ -495,10 +537,11 @@ def _logistic_solve(Xs, y, penalty, max_iter):
             break
         moved = float(np.max(np.abs(trial - theta)))
         theta, f = trial, f_trial
-    return theta[:-1], float(theta[-1]), steps, False
+    final = (theta[:-1], float(theta[-1]), steps, converged)
+    return reports + [final] * (len(caps) - len(reports))
 
 
-def _fit_logistic(X, y, form, seed):
+def _fit_logistic(X, y, forms, seed):
     """Penalised logistic regression on standardised columns: mean log-loss
     plus 1e-4·‖w‖² (l2, elasticnet) plus 1e-4·‖w‖₁ (l1, elasticnet), with an
     unpenalised bias. l2 and none take damped Newton (IRLS) steps; l1 and
@@ -506,11 +549,14 @@ def _fit_logistic(X, y, form, seed):
     step's quadratic model (a proximal Newton method, as in glmnet), with
     the same line search. max_iter caps the Newton steps; the fit stops
     early once every entry of the (minimum-norm sub)gradient is below 1e-8.
-    See _logistic_solve."""
-    penalty, max_iter = form
+    The forms share a penalty, and one _logistic_solve serves every cap."""
+    penalty = forms[0][0]
     mean, std = _standardize_fit(X)
-    w, b, _, _ = _logistic_solve((X - mean) / std, y, penalty, max_iter)
-    return {"weights": w.tolist(), "bias": b}, (mean, std)
+    caps = sorted({max_iter for _, max_iter in forms})
+    solved = dict(zip(caps, _logistic_solve((X - mean) / std, y, penalty, caps)))
+    for _, max_iter in forms:
+        w, b, _, _ = solved[max_iter]
+        yield {"weights": w.tolist(), "bias": b}, (mean, std)
 
 
 def _linear_svm_form(hp, d):
@@ -569,8 +615,13 @@ def _decision_tree_form(hp, d):
     return (hp["C"], hp["M"], "no", hp["S"])
 
 
-def _fit_decision_tree(X, y, form, seed):
-    min_leaf, reduced_error, subtree_raise = form[-3:]
+def _decision_tree_share(form):
+    # one grown tree per min-leaf and pruning kind; each form prunes it
+    return form[-3:-1]
+
+
+def _fit_decision_tree(X, y, forms, seed):
+    min_leaf, reduced_error = forms[0][-3:-1]
     if reduced_error == "yes":
         rng = np.random.default_rng(seed)
         prune_idx = []
@@ -580,18 +631,22 @@ def _fit_decision_tree(X, y, form, seed):
             prune_idx.extend(idx[: max(1, len(idx) // 5)])
         prune_mask = np.zeros(len(y), dtype=bool)
         prune_mask[prune_idx] = True
+        Xp, yp = X[prune_mask], y[prune_mask]
         tree = _grow_class_tree(X[~prune_mask], y[~prune_mask], min_leaf, 0)
-        tree, _ = _reduced_error_prune(tree, X[prune_mask], y[prune_mask])
-        if subtree_raise == "yes":
-            tree, _ = _subtree_raise(tree, X[prune_mask], y[prune_mask], 0.0)
+        pruned, _ = _reduced_error_prune(tree, Xp, yp)
+        for *_, subtree_raise in forms:
+            if subtree_raise == "yes":
+                yield {"tree": _subtree_raise(pruned, Xp, yp, 0.0)[0]}, None
+            else:
+                yield {"tree": pruned}, None
     else:
-        confidence = form[0]
-        z = NormalDist().inv_cdf(1.0 - confidence) if confidence < 0.5 else 0.0
         tree = _grow_class_tree(X, y, min_leaf, 0)
-        tree, _ = _pessimistic_prune(tree, z)
-        if subtree_raise == "yes":
-            tree, _ = _subtree_raise(tree, X, y, z)
-    return {"tree": tree}, None
+        for confidence, *_, subtree_raise in forms:
+            z = NormalDist().inv_cdf(1.0 - confidence) if confidence < 0.5 else 0.0
+            pruned, _ = _pessimistic_prune(tree, z)
+            if subtree_raise == "yes":
+                pruned, _ = _subtree_raise(pruned, X, y, z)
+            yield {"tree": pruned}, None
 
 
 def _forest_split_features(K: int, d: int) -> int:
@@ -650,15 +705,17 @@ def _fit_gradient_boosting(X, y, form, seed):
     return {"init": f0, "trees": trees, "learning_rate": lr}, None
 
 
-# family -> (canonical form of its hyperparameters on d features, fitter that
-# reads only that form and returns (parameters, standardization or None))
+# family -> (canonical form of its hyperparameters on d features, key of the
+# work forms share, fitter of forms with one key)
 _FAMILY_FITS = {
-    "logistic": (_logistic_form, _fit_logistic),
-    "naive_bayes": (_naive_bayes_form, _fit_naive_bayes),
-    "decision_tree": (_decision_tree_form, _fit_decision_tree),
-    "random_forest": (_random_forest_form, _fit_random_forest),
-    "gradient_boosting": (_gradient_boosting_form, _fit_gradient_boosting),
-    "linear_svm": (_linear_svm_form, _fit_linear_svm),
+    "logistic": (_logistic_form, _logistic_share, _fit_logistic),
+    "naive_bayes": (_naive_bayes_form, *_alone(_fit_naive_bayes)),
+    "decision_tree": (_decision_tree_form, _decision_tree_share,
+                      _fit_decision_tree),
+    "random_forest": (_random_forest_form, *_alone(_fit_random_forest)),
+    "gradient_boosting": (_gradient_boosting_form,
+                          *_alone(_fit_gradient_boosting)),
+    "linear_svm": (_linear_svm_form, *_alone(_fit_linear_svm)),
 }
 
 
@@ -668,8 +725,17 @@ def canonical_form(spec: ClassifierSpec, n_features: int) -> tuple:
     The fitter sees nothing else of the spec, so two specs of one family
     with equal forms train identical models on the same data and seed.
     """
-    form, _ = _FAMILY_FITS[spec.family]
+    form, _, _ = _FAMILY_FITS[spec.family]
     return form(spec.hyperparameters, n_features)
+
+
+def shared_fit_key(spec: ClassifierSpec, n_features: int):
+    """The key of the work fit_many shares between spec and other specs of
+    its family on n_features columns: one logistic solve per penalty, one
+    grown tree per decision-tree min-leaf and pruning kind, one fit per
+    form otherwise. fit_many does one such fit per distinct key."""
+    _, share, _ = _FAMILY_FITS[spec.family]
+    return share(canonical_form(spec, n_features))
 
 
 # ---------------------------------------------------------------------------
@@ -744,18 +810,39 @@ class TrainedClassifier:
         return int(self.predict_matrix(self.feature_matrix([features]))[0])
 
 
-def fit(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray,
-        feature_names: tuple[str, ...], rng_seed: int = 0) -> TrainedClassifier:
-    """Train one classifier. Requires both classes in y."""
+def fit_many(specs: list[ClassifierSpec], X: np.ndarray, y: np.ndarray,
+             feature_names: tuple[str, ...], rng_seed: int = 0):
+    """Train one classifier per spec, all of one family, on the same rows
+    and seed. Yields (index into specs, model) one model at a time, group
+    by group of equal shared_fit_key, so work the specs share is done once
+    and held for one group only. Each model equals fit(spec, ...) alone.
+    Requires both classes in y."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if len(np.unique(y)) < 2:
         raise SingleClassDataset("training data contains a single class")
-    _, fitter = _FAMILY_FITS[spec.family]
-    params, standardization = fitter(X, y, canonical_form(spec, X.shape[1]),
-                                     rng_seed)
-    return TrainedClassifier(spec=spec, feature_names=tuple(feature_names),
-                             standardization=standardization, parameters=params)
+    families = {spec.family for spec in specs}
+    if len(families) != 1:
+        raise ValueError(f"fit_many needs specs of one family, got {families}")
+    form, share, fitter = _FAMILY_FITS[families.pop()]
+    forms = [form(spec.hyperparameters, X.shape[1]) for spec in specs]
+    groups: dict = {}
+    for i, f in enumerate(forms):
+        groups.setdefault(share(f), []).append(i)
+    names = tuple(feature_names)
+    for group in groups.values():
+        fitted = fitter(X, y, [forms[i] for i in group], rng_seed)
+        for i, (params, standardization) in zip(group, fitted):
+            yield i, TrainedClassifier(spec=specs[i], feature_names=names,
+                                       standardization=standardization,
+                                       parameters=params)
+
+
+def fit(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray,
+        feature_names: tuple[str, ...], rng_seed: int = 0) -> TrainedClassifier:
+    """Train one classifier. Requires both classes in y."""
+    [(_, model)] = fit_many([spec], X, y, feature_names, rng_seed)
+    return model
 
 
 def save_model(model: TrainedClassifier, path: str | Path) -> None:

@@ -186,10 +186,27 @@ class TestGridAndRanking:
                      "--features", str(run_dir / "features.csv"),
                      "--k", "2", "--seed", "3", "--out", str(out)]) == 0
         assert capsys.readouterr().out == (
-            f"decision_tree: 100 cells (100 evaluated, 60 distinct fits) -> {out}\n")
+            f"decision_tree: 100 cells (100 evaluated, 60 distinct forms, "
+            f"10 fits per fold) -> {out}\n")
         lines = out.read_text().splitlines()
         assert len(lines) == 101           # header + 100 cells
         assert all("evaluated" in line for line in lines[1:])
+
+    @pytest.mark.parametrize("command", [
+        ["grid-search", "--family", "logistic"], ["benchmark"]])
+    def test_one_row_class_is_config_error(self, run_dir, tmp_path, capsys,
+                                           command):
+        lines = (run_dir / "features.csv").read_text().splitlines()
+        unsafe = [line for line in lines[1:] if line.endswith(",unsafe")]
+        safe = [line for line in lines[1:] if line.endswith(",safe")]
+        features = tmp_path / "features.csv"
+        features.write_text("\n".join([lines[0], *safe, unsafe[0]]) + "\n")
+        capsys.readouterr()
+        assert main([*command, "--features", str(features), "--k", "3",
+                     "--seed", "1", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: the unsafe class has 1 row; "
+            "K-fold needs 2 or more of each class\n")
 
     def test_rank_features_output(self, run_dir, tmp_path):
         out = tmp_path / "ranks.json"

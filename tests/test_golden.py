@@ -2,9 +2,10 @@
 
 Any change to road generation, driving, feature extraction, dataset output
 (with and without traces) and its reading back, road files, CAN conversion
-and wire framing, the decision tree, the real-time loop or model-based
-FIX / REACH selection shows up here as a changed digest, so an intended
-change must update a digest in the same commit and say why.
+and wire framing, the six-family benchmark, the decision-tree, logistic
+and SVM grids, the real-time loop or model-based FIX / REACH selection
+shows up here as a changed digest, so an intended change must update a
+digest in the same commit and say why.
 """
 
 import hashlib
@@ -42,13 +43,40 @@ def test_generate_risk_factor_1_5(data_set_1):
         "a6f27bb311622331b779c9071c19f97341e946cffa15c13308d7e6cc6e85f4ea")
 
 
-def test_decision_tree_grid(data_set_1, tmp_path):
+def grid_digest(features, tmp_path, family):
     grid = tmp_path / "grid.csv"
-    assert main(["grid-search", "--family", "decision_tree",
-                 "--features", str(data_set_1), "--k", "10", "--seed", "160",
+    assert main(["grid-search", "--family", family,
+                 "--features", str(features), "--k", "10", "--seed", "160",
                  "--out", str(grid)]) == 0
-    assert sha256(grid) == (
+    return sha256(grid)
+
+
+def test_decision_tree_grid(data_set_1, tmp_path):
+    assert grid_digest(data_set_1, tmp_path, "decision_tree") == (
         "7a322a5122fa855d786c26f1b3a70d25e4c68c0853590cab013880dc1fdaedcc")
+
+
+@pytest.mark.parametrize("family, digest", [
+    ("logistic",
+     "d0cd06c0a404bbd5c3127facfcadcbfa3033f42fad653f1cdd0a163182bb63fc"),
+    ("linear_svm",
+     "6cc447265bf9d69f8fa8022a888e92655c9871d70fb48c446641575abc332361"),
+], ids=["logistic", "linear_svm"])
+def test_linear_grid(data_set_1, tmp_path, family, digest):
+    assert grid_digest(data_set_1, tmp_path, family) == digest
+
+
+def test_benchmark(data_set_1, tmp_path):
+    out = tmp_path / "bm"
+    assert main(["benchmark", "--features", str(data_set_1), "--k", "10",
+                 "--seed", "160", "--out", str(out)]) == 0
+    reports = sorted(out.glob("*.report.json"))
+    assert len(reports) == 6
+    every = hashlib.sha256()
+    for path in reports + [out / "best_model.json"]:
+        every.update(path.read_bytes())
+    assert every.hexdigest() == (
+        "0c2383e2ac4649e477095b4711121d32f9bfe441c7554e3fdec6b6b7786df664")
 
 
 @pytest.fixture(scope="module")

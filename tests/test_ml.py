@@ -19,11 +19,13 @@ from roadsift.ml import (
     canonical_form,
     confusion_from_predictions,
     fit,
+    fit_many,
     grid_sizes,
     holdout_evaluate,
     information_gain,
     iter_cells,
     kfold_evaluate,
+    kfold_evaluate_many,
     label_correlation,
     load_model,
     oversample_minority,
@@ -408,20 +410,63 @@ class TestCanonicalForm:
             for mine, theirs in zip(a.standardization, b.standardization):
                 assert np.array_equal(mine, theirs)
 
-    @pytest.mark.parametrize("family,distinct", [
-        ("logistic", 12), ("linear_svm", 3), ("decision_tree", 60)])
+    @pytest.mark.parametrize("family,distinct,shared_work,per_fold", [
+        ("logistic", 12, "_logistic_solve", 4),
+        ("linear_svm", 3, "_fit_linear_svm", 3),
+        ("decision_tree", 60, "_grow_class_tree", 10)],
+        ids=["logistic-12", "linear_svm-3", "decision_tree-60"])
     def test_grid_search_matches_per_cell_reference(self, family, distinct,
+                                                    shared_work, per_fold,
                                                     monkeypatch):
         ds = noisy_ds()
-        runs = []
+        scored, runs = [], []
+        kfold = gridsearch.kfold_evaluate_many
+        work = getattr(models, shared_work)
+
+        def kfold_counted(ds, specs, *args):
+            scored.append(len(specs))
+            return kfold(ds, specs, *args)
 
         def counted(*args):
-            runs.append(args[1])
-            return kfold_evaluate(*args)
-        monkeypatch.setattr(gridsearch, "kfold_evaluate", counted)
+            runs.append(args)
+            return work(*args)
+        monkeypatch.setattr(gridsearch, "kfold_evaluate_many", kfold_counted)
+        monkeypatch.setattr(models, shared_work, counted)
+        if family == "linear_svm":      # the fitter table holds the function
+            monkeypatch.setitem(models._FAMILY_FITS, family,
+                                (models._linear_svm_form, *models._alone(counted)))
         cells = grid_search(family, ds, 3, 7)
-        assert len(runs) == distinct
+        assert scored == [distinct]
+        assert len(runs) == 3 * per_fold
+        monkeypatch.undo()
         assert cells == naive_grid_search(family, ds, 3, 7)
+
+    @pytest.mark.parametrize("family", ["logistic", "decision_tree"])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_shared_work_matches_each_form_alone(self, family, data):
+        d = data.draw(st.integers(2, 5), label="d")
+        ds = noisy_ds(n=data.draw(st.integers(12, 40), label="n"), d=d,
+                      seed=data.draw(st.integers(0, 99), label="rows"))
+        assume(min(ds.class_counts()) >= 2)
+        firsts = {}
+        for cell in iter_cells(family):
+            if skip_reason(family, cell) is None:
+                spec = ClassifierSpec(family, cell)
+                firsts.setdefault(canonical_form(spec, d), spec)
+        every = list(firsts.values())
+        picks = data.draw(st.lists(st.sampled_from(range(len(every))),
+                                   min_size=1, max_size=12, unique=True),
+                          label="specs")
+        specs = [every[i] for i in picks]
+        k = data.draw(st.integers(2, 5), label="k")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        assert kfold_evaluate_many(ds, specs, k, seed) == [
+            kfold_evaluate(ds, spec, k, seed) for spec in specs]
+        shared = dict(fit_many(specs, ds.X, ds.y, ds.feature_names, seed))
+        for i, spec in enumerate(specs):
+            alone = fit(spec, ds.X, ds.y, ds.feature_names, seed)
+            assert json.dumps(shared[i].parameters) == json.dumps(alone.parameters)
 
 
 @st.composite
@@ -469,7 +514,7 @@ class TestPresortedGrowth:
             mp.setattr(models, "_grow_class_tree", reference_trees.grow_class_tree)
             mp.setitem(models._FAMILY_FITS, "gradient_boosting",
                        (models._gradient_boosting_form,
-                        reference_trees.fit_gradient_boosting))
+                        *models._alone(reference_trees.fit_gradient_boosting)))
             slow = fit(spec, X, y, names, seed)
         assert json.dumps(fast.parameters) == json.dumps(slow.parameters)
 
@@ -519,7 +564,62 @@ LOGISTIC_FORMS = [(penalty, max_iter)
                   for max_iter in GRID_DOMAINS["logistic"]["max_iter"]]
 
 
+def assert_caps_read_one_path(Xs, y, penalty, caps):
+    """The solve reported at each cap equals a solve capped there alone."""
+    shared = models._logistic_solve(Xs, y, penalty, caps)
+    assert len(shared) == len(caps)
+    for cap, (w, b, steps, converged) in zip(caps, shared):
+        [(w1, b1, steps1, converged1)] = models._logistic_solve(
+            Xs, y, penalty, [cap])
+        assert w.tobytes() == w1.tobytes() and b == b1
+        assert (steps, converged) == (steps1, converged1)
+    return shared
+
+
+# solver settings that end the solve on the seven rows below before it
+# converges: one line-search try fails at an overshooting Newton step, and
+# a step tolerance of 0.1 stops the solve once its moves are small
+STALLS = [({"_MAX_HALVINGS": 1}, "none"), ({"_MAX_HALVINGS": 1}, "l1"),
+          ({"_STEP_TOL": 0.1}, "l2"), ({"_STEP_TOL": 0.1}, "elasticnet")]
+SEVEN_X = np.array([[8, -12], [-20, -13], [10, -19], [10, 13], [13, -16],
+                    [6, -11], [19, -9]], dtype=float)
+SEVEN_Y = np.array([0, 1, 0, 1, 0, 1, 0])
+
+
 class TestLogisticSolver:
+    @settings(max_examples=40)
+    @given(data=separable_matrices(), penalty=st.sampled_from(
+               GRID_DOMAINS["logistic"]["penalty"]),
+           caps=st.lists(st.integers(0, 30), min_size=1, max_size=4,
+                         unique=True).map(sorted),
+           stop=st.sampled_from([{}] + [stop for stop, _ in STALLS]))
+    def test_caps_truncate_one_path(self, data, penalty, caps, stop):
+        X, y = data
+        mean, std = models._standardize_fit(X)
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in stop.items():
+                mp.setattr(models, name, value)
+            assert_caps_read_one_path((X - mean) / std, y, penalty, caps)
+
+    @pytest.mark.parametrize("stop, penalty", STALLS)
+    def test_caps_after_a_stall(self, stop, penalty, monkeypatch):
+        for name, value in stop.items():
+            monkeypatch.setattr(models, name, value)
+        mean, std = models._standardize_fit(SEVEN_X)
+        shared = assert_caps_read_one_path((SEVEN_X - mean) / std, SEVEN_Y,
+                                           penalty, [3, 10, 100, 1000])
+        *_, (_, _, steps, converged) = shared
+        assert not converged and 3 < steps < 10
+        assert shared[1][2:] == shared[3][2:]
+
+    @pytest.mark.parametrize("penalty", ["none", "l1"])
+    def test_caps_cut_at_ten(self, penalty):
+        mean, std = models._standardize_fit(SEVEN_X)
+        shared = assert_caps_read_one_path((SEVEN_X - mean) / std, SEVEN_Y,
+                                           penalty, [10, 100, 1000])
+        assert shared[0][2:] == (10, False)
+        assert shared[1][3] and shared[1][2:] == shared[2][2:]
+
     @pytest.mark.parametrize("form", LOGISTIC_FORMS, ids=lambda f: f"{f[0]}-{f[1]}")
     @settings(max_examples=25)
     @given(data=separable_matrices())
@@ -528,7 +628,8 @@ class TestLogisticSolver:
         penalty, max_iter = form
         mean, std = models._standardize_fit(X)
         Xs = (X - mean) / std
-        w, b, steps, converged = models._logistic_solve(Xs, y, penalty, max_iter)
+        [(w, b, steps, converged)] = models._logistic_solve(
+            Xs, y, penalty, [max_iter])
         ref, _ = reference_logistic.fit_logistic(X, y, form, 0)
         objective = reference_logistic.objective
         assert objective(Xs, y, w, b, penalty) <= (
@@ -545,8 +646,8 @@ class TestLogisticSolver:
             model = fit(ClassifierSpec("logistic", {"penalty": penalty}),
                         ds.X, ds.y, ds.feature_names)
             mean, std = model.standardization
-            w, b, _, converged = models._logistic_solve(
-                (ds.X - mean) / std, ds.y, penalty, 1000)
+            [(w, b, _, converged)] = models._logistic_solve(
+                (ds.X - mean) / std, ds.y, penalty, [1000])
             assert converged
             assert model.parameters == {"weights": w.tolist(), "bias": b}
 
@@ -558,7 +659,7 @@ class TestLogisticSolver:
         mean, std = models._standardize_fit(X)
         Xs = (X - mean) / std
         values = [reference_logistic.objective(
-            Xs, y, *models._logistic_solve(Xs, y, "none", k)[:2], "none")
+            Xs, y, *models._logistic_solve(Xs, y, "none", [k])[0][:2], "none")
             for k in range(11)]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
@@ -569,8 +670,8 @@ class TestLogisticSolver:
         X = rng.normal(size=(40, 18))
         y = (X @ rng.normal(size=18) > 0).astype(np.int64)
         mean, std = models._standardize_fit(X)
-        w, b, steps, converged = models._logistic_solve(
-            (X - mean) / std, y, "none", 1000)
+        [(w, b, steps, converged)] = models._logistic_solve(
+            (X - mean) / std, y, "none", [1000])
         assert converged and steps <= 50
         assert np.all(np.isfinite(w)) and math.isfinite(b)
         names = tuple(f"f{i}" for i in range(18))
