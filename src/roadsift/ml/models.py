@@ -760,11 +760,15 @@ class TrainedClassifier:
         if X.shape[1] != len(self.feature_names):
             raise FeatureMismatch(
                 f"expected {len(self.feature_names)} features, got {X.shape[1]}")
-        X = self._apply_standardization(np.asarray(X, dtype=np.float64))
+        # C order, so each row's sums below run over its contiguous values
+        # alike in any batch
+        X = self._apply_standardization(np.ascontiguousarray(X, dtype=np.float64))
         family = self.spec.family
         p = self.parameters
         if family in ("logistic", "linear_svm"):
-            z = X @ np.asarray(p["weights"]) + p["bias"]
+            # a row sum, not X @ w: BLAS orders the sum by batch shape, and a
+            # row's score must not depend on the rows scored with it
+            z = (X * np.asarray(p["weights"])).sum(axis=1) + p["bias"]
             return (z >= 0.0).astype(np.int64)
         if family == "naive_bayes":
             priors = np.asarray(p["priors"])
@@ -804,10 +808,6 @@ class TrainedClassifier:
             table.append([features[n] for n in self.feature_names])
         shape = (len(rows), len(self.feature_names))
         return np.array(table, dtype=float).reshape(shape)
-
-    def predict_features(self, features) -> int:
-        """Class code for one feature mapping (dict or FeatureVector)."""
-        return int(self.predict_matrix(self.feature_matrix([features]))[0])
 
 
 def fit_many(specs: list[ClassifierSpec], X: np.ndarray, y: np.ndarray,

@@ -1,13 +1,15 @@
 """Test-selection strategies and the three experiment protocols.
 
-A TestPool hides ground-truth labels behind an execute() call, so selection
-strategies can only see features until a test is actually "run". FIX builds
-a fixed-size suite, REACH executes until N unsafe tests are found, and the
-real-time loop generates tests under a virtual time budget with an optional
-continuously retrained model.
+Selection strategies see a TestPool's tests as ids and static features
+only. A protocol learns a verdict by executing the test (TestPool.execute,
+which records the id in `revealed`); once it has finished, it reads the
+truth of the tests it predicted but skipped with reveal_post_mortem, to
+report its filter's confusion matrix. FIX builds a fixed-size suite, REACH
+executes until N unsafe tests are found, and the real-time loop generates
+tests under a time budget with an optional continuously retrained model.
 
-All time accounting runs on a virtual clock charged with declared costs, so
-experiment results are deterministic and fast.
+Every time charge is a declared cost (CostModel) or a simulated drive time,
+so experiment results are deterministic and fast.
 """
 
 from __future__ import annotations
@@ -48,10 +50,6 @@ class NTooLarge(ValueError):
 
 class BudgetTooSmall(ValueError):
     """Real-time budget cannot cover the adaptive warm-up."""
-
-
-class HiddenLabelError(RuntimeError):
-    """A strategy touched a label before executing the test."""
 
 
 @dataclass(frozen=True)
@@ -100,10 +98,6 @@ class TestPool:
     def reveal_post_mortem(self, test_id: str) -> int:
         """Ground truth for reporting after a protocol has finished."""
         return self._labels[test_id]
-
-    def peek_guard(self, test_id: str) -> None:
-        if test_id not in self.revealed:
-            raise HiddenLabelError(f"label of {test_id} not yet revealed")
 
 
 def build_pool(tests: list[TestCase], counts: tuple[int, int], rng_seed: int,
@@ -167,6 +161,15 @@ class ModelStrategy(RandomStrategy):
         return self._codes[test.id] == UNSAFE_CODE
 
 
+def _filter_confusion(pool: TestPool,
+                      predicted: dict[str, int]) -> tuple[int, int, int, int]:
+    """(tp, fp, tn, fn) of a filter's verdicts on the tests it judged, scored
+    against ground truth read after the protocol has finished."""
+    return confusion_from_predictions(
+        np.array([pool.reveal_post_mortem(tid) for tid in predicted]),
+        np.array(list(predicted.values())))
+
+
 # ---------------------------------------------------------------------------
 # FIX
 
@@ -192,38 +195,28 @@ def run_fix(pool: TestPool, strategy, S: int, rng_seed: int) -> FixResult:
     accepts = getattr(strategy, "accepts", None)
     suite: list[VisibleTest] = []
     rejected: list[VisibleTest] = []
+    predicted: dict[str, int] = {}
     drawn = 0
     for test in order:
         if len(suite) >= S:
             break
         drawn += 1
-        if accepts is None or accepts(test):
-            suite.append(test)
-        else:
-            rejected.append(test)
+        keep = accepts is None or accepts(test)
+        if accepts is not None:
+            predicted[test.id] = UNSAFE_CODE if keep else SAFE_CODE
+        (suite if keep else rejected).append(test)
     backfilled = 0
     while len(suite) < S:
         suite.append(rejected[backfilled])
         backfilled += 1
 
-    labels = {t.id: pool.execute(t.id)[0] for t in suite}
-    unsafe_ratio = sum(1 for v in labels.values() if v == UNSAFE_CODE) / S
-
-    confusion = None
-    if accepts is not None:
-        y_true, y_pred = [], []
-        kept_ids = {t.id for t in suite[:S - backfilled]}
-        for test in order[:drawn]:
-            truth = (labels[test.id] if test.id in labels
-                     else pool.reveal_post_mortem(test.id))
-            y_true.append(truth)
-            y_pred.append(UNSAFE_CODE if test.id in kept_ids else SAFE_CODE)
-        confusion = confusion_from_predictions(np.array(y_true), np.array(y_pred))
+    labels = [pool.execute(t.id)[0] for t in suite]
+    unsafe_ratio = labels.count(UNSAFE_CODE) / S
 
     return FixResult(
         suite_ids=tuple(t.id for t in suite),
         unsafe_ratio=unsafe_ratio,
-        confusion=confusion,
+        confusion=None if accepts is None else _filter_confusion(pool, predicted),
         drawn=drawn,
         backfilled=backfilled)
 
@@ -265,10 +258,8 @@ def run_reach(pool: TestPool, strategy, N: int, cost_model: CostModel,
     executed = 0
     unsafe_seen = 0
     skipped: list[VisibleTest] = []
-    predictions: dict[str, int] = {}
-    truths: dict[str, int] = {}
+    predicted: dict[str, int] = {}
     accepts = getattr(strategy, "accepts", None)
-    fallback_used = False
 
     def run_one(test: VisibleTest):
         nonlocal executed, unsafe_seen, cost_safe, cost_unsafe
@@ -280,7 +271,6 @@ def run_reach(pool: TestPool, strategy, N: int, cost_model: CostModel,
             cost_unsafe += charge
         else:
             cost_safe += charge
-        truths[test.id] = label
 
     for test in order:
         if unsafe_seen >= N:
@@ -288,36 +278,24 @@ def run_reach(pool: TestPool, strategy, N: int, cost_model: CostModel,
         if accepts is not None:
             pred_cost += cost_model.prediction_s
             keep = accepts(test)
-            predictions[test.id] = UNSAFE_CODE if keep else SAFE_CODE
+            predicted[test.id] = UNSAFE_CODE if keep else SAFE_CODE
             if not keep:
                 skipped.append(test)
                 continue
         run_one(test)
 
-    if unsafe_seen < N:
-        fallback_used = True
-        for test in skipped:
-            if unsafe_seen >= N:
-                break
-            run_one(test)
-
-    confusion = None
-    if accepts is not None:
-        y_true, y_pred = [], []
-        for tid, pred in predictions.items():
-            truth = truths.get(tid)
-            if truth is None:
-                truth = pool.reveal_post_mortem(tid)
-            y_true.append(truth)
-            y_pred.append(pred)
-        confusion = confusion_from_predictions(np.array(y_true), np.array(y_pred))
+    fallback_used = unsafe_seen < N
+    for test in skipped:            # runs only when fallback_used
+        if unsafe_seen >= N:
+            break
+        run_one(test)
 
     return ReachResult(
         executed_count=executed,
         elapsed_cost_safe=cost_safe,
         elapsed_cost_unsafe=cost_unsafe,
         prediction_cost=pred_cost,
-        confusion=confusion,
+        confusion=None if accepts is None else _filter_confusion(pool, predicted),
         fallback_used=fallback_used)
 
 
@@ -375,8 +353,6 @@ class RealTimeConfig:
     driver: DriverConfig = field(default_factory=DriverConfig)
     bounds: GeneratorBounds = field(default_factory=GeneratorBounds)
     geometry: GeometryConfig = field(default_factory=GeometryConfig)
-    wall_clock: bool = False      # charge measured wall time instead of the
-                                  # declared costs; non-deterministic
 
     def __post_init__(self):
         if self.budget_s <= 0.0:
@@ -409,132 +385,96 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
     """Generate-predict-execute loop under a time budget.
 
     Baseline executes everything. Pretrained executes only predicted-unsafe
-    roads. Adaptive starts by executing warmup_n roads unconditionally, then
-    refits after every retrain_every executions, charging retraining time.
-    Rejected roads are executed post-mortem (off the clock) so the full
-    confusion matrix and accuracy are reportable.
+    roads. Adaptive executes its first warmup_n roads, and every road until
+    it has a model, without a prediction; it refits after every
+    retrain_every executions once both classes have been seen. Rejected
+    roads are driven post-mortem, off the clock, so the confusion matrix
+    and accuracy cover every predicted road.
 
-    With the default virtual clock every charge is a declared cost and the
-    run is bit-reproducible; wall_clock=True instead measures the harness
-    operations (generation, prediction, retraining) with real timers.
+    Each step charges its declared cost to a virtual clock: generation,
+    prediction and retraining from cfg.cost, an execution its simulated
+    drive time plus overhead. The run is therefore bit-reproducible.
     """
-    import time as _time
-
-    clock = VirtualClock()
-    # per-road seeds are drawn in doubling blocks; generate_state is
-    # prefix-stable, so road i gets the same seed whatever the block size
-    seed_seq = np.random.SeedSequence(rng_seed)
-    seeds = seed_seq.generate_state(64)
-    seed_i = 0
-
     adaptive = cfg.mode == "adaptive"
     model = cfg.model if cfg.mode == "pretrained" else None
     if adaptive and cfg.warmup_n * (cfg.cost.generation_s + 1.0) > cfg.budget_s:
         raise BudgetTooSmall(
             f"budget {cfg.budget_s}s cannot cover warm-up of {cfg.warmup_n}")
 
-    def timed(category, declared, fn, *args):
-        """Run fn, charging either the declared cost or the measured wall time."""
-        if not cfg.wall_clock:
-            out = fn(*args)
-            clock.charge(category, declared)
-            return out
-        start = _time.perf_counter()
-        out = fn(*args)
-        clock.charge(category, _time.perf_counter() - start)
-        return out
+    clock = VirtualClock()
+    # per-road seeds are drawn in doubling blocks; generate_state is
+    # prefix-stable, so road i gets the same seed whatever the block size
+    seed_seq = np.random.SeedSequence(rng_seed)
+    seeds = seed_seq.generate_state(64)
+
+    def drive(spine) -> tuple[int, float]:
+        outcome = _simulate(spine, cfg.driver, cfg.bounds.lane_width,
+                            keep_trace=False)
+        return (UNSAFE_CODE if outcome.label == UNSAFE else SAFE_CODE,
+                outcome.duration)
 
     X_rows: list[np.ndarray] = []
     y_rows: list[int] = []
     since_retrain = 0
 
-    executed_unsafe = executed_safe = rejected_n = generated = 0
+    executed_unsafe = executed_safe = generated = 0
     predictions: list[int] = []
     truths: list[int] = []
-    rejected_spines: list[tuple] = []          # (spine, predicted)
-
-    def refit():
-        nonlocal model, since_retrain
-        y_arr = np.asarray(y_rows)
-        if len(np.unique(y_arr)) < 2:
-            return
-        X_arr = np.vstack(X_rows)
-        model = timed("retraining",
-                      cfg.cost.retrain_base_s
-                      + cfg.cost.retrain_per_row_s * len(y_arr),
-                      fit, cfg.spec, X_arr, y_arr, FEATURE_NAMES, rng_seed)
-        since_retrain = 0
-
-    def make_road():
-        nonlocal seeds
-        if seed_i == len(seeds):
-            seeds = seed_seq.generate_state(2 * len(seeds))
-        _, spine = generate_road(int(seeds[seed_i]), cfg.bounds, cfg.geometry)
-        segments = segment_spine(spine, cfg.geometry)
-        return spine, features_from_segments(spine, segments)
+    rejected_spines = []                       # predicted safe, not driven
 
     while clock.total < cfg.budget_s:
-        spine, vec = timed("generation", cfg.cost.generation_s, make_road)
-        seed_i += 1
+        if generated == len(seeds):
+            seeds = seed_seq.generate_state(2 * len(seeds))
+        _, spine = generate_road(int(seeds[generated]), cfg.bounds, cfg.geometry)
+        row = features_from_segments(
+            spine, segment_spine(spine, cfg.geometry)).as_array()
+        clock.charge("generation", cfg.cost.generation_s)
         generated += 1
-        row = vec.as_array()
 
-        in_warmup = adaptive and (generated <= cfg.warmup_n or model is None)
-        if cfg.mode == "baseline":
-            execute = True
-            predicted = None
-        elif in_warmup:
-            execute = True
-            predicted = None
+        predicted = None
+        if model is not None and not (adaptive and generated <= cfg.warmup_n):
+            predicted = int(model.predict_matrix(row[None, :])[0])
+            clock.charge("prediction", cfg.cost.prediction_s)
+            if predicted != UNSAFE_CODE:
+                rejected_spines.append(spine)
+                continue
+
+        truth, duration = drive(spine)
+        if truth == UNSAFE_CODE:
+            executed_unsafe += 1
+            clock.charge("execution_unsafe", duration + cfg.cost.overhead_s)
         else:
-            predicted = int(timed("prediction", cfg.cost.prediction_s,
-                                  model.predict_matrix, row[None, :])[0])
-            execute = predicted == UNSAFE_CODE
-
-        if execute:
-            outcome = _simulate(spine, cfg.driver, cfg.bounds.lane_width,
-                                keep_trace=False)
-            truth = UNSAFE_CODE if outcome.label == UNSAFE else SAFE_CODE
-            # execution cost is the simulated drive in either clock mode
-            charge = outcome.duration + cfg.cost.overhead_s
-            if truth == UNSAFE_CODE:
-                executed_unsafe += 1
-                clock.charge("execution_unsafe", charge)
-            else:
-                executed_safe += 1
-                clock.charge("execution_safe", charge)
-            if predicted is not None:
-                predictions.append(predicted)
-                truths.append(truth)
-            if adaptive:
-                X_rows.append(row)
-                y_rows.append(truth)
-                since_retrain += 1
-                if since_retrain >= cfg.retrain_every:
-                    refit()
-        else:
-            rejected_n += 1
-            rejected_spines.append((spine, predicted))
-
-    # post-mortem: drive the rejected tests off the clock for ground truth
-    post_mortem_accuracy = None
-    confusion = None
-    if cfg.mode != "baseline":
-        for spine, predicted in rejected_spines:
-            outcome = _simulate(spine, cfg.driver, cfg.bounds.lane_width,
-                                keep_trace=False)
+            executed_safe += 1
+            clock.charge("execution_safe", duration + cfg.cost.overhead_s)
+        if predicted is not None:
             predictions.append(predicted)
-            truths.append(UNSAFE_CODE if outcome.label == UNSAFE else SAFE_CODE)
-        if predictions:
-            confusion = confusion_from_predictions(
-                np.array(truths), np.array(predictions))
-            tp, fp, tn, fn = confusion
-            post_mortem_accuracy = (tp + tn) / max(tp + fp + tn + fn, 1)
+            truths.append(truth)
+        if adaptive:
+            X_rows.append(row)
+            y_rows.append(truth)
+            since_retrain += 1
+            if since_retrain >= cfg.retrain_every and len(set(y_rows)) == 2:
+                model = fit(cfg.spec, np.vstack(X_rows), np.asarray(y_rows),
+                            FEATURE_NAMES, rng_seed)
+                clock.charge("retraining", cfg.cost.retrain_base_s
+                             + cfg.cost.retrain_per_row_s * len(y_rows))
+                since_retrain = 0
+
+    # post-mortem: drive the rejected roads off the clock for ground truth
+    for spine in rejected_spines:
+        predictions.append(SAFE_CODE)
+        truths.append(drive(spine)[0])
+    confusion = post_mortem_accuracy = None
+    if predictions:
+        confusion = confusion_from_predictions(
+            np.array(truths), np.array(predictions))
+        tp, fp, tn, fn = confusion
+        post_mortem_accuracy = (tp + tn) / max(tp + fp + tn + fn, 1)
 
     return RealTimeResult(
         executed_unsafe=executed_unsafe,
         executed_safe=executed_safe,
-        rejected=rejected_n,
+        rejected=len(rejected_spines),
         generated=generated,
         time_fractions=clock.fractions(),
         confusion=confusion,

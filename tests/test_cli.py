@@ -96,8 +96,10 @@ class TestExtractAndPredict:
                     [int(label == "unsafe") for _, _, label in rows], names, 3)
         model_path = tmp_path / "model.json"
         save_model(model, model_path)
+        def alone(vec):
+            return model.predict_matrix(model.feature_matrix([vec]))[0]
         one_row = ["test_id,predicted"] + [
-            f"{tid},{'unsafe' if model.predict_features(vec) == UNSAFE_CODE else 'safe'}"
+            f"{tid},{'unsafe' if alone(vec) == UNSAFE_CODE else 'safe'}"
             for tid, vec, _ in rows]
         batches = []
         predict_matrix = TrainedClassifier.predict_matrix

@@ -263,7 +263,8 @@ class TestFamilies:
         ds = separable_ds(60)
         model = fit(ClassifierSpec("logistic"), ds.X, ds.y, NAMES2, 0)
         with pytest.raises(FeatureMismatch):
-            model.predict_features({"f0": 1.0, "wrong_name": 2.0})
+            model.predict_matrix(
+                model.feature_matrix([{"f0": 1.0, "wrong_name": 2.0}]))[0]
         with pytest.raises(FeatureMismatch):
             model.predict_matrix(np.zeros((3, 5)))
 
@@ -283,6 +284,51 @@ class TestFamilies:
     def test_hyperparameter_type_must_match_domain(self, family, params):
         with pytest.raises(ValueError, match="not in declared domain"):
             ClassifierSpec(family, params)
+
+
+NAMES18 = tuple(f"f{i}" for i in range(18))
+SCALES18 = np.random.default_rng(20).lognormal(size=18)
+
+
+@pytest.fixture(scope="module")
+def models18():
+    """One model per family on 18 features of unequal scale."""
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(120, 18)) * SCALES18
+    y = (X[:, :3].sum(axis=1) + rng.normal(size=120) > 0).astype(np.int64)
+    small = {"random_forest": {"I": 10}, "gradient_boosting": {"n_estimators": 10}}
+    return [fit(ClassifierSpec(family, small.get(family, {})), X, y, NAMES18, 0)
+            for family in FAMILIES]
+
+
+def onto_linear_boundary(model, X):
+    """X moved along the weights onto a linear model's decision boundary,
+    where the last bits of a score decide its sign."""
+    mean, std = model.standardization
+    w = np.asarray(model.parameters["weights"])
+    Z = (X - mean) / std
+    Z = Z - np.outer(Z @ w + model.parameters["bias"], w / (w @ w))
+    return Z * std + mean
+
+
+class TestBatchIndependence:
+    @settings(max_examples=40)
+    @given(st.integers(1, 400), st.integers(0, 2 ** 32 - 1),
+           st.lists(st.integers(0, 400), max_size=6))
+    def test_any_split_predicts_as_whole(self, models18, n, seed, cuts):
+        X = np.random.default_rng(seed).normal(size=(n, 18)) * SCALES18
+        bounds = sorted({0, n, *(c for c in cuts if c < n)})
+        for model in models18:
+            rows = X
+            if model.spec.family in ("logistic", "linear_svm"):
+                rows = onto_linear_boundary(model, X)
+            whole = model.predict_matrix(rows)
+            parts = [model.predict_matrix(rows[a:b])
+                     for a, b in zip(bounds, bounds[1:])]
+            alone = [model.predict_matrix(rows[i:i + 1]) for i in range(n)]
+            fortran = model.predict_matrix(np.asfortranarray(rows))
+            for other in (np.concatenate(parts), np.concatenate(alone), fortran):
+                assert np.array_equal(other, whole), model.spec.family
 
 
 class TestMetrics:

@@ -9,7 +9,6 @@ from roadsift.oracle import UNSAFE
 from roadsift.selection import (
     BudgetTooSmall,
     CostModel,
-    HiddenLabelError,
     InsufficientClassRows,
     ModelStrategy,
     NTooLarge,
@@ -77,14 +76,6 @@ class TestPoolBuild:
         with pytest.raises(InsufficientClassRows):
             build_pool(moderate_tests, (10_000, 10), rng_seed=0)
 
-    def test_labels_hidden_until_executed(self, moderate_tests):
-        pool = build_pool(moderate_tests, (20, 10), rng_seed=2)
-        some_id = pool.tests[0].id
-        with pytest.raises(HiddenLabelError):
-            pool.peek_guard(some_id)
-        pool.execute(some_id)
-        pool.peek_guard(some_id)
-
     def test_visible_tests_carry_no_labels(self, moderate_tests):
         pool = build_pool(moderate_tests, (20, 10), rng_seed=2)
         visible = pool.tests[0]
@@ -141,7 +132,8 @@ class TestFix:
     def test_model_strategy_predicts_the_pool_once(self, moderate_model,
                                                    pool_6040, monkeypatch):
         model, _ = moderate_model
-        expected = {t.id: model.predict_features(t.features) == UNSAFE_CODE
+        expected = {t.id: model.predict_matrix(
+                        model.feature_matrix([t.features]))[0] == UNSAFE_CODE
                     for t in pool_6040.tests}
         rows = []
         predict_matrix = TrainedClassifier.predict_matrix
@@ -162,6 +154,17 @@ class TestFix:
         res = run_fix(pool_6040, ModelStrategy(model), 30, 7)
         tp, fp, tn, fn = res.confusion
         assert tp + fp + tn + fn == res.drawn
+
+    def test_confusion_reveals_only_the_suite(self, moderate_tests,
+                                              moderate_model):
+        # the confusion reads the truth of rejected draws post-mortem;
+        # only the suite itself is executed
+        model, train_ids = moderate_model
+        pool = build_pool(moderate_tests, (72, 48), rng_seed=5,
+                          exclude_ids=train_ids)
+        res = run_fix(pool, ModelStrategy(model), 30, 7)
+        assert res.drawn > len(res.suite_ids) - res.backfilled
+        assert pool.revealed == set(res.suite_ids)
 
 
 class TestReach:
@@ -191,6 +194,25 @@ class TestReach:
             total += durations[tid] + cost.overhead_s
         assert res.elapsed_cost_safe + res.elapsed_cost_unsafe == pytest.approx(
             total, abs=1e-9)
+
+    def test_confusion_reveals_only_executed(self, moderate_tests,
+                                             moderate_model):
+        model, train_ids = moderate_model
+        pool = build_pool(moderate_tests, (72, 48), rng_seed=5,
+                          exclude_ids=train_ids)
+        executed = []
+        execute = pool.execute
+
+        def recording(test_id):
+            executed.append(test_id)
+            return execute(test_id)
+
+        pool.execute = recording
+        res = run_reach(pool, ModelStrategy(model), 10, CostModel(), 7)
+        tp, fp, tn, fn = res.confusion
+        assert tn + fn > 0                  # some draws were skipped
+        assert len(executed) == res.executed_count
+        assert pool.revealed == set(executed)
 
     def test_precision_law(self, moderate_tests, moderate_model):
         # executed_count concentrates near N / precision
@@ -233,6 +255,8 @@ class TestRealTime:
         assert frac["execution_unsafe"] + frac["execution_safe"] >= 0.90
         assert res.rejected == 0
         assert res.confusion is None
+        assert res.post_mortem_accuracy is None
+        assert res.generated == res.executed_safe + res.executed_unsafe
 
     def test_conservation_and_fraction_sum(self, moderate_model):
         model, _ = moderate_model
@@ -242,6 +266,12 @@ class TestRealTime:
         assert res.generated == (res.executed_unsafe + res.executed_safe
                                  + res.rejected)
         assert sum(res.time_fractions.values()) == pytest.approx(1.0, abs=1e-9)
+        # executed roads are the predicted-unsafe ones, rejected roads the
+        # predicted-safe ones, and every generated road was predicted
+        tp, fp, tn, fn = res.confusion
+        assert tp + fp == res.executed_safe + res.executed_unsafe
+        assert tn + fn == res.rejected > 0
+        assert sum(res.confusion) == res.generated
 
     def test_reproducible(self, moderate_model):
         model, _ = moderate_model
@@ -294,10 +324,3 @@ class TestRealTime:
         assert len(seen) == res.generated > 64
         expected = np.random.SeedSequence(8).generate_state(len(seen))
         assert seen == [int(s) for s in expected]
-
-    def test_wall_clock_mode_runs(self):
-        # non-deterministic by design; just check accounting still closes
-        res = run_realtime(RealTimeConfig(mode="baseline", budget_s=120.0,
-                                          wall_clock=True), rng_seed=6)
-        assert res.generated >= 1
-        assert sum(res.time_fractions.values()) == pytest.approx(1.0, abs=1e-9)
