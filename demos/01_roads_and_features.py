@@ -3,7 +3,7 @@
 segments, and read off the 18 static features.
 
 Run from the repo root:  python demos/01_roads_and_features.py
-Saves road_demo.png next to this script when matplotlib is available.
+Saves road_demo.png in the working directory when matplotlib is available.
 """
 
 from pathlib import Path
@@ -60,7 +60,7 @@ try:
         ax.legend()
     axes[0].set_title("hand-made road")
     axes[1].set_title("generated road (seed 7)")
-    out = Path(__file__).with_name("road_demo.png")
+    out = Path("road_demo.png")
     fig.savefig(out, dpi=110)
     print(f"\nplot saved to {out}")
 except ImportError:

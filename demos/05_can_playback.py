@@ -4,6 +4,7 @@
 Pipeline: simulate a road, resample the trace at 50 Hz, bit-pack each
 mapped signal per the DBC definitions, write the playback CSV, stream the
 binary frames to a file sink, and decode a frame back to physical units.
+Both files are written in the working directory.
 """
 
 from pathlib import Path
@@ -35,11 +36,11 @@ print(f"\ndrove {outcome.duration:.1f} s ({outcome.label}), "
 records = convert_trace(outcome.trace, db, DEFAULT_MAPPING, sample_period_ms=20)
 print(f"converted to {len(records)} playback records at 50 Hz")
 
-out_csv = Path(__file__).with_name("demo.canplayback.csv")
+out_csv = Path("demo.canplayback.csv")
 write_playback_csv(records, out_csv)
 print(f"playback CSV -> {out_csv}")
 
-target = Path(__file__).with_name("demo_frames.bin")
+target = Path("demo_frames.bin")
 sink = open_sink(f"file://{target}")
 report = playback(records, sink)
 sink.close()

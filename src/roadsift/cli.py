@@ -3,8 +3,9 @@
 Subcommands: generate, extract-features, benchmark, grid-search,
 rank-features, predict, experiment, can-convert, can-play. Every subcommand
 accepts --config <json> whose keys are its flags' names, plus the experiment
-keys for experiment (explicit flags win, unknown keys are rejected). Exit
-codes: 0 success, 2 usage or configuration error, 3 runtime failure.
+keys for experiment (explicit flags win; unknown keys are rejected, and so
+are experiment keys the chosen protocol does not read). Exit codes: 0
+success, 2 usage or configuration error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .oracle import (
     UNSAFE,
     DriverConfig,
     GenerationExhausted,
-    GeneratorBounds,
     build_dataset,
     load_dataset,
     save_dataset,
@@ -62,6 +62,17 @@ EXIT_RUNTIME = 3
 
 class ConfigError(Exception):
     pass
+
+
+# the experiment keys each protocol reads; every protocol also reads
+# "protocol", and either "seeds" or --seed with "repetitions"
+PROTOCOL_KEYS = {
+    "fix": ("dataset", "pool", "strategy", "model", "S"),
+    "reach": ("dataset", "pool", "strategy", "model", "N", "overhead_s"),
+    "realtime": ("mode", "budget_s", "model", "warmup_n", "retrain_every",
+                 "rf", "overhead_s"),
+}
+EXPERIMENT_KEYS = frozenset({"protocol", "seeds", "repetitions"}.union(*PROTOCOL_KEYS.values()))
 
 
 def _load_config(path: str | None) -> dict:
@@ -287,10 +298,19 @@ def _aggregate_csv(path: Path, rows: list[dict]) -> None:
 
 def cmd_experiment(args) -> int:
     _require(args, "protocol", "out")
+    if not (isinstance(args.protocol, str) and args.protocol in PROTOCOL_KEYS):
+        raise ConfigError(f"unknown protocol {args.protocol!r}")
+    seeds = getattr(args, "seeds", None)
+    read = {"protocol", *PROTOCOL_KEYS[args.protocol],
+            *(("seed", "repetitions") if seeds is None else ("seeds",))}
+    unread = [k for k in sorted({"seed", *EXPERIMENT_KEYS} - read)
+              if getattr(args, k, None) is not None]
+    if unread:
+        raise ConfigError(f"protocol {args.protocol!r} does not read "
+                          f"{', '.join(map(repr, unread))}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    seeds = getattr(args, "seeds", None)
     if seeds is None:
         _require(args, "seed")
         reps = _optional(args, "repetitions", int, 30)
@@ -329,7 +349,7 @@ def cmd_experiment(args) -> int:
                        "fallback_used": int(res.fallback_used)}
             rows.append(row)
             (out / f"rep_{seed}.json").write_text(json.dumps(row, indent=2) + "\n")
-    elif args.protocol == "realtime":
+    else:
         _require(args, "mode", "budget_s")
         driver = _driver_config(args)
         model = None
@@ -354,8 +374,6 @@ def cmd_experiment(args) -> int:
                 row["post_mortem_accuracy"] = res.post_mortem_accuracy
             rows.append(row)
             (out / f"rep_{seed}.json").write_text(json.dumps(row, indent=2) + "\n")
-    else:
-        raise ConfigError(f"unknown protocol {args.protocol!r}")
 
     _aggregate_csv(out / "aggregate.csv", rows)
     print(f"{args.protocol}: {len(rows)} repetitions -> {out}")
@@ -467,9 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("experiment", cmd_experiment, [
         ("--seed", dict(type=int, default=None)),
         ("--out", dict(default=None)),
-    ], config_only=("protocol", "dataset", "pool", "strategy", "model", "S",
-                    "N", "seeds", "repetitions", "budget_s", "mode",
-                    "warmup_n", "retrain_every", "rf", "overhead_s"))
+    ], config_only=EXPERIMENT_KEYS)
     add("can-convert", cmd_can_convert, [
         ("--simulation", dict(default=None)),
         ("--dbc", dict(default=None)),

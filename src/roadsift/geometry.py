@@ -26,6 +26,8 @@ LEFT_TURN = "left"
 RIGHT_TURN = "right"
 
 _MIN_POINT_SPACING = 1e-9
+LANE_WIDTH = 4.0      # m, lane of every generated road
+MAP_SIZE = 500.0      # m, side of the square map
 
 
 class DegenerateRoad(ValueError):
@@ -54,8 +56,8 @@ class RoadPoints:
     """
 
     points: tuple[tuple[float, float], ...]
-    lane_width: float = 4.0
-    map_size: float = 500.0
+    lane_width: float = LANE_WIDTH
+    map_size: float = MAP_SIZE
 
     def __post_init__(self):
         pts = [(float(x), float(y)) for x, y in self.points]
@@ -286,7 +288,7 @@ def road_from_json(obj: dict) -> RoadPoints:
     return RoadPoints(
         points=tuple((p[0], p[1]) for p in obj["road_points"]),
         lane_width=float(obj["lane_width"]),
-        map_size=float(obj.get("map_size", 500.0)))
+        map_size=float(obj.get("map_size", MAP_SIZE)))
 
 
 def load_road(path: str | Path) -> tuple[str, RoadPoints]:

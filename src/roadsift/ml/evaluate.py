@@ -57,14 +57,12 @@ class LabeledDataset:
 
 
 def dataset_from_tests(tests) -> LabeledDataset:
-    """Build the matrix view from fully labelled TestCase records."""
+    """Build the matrix view from labelled TestCase records."""
     from ..features import FEATURE_NAMES
     from ..oracle import UNSAFE
 
     rows, labels, ids = [], [], []
     for tc in tests:
-        if tc.features is None or tc.outcome is None:
-            raise ValueError(f"test {tc.id} lacks features or outcome")
         rows.append(tc.features.as_array())
         labels.append(UNSAFE_CODE if tc.outcome.label == UNSAFE else SAFE_CODE)
         ids.append(tc.id)

@@ -18,12 +18,13 @@ import math
 from dataclasses import dataclass, fields
 from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .features import FeatureVector, features_from_segments
 from .geometry import (
-    GeometryConfig,
+    MAP_SIZE,
     RoadPoints,
     RoadSpine,
     SelfIntersecting,
@@ -52,20 +53,21 @@ class DriveTimeout(RuntimeError):
 @dataclass(frozen=True)
 class DriverConfig:
     mu: float = 0.8                 # static friction coefficient
-    g: float = 9.81                 # m/s^2
     risk_factor: float = 1.5        # cornering-speed multiplier
     v_max: float = 30.0             # m/s
-    a_accel: float = 3.0            # m/s^2
     a_brake: float = 6.0            # m/s^2
-    lookahead: float = 3.0          # m, base pursuit distance (shrunk by rf)
     timestep: float = 0.05          # s
     oob_fraction: float = 0.5       # vehicle-width fraction outside = failure
-    vehicle_width: float = 2.0      # m
-    wheelbase: float = 2.5          # m
-    max_steer: float = 0.7          # rad
-    max_steer_rate: float = 0.18    # rad/s, wheel swing limit
-    speed_gain: float = 0.35        # s, speed-proportional lookahead growth
-    grip_margin: float = 2.3        # executed lateral grip = margin * mu * g
+    # constants of the simulated vehicle, the same in every experiment
+    g: ClassVar[float] = 9.81                 # m/s^2
+    a_accel: ClassVar[float] = 3.0            # m/s^2
+    lookahead: ClassVar[float] = 3.0          # m, base pursuit distance (shrunk by rf)
+    vehicle_width: ClassVar[float] = 2.0      # m
+    wheelbase: ClassVar[float] = 2.5          # m
+    max_steer: ClassVar[float] = 0.7          # rad
+    max_steer_rate: ClassVar[float] = 0.18    # rad/s, wheel swing limit
+    speed_gain: ClassVar[float] = 0.35        # s, speed-proportional lookahead growth
+    grip_margin: ClassVar[float] = 2.3        # executed lateral grip = margin * mu * g
 
     def __post_init__(self):
         if not 0.0 < self.mu <= 2.0:
@@ -112,8 +114,8 @@ class TestCase:
     __test__ = False              # not a pytest class despite the name
     id: str
     road: RoadPoints
-    features: FeatureVector | None = None
-    outcome: TestOutcome | None = None
+    features: FeatureVector
+    outcome: TestOutcome
 
 
 def safe_speed(radius: float, cfg: DriverConfig) -> float:
@@ -286,11 +288,9 @@ def _simulate(spine: RoadSpine, cfg: DriverConfig, lane_width: float,
         trace=tuple(trace))
 
 
-def simulate_drive(road: RoadPoints, cfg: DriverConfig,
-                   geometry: GeometryConfig | None = None) -> TestOutcome:
+def simulate_drive(road: RoadPoints, cfg: DriverConfig) -> TestOutcome:
     """Drive the road once and return the verdict with its state trace."""
-    geo = geometry or GeometryConfig()
-    spine = interpolate_spine(road, geo)
+    spine = interpolate_spine(road)
     if self_intersects(spine, road.lane_width):
         raise SelfIntersecting("cannot drive a self-intersecting road")
     return _simulate(spine, cfg, road.lane_width)
@@ -298,24 +298,23 @@ def simulate_drive(road: RoadPoints, cfg: DriverConfig,
 
 @dataclass(frozen=True)
 class GeneratorBounds:
-    min_primitives: int = 2
-    max_primitives: int = 12
-    straight_range: tuple[float, float] = (20.0, 100.0)
+    length_range: tuple[float, float] = (55.0, 3300.0)
+    max_attempts: int = 1000
+    # constants: the primitives every road is chained from
+    min_primitives: ClassVar[int] = 2
+    max_primitives: ClassVar[int] = 12
+    straight_range: ClassVar[tuple[float, float]] = (20.0, 100.0)
     # primitive radii; spline blending inflates the measured segment radius,
     # so the cap sits below the 47 m the feature tables are allowed to reach
-    radius_range: tuple[float, float] = (7.0, 33.0)
-    angle_range: tuple[float, float] = (15.0, 270.0)   # degrees
-    length_range: tuple[float, float] = (55.0, 3300.0)
-    map_size: float = 500.0
-    lane_width: float = 4.0
-    margin: float = 8.0              # keep control points away from the edge
-    max_attempts: int = 1000
+    radius_range: ClassVar[tuple[float, float]] = (7.0, 33.0)
+    angle_range: ClassVar[tuple[float, float]] = (15.0, 270.0)   # degrees
+    margin: ClassVar[float] = 8.0    # keep control points away from the edge
 
 
 def _candidate_points(rng: np.random.Generator, bounds: GeneratorBounds) -> list[tuple[float, float]]:
     n_prim = int(rng.integers(bounds.min_primitives, bounds.max_primitives + 1))
-    x = bounds.map_size * float(rng.uniform(0.35, 0.65))
-    y = bounds.map_size * float(rng.uniform(0.35, 0.65))
+    x = MAP_SIZE * float(rng.uniform(0.35, 0.65))
+    y = MAP_SIZE * float(rng.uniform(0.35, 0.65))
     heading = float(rng.uniform(-math.pi, math.pi))
     pts = [(x, y)]
 
@@ -349,17 +348,16 @@ def _candidate_points(rng: np.random.Generator, bounds: GeneratorBounds) -> list
     return pts
 
 
-def generate_road(rng_seed: int, bounds: GeneratorBounds | None = None,
-                  geometry: GeometryConfig | None = None) -> tuple[RoadPoints, RoadSpine]:
+def generate_road(rng_seed: int, bounds: GeneratorBounds | None = None
+                  ) -> tuple[RoadPoints, RoadSpine]:
     """Sample a valid random road: chained straight/arc primitives, rejected
     until in-map, non-self-intersecting, and inside the length bounds.
 
     Returns the road together with the spine it was accepted on, so callers
     do not interpolate it again."""
     b = bounds or GeneratorBounds()
-    geo = geometry or GeometryConfig()
     rng = np.random.default_rng(rng_seed)
-    lo, hi = b.margin, b.map_size - b.margin
+    lo, hi = b.margin, MAP_SIZE - b.margin
 
     for _ in range(b.max_attempts):
         pts = _candidate_points(rng, b)
@@ -367,12 +365,11 @@ def generate_road(rng_seed: int, bounds: GeneratorBounds | None = None,
             continue
         if not all(lo <= px <= hi and lo <= py <= hi for px, py in pts):
             continue
-        road = RoadPoints(points=tuple(pts), lane_width=b.lane_width,
-                          map_size=b.map_size)
-        spine = interpolate_spine(road, geo)
+        road = RoadPoints(points=tuple(pts))
+        spine = interpolate_spine(road)
         if not b.length_range[0] <= spine.total_length <= b.length_range[1]:
             continue
-        if self_intersects(spine, b.lane_width):
+        if self_intersects(spine, road.lane_width):
             continue
         return road, spine
     raise GenerationExhausted(
@@ -380,21 +377,17 @@ def generate_road(rng_seed: int, bounds: GeneratorBounds | None = None,
 
 
 def build_dataset(n: int, cfg: DriverConfig, rng_seed: int,
-                  bounds: GeneratorBounds | None = None,
-                  geometry: GeometryConfig | None = None,
                   keep_traces: bool = True) -> list[TestCase]:
     """Generate, feature-extract, and label n tests. Deterministic in the
     seed; per-road seeds come from a spawned sequence so test i does not
     depend on n."""
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")
-    geo = geometry or GeometryConfig()
-    b = bounds or GeneratorBounds()
     seeds = np.random.SeedSequence(rng_seed).generate_state(2 * n)
     tests = []
     for i in range(n):
-        road, spine = generate_road(int(seeds[2 * i]), b, geo)
-        segments = segment_spine(spine, geo)
+        road, spine = generate_road(int(seeds[2 * i]))
+        segments = segment_spine(spine)
         vec = features_from_segments(spine, segments)
         outcome = _simulate(spine, cfg, road.lane_width, keep_trace=keep_traces)
         tests.append(TestCase(id=f"test_{i:05d}", road=road,
@@ -403,10 +396,7 @@ def build_dataset(n: int, cfg: DriverConfig, rng_seed: int,
 
 
 def unsafe_fraction(tests: list[TestCase]) -> float:
-    labelled = [t for t in tests if t.outcome is not None]
-    if not labelled:
-        return 0.0
-    return sum(1 for t in labelled if t.outcome.label == UNSAFE) / len(labelled)
+    return sum(1 for t in tests if t.outcome.label == UNSAFE) / max(len(tests), 1)
 
 
 def save_dataset(path: str | Path, tests: list[TestCase]) -> None:
@@ -414,8 +404,6 @@ def save_dataset(path: str | Path, tests: list[TestCase]) -> None:
     state_values = attrgetter(*TRACE_KEYS)
     rows = []
     for tc in tests:
-        if tc.features is None or tc.outcome is None:
-            raise ValueError(f"test {tc.id} is not fully labelled")
         rows.append({
             "id": tc.id,
             "road_points": [[x, y] for x, y in tc.road.points],

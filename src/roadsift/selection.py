@@ -16,17 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .features import FEATURE_NAMES
-from .geometry import GeometryConfig
 from .ml.evaluate import confusion_from_predictions
 from .ml.models import SAFE_CODE, UNSAFE_CODE, ClassifierSpec, TrainedClassifier, fit
 from .oracle import (
     UNSAFE,
     DriverConfig,
-    GeneratorBounds,
     TestCase,
     generate_road,
     interpolate_spine,  # unused here; perfbench/tracer.py wraps it under this name
@@ -70,8 +69,6 @@ class TestPool:
         self._durations = {}
         self.revealed: set[str] = set()
         for tc in tests:
-            if tc.features is None or tc.outcome is None:
-                raise ValueError(f"pool test {tc.id} is not labelled")
             self._visible.append(VisibleTest(tc.id, tc.features.as_dict()))
             self._labels[tc.id] = UNSAFE_CODE if tc.outcome.label == UNSAFE else SAFE_CODE
             self._durations[tc.id] = tc.outcome.duration
@@ -227,10 +224,11 @@ def run_fix(pool: TestPool, strategy, S: int, rng_seed: int) -> FixResult:
 @dataclass(frozen=True)
 class CostModel:
     overhead_s: float = 10.0        # fixed per-execution harness cost
-    generation_s: float = 0.2       # per generated road (incl. features)
-    prediction_s: float = 0.01      # per model call
-    retrain_base_s: float = 0.1     # adaptive refit, plus per-row term
-    retrain_per_row_s: float = 1e-4
+    # constants, the same in every experiment
+    generation_s: ClassVar[float] = 0.2       # per generated road (incl. features)
+    prediction_s: ClassVar[float] = 0.01      # per model call
+    retrain_base_s: ClassVar[float] = 0.1     # adaptive refit, plus per-row term
+    retrain_per_row_s: ClassVar[float] = 1e-4
 
 
 @dataclass(frozen=True)
@@ -351,8 +349,6 @@ class RealTimeConfig:
     retrain_every: int = 1
     cost: CostModel = field(default_factory=CostModel)
     driver: DriverConfig = field(default_factory=DriverConfig)
-    bounds: GeneratorBounds = field(default_factory=GeneratorBounds)
-    geometry: GeometryConfig = field(default_factory=GeometryConfig)
 
     def __post_init__(self):
         if self.budget_s <= 0.0:
@@ -407,8 +403,8 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
     seed_seq = np.random.SeedSequence(rng_seed)
     seeds = seed_seq.generate_state(64)
 
-    def drive(spine) -> tuple[int, float]:
-        outcome = _simulate(spine, cfg.driver, cfg.bounds.lane_width,
+    def drive(road, spine) -> tuple[int, float]:
+        outcome = _simulate(spine, cfg.driver, road.lane_width,
                             keep_trace=False)
         return (UNSAFE_CODE if outcome.label == UNSAFE else SAFE_CODE,
                 outcome.duration)
@@ -420,14 +416,13 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
     executed_unsafe = executed_safe = generated = 0
     predictions: list[int] = []
     truths: list[int] = []
-    rejected_spines = []                       # predicted safe, not driven
+    rejected = []                    # (road, spine) predicted safe, not driven
 
     while clock.total < cfg.budget_s:
         if generated == len(seeds):
             seeds = seed_seq.generate_state(2 * len(seeds))
-        _, spine = generate_road(int(seeds[generated]), cfg.bounds, cfg.geometry)
-        row = features_from_segments(
-            spine, segment_spine(spine, cfg.geometry)).as_array()
+        road, spine = generate_road(int(seeds[generated]))
+        row = features_from_segments(spine, segment_spine(spine)).as_array()
         clock.charge("generation", cfg.cost.generation_s)
         generated += 1
 
@@ -436,10 +431,10 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
             predicted = int(model.predict_matrix(row[None, :])[0])
             clock.charge("prediction", cfg.cost.prediction_s)
             if predicted != UNSAFE_CODE:
-                rejected_spines.append(spine)
+                rejected.append((road, spine))
                 continue
 
-        truth, duration = drive(spine)
+        truth, duration = drive(road, spine)
         if truth == UNSAFE_CODE:
             executed_unsafe += 1
             clock.charge("execution_unsafe", duration + cfg.cost.overhead_s)
@@ -461,9 +456,9 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
                 since_retrain = 0
 
     # post-mortem: drive the rejected roads off the clock for ground truth
-    for spine in rejected_spines:
+    for road, spine in rejected:
         predictions.append(SAFE_CODE)
-        truths.append(drive(spine)[0])
+        truths.append(drive(road, spine)[0])
     confusion = post_mortem_accuracy = None
     if predictions:
         confusion = confusion_from_predictions(
@@ -474,7 +469,7 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
     return RealTimeResult(
         executed_unsafe=executed_unsafe,
         executed_safe=executed_safe,
-        rejected=len(rejected_spines),
+        rejected=len(rejected),
         generated=generated,
         time_fractions=clock.fractions(),
         confusion=confusion,

@@ -336,6 +336,35 @@ class TestExperiment:
         assert sum(fractions) == pytest.approx(1.0, abs=1e-9)
 
 
+    @pytest.mark.parametrize("protocol, extra, flags, key", [
+        ("fix", {"budget_s": 100.0}, [], "budget_s"),
+        ("fix", {"overhead_s": 5.0}, [], "overhead_s"),
+        ("reach", {"S": 6}, [], "S"),
+        ("realtime", {"dataset": "sim.json"}, [], "dataset"),
+        ("realtime", {"pool": {"safe": 8, "unsafe": 4}}, [], "pool"),
+        ("realtime", {"strategy": "random"}, [], "strategy"),
+        ("fix", {}, ["--seed", "1"], "seed"),
+        ("fix", {"repetitions": 2}, [], "repetitions"),
+    ])
+    def test_key_the_protocol_does_not_read_is_config_error(
+            self, run_dir, tmp_path, capsys, protocol, extra, flags, key):
+        sim = str(run_dir / "simulation.full.json")
+        base = {
+            "fix": {"dataset": sim, "pool": {"safe": 8, "unsafe": 4},
+                    "strategy": "random", "S": 6},
+            "reach": {"dataset": sim, "pool": {"safe": 8, "unsafe": 4},
+                      "strategy": "random", "N": 2},
+            "realtime": {"mode": "baseline", "budget_s": 100.0},
+        }[protocol]
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"protocol": protocol, "seeds": [1],
+                                   **base, **extra}))
+        capsys.readouterr()
+        assert main(["experiment", "--config", str(cfg), *flags,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+
 
 @pytest.mark.parametrize("case", ["pool_without_unsafe", "seeds_not_a_list",
                                   "mapping_without_signal",

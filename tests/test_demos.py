@@ -1,7 +1,6 @@
 """Each demo script runs to completion against the package in src/."""
 
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +13,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # a copy, so the files a demo writes beside itself land in tmp_path
-    script = shutil.copy(demo, tmp_path)
+    # run in place: a demo writes into its working directory, not beside itself
+    before = set((ROOT / "demos").rglob("*"))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, script], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
+    assert set((ROOT / "demos").rglob("*")) == before
