@@ -69,8 +69,7 @@ print(f"  model run cost-effectiveness: {ce.ratio:.2f} "
 print("\nreal-time (2500 s virtual budget):")
 for mode, extra in [("baseline", {}),
                     ("pretrained", {"model": model}),
-                    ("adaptive", {"spec": ClassifierSpec("logistic"),
-                                  "warmup_n": 30})]:
+                    ("adaptive", {"warmup_n": 30})]:
     cfg = RealTimeConfig(mode=mode, budget_s=2500.0, **extra)
     res = run_realtime(cfg, rng_seed=13)
     frac = res.time_fractions

@@ -22,6 +22,7 @@ import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .oracle import TRACE_KEYS
 
@@ -301,17 +302,11 @@ DEFAULT_MAPPING = SignalMapping(entries=(
 ))
 
 
-@dataclass(frozen=True)
-class PlaybackRecord:
+class PlaybackRecord(NamedTuple):
     timestamp_ms: int
     can_id: int
     dlc: int
-    data: bytes
-
-    def __post_init__(self):
-        if len(self.data) != self.dlc:
-            raise ValueError(
-                f"data length {len(self.data)} != dlc {self.dlc}")
+    data: bytes             # dlc bytes; the readers of outside input check it
 
 
 def _compile(db: CanDatabase, mapping: SignalMapping) -> list[tuple]:
@@ -476,13 +471,17 @@ def playback(records: list[PlaybackRecord], sink,
 
 
 def read_frames(blob: bytes) -> list[PlaybackRecord]:
-    """Inverse of the wire framing, for round-trip checks."""
+    """Inverse of the wire framing, for round-trip checks. A frame cut inside
+    its 9-byte header or its payload is a ValueError naming its offset."""
     records = []
     offset = 0
     while offset < len(blob):
+        left = len(blob) - offset
+        size = 9 + blob[offset + 8] if left >= 9 else 9
+        if left < size:
+            raise ValueError(f"frame at byte {offset} cut after {left} of "
+                             f"{size} bytes")
         ts, can_id, dlc = struct.unpack_from("<IIB", blob, offset)
-        offset += 9
-        data = blob[offset:offset + dlc]
-        offset += dlc
-        records.append(PlaybackRecord(ts, can_id, dlc, data))
+        records.append(PlaybackRecord(ts, can_id, dlc, blob[offset + 9:offset + size]))
+        offset += size
     return records

@@ -3,8 +3,9 @@
 Subcommands: generate, extract-features, benchmark, grid-search,
 rank-features, predict, experiment, can-convert, can-play. Every subcommand
 accepts --config <json> whose keys are its flags' names, plus the experiment
-keys for experiment (explicit flags win; unknown keys are rejected, and so
-are experiment keys the chosen protocol does not read). Exit codes: 0
+keys for experiment, each value parsed like its flag (explicit flags win;
+unknown keys are rejected, and so are experiment keys the run does not
+read). A setting not given takes the library's default. Exit codes: 0
 success, 2 usage or configuration error, 3 runtime failure.
 """
 
@@ -20,7 +21,6 @@ import numpy as np
 
 from . import canbus, selection
 from .features import (
-    FEATURE_NAMES,
     extract_features,
     read_feature_csv,
     write_feature_csv,
@@ -29,12 +29,10 @@ from .geometry import load_road, save_road
 from .ml import (
     FAMILIES,
     ClassifierSpec,
-    CorruptModelFile,
-    FeatureMismatch,
     LabeledDataset,
-    SingleClassDataset,
     UNSAFE_CODE,
     canonical_form,
+    dataset_from_rows,
     fit,
     grid_search,
     kfold_evaluate,
@@ -48,7 +46,6 @@ from .oracle import (
     SAFE,
     UNSAFE,
     DriverConfig,
-    GenerationExhausted,
     build_dataset,
     load_dataset,
     save_dataset,
@@ -72,7 +69,21 @@ PROTOCOL_KEYS = {
     "realtime": ("mode", "budget_s", "model", "warmup_n", "retrain_every",
                  "rf", "overhead_s"),
 }
-EXPERIMENT_KEYS = frozenset({"protocol", "seeds", "repetitions"}.union(*PROTOCOL_KEYS.values()))
+# keys read only when the run's "mode" (realtime) or "strategy" (fix, reach)
+# is one of these
+READ_ONLY_WITH = {"model": ("pretrained", "model"),
+                  "warmup_n": ("adaptive",), "retrain_every": ("adaptive",)}
+# each experiment key's (type, choices), as a flag declares them; type None
+# takes the JSON value as it is
+EXPERIMENT_KEYS = {
+    "protocol": (str, tuple(PROTOCOL_KEYS)), "seeds": (None, None),
+    "repetitions": (int, None), "dataset": (str, None), "pool": (None, None),
+    "strategy": (str, ("random", "road_length", "model")), "model": (str, None),
+    "S": (int, None), "N": (int, None), "overhead_s": (float, None),
+    "mode": (str, selection.RealTimeConfig.MODES), "budget_s": (float, None),
+    "warmup_n": (int, None), "retrain_every": (int, None), "rf": (float, None),
+}
+K_FOLDS = 10            # --k when not given; the library has no default
 
 
 def _load_config(path: str | None) -> dict:
@@ -87,14 +98,29 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
-def _resolve(args, config: dict, allowed: set[str]):
-    """Merge config-file values under explicit CLI flags; reject unknown keys."""
-    unknown = set(config) - allowed
+def _resolve(args, config: dict, keys: dict):
+    """Merge config-file values under explicit CLI flags; reject unknown
+    keys. With keys[key] = (type, choices), a value is parsed like its flag:
+    the type applied to its text (bool, a switch, takes a JSON boolean; None
+    any JSON value), then checked against the choices. Null is not given."""
+    unknown = set(config) - set(keys)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, value in config.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+        if getattr(args, key) is not None or value is None:
+            continue
+        kind, choices = keys[key]
+        try:
+            if kind is bool and not isinstance(value, bool):
+                raise ValueError
+            parsed = value if kind in (bool, None) else kind(str(value))
+        except ValueError:
+            raise ConfigError(f"config key {key!r}: invalid {kind.__name__} "
+                              f"value: {value!r}") from None
+        if choices is not None and parsed not in choices:
+            raise ConfigError(f"config key {key!r}: invalid choice: {parsed!r} "
+                              f"(choose from {', '.join(map(repr, choices))})")
+        setattr(args, key, parsed)
     return args
 
 
@@ -104,11 +130,12 @@ def _require(args, *names):
             raise ConfigError(f"--{name.replace('_', '-')} is required")
 
 
-def _optional(args, name, cast, default):
-    """The value of an optional setting, cast; default only when unset, so
-    an explicit 0 is kept."""
-    value = getattr(args, name, None)
-    return default if value is None else cast(value)
+def _given(args, *names, **renamed) -> dict:
+    """Keyword arguments for the settings the user gave, by their own name or
+    renamed (parameter="setting"); the library's defaults stand for the rest."""
+    pairs = [*zip(names, names), *renamed.items()]
+    return {param: getattr(args, name) for param, name in pairs
+            if getattr(args, name) is not None}
 
 
 def _labelled_dataset_from_csv(path: str) -> LabeledDataset:
@@ -118,21 +145,7 @@ def _labelled_dataset_from_csv(path: str) -> LabeledDataset:
         raise ConfigError(
             f"{len(unlabelled)} rows without a label in {path} "
             f"(first: {unlabelled[0]})")
-    X = np.array([vec.as_array() for _, vec, _ in rows])
-    y = np.array([1 if label == UNSAFE else 0 for _, _, label in rows])
-    ids = tuple(tid for tid, _, _ in rows)
-    return LabeledDataset(X, y, FEATURE_NAMES, ids)
-
-
-def _driver_config(args) -> DriverConfig:
-    kw = {}
-    if getattr(args, "rf", None) is not None:
-        kw["risk_factor"] = float(args.rf)
-    if getattr(args, "mu", None) is not None:
-        kw["mu"] = float(args.mu)
-    if getattr(args, "oob", None) is not None:
-        kw["oob_fraction"] = float(args.oob)
-    return DriverConfig(**kw)
+    return dataset_from_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -140,23 +153,21 @@ def _driver_config(args) -> DriverConfig:
 
 def cmd_generate(args) -> int:
     _require(args, "n", "seed", "out")
-    n = int(args.n)
-    if n < 1:
-        raise ConfigError(f"-n must be >= 1, got {n}")
-    cfg = _driver_config(args)
+    if args.n < 1:
+        raise ConfigError(f"-n must be >= 1, got {args.n}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "roads").mkdir(exist_ok=True)
 
-    keep = True if args.keep_traces is None else bool(args.keep_traces)
-    tests = build_dataset(n, cfg, int(args.seed), keep_traces=keep)
+    driver = DriverConfig(**_given(args, "mu", risk_factor="rf", oob_fraction="oob"))
+    tests = build_dataset(args.n, driver, args.seed, **_given(args, "keep_traces"))
     for tc in tests:
         save_road(out / "roads" / f"{tc.id}.json", tc.id, tc.road)
     save_dataset(out / "simulation.full.json", tests)
     write_feature_csv(
         out / "features.csv",
         [(tc.id, tc.features, tc.outcome.label) for tc in tests])
-    print(f"generated {n} tests, unsafe fraction "
+    print(f"generated {args.n} tests, unsafe fraction "
           f"{unsafe_fraction(tests):.3f}, artifacts in {out}")
     return EXIT_OK
 
@@ -181,7 +192,7 @@ def cmd_extract_features(args) -> int:
 def cmd_benchmark(args) -> int:
     _require(args, "features", "seed", "out")
     ds = _labelled_dataset_from_csv(args.features)
-    k = _optional(args, "k", int, 10)
+    k = K_FOLDS if args.k is None else args.k
     families = list(FAMILIES) if args.models in (None, "all") \
         else [f.strip() for f in args.models.split(",")]
     for fam in families:
@@ -192,7 +203,7 @@ def cmd_benchmark(args) -> int:
 
     best = None
     for fam in families:
-        report = kfold_evaluate(ds, ClassifierSpec(fam), k, int(args.seed))
+        report = kfold_evaluate(ds, ClassifierSpec(fam), k, args.seed)
         (out / f"{fam}.report.json").write_text(
             json.dumps(report.as_dict(), indent=2) + "\n")
         print(f"{fam}: weighted F1 {report.weighted_avg_f1:.3f} "
@@ -201,9 +212,9 @@ def cmd_benchmark(args) -> int:
             best = (fam, report.weighted_avg_f1)
 
     fam = best[0]
-    train = oversample_minority(ds, int(args.seed))
+    train = oversample_minority(ds, args.seed)
     model = fit(ClassifierSpec(fam), train.X, train.y, ds.feature_names,
-                rng_seed=int(args.seed))
+                rng_seed=args.seed)
     save_model(model, out / "best_model.json")
     print(f"best model: {fam} -> {out / 'best_model.json'}")
     return EXIT_OK
@@ -211,11 +222,9 @@ def cmd_benchmark(args) -> int:
 
 def cmd_grid_search(args) -> int:
     _require(args, "family", "features", "seed", "out")
-    if args.family not in FAMILIES:
-        raise ConfigError(f"unknown model family {args.family!r}")
     ds = _labelled_dataset_from_csv(args.features)
-    k = _optional(args, "k", int, 10)
-    cells = grid_search(args.family, ds, k, int(args.seed))
+    k = K_FOLDS if args.k is None else args.k
+    cells = grid_search(args.family, ds, k, args.seed)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "status", "weighted_avg_f1", "parameters"])
@@ -274,18 +283,6 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _strategy_from_name(name: str, model_path: str | None):
-    if name == "random":
-        return selection.RandomStrategy()
-    if name == "road_length":
-        return selection.RoadLengthStrategy()
-    if name == "model":
-        if model_path is None:
-            raise ConfigError("strategy 'model' needs a model path")
-        return selection.ModelStrategy(load_model(model_path))
-    raise ConfigError(f"unknown strategy {name!r}")
-
-
 def _aggregate_csv(path: Path, rows: list[dict]) -> None:
     keys = sorted({k for row in rows for k in row if isinstance(row[k], (int, float))})
     with open(path, "w", newline="") as fh:
@@ -298,51 +295,55 @@ def _aggregate_csv(path: Path, rows: list[dict]) -> None:
 
 def cmd_experiment(args) -> int:
     _require(args, "protocol", "out")
-    if not (isinstance(args.protocol, str) and args.protocol in PROTOCOL_KEYS):
-        raise ConfigError(f"unknown protocol {args.protocol!r}")
-    seeds = getattr(args, "seeds", None)
-    read = {"protocol", *PROTOCOL_KEYS[args.protocol],
-            *(("seed", "repetitions") if seeds is None else ("seeds",))}
+    selector = "mode" if args.protocol == "realtime" else "strategy"
+    _require(args, selector)
+    choice = getattr(args, selector)
+    seeds = args.seeds
+    read = {"protocol", *(("seed", "repetitions") if seeds is None else ("seeds",)),
+            *(k for k in PROTOCOL_KEYS[args.protocol]
+              if k not in READ_ONLY_WITH or choice in READ_ONLY_WITH[k])}
     unread = [k for k in sorted({"seed", *EXPERIMENT_KEYS} - read)
-              if getattr(args, k, None) is not None]
+              if getattr(args, k) is not None]
     if unread:
-        raise ConfigError(f"protocol {args.protocol!r} does not read "
-                          f"{', '.join(map(repr, unread))}")
+        raise ConfigError(f"protocol {args.protocol!r} with {selector} "
+                          f"{choice!r} does not read {', '.join(map(repr, unread))}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     if seeds is None:
         _require(args, "seed")
-        reps = _optional(args, "repetitions", int, 30)
+        reps = 30 if args.repetitions is None else args.repetitions
         if reps < 1:
             raise ConfigError(f"repetitions must be >= 1, got {reps}")
-        seeds = [int(args.seed) + i for i in range(reps)]
+        seeds = [args.seed + i for i in range(reps)]
     elif not (isinstance(seeds, list)
-              and all(isinstance(seed, int) for seed in seeds)):
+              and all(type(seed) is int for seed in seeds)):
         raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
-    cost = selection.CostModel(
-        overhead_s=_optional(args, "overhead_s", float, 10.0))
+    cost = selection.CostModel(**_given(args, "overhead_s"))
 
     rows = []
     if args.protocol in ("fix", "reach"):
-        _require(args, "dataset", "pool", "strategy")
+        _require(args, "dataset", "pool", "S" if args.protocol == "fix" else "N")
         pool_cfg = args.pool
         if not (isinstance(pool_cfg, dict) and pool_cfg.keys() >= {"safe", "unsafe"}):
             raise ConfigError('pool must be an object with "safe" and "unsafe" '
                               f"counts, got {pool_cfg!r}")
         tests = load_dataset(args.dataset, keep_traces=False)
-        strategy = _strategy_from_name(args.strategy, getattr(args, "model", None))
+        if args.strategy == "model":
+            _require(args, "model")
+            strategy = selection.ModelStrategy(load_model(args.model))
+        else:
+            strategy = {"random": selection.RandomStrategy,
+                        "road_length": selection.RoadLengthStrategy}[args.strategy]()
         for seed in seeds:
             pool = selection.build_pool(
                 tests, (int(pool_cfg["safe"]), int(pool_cfg["unsafe"])), seed)
             if args.protocol == "fix":
-                _require(args, "S")
-                res = selection.run_fix(pool, strategy, int(args.S), seed)
+                res = selection.run_fix(pool, strategy, args.S, seed)
                 row = {"seed": seed, "unsafe_ratio": res.unsafe_ratio,
                        "drawn": res.drawn, "backfilled": res.backfilled}
             else:
-                _require(args, "N")
-                res = selection.run_reach(pool, strategy, int(args.N), cost, seed)
+                res = selection.run_reach(pool, strategy, args.N, cost, seed)
                 row = {"seed": seed, "executed_count": res.executed_count,
                        "elapsed_cost_safe": res.elapsed_cost_safe,
                        "elapsed_cost_unsafe": res.elapsed_cost_unsafe,
@@ -350,20 +351,12 @@ def cmd_experiment(args) -> int:
             rows.append(row)
             (out / f"rep_{seed}.json").write_text(json.dumps(row, indent=2) + "\n")
     else:
-        _require(args, "mode", "budget_s")
-        driver = _driver_config(args)
-        model = None
-        spec = None
-        if args.mode == "pretrained":
-            _require(args, "model")
-            model = load_model(args.model)
-        elif args.mode == "adaptive":
-            spec = ClassifierSpec("logistic")
+        _require(args, "budget_s")
         cfg = selection.RealTimeConfig(
-            mode=args.mode, budget_s=float(args.budget_s), model=model,
-            spec=spec, warmup_n=_optional(args, "warmup_n", int, 60),
-            retrain_every=_optional(args, "retrain_every", int, 1),
-            cost=cost, driver=driver)
+            mode=args.mode, budget_s=args.budget_s,
+            model=None if args.model is None else load_model(args.model),
+            cost=cost, driver=DriverConfig(**_given(args, risk_factor="rf")),
+            **_given(args, "warmup_n", "retrain_every"))
         for seed in seeds:
             res = selection.run_realtime(cfg, seed)
             row = {"seed": seed, "executed_unsafe": res.executed_unsafe,
@@ -395,7 +388,7 @@ def cmd_can_convert(args) -> int:
         mapping = canbus.SignalMapping(entries=tuple(
             (e["field"], e["message"], e["signal"], float(e["factor"]))
             for e in entries))
-    period = _optional(args, "period_ms", int, 20)
+    period = _given(args, sample_period_ms="period_ms")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tests = load_dataset(args.simulation)
@@ -403,7 +396,7 @@ def cmd_can_convert(args) -> int:
     for tc in tests:
         if not tc.outcome.trace:
             continue
-        records = canbus.convert_trace(tc.outcome.trace, db, mapping, period)
+        records = canbus.convert_trace(tc.outcome.trace, db, mapping, **period)
         canbus.write_playback_csv(records, out / f"{tc.id}.canplayback.csv")
         converted += 1
     print(f"converted {converted} traces -> {out}")
@@ -413,10 +406,9 @@ def cmd_can_convert(args) -> int:
 def cmd_can_play(args) -> int:
     _require(args, "playback", "target")
     records = canbus.read_playback_csv(args.playback)
-    pacing = args.pacing or canbus.AS_FAST_AS_POSSIBLE
     sink = canbus.open_sink(args.target)
     try:
-        report = canbus.playback(records, sink, pacing)
+        report = canbus.playback(records, sink, **_given(args, "pacing"))
     finally:
         sink.close()
     print(f"sent {report.frames_sent} frames "
@@ -434,13 +426,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     def add(name, handler, flags, config_only=()):
-        """A subcommand whose config keys are its flags' names plus
-        config_only."""
+        """A subcommand whose config keys are its flags' names, with each
+        flag's (type, choices), plus config_only's keys (unset: None)."""
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        keys = {p.add_argument(flag, **kw).dest for flag, kw in flags}
-        p.set_defaults(handler=handler,
-                       config_keys=frozenset(keys.union(config_only)))
+        actions = [p.add_argument(flag, **kw) for flag, kw in flags]
+        keys = {a.dest: (bool if a.nargs == 0 else a.type or str, a.choices)
+                for a in actions}
+        keys.update(config_only)
+        p.set_defaults(handler=handler, config_keys=keys,
+                       **dict.fromkeys(config_only))
 
     add("generate", cmd_generate, [
         ("-n", dict(dest="n", type=int, default=None)),
@@ -449,8 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--mu", dict(type=float, default=None)),
         ("--oob", dict(type=float, default=None)),
         ("--out", dict(default=None)),
-        ("--no-traces", dict(dest="keep_traces", action="store_false",
-                             default=None)),
+        ("--no-traces", dict(dest="keep_traces", action="store_false", default=None)),
     ])
     add("extract-features", cmd_extract_features, [
         ("--roads", dict(default=None)),
@@ -465,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--out", dict(default=None)),
     ])
     add("grid-search", cmd_grid_search, [
-        ("--family", dict(default=None)),
+        ("--family", dict(choices=FAMILIES, default=None)),
         ("--features", dict(default=None)),
         ("--k", dict(type=int, default=None)),
         ("--seed", dict(type=int, default=None)),

@@ -7,6 +7,7 @@ from .evaluate import (
     TooFewRows,
     balanced_training_set,
     confusion_from_predictions,
+    dataset_from_rows,
     dataset_from_tests,
     holdout_evaluate,
     kfold_evaluate,

@@ -56,18 +56,21 @@ class LabeledDataset:
         return int(np.sum(self.y == SAFE_CODE)), int(np.sum(self.y == UNSAFE_CODE))
 
 
-def dataset_from_tests(tests) -> LabeledDataset:
-    """Build the matrix view from labelled TestCase records."""
+def dataset_from_rows(rows) -> LabeledDataset:
+    """Build the matrix view from labelled (id, FeatureVector, label) rows."""
     from ..features import FEATURE_NAMES
     from ..oracle import UNSAFE
 
-    rows, labels, ids = [], [], []
-    for tc in tests:
-        rows.append(tc.features.as_array())
-        labels.append(UNSAFE_CODE if tc.outcome.label == UNSAFE else SAFE_CODE)
-        ids.append(tc.id)
-    return LabeledDataset(np.array(rows), np.array(labels), FEATURE_NAMES,
-                          tuple(ids))
+    return LabeledDataset(
+        np.array([vec.as_array() for _, vec, _ in rows]),
+        np.array([UNSAFE_CODE if label == UNSAFE else SAFE_CODE
+                  for _, _, label in rows]),
+        FEATURE_NAMES, tuple(tid for tid, _, _ in rows))
+
+
+def dataset_from_tests(tests) -> LabeledDataset:
+    """Build the matrix view from labelled TestCase records."""
+    return dataset_from_rows([(tc.id, tc.features, tc.outcome.label) for tc in tests])
 
 
 def oversample_minority(ds: LabeledDataset, rng_seed: int) -> LabeledDataset:

@@ -341,24 +341,25 @@ class VirtualClock:
 
 @dataclass(frozen=True)
 class RealTimeConfig:
-    mode: str                                  # "baseline" | "pretrained" | "adaptive"
+    mode: str                                  # one of MODES
     budget_s: float
     model: TrainedClassifier | None = None     # pretrained
-    spec: ClassifierSpec | None = None         # adaptive
-    warmup_n: int = 60
-    retrain_every: int = 1
+    warmup_n: int = 60                         # adaptive
+    retrain_every: int = 1                     # adaptive
     cost: CostModel = field(default_factory=CostModel)
     driver: DriverConfig = field(default_factory=DriverConfig)
+    MODES: ClassVar[tuple[str, ...]] = ("baseline", "pretrained", "adaptive")
+    spec: ClassVar[ClassifierSpec] = ClassifierSpec("logistic")   # adaptive refits
 
     def __post_init__(self):
         if self.budget_s <= 0.0:
             raise ValueError("budget must be positive")
-        if self.mode not in ("baseline", "pretrained", "adaptive"):
+        if self.mode not in self.MODES:
             raise ValueError(f"unknown real-time mode {self.mode!r}")
         if self.mode == "pretrained" and self.model is None:
             raise ValueError("pretrained mode needs a model")
-        if self.mode == "adaptive" and self.spec is None:
-            raise ValueError("adaptive mode needs a classifier spec")
+        if self.mode != "pretrained" and self.model is not None:
+            raise ValueError(f"{self.mode} mode reads no model")
         if self.warmup_n < 0:
             raise ValueError(f"warmup_n must be >= 0, got {self.warmup_n}")
         if self.retrain_every < 1:
@@ -392,7 +393,7 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
     drive time plus overhead. The run is therefore bit-reproducible.
     """
     adaptive = cfg.mode == "adaptive"
-    model = cfg.model if cfg.mode == "pretrained" else None
+    model = cfg.model
     if adaptive and cfg.warmup_n * (cfg.cost.generation_s + 1.0) > cfg.budget_s:
         raise BudgetTooSmall(
             f"budget {cfg.budget_s}s cannot cover warm-up of {cfg.warmup_n}")

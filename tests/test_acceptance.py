@@ -343,7 +343,6 @@ def test_criterion_7_realtime(trained_logistic):
     pre = run_realtime(RealTimeConfig(mode="pretrained", budget_s=budget,
                                       model=model), rng_seed=31)
     ada = run_realtime(RealTimeConfig(mode="adaptive", budget_s=budget,
-                                      spec=ClassifierSpec("logistic"),
                                       warmup_n=60), rng_seed=31)
     exec_fraction = (base.time_fractions["execution_unsafe"]
                      + base.time_fractions["execution_safe"])

@@ -391,6 +391,14 @@ class TestPlayback:
         blob = (tmp_path / "out.bin").read_bytes()
         assert read_frames(blob) == records
 
+    @pytest.mark.parametrize("cut, offset", [(9 + 4 + 5, 13), (9 + 4 + 9 + 2, 13)],
+                             ids=["header", "payload"])
+    def test_truncated_frames_rejected(self, cut, offset):
+        buf = io.BytesIO()
+        playback(self.make_records(3), buf)
+        with pytest.raises(ValueError, match=f"frame at byte {offset} cut after "):
+            read_frames(buf.getvalue()[:cut])
+
     def test_realtime_pacing_does_not_drift(self, monkeypatch):
         # on a fake clock every write takes 5 ms; frames 20 ms apart must
         # still go out at their own timestamps, not 25 ms apart

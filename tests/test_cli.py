@@ -1,7 +1,10 @@
+import inspect
 import json
+from pathlib import Path
 
 import pytest
 
+from roadsift import canbus, cli
 from roadsift.cli import main
 from roadsift.canbus import DEFAULT_DBC, parse_dbc, decode_signal, read_playback_csv
 from roadsift.oracle import load_dataset
@@ -53,6 +56,21 @@ class TestGenerate:
         cfg.write_text(json.dumps({"n": 3, "seed": 7, "out": str(tmp_path / "o"),
                                    "bogus": 1}))
         assert main(["generate", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("can-play", {"pacing": "slow"}, "pacing"),
+    ("generate", {"n": "five"}, "n"),
+    ("experiment", {"protocol": "fix", "S": "six"}, "S"),
+])
+def test_config_value_parsed_like_its_flag(tmp_path, capsys, command, config,
+                                           key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
 
 
 class TestExtractAndPredict:
@@ -345,6 +363,12 @@ class TestExperiment:
         ("realtime", {"strategy": "random"}, [], "strategy"),
         ("fix", {}, ["--seed", "1"], "seed"),
         ("fix", {"repetitions": 2}, [], "repetitions"),
+        ("realtime", {"warmup_n": 5}, [], "warmup_n"),
+        ("realtime", {"retrain_every": 3}, [], "retrain_every"),
+        ("realtime", {"model": "nonexistent.json"}, [], "model"),
+        ("realtime", {"mode": "adaptive", "model": "nonexistent.json"}, [],
+         "model"),
+        ("fix", {"model": "nonexistent.json"}, [], "model"),
     ])
     def test_key_the_protocol_does_not_read_is_config_error(
             self, run_dir, tmp_path, capsys, protocol, extra, flags, key):
@@ -365,8 +389,54 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err
 
+    def test_library_defaults_given_equal_omitted(self, run_dir, tmp_path):
+        rt = cli.selection.RealTimeConfig(mode="adaptive", budget_s=1.0)
+        given = {"overhead_s": rt.cost.overhead_s, "warmup_n": rt.warmup_n,
+                 "retrain_every": rt.retrain_every}
+        period = inspect.signature(canbus.convert_trace).parameters[
+            "sample_period_ms"].default
+        outputs = {}
+        for name, extra, flags in (("omitted", {}, []),
+                                   ("given", given, ["--period-ms", str(period)])):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"protocol": "realtime", "mode": "adaptive",
+                                       "budget_s": 100.0, "seeds": [3], **extra}))
+            out = tmp_path / name
+            assert main(["experiment", "--config", str(cfg),
+                         "--out", str(out / "rt")]) == 0
+            assert main(["can-convert", "--simulation",
+                         str(run_dir / "simulation.full.json"), *flags,
+                         "--out", str(out / "can")]) == 0
+            outputs[name] = {p.relative_to(out): p.read_bytes()
+                             for p in sorted(out.rglob("*")) if p.is_file()}
+        assert outputs["given"] == outputs["omitted"]
+
+    def test_benchmark_select_configs_are_accepted(self, tmp_path, monkeypatch):
+        # the benchmark's select workload writes these configs; each must
+        # pass every key check and reach its first piece of work
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        class Started(Exception):
+            pass
+
+        def start(*args, **kwargs):
+            raise Started
+        monkeypatch.setattr(cli, "load_dataset", start)
+        monkeypatch.setattr(cli, "load_model", start)
+        monkeypatch.setattr(cli.selection, "run_realtime", start)
+        select = workloads.Select(1)
+        select.setup(lambda command: None, tmp_path)
+        assert sorted(select.configs) == ["adaptive", "fix", "pretrained", "reach"]
+        for name, path in select.configs.items():
+            with pytest.raises(Started):
+                main(["experiment", "--config", str(path), "--seed", "1",
+                      "--out", str(tmp_path / name)])
+
 
 @pytest.mark.parametrize("case", ["pool_without_unsafe", "seeds_not_a_list",
+                                  "seeds_holding_a_boolean",
                                   "mapping_without_signal",
                                   "road_without_points",
                                   "road_file_holding_a_list",
@@ -412,6 +482,8 @@ def test_malformed_input_is_config_error(run_dir, tmp_path, capsys, case):
                "S": 6, "pool": {"safe": 8, "unsafe": 4}, "seeds": [1, 2]}
         if case == "pool_without_unsafe":
             exp["pool"] = {"safe": 8}
+        elif case == "seeds_holding_a_boolean":
+            exp["seeds"] = [1, True]
         else:
             exp["seeds"] = 5
         cfg = tmp_path / "exp.json"

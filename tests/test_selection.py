@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from roadsift.ml import ClassifierSpec, UNSAFE_CODE
+from roadsift.ml import UNSAFE_CODE
 from roadsift.ml.models import TrainedClassifier
 from roadsift.oracle import UNSAFE
 from roadsift.selection import (
@@ -279,8 +279,7 @@ class TestRealTime:
         assert run_realtime(cfg, rng_seed=3) == run_realtime(cfg, rng_seed=3)
 
     def test_adaptive_retrains_and_reports(self):
-        cfg = RealTimeConfig(mode="adaptive", budget_s=self.BUDGET,
-                             spec=ClassifierSpec("logistic"), warmup_n=12)
+        cfg = RealTimeConfig(mode="adaptive", budget_s=self.BUDGET, warmup_n=12)
         res = run_realtime(cfg, rng_seed=4)
         assert res.time_fractions["retraining"] > 0.0
         assert res.post_mortem_accuracy is not None
@@ -290,7 +289,6 @@ class TestRealTime:
     def test_budget_too_small_for_warmup(self):
         with pytest.raises(BudgetTooSmall):
             run_realtime(RealTimeConfig(mode="adaptive", budget_s=10.0,
-                                        spec=ClassifierSpec("logistic"),
                                         warmup_n=60), rng_seed=0)
 
     def test_mode_validation(self, moderate_model):
@@ -300,12 +298,13 @@ class TestRealTime:
             RealTimeConfig(mode="pretrained", budget_s=100.0)
         with pytest.raises(ValueError):
             RealTimeConfig(mode="baseline", budget_s=-5.0)
+        with pytest.raises(ValueError):
+            RealTimeConfig(mode="adaptive", budget_s=100.0, model=moderate_model)
 
     @pytest.mark.parametrize("bad", [{"retrain_every": 0}, {"warmup_n": -1}])
     def test_retrain_and_warmup_validation(self, bad):
         with pytest.raises(ValueError):
-            RealTimeConfig(mode="adaptive", budget_s=100.0,
-                           spec=ClassifierSpec("logistic"), **bad)
+            RealTimeConfig(mode="adaptive", budget_s=100.0, **bad)
 
     def test_road_seeds_continue_past_first_block(self, monkeypatch):
         # seeds are drawn lazily in growing blocks; road i must still get
