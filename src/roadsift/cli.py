@@ -325,9 +325,10 @@ def cmd_experiment(args) -> int:
     if args.protocol in ("fix", "reach"):
         _require(args, "dataset", "pool", "S" if args.protocol == "fix" else "N")
         pool_cfg = args.pool
-        if not (isinstance(pool_cfg, dict) and pool_cfg.keys() >= {"safe", "unsafe"}):
-            raise ConfigError('pool must be an object with "safe" and "unsafe" '
-                              f"counts, got {pool_cfg!r}")
+        if not (isinstance(pool_cfg, dict) and pool_cfg.keys() == {"safe", "unsafe"}
+                and all(type(n) is int and n >= 0 for n in pool_cfg.values())):
+            raise ConfigError('pool must be an object with exactly "safe" and '
+                              f'"unsafe" counts, each an int >= 0, got {pool_cfg!r}')
         tests = load_dataset(args.dataset, keep_traces=False)
         if args.strategy == "model":
             _require(args, "model")
@@ -337,7 +338,7 @@ def cmd_experiment(args) -> int:
                         "road_length": selection.RoadLengthStrategy}[args.strategy]()
         for seed in seeds:
             pool = selection.build_pool(
-                tests, (int(pool_cfg["safe"]), int(pool_cfg["unsafe"])), seed)
+                tests, (pool_cfg["safe"], pool_cfg["unsafe"]), seed)
             if args.protocol == "fix":
                 res = selection.run_fix(pool, strategy, args.S, seed)
                 row = {"seed": seed, "unsafe_ratio": res.unsafe_ratio,

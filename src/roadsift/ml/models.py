@@ -5,10 +5,12 @@ decision tree with C4.5-style pruning knobs, a random forest, a linear SVM,
 and gradient-boosted depth-3 trees. Unsafe is the positive class (1)
 everywhere; every tie breaks toward unsafe, the fail-safe direction.
 
-All training is deterministic. Logistic regression is solved to the
-optimum of its penalised log-loss by damped Newton steps (_logistic_solve);
-the linear SVM takes a fixed number of full-batch subgradient steps; the
-ensembles draw seeded bootstraps and feature subsets.
+All training is deterministic. Logistic regression and the squared-hinge
+linear SVM are solved to the optimum of their penalised losses by damped
+(proximal) Newton steps (_newton_solve); the hinge SVM by an interior-point
+method on its dual (l2, _hinge_dual_solve) or as the dual of a linear
+program (l1, _hinge_l1_solve); the ensembles draw seeded bootstraps and
+feature subsets.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import NormalDist
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -399,15 +402,20 @@ def _logistic_share(form):
     return form[0]
 
 
-# The logistic solver's fixed settings. They say how closely the one
-# objective is solved, so they are constants and not hyperparameters.
+# The solvers' fixed settings. They say how closely the one objective of a
+# form is solved, so they are constants and not hyperparameters.
 _LOGISTIC_ALPHA = 1e-4      # strength of each penalty the form switches on
+_SVM_ALPHA = 1e-3           # strength of the linear SVM's penalty
 _GRAD_TOL = 1e-8            # converged: every (sub)gradient entry below this
 _STEP_TOL = 1e-12           # stalled: no coordinate moved by more than this
 _ARMIJO = 1e-4              # fraction of the predicted decrease a step keeps
 _MAX_HALVINGS = 40          # line-search halvings before the solver stalls
 _INNER_SOLVES = 100         # linear solves per l1 Newton step
 _DAMPING = 1e-10            # Hessian diagonal shift, relative to its largest
+_SVM_NEWTON_STEPS = 100     # Newton steps of a squared-hinge fit
+_GAP_TOL = 1e-10            # converged: hinge primal minus dual below this
+_IPM_STEPS = 100            # interior-point steps of an l2 + hinge fit
+_TO_BOUNDARY = 0.995        # share of the way to the boundary a step goes
 
 
 def _min_norm_subgradient(g, theta, l1):
@@ -466,21 +474,54 @@ def _l1_model_minimiser(H, g, theta, l1):
     return u
 
 
-def _logistic_solve(Xs, y, penalty, caps):
-    """Minimise mean log-loss + l2·‖w‖² + l1·‖w‖₁ over weights w and an
+class _RowLoss(NamedTuple):
+    """A convex loss of each row's signed score s = (1 - 2y)·z, which grows
+    as the row's score z points away from its label y: the mean over rows,
+    and each row's first and (generalised) second derivative in s."""
+    mean: Callable[[np.ndarray], float]
+    derivatives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def _log_loss(s):
+    return np.logaddexp(0.0, s).mean()
+
+
+def _log_loss_derivatives(s):
+    q = expit(s)
+    return q, q * (1.0 - q)
+
+
+def _squared_hinge(s):
+    m = np.maximum(1.0 + s, 0.0)
+    return (m * m).mean()
+
+
+def _squared_hinge_derivatives(s):
+    # the second derivative jumps at the hinge; the generalised Hessian
+    # takes it as 0 there (Keerthi & DeCoste, JMLR 2005)
+    m = np.maximum(1.0 + s, 0.0)
+    return 2.0 * m, 2.0 * (m > 0.0)
+
+
+_LOG_LOSS = _RowLoss(_log_loss, _log_loss_derivatives)
+_SQUARED_HINGE = _RowLoss(_squared_hinge, _squared_hinge_derivatives)
+
+
+def _newton_solve(Xs, y, loss, l1, l2, caps):
+    """Minimise the mean row loss + l2·‖w‖² + l1·‖w‖₁ over weights w and an
     unpenalised bias b on the standardised rows Xs; returns one (w, b,
     steps, converged) for each step cap in the ascending list caps.
 
-    Each step takes the Newton (IRLS) quadratic model of the log-loss at the
-    current point. Without an l1 term the step solves one (d+1)×(d+1) linear
-    system; with one, _l1_model_minimiser minimises the model plus the l1
-    term. A backtracking (Armijo) line search on the true objective damps
-    the step. The solve stops as converged when every entry of the
-    minimum-norm subgradient is below _GRAD_TOL, and as stalled when the
-    line search finds no decrease or the step moves no coordinate by more
-    than _STEP_TOL; a cap ends it, not converged, after that many steps.
-    The gradient test is what ends an unpenalised fit on separable rows,
-    whose weights grow without bound.
+    Each step takes the Newton quadratic model of the row loss at the
+    current point (IRLS for the log-loss). Without an l1 term the step
+    solves one (d+1)×(d+1) linear system; with one, _l1_model_minimiser
+    minimises the model plus the l1 term. A backtracking (Armijo) line
+    search on the true objective damps the step. The solve stops as
+    converged when every entry of the minimum-norm subgradient is below
+    _GRAD_TOL, and as stalled when the line search finds no decrease or the
+    step moves no coordinate by more than _STEP_TOL; a cap ends it, not
+    converged, after that many steps. The gradient test is what ends an
+    unpenalised fit on separable rows, whose weights grow without bound.
 
     The path is deterministic, so a smaller cap only truncates it: the solve
     runs once, to the largest cap, and reports for each cap the iterate at
@@ -488,15 +529,13 @@ def _logistic_solve(Xs, y, penalty, caps):
     """
     n, d = Xs.shape
     A = np.hstack([Xs, np.ones((n, 1))])
-    sign = 1.0 - 2.0 * y            # each row's loss is softplus(sign * z)
-    l1 = _LOGISTIC_ALPHA if penalty in ("l1", "elasticnet") else 0.0
-    l2 = _LOGISTIC_ALPHA if penalty in ("l2", "elasticnet") else 0.0
+    sign = 1.0 - 2.0 * y
     ridge = np.append(np.full(d, 2.0 * l2), 0.0)
 
     def objective(theta):
         w = theta[:-1]
-        loss = np.logaddexp(0.0, sign * (A @ theta)).mean()
-        return float(loss + l2 * (w @ w) + l1 * np.abs(w).sum())
+        value = loss.mean(sign * (A @ theta))
+        return float(value + l2 * (w @ w) + l1 * np.abs(w).sum())
 
     theta = np.zeros(d + 1)
     f = objective(theta)
@@ -504,8 +543,8 @@ def _logistic_solve(Xs, y, penalty, caps):
     reports = []
     converged = False
     for steps in range(caps[-1] + 1):
-        q = expit(sign * (A @ theta))
-        g = A.T @ (sign * q) / n + ridge * theta
+        slope, curvature = loss.derivatives(sign * (A @ theta))
+        g = A.T @ (sign * slope) / n + ridge * theta
         kkt = float(np.max(np.abs(_min_norm_subgradient(g, theta, l1))))
         if kkt < _GRAD_TOL:
             converged = True
@@ -516,7 +555,7 @@ def _logistic_solve(Xs, y, penalty, caps):
                 return reports
         if moved <= _STEP_TOL:
             break
-        H = (A.T * (q * (1.0 - q) / n)) @ A
+        H = (A.T * (curvature / n)) @ A
         H[np.diag_indices_from(H)] += ridge + _DAMPING * H.diagonal().max()
         if l1:
             step = _l1_model_minimiser(H, g, theta, l1) - theta
@@ -541,6 +580,14 @@ def _logistic_solve(Xs, y, penalty, caps):
     return reports + [final] * (len(caps) - len(reports))
 
 
+def _logistic_solve(Xs, y, penalty, caps):
+    """_newton_solve of the mean log-loss with the penalty's l1 and l2
+    terms, each of strength _LOGISTIC_ALPHA."""
+    l1 = _LOGISTIC_ALPHA if penalty in ("l1", "elasticnet") else 0.0
+    l2 = _LOGISTIC_ALPHA if penalty in ("l2", "elasticnet") else 0.0
+    return _newton_solve(Xs, y, _LOG_LOSS, l1, l2, caps)
+
+
 def _fit_logistic(X, y, forms, seed):
     """Penalised logistic regression on standardised columns: mean log-loss
     plus 1e-4·‖w‖² (l2, elasticnet) plus 1e-4·‖w‖₁ (l1, elasticnet), with an
@@ -563,33 +610,156 @@ def _linear_svm_form(hp, d):
     return (hp["penalty"], hp["loss"])
 
 
-def _fit_linear_svm(X, y, form, seed):
-    penalty, loss = form
-    mean, std = _standardize_fit(X)
-    Xs = (X - mean) / std
+def _hinge_weights(Xs, y, beta):
+    """The l2 + hinge SVM's weights at dual multipliers beta:
+    Σ beta·(2y - 1)·x / (2·_SVM_ALPHA)."""
+    return Xs.T @ (beta * (2.0 * y - 1.0)) / (2.0 * _SVM_ALPHA)
+
+
+def _step_length(x, dx):
+    """_TO_BOUNDARY of the largest t with x + t·dx >= 0 (x > 0), at most 1."""
+    shrinking = dx < 0.0
+    limit = float(np.min(-x[shrinking] / dx[shrinking], initial=np.inf))
+    return min(1.0, _TO_BOUNDARY * limit)
+
+
+def _hinge_dual_solve(Xs, y):
+    """Minimise mean hinge loss + _SVM_ALPHA·‖w‖² over w and an unpenalised
+    bias b through its dual; returns (beta, b, steps, converged), where the
+    weights are _hinge_weights(Xs, y, beta).
+
+    With a = n·beta and G the rows of Xs times their sign y' = 2y - 1, the
+    dual is the QP min a·Q·a/2 - Σa over 0 <= a <= 1 with y'·a = 0, where
+    Q = U·Uᵀ and U = G/√(2·_SVM_ALPHA·n). Its primal-dual interior-point
+    solve (Mehrotra's predictor-corrector) carries the slack s = 1 - a, the
+    multipliers z of a >= 0 and v of s >= 0, and the multiplier b of the
+    equality, which is the bias. It starts inside the box on the equality;
+    each step solves the bordered system [[Q + D, y'], [y'ᵀ, 0]] (D
+    diagonal) twice, for the affine direction and for the centred,
+    corrected one, and goes _TO_BOUNDARY of the way to the boundary, at
+    most the full step. Q has rank at most d, so by Sherman–Morrison–
+    Woodbury the system reduces to the (d+1)×(d+1) one Eᵀ·D⁻¹·E + I_d,
+    with E = [U, y'], followed by one round of iterative refinement against
+    the full system: each step costs O(n·d²) time and O(n·d) memory, and Q
+    is never formed. The solve stops as converged when the primal objective
+    at (weights, b) exceeds the dual's at beta by less than _GAP_TOL, and
+    not converged after _IPM_STEPS steps.
+    """
     n, d = Xs.shape
-    yy = 2.0 * y - 1.0
-    w = np.zeros(d)
+    sign = 2.0 * y - 1.0
+    G = Xs * sign[:, None]
+    # Q = U·Uᵀ; E borders U with the signs
+    U = G / math.sqrt(2.0 * _SVM_ALPHA * n)
+    E = np.column_stack([U, sign])
+    ones = np.ones(n)
+    # each class's multipliers sum to half the smaller class's size
+    unsafe = np.count_nonzero(y)
+    class_size = np.where(y == 1, unsafe, n - unsafe)
+    a = 0.5 * min(unsafe, n - unsafe) / class_size
+    s = 1.0 - a
+    z, v = ones.copy(), ones.copy()
     b = 0.0
-    alpha = 1e-3
-    squared = loss == "squared_hinge"
-    l1 = penalty == "l1"
-    for t in range(1000):
-        lr = 0.5 / math.sqrt(t + 1.0)
-        margin = 1.0 - yy * (Xs @ w + b)
-        active = margin > 0.0
-        if squared:
-            coef = 2.0 * margin * active
-        else:
-            coef = active.astype(float)
-        grad_w = -(Xs * (coef * yy)[:, None]).sum(axis=0) / n
-        grad_b = -float((coef * yy).mean())
-        if l1:
-            grad_w = grad_w + alpha * np.sign(w)
-        else:
-            grad_w = grad_w + 2.0 * alpha * w
-        w = w - lr * grad_w
-        b = b - lr * grad_b
+    converged = False
+    for steps in range(_IPM_STEPS + 1):
+        w = _hinge_weights(Xs, y, a / n)
+        Qa = G @ w
+        hinge = np.maximum(1.0 - sign * (Xs @ w + b), 0.0).mean()
+        primal = hinge + _SVM_ALPHA * (w @ w)
+        dual = (a.sum() - 0.5 * (a @ Qa)) / n
+        if primal - dual < _GAP_TOL:
+            converged = True
+            break
+        if steps == _IPM_STEPS:
+            break
+        r_dual = Qa - ones + b * sign - z + v
+        r_eq = sign @ a
+        r_box = a + s - ones
+        mu = (a @ z + s @ v) / (2 * n)
+        D_inv = 1.0 / (z / a + v / s)
+        DE = E * D_inv[:, None]
+        core = E.T @ DE
+        core[np.diag_indices(d)] += 1.0
+
+        def bordered(r, r_b):
+            # [[Q + D, y'], [y'ᵀ, 0]]·[da, db] = [r, r_b] through `core`
+            reduced = DE.T @ r
+            reduced[d] -= r_b
+            step = np.linalg.solve(core, reduced)
+            return D_inv * r - DE @ step, step[d]
+
+        def direction(t_low, t_up):
+            # Newton step toward a·z = t_low, s·v = t_up and zero residuals
+            rhs = -r_dual + (t_low - a * z) / a - (t_up - s * v + v * r_box) / s
+            da, db = bordered(rhs, -r_eq)
+            # near the optimum D spans many orders of magnitude and the
+            # reduced solve alone stalls the gap above _GAP_TOL; one round
+            # of iterative refinement against the full system restores it
+            res = rhs - (U @ (U.T @ da) + da / D_inv + sign * db)
+            fix_a, fix_b = bordered(res, -r_eq - sign @ da)
+            da, db = da + fix_a, db + fix_b
+            ds = -r_box - da
+            dz = (t_low - a * z - z * da) / a
+            dv = (t_up - s * v - v * ds) / s
+            t = _step_length(np.concatenate([a, s, z, v]),
+                             np.concatenate([da, ds, dz, dv]))
+            return da, ds, db, dz, dv, t
+
+        da, ds, _, dz, dv, t = direction(0.0, 0.0)
+        mu_affine = ((a + t * da) @ (z + t * dz)
+                     + (s + t * ds) @ (v + t * dv)) / (2 * n)
+        centre = (mu_affine / mu) ** 3 * mu
+        da, ds, db, dz, dv, t = direction(centre - da * dz, centre - ds * dv)
+        a, s, b, z, v = a + t * da, s + t * ds, b + t * db, z + t * dz, v + t * dv
+    return a / n, float(b), steps, converged
+
+
+def _hinge_l1_solve(Xs, y):
+    """Minimise mean hinge loss + _SVM_ALPHA·‖w‖₁ over w and an unpenalised
+    bias b by HiGHS; returns (w, b, steps, converged).
+
+    The primal is a linear program with a variable and a constraint for
+    each row. HiGHS solves its dual instead, max Σu over 0 <= u <= 1/n with
+    -_SVM_ALPHA <= Gᵀ·u <= _SVM_ALPHA and y'·u = 0 (G the rows of Xs times
+    their sign y' = 2y - 1), which has 2d + 1 constraints whatever n is; w
+    and b are the multipliers of its constraints."""
+    from scipy.optimize import linprog  # only this form needs it
+
+    n, d = Xs.shape
+    sign = 2.0 * y - 1.0
+    G = Xs * sign[:, None]
+    res = linprog(-np.ones(n), A_ub=np.vstack([G.T, -G.T]),
+                  b_ub=np.full(2 * d, _SVM_ALPHA), A_eq=sign[None, :],
+                  b_eq=[0.0], bounds=(0.0, 1.0 / n), method="highs")
+    # u = 0 is feasible and the box bounds Σu, so HiGHS finds an optimum
+    upper = res.ineqlin.marginals
+    w = upper[d:] - upper[:d]
+    return w, float(-res.eqlin.marginals[0]), int(res.nit), res.status == 0
+
+
+def _svm_solve(Xs, y, penalty, loss):
+    """(w, b, steps, converged) of the linear SVM of the form on the
+    standardised rows Xs; see _fit_linear_svm."""
+    l1, l2 = (_SVM_ALPHA, 0.0) if penalty == "l1" else (0.0, _SVM_ALPHA)
+    if loss == "squared_hinge":
+        [solved] = _newton_solve(Xs, y, _SQUARED_HINGE, l1, l2,
+                                 [_SVM_NEWTON_STEPS])
+        return solved
+    if l1:
+        return _hinge_l1_solve(Xs, y)
+    beta, b, steps, converged = _hinge_dual_solve(Xs, y)
+    return _hinge_weights(Xs, y, beta), b, steps, converged
+
+
+def _fit_linear_svm(X, y, form, seed):
+    """Linear SVM on standardised columns: mean hinge (or squared hinge)
+    loss plus 1e-3·‖w‖² (l2) or 1e-3·‖w‖₁ (l1), with an unpenalised bias,
+    solved to its optimum. The squared hinge is smooth, so _newton_solve
+    takes (proximal) Newton steps with its generalised Hessian, as for the
+    logistic fit. The hinge is not: l2 + hinge solves the dual QP by an
+    interior-point method (_hinge_dual_solve), l1 + hinge the dual of its
+    linear program by HiGHS (_hinge_l1_solve)."""
+    mean, std = _standardize_fit(X)
+    w, b, _, _ = _svm_solve((X - mean) / std, y, *form)
     return {"weights": w.tolist(), "bias": b}, (mean, std)
 
 

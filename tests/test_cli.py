@@ -269,6 +269,24 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg), "--seed", "1",
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("pool", [
+        {"safe": 4.9, "unsafe": 2}, {"safe": "many", "unsafe": 2},
+        {"safe": 8, "unsafe": -1}, {"safe": True, "unsafe": 2},
+        {"safe": 8, "unsafe": 4, "extra": 1}],
+        ids=["fraction", "text", "negative", "boolean", "extra_key"])
+    def test_pool_counts_are_ints(self, tmp_path, capsys, pool):
+        # the dataset does not exist, so only a check made before it is read
+        # can name pool
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "protocol": "fix", "dataset": str(tmp_path / "missing.json"),
+            "pool": pool, "strategy": "random", "S": 2, "repetitions": 1}))
+        capsys.readouterr()
+        assert main(["experiment", "--config", str(cfg), "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "pool" in err and "missing.json" not in err
+
     def test_reach_zero_overhead_honoured(self, run_dir, tmp_path):
         base = {
             "protocol": "reach",

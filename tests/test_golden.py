@@ -6,6 +6,12 @@ and wire framing, the six-family benchmark, the decision-tree, logistic
 and SVM grids, the real-time loop or model-based FIX / REACH selection
 shows up here as a changed digest, so an intended change must update a
 digest in the same commit and say why.
+
+The linear SVM grid (6cc44726… → 92180393…) and the benchmark
+(0c2383e2… → 352f01ad…) changed when the linear SVM began to be solved to
+its optimum, by Newton steps, an interior-point method or a linear program,
+instead of taking 1000 subgradient steps. The SVM's weighted F1 on data set
+1 moved from 0.776 to 0.750; the benchmark still picks random_forest.
 """
 
 import hashlib
@@ -60,7 +66,7 @@ def test_decision_tree_grid(data_set_1, tmp_path):
     ("logistic",
      "d0cd06c0a404bbd5c3127facfcadcbfa3033f42fad653f1cdd0a163182bb63fc"),
     ("linear_svm",
-     "6cc447265bf9d69f8fa8022a888e92655c9871d70fb48c446641575abc332361"),
+     "921803934631cd5608378911116906404b9f82657e6a49caa914f0b3b254d467"),
 ], ids=["logistic", "linear_svm"])
 def test_linear_grid(data_set_1, tmp_path, family, digest):
     assert grid_digest(data_set_1, tmp_path, family) == digest
@@ -76,7 +82,7 @@ def test_benchmark(data_set_1, tmp_path):
     for path in reports + [out / "best_model.json"]:
         every.update(path.read_bytes())
     assert every.hexdigest() == (
-        "0c2383e2ac4649e477095b4711121d32f9bfe441c7554e3fdec6b6b7786df664")
+        "352f01ad5040b99fbbca299f926bf09419369a0267820783890de6561572a039")
 
 
 @pytest.fixture(scope="module")

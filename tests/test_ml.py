@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from roadsift.ml import gridsearch, models
 from roadsift.ml.gridsearch import GridCell, grid_search
 
 import reference_logistic
+import reference_svm
 import reference_trees
 
 NAMES2 = ("f0", "f1")
@@ -723,6 +725,79 @@ class TestLogisticSolver:
         names = tuple(f"f{i}" for i in range(18))
         model = fit(ClassifierSpec("logistic", {"penalty": "none"}), X, y, names)
         assert np.array_equal(model.predict_matrix(X), y)
+
+
+@st.composite
+def overlapping_matrices(draw):
+    """Small matrices with labels drawn apart from the rows, so the classes
+    overlap; rows and columns may repeat."""
+    n = draw(st.integers(4, 30))
+    d = draw(st.integers(1, 6))
+    X = np.asarray(draw(st.lists(st.lists(st.integers(-9, 9), min_size=d,
+                                          max_size=d),
+                                 min_size=n, max_size=n)), dtype=float)
+    y = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    assume(0 < y.sum() < n)
+    return X * draw(st.sampled_from([0.5, 7.25])), y
+
+
+SVM_FORMS = [(penalty, loss) for penalty in GRID_DOMAINS["linear_svm"]["penalty"]
+             for loss in GRID_DOMAINS["linear_svm"]["loss"]]
+
+
+class TestLinearSvmSolver:
+    @pytest.mark.parametrize("form", SVM_FORMS, ids="-".join)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.one_of(separable_matrices(), overlapping_matrices()))
+    def test_no_worse_than_subgradient_descent(self, form, data):
+        X, y = data
+        penalty, loss = form
+        mean, std = models._standardize_fit(X)
+        Xs = (X - mean) / std
+        w, b, _, converged = models._svm_solve(Xs, y, *form)
+        ref, _ = reference_svm.fit_linear_svm(X, y, form, 0)
+        objective = reference_svm.objective(Xs, y, w, b, *form)
+        assert converged
+        assert objective <= reference_svm.objective(
+            Xs, y, ref["weights"], ref["bias"], *form) + 1e-12
+        if loss == "squared_hinge":
+            assert reference_svm.kkt_residual(Xs, y, w, b, penalty) < 2e-8
+        elif penalty == "l2":
+            beta, *_ = models._hinge_dual_solve(Xs, y)
+            assert np.all((beta >= 0.0) & (beta <= 1.0 / len(y)))
+            assert abs(objective - reference_svm.dual_objective(Xs, y, beta)) < 1e-8
+
+    @pytest.mark.parametrize("form", [("l2", "hinge"), ("l1", "hinge")],
+                             ids="-".join)
+    def test_hinge_memory_grows_with_rows_times_features(self, form):
+        # on 3000 rows one n×n float64 matrix takes 72 MB
+        rng = np.random.default_rng(0)
+        n = 3000
+        X = rng.normal(size=(n, 18))
+        y = (X[:, 0] + 0.8 * rng.normal(size=n) > 0.3).astype(float)
+        mean, std = models._standardize_fit(X)
+        Xs = (X - mean) / std
+        tracemalloc.start()
+        try:
+            w, b, _, converged = models._svm_solve(Xs, y, *form)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert converged
+        assert peak < 8 * n * n / 4
+        if form[0] == "l2":
+            beta, *_ = models._hinge_dual_solve(Xs, y)
+            assert abs(reference_svm.objective(Xs, y, w, b, *form)
+                       - reference_svm.dual_objective(Xs, y, beta)) < 1e-8
+
+    def test_fit_wraps_the_solver(self):
+        ds = noisy_ds()
+        for penalty, loss in SVM_FORMS:
+            spec = ClassifierSpec("linear_svm", {"penalty": penalty, "loss": loss})
+            model = fit(spec, ds.X, ds.y, ds.feature_names)
+            mean, std = model.standardization
+            w, b, _, _ = models._svm_solve((ds.X - mean) / std, ds.y, penalty, loss)
+            assert model.parameters == {"weights": w.tolist(), "bias": b}
 
 
 class TestRanking:
