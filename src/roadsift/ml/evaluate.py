@@ -186,10 +186,10 @@ def report_from_confusion(tp: int, fp: int, tn: int, fn: int) -> EvalReport:
 def confusion_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[int, int, int, int]:
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
-    tp = int(np.sum((y_pred == UNSAFE_CODE) & (y_true == UNSAFE_CODE)))
-    fp = int(np.sum((y_pred == UNSAFE_CODE) & (y_true == SAFE_CODE)))
-    tn = int(np.sum((y_pred == SAFE_CODE) & (y_true == SAFE_CODE)))
-    fn = int(np.sum((y_pred == SAFE_CODE) & (y_true == UNSAFE_CODE)))
+    tp = int(np.count_nonzero((y_pred == UNSAFE_CODE) & (y_true == UNSAFE_CODE)))
+    fp = int(np.count_nonzero((y_pred == UNSAFE_CODE) & (y_true == SAFE_CODE)))
+    tn = int(np.count_nonzero((y_pred == SAFE_CODE) & (y_true == SAFE_CODE)))
+    fn = int(np.count_nonzero((y_pred == SAFE_CODE) & (y_true == UNSAFE_CODE)))
     return tp, fp, tn, fn
 
 

@@ -10,7 +10,10 @@ linear SVM are solved to the optimum of their penalised losses by damped
 (proximal) Newton steps (_newton_solve); the hinge SVM by an interior-point
 method on its dual (l2, _hinge_dual_solve) or as the dual of a linear
 program (l1, _hinge_l1_solve); the ensembles draw seeded bootstraps and
-feature subsets.
+feature subsets. The classification trees (the decision tree and the
+forest's) come from one grower, _grow_class_trees, which grows a forest's
+trees together in blocks: each round scores the cuts of one node from every
+tree of the block at once.
 """
 
 from __future__ import annotations
@@ -175,59 +178,213 @@ def _best_cut(score, xs, features, valid):
             float(0.5 * (xs[pick, cut] + xs[pick, cut + 1])))
 
 
-def _best_gain_split(X, y, order, features, ones, min_leaf):
-    """Best (feature, threshold) over the candidate features of a node with
-    the given presorted index and count of ones; information gain with
-    entropy, thresholds at midpoints of consecutive distinct values. None
-    when no split has positive gain. All candidates are scored as one
-    (m, n-1) array."""
-    sub = order[features]
-    n = sub.shape[1]
-    xs = X[sub, features[:, None]]
-    cum = np.cumsum(y[sub], axis=1)
-    nl, valid = _cut_points(xs, min_leaf)
+# A forest's trees grow together in blocks of at most this many. A block
+# holds a presorted index of d * n entries a tree, so the working memory of
+# a fit grows with the block and the rows, not with I.
+_TREE_BLOCK = 32
+# A round scores and partitions its nodes in runs of about this many cells
+# (rows times features), so its temporaries stay small however large the
+# nodes of the block are.
+_ROUND_CELLS = 1 << 16
+
+
+def _chunks(size, width):
+    """Index arrays of consecutive runs of nodes whose size * width cells
+    add up to about _ROUND_CELLS a run; a larger node is a run alone."""
+    if size.sum() * width <= _ROUND_CELLS:
+        return [slice(None)]
+    run = (size.cumsum() * width - 1) // _ROUND_CELLS
+    return np.split(np.arange(len(size)),
+                    np.flatnonzero(run[1:] != run[:-1]) + 1)
+
+
+def _ragged(lo, size):
+    """The ranges lo[i] .. lo[i] + size[i] concatenated, and where each
+    range starts and ends in the concatenation."""
+    ends = size.cumsum()
+    starts = ends - size
+    return np.arange(ends[-1]) + (lo - starts).repeat(size), starts, ends
+
+
+def _best_gain_cuts(Xt, y, index, lo, size, ones, features, min_leaf):
+    """(feature, threshold, rows on the left, class-1 rows on the left) of
+    each node's best cut, or None when no cut has positive gain. Xt is X
+    transposed and C-ordered. Node i owns columns lo[i] .. lo[i] + size[i]
+    of index, the presorted index of its tree (rows of X by feature), and
+    holds ones[i] rows of class 1. Its candidates are the features in row i
+    of features, ascending, or every feature when features is None.
+    Information gain with entropy, thresholds at midpoints of consecutive
+    distinct values, ties broken as in _best_cut.
+
+    All nodes are scored as one (candidates, columns) array, a node's
+    columns next to each other and no padding: a cut after a column leaves
+    the node's columns up to it on the left. Flat take is used throughout,
+    as it is much faster than fancy indexing on two axes."""
+    cols, starts, ends = _ragged(lo, size)
+    width = len(cols)
+    if features is None:
+        feature = np.arange(len(Xt))[:, None]
+    else:
+        feature = features.T.repeat(size, axis=1)
+    rows = index.take(feature * index.shape[1] + cols)
+    xs = Xt.take(rows + feature * Xt.shape[1])
+    # the running count of ones restarts at each node's first column; the
+    # labels are integers, so this is exact
+    cum = y.take(rows)
+    cum[:, starts[1:]] -= ones[:-1]
+    cum.cumsum(axis=1, out=cum)
+    nl = np.arange(1, width + 1) - starts.repeat(size)
+    # a valid cut lies between distinct values and leaves min_leaf rows a
+    # side; only the valid cuts are scored
+    valid = np.zeros(xs.shape, dtype=bool)
+    np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, :-1])
+    valid &= (nl >= min_leaf) & (size.repeat(size) - nl >= min_leaf)
+    at = np.flatnonzero(valid)
+    col = at % width
+    node = np.searchsorted(ends, col, side="right")
+    ones_l = cum.take(at)
+    nl = nl.take(col)
+    n = size.take(node)
     nr = n - nl
-    ones_l = cum[:, :-1]
-    ones_r = ones - ones_l
-    parent = _binary_entropy(np.array([ones / n]))[0]
-    h = (nl * _binary_entropy(ones_l / nl)
-         + nr * _binary_entropy(ones_r / nr)) / n
-    gain = parent - h
-    return _best_cut(gain, xs, features, valid & (gain > 1e-12))
+    # the entropies of every left part, every right part and every node
+    v = len(at)
+    h = _binary_entropy(np.concatenate(
+        (ones_l / nl, (ones.take(node) - ones_l) / nr, ones / size)))
+    # parent - (nl * H(left) + nr * H(right)) / n, operation by operation
+    gain = nl * h[:v]
+    gain += nr * h[v:2 * v]
+    gain /= n
+    np.subtract(h[2 * v:].take(node), gain, out=gain)
+    gain[gain <= 1e-12] = -np.inf
+    score = np.full(xs.shape, -np.inf)
+    score.put(at, gain)
+    # each (candidate, node) segment's first maximal cut
+    top = np.maximum.reduceat(score, starts, axis=1)
+    at_top = np.where(score == top.repeat(size, axis=1), np.arange(width),
+                      width)
+    first = np.minimum.reduceat(at_top, starts, axis=1)
+    # the tie rule, node by node, over the candidates with a valid cut
+    node, r = np.nonzero(top.T > -np.inf)
+    seg = r * len(size) + node
+    best = [None] * len(size)
+    won = [None] * len(size)
+    for k, (i, value) in enumerate(zip(node.tolist(), top.take(seg).tolist())):
+        if best[i] is None or value > best[i] + 1e-15:
+            best[i], won[i] = value, k
+    picks = [None] * len(size)
+    won = [k for k in won if k is not None]
+    if not won:
+        return picks
+    node, r, col = node[won], r[won], first.take(seg[won])
+    cut = r * width + col
+    below, above = xs.take(cut), xs.take(cut + 1)
+    # the midpoint, unless it rounds up to the value above the cut (two
+    # adjacent floats): then the rows of that value would go left too
+    thr = 0.5 * (below + above)
+    thr = np.where(thr < above, thr, below)
+    feature = r if features is None else features[node, r]
+    for i, j, t, n_left, ones_left in zip(
+            node.tolist(), feature.tolist(), thr.tolist(),
+            (col + 1 - starts.take(node)).tolist(), cum.take(cut).tolist()):
+        picks[i] = (j, t, n_left, ones_left)
+    return picks
 
 
-def _grow_class_tree(X, y, min_leaf, max_depth, rng=None, k_features=0):
-    """Entropy-gain classification tree on (X, y), argsorting X once. With
-    rng and 0 < k_features < d each node draws k_features candidate features
-    (the forest's feature subsampling), otherwise every feature is one."""
-    d = X.shape[1]
-    every = np.arange(d)
-    draw = k_features and k_features < d and rng is not None
+def _partition_ranges(Xt, index, lo, size, feature, threshold):
+    """Partition columns lo[i] .. lo[i] + size[i] of the presorted index in
+    place, in every row stably: the rows with X[:, feature[i]] <=
+    threshold[i] first (Xt is X transposed and C-ordered)."""
+    cols = _ragged(lo, size)[0]
+    part = index.take(cols, axis=1)
+    feature = feature.repeat(size)
+    left = Xt.take(part + feature * Xt.shape[1]) <= threshold.repeat(size)
+    # row feature[i] of a range is sorted by that feature, so its left rows
+    # come first: there, in every row, the left rows go
+    head = left.take(feature * len(cols) + np.arange(len(cols)))
+    d = len(index)
+    index[:, cols[head]] = part[left].reshape(d, -1)
+    index[:, cols[~head]] = part[~left].reshape(d, -1)
 
-    def grow(rows, order, depth):
-        n = len(rows)
-        ones = int(y[rows].sum())
-        node = {"n": n, "ones": ones}
-        pure = ones == 0 or ones == n
-        if pure or n < 2 * min_leaf or (max_depth and depth >= max_depth):
+
+def _grow_class_trees(X, y, index, rngs, k_features, min_leaf, max_depth):
+    """Entropy-gain classification trees on samples of the n rows of
+    (X, y), one per entry of rngs, grown together. Tree t owns columns
+    t * n .. (t + 1) * n of index, its sample's presorted index: row f lists
+    its rows of X by ascending X[:, f]. With 0 < k_features < d, each node
+    of tree t draws k_features candidate features from rngs[t] (the
+    forest's feature subsampling), otherwise every feature is one.
+
+    Each tree grows depth first from its own stack, so it draws in its own
+    preorder, as if grown alone. Every round takes each tree's next node to
+    search (every such node of its stack when it draws nothing), scores the
+    cuts of all those nodes together and partitions together the nodes that
+    have a child to search. A node owns a column range of index, and
+    partitioning it reorders that range in place."""
+    n, d = X.shape
+    draw = 0 < k_features < d
+    Xt = np.ascontiguousarray(X.T)
+
+    def searches(node, depth):
+        """Whether node needs a split search; otherwise it becomes a leaf."""
+        size, ones = node["n"], node["ones"]
+        if (ones == 0 or ones == size or size < 2 * min_leaf
+                or (max_depth and depth >= max_depth)):
             node["leaf"] = True
-            return node
-        if draw:
-            features = np.sort(rng.choice(d, size=k_features, replace=False))
-        else:
-            features = every
-        split = _best_gain_split(X, y, order, features, ones, min_leaf)
-        if split is None:
-            node["leaf"] = True
-            return node
-        j, thr = split
-        left, right = _partition(X, rows, order, j, thr)
-        node.update(leaf=False, feature=j, threshold=thr)
-        node["left"] = grow(*left, depth + 1)
-        node["right"] = grow(*right, depth + 1)
-        return node
+            return False
+        return True
 
-    return grow(np.arange(len(y)), _presort(X), 0)
+    trees = [{"n": n, "ones": ones} for ones in
+             y.take(index[0]).reshape(len(rngs), n).sum(axis=1).tolist()]
+    stacks = [[(tree, t * n, 0)] if searches(tree, 0) else []
+              for t, tree in enumerate(trees)]
+    while True:
+        searched, features = [], []
+        for t, stack in enumerate(stacks):
+            while stack:
+                searched.append((t, *stack.pop()))
+                if draw:
+                    features.append(rngs[t].choice(d, size=k_features,
+                                                   replace=False))
+                    break
+        if not searched:
+            return trees
+        lo, size, ones = np.array([(lo, node["n"], node["ones"])
+                                   for _, node, lo, _ in searched]).T
+        features = np.sort(features, axis=1) if draw else None
+        cuts = []
+        for run in _chunks(size, k_features if draw else d):
+            cuts += _best_gain_cuts(
+                Xt, y, index, lo[run], size[run], ones[run],
+                None if features is None else features[run], min_leaf)
+        split = []
+        for (t, node, lo, depth), cut in zip(searched, cuts):
+            if cut is None:
+                node["leaf"] = True
+                continue
+            j, thr, n_left, ones_left = cut
+            left = {"n": n_left, "ones": ones_left}
+            right = {"n": node["n"] - n_left, "ones": node["ones"] - ones_left}
+            node.update(leaf=False, feature=j, threshold=thr, left=left,
+                        right=right)
+            deeper = [child for child in ((right, lo + n_left, depth + 1),
+                                          (left, lo, depth + 1))
+                      if searches(child[0], depth + 1)]
+            if deeper:
+                stacks[t] += deeper
+                split.append((lo, node["n"], j, thr))
+        if split:
+            lo, size, feature, threshold = map(np.array, zip(*split))
+            for run in _chunks(size, d):
+                _partition_ranges(Xt, index, lo[run], size[run], feature[run],
+                                  threshold[run])
+
+
+def _grow_class_tree(X, y, min_leaf, max_depth):
+    """One entropy-gain classification tree on (X, y), every feature a
+    candidate at every node."""
+    [tree] = _grow_class_trees(X, y, _presort(X), [None], 0, min_leaf,
+                               max_depth)
+    return tree
 
 
 def _leaf_label(node) -> int:
@@ -293,14 +450,14 @@ def _reduced_error_prune(node, X, y):
     increase the error on the held-out prune set. Returns the pruned node
     and its error count on (X, y)."""
     if node["leaf"]:
-        return node, int(np.sum(y != _leaf_label(node)))
+        return node, int(np.count_nonzero(y != _leaf_label(node)))
     if len(y) == 0:
         return node, 0
     mask = X[:, node["feature"]] <= node["threshold"]
     left, errs_left = _reduced_error_prune(node["left"], X[mask], y[mask])
     right, errs_right = _reduced_error_prune(node["right"], X[~mask], y[~mask])
     leaf = _collapsed(node)
-    errs_leaf = int(np.sum(y != _leaf_label(leaf)))
+    errs_leaf = int(np.count_nonzero(y != _leaf_label(leaf)))
     errs_tree = errs_left + errs_right
     if errs_leaf <= errs_tree:
         return leaf, errs_leaf
@@ -312,7 +469,7 @@ def _subtree_raise(node, X, y, z: float):
     re-scoring the node's own training rows through the raised subtree.
     Returns the node kept and its error count on (X, y)."""
     if node["leaf"]:
-        return node, int(np.sum(y != _leaf_label(node)))
+        return node, int(np.count_nonzero(y != _leaf_label(node)))
     mask = X[:, node["feature"]] <= node["threshold"]
     left, errs_left = _subtree_raise(node["left"], X[mask], y[mask], z)
     right, errs_right = _subtree_raise(node["right"], X[~mask], y[~mask], z)
@@ -321,7 +478,7 @@ def _subtree_raise(node, X, y, z: float):
     if (left["leaf"] and right["leaf"]) or len(y) == 0:
         return node, current
     child = left if left["n"] >= right["n"] else right
-    raised_errs = int(np.sum(_tree_predict(child, X) != y))
+    raised_errs = int(np.count_nonzero(_tree_predict(child, X) != y))
     raised_pess = raised_errs + (z * math.sqrt(len(y)) * 0.5 if z > 0 else 0.0)
     if raised_pess <= current:
         return child, raised_errs
@@ -829,16 +986,29 @@ def _random_forest_form(hp, d):
     return (hp["I"], _forest_split_features(hp["K"], d), hp["depth"], hp["M"])
 
 
+def _bootstrap_index(order, counts):
+    """The presorted index of one bootstrap sample per row of counts, side
+    by side: order (_presort(X)) with row r of X repeated counts[t, r]
+    times in tree t's columns."""
+    index = np.empty((len(order), counts.size), dtype=np.intp)
+    for f, rows in enumerate(order):
+        index[f] = np.repeat(np.tile(rows, len(counts)),
+                             counts[:, rows].ravel())
+    return index
+
+
 def _fit_random_forest(X, y, form, seed):
     n_trees, k, depth, min_leaf = form
     n = len(y)
+    order = _presort(X)
     seeds = np.random.SeedSequence(seed).generate_state(n_trees)
     trees = []
-    for ts in seeds:
-        rng = np.random.default_rng(int(ts))
-        boot = rng.integers(0, n, n)
-        trees.append(_grow_class_tree(X[boot], y[boot], min_leaf, depth,
-                                      rng=rng, k_features=k))
+    for block in np.array_split(seeds, -(-n_trees // _TREE_BLOCK)):
+        rngs = [np.random.default_rng(int(ts)) for ts in block]
+        counts = np.array([np.bincount(rng.integers(0, n, n), minlength=n)
+                           for rng in rngs])
+        trees += _grow_class_trees(X, y, _bootstrap_index(order, counts), rngs,
+                                   k, min_leaf, depth)
     return {"trees": trees}, None
 
 

@@ -2,9 +2,11 @@
 feature again. Kept as the reference the presorted growth in
 roadsift.ml.models must match byte for byte.
 
-grow_class_tree stands in for models._grow_class_tree (the decision tree and
-the forest look that name up when they fit); fit_gradient_boosting stands in
-for the boosting entry of models._FAMILY_FITS.
+grow_class_tree stands in for models._grow_class_tree (the decision tree
+looks that name up when it fits); fit_random_forest and
+fit_gradient_boosting stand in for the forest and boosting entries of
+models._FAMILY_FITS. The forest here grows one tree after another, each to
+the end before the next starts, where models grows a forest's trees together.
 """
 
 import math
@@ -41,6 +43,8 @@ def best_gain_split(X, y, feature_idx, min_leaf):
         k = int(np.argmax(gain))
         if gain[k] > 1e-12 and (best is None or gain[k] > best[0] + 1e-15):
             thr = 0.5 * (xs[pos[k]] + xs[pos[k] + 1])
+            if thr >= xs[pos[k] + 1]:       # two adjacent floats
+                thr = xs[pos[k]]
             best = (float(gain[k]), int(j), float(thr))
     return best
 
@@ -70,6 +74,18 @@ def grow_class_tree(X, y, min_leaf, max_depth, rng=None, k_features=0, depth=0):
     node["right"] = grow_class_tree(X[~mask], y[~mask], min_leaf, max_depth,
                                     rng, k_features, depth + 1)
     return node
+
+
+def fit_random_forest(X, y, form, seed):
+    n_trees, k, depth, min_leaf = form
+    n = len(y)
+    trees = []
+    for ts in np.random.SeedSequence(seed).generate_state(n_trees):
+        rng = np.random.default_rng(int(ts))
+        boot = rng.integers(0, n, n)
+        trees.append(grow_class_tree(X[boot], y[boot], min_leaf, depth,
+                                     rng=rng, k_features=k))
+    return {"trees": trees}, None
 
 
 def best_sse_split(X, g, min_leaf, friedman: bool):

@@ -2,10 +2,11 @@
 
 Any change to road generation, driving, feature extraction, dataset output
 (with and without traces) and its reading back, road files, CAN conversion
-and wire framing, the six-family benchmark, the decision-tree, logistic
-and SVM grids, the real-time loop or model-based FIX / REACH selection
-shows up here as a changed digest, so an intended change must update a
-digest in the same commit and say why.
+and wire framing, the six-family benchmark, a random-forest benchmark on a
+second data set, the decision-tree, logistic and SVM grids, the real-time
+loop or model-based FIX / REACH selection shows up here as a changed
+digest, so an intended change must update a digest in the same commit and
+say why.
 
 The linear SVM grid (6cc44726… → 92180393…) and the benchmark
 (0c2383e2… → 352f01ad…) changed when the linear SVM began to be solved to
@@ -83,6 +84,22 @@ def test_benchmark(data_set_1, tmp_path):
         every.update(path.read_bytes())
     assert every.hexdigest() == (
         "352f01ad5040b99fbbca299f926bf09419369a0267820783890de6561572a039")
+
+
+def test_forest_benchmark_data_set_2(tmp_path):
+    # a second forest digest, on more rows than data set 1 and other seeds
+    features = tmp_path / "set2"
+    assert main(["generate", "-n", "60", "--rf", "1.5", "--no-traces",
+                 "--seed", "7", "--out", str(features)]) == 0
+    out = tmp_path / "bm"
+    assert main(["benchmark", "--features", str(features / "features.csv"),
+                 "--models", "random_forest", "--k", "3", "--seed", "5",
+                 "--out", str(out)]) == 0
+    every = hashlib.sha256()
+    for path in [out / "random_forest.report.json", out / "best_model.json"]:
+        every.update(path.read_bytes())
+    assert every.hexdigest() == (
+        "ec61da73f4dab971f2e5ab6ccaa50f6d7f761941ebccfe202348129a64576aa1")
 
 
 @pytest.fixture(scope="module")

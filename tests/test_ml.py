@@ -537,10 +537,11 @@ def oversampled_folds(draw):
 
 
 # grid domains for the reference comparison: full where fitting is cheap,
-# small ensembles otherwise
+# small ensembles otherwise; a forest of 100 trees spans several blocks of
+# trees grown together
 PRESORT_DOMAINS = {
     "decision_tree": GRID_DOMAINS["decision_tree"],
-    "random_forest": {**GRID_DOMAINS["random_forest"], "I": [5]},
+    "random_forest": {**GRID_DOMAINS["random_forest"], "I": [5, 100]},
     "gradient_boosting": {**GRID_DOMAINS["gradient_boosting"],
                           "n_estimators": [10]},
 }
@@ -557,14 +558,50 @@ class TestPresortedGrowth:
             for name, values in PRESORT_DOMAINS[family].items()})
         seed = data.draw(st.integers(0, 2**16), label="seed")
         names = tuple(f"f{i}" for i in range(X.shape[1]))
+        if family == "random_forest":   # some forests span several blocks
+            assert max(PRESORT_DOMAINS[family]["I"]) > models._TREE_BLOCK
         fast = fit(spec, X, y, names, seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(models, "_grow_class_tree", reference_trees.grow_class_tree)
+            mp.setitem(models._FAMILY_FITS, "random_forest",
+                       (models._random_forest_form,
+                        *models._alone(reference_trees.fit_random_forest)))
             mp.setitem(models._FAMILY_FITS, "gradient_boosting",
                        (models._gradient_boosting_form,
                         *models._alone(reference_trees.fit_gradient_boosting)))
             slow = fit(spec, X, y, names, seed)
         assert json.dumps(fast.parameters) == json.dumps(slow.parameters)
+
+    @pytest.mark.parametrize("family", ["decision_tree", "random_forest"])
+    def test_cut_between_adjacent_floats(self, family):
+        # the midpoint of these two values rounds up to the larger one
+        a = 1.0 + 2.0**-52
+        b = np.nextafter(a, 2.0)
+        assert 0.5 * (a + b) == b
+        X = np.array([[a], [a], [b], [b], [a], [b]])
+        y = np.array([0, 0, 1, 1, 0, 1])
+        model = fit(ClassifierSpec(family, {"M": 1}), X, y, ("f0",), 0)
+        assert model.predict_matrix(X).tolist() == y.tolist()
+        tree = model.parameters.get("tree") or model.parameters["trees"][0]
+        assert tree["threshold"] == a
+
+    def test_forest_memory_grows_with_the_block(self):
+        # a block of trees holds a presorted index of d * n entries a tree;
+        # growing all four blocks' trees at once would hold four of them
+        rng = np.random.default_rng(0)
+        n, d = 2000, 18
+        X = rng.normal(size=(n, d))
+        y = (X[:, 0] + 0.8 * rng.normal(size=n) > 0.3).astype(np.int64)
+        index_bytes = 8 * d * n * models._TREE_BLOCK
+        tracemalloc.start()
+        try:
+            params, _ = models._fit_random_forest(
+                X, y, (4 * models._TREE_BLOCK, 4, 3, 1), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(params["trees"]) == 4 * models._TREE_BLOCK
+        assert peak < 3 * index_bytes
 
     @pytest.mark.parametrize("loss", ["log_loss", "exponential"])
     def test_leaf_values_are_the_margin_update(self, loss, monkeypatch):
