@@ -214,10 +214,11 @@ def kfold_evaluate_many(ds: LabeledDataset, specs: list[ClassifierSpec],
                         k: int, rng_seed: int) -> list[EvalReport]:
     """Stratified K-fold of several specs of one family: train folds
     oversampled, held-out fold raw; each spec's confusion summed across
-    folds, rates derived once at the end. The loop is fold-major: each
-    fold's training set is built once and fit_many shares work across the
-    specs; each model is scored and dropped before the next. Report i
-    equals kfold_evaluate(ds, specs[i], k, rng_seed)."""
+    folds, rates derived once at the end. The K training sets are built
+    first and fit_many takes them all in one call: it shares work across
+    the specs, and the tree families grow the K folds' trees together.
+    Each model is scored on its held-out fold as it comes and dropped.
+    Report i equals kfold_evaluate(ds, specs[i], k, rng_seed)."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if len(ds) < k:
@@ -229,19 +230,19 @@ def kfold_evaluate_many(ds: LabeledDataset, specs: list[ClassifierSpec],
                 f"the {name} class has {count} {'row' if count == 1 else 'rows'}; "
                 f"K-fold needs 2 or more of each class")
     folds = stratified_folds(ds.y, k, rng_seed)
-    confusion = np.zeros((len(specs), 4), dtype=np.int64)
+    sets = []
     mask = np.ones(len(ds), dtype=bool)
     for i, fold in enumerate(folds):
-        if len(fold) == 0:
-            continue
         mask[:] = True
         mask[fold] = False
-        train = ds.subset(np.flatnonzero(mask))
-        train = oversample_minority(train, rng_seed + 1000 + i)
-        for j, model in fit_many(specs, train.X, train.y, ds.feature_names,
-                                 rng_seed=rng_seed + 2000 + i):
-            pred = model.predict_matrix(ds.X[fold])
-            confusion[j] += confusion_from_predictions(ds.y[fold], pred)
+        train = oversample_minority(ds.subset(np.flatnonzero(mask)),
+                                    rng_seed + 1000 + i)
+        sets.append((train.X, train.y))
+    confusion = np.zeros((len(specs), 4), dtype=np.int64)
+    for i, j, model in fit_many(specs, sets, ds.feature_names,
+                                [rng_seed + 2000 + i for i in range(k)]):
+        pred = model.predict_matrix(ds.X[folds[i]])
+        confusion[j] += confusion_from_predictions(ds.y[folds[i]], pred)
     return [report_from_confusion(*map(int, counts)) for counts in confusion]
 
 

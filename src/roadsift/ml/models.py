@@ -18,6 +18,7 @@ tree of the block at once.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -139,43 +140,18 @@ def _presort(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
 
 
-def _partition(X, rows, order, feature, threshold):
-    """(rows, order) of the left (X[:, feature] <= threshold) and the right
-    child of a node. Both keep their parent's relative order, so each row of
-    a child's order is what argsorting the child's rows again would give."""
-    left = X[:, feature] <= threshold
-    in_left = left[order]
-    d = len(order)
-    return ((rows[left[rows]], order[in_left].reshape(d, -1)),
-            (rows[~left[rows]], order[~in_left].reshape(d, -1)))
-
-
-def _cut_points(xs, min_leaf):
-    """Left sizes 1..n-1 of the cuts between consecutive sorted rows, and
-    which cuts are valid: between distinct values, min_leaf rows a side."""
-    n = xs.shape[1]
-    nl = np.arange(1, n)
-    valid = (xs[:, 1:] > xs[:, :-1]) & (nl >= min_leaf) & (n - nl >= min_leaf)
-    return nl, valid
-
-
-def _best_cut(score, xs, features, valid):
-    """(feature, threshold) of the best valid cut, or None; overwrites the
-    invalid entries of score. Each feature's first maximal valid cut
-    competes, and a later feature must beat the best so far by more than
-    1e-15."""
-    score[~valid] = -np.inf
-    k = score.argmax(axis=1)
-    top = score[np.arange(len(k)), k].tolist()
-    best = pick = None
-    for i in np.flatnonzero(valid.any(axis=1)).tolist():
-        if best is None or top[i] > best + 1e-15:
-            best, pick = top[i], i
-    if pick is None:
-        return None
-    cut = k[pick]
-    return (int(features[pick]),
-            float(0.5 * (xs[pick, cut] + xs[pick, cut + 1])))
+def _stack(sets):
+    """The rows of every (X, y) of sets one below the other, and the
+    presorted index of each set beside the others': set i's is _presort of
+    its X offset by its first row, so its ties keep the set's own row
+    order. Returns (X, y, index, lo, size); set i owns the rows and index
+    columns lo[i] .. lo[i] + size[i]."""
+    size = np.array([len(y) for _, y in sets])
+    lo = size.cumsum() - size
+    index = np.concatenate([_presort(X) + start
+                            for (X, _), start in zip(sets, lo.tolist())], axis=1)
+    return (np.concatenate([X for X, _ in sets]),
+            np.concatenate([y for _, y in sets]), index, lo, size)
 
 
 # A forest's trees grow together in blocks of at most this many. A block
@@ -183,8 +159,8 @@ def _best_cut(score, xs, features, valid):
 # a fit grows with the block and the rows, not with I.
 _TREE_BLOCK = 32
 # A round scores and partitions its nodes in runs of about this many cells
-# (rows times features), so its temporaries stay small however large the
-# nodes of the block are.
+# (rows times features, padding included), so its temporaries stay small
+# however large the nodes of the block are.
 _ROUND_CELLS = 1 << 16
 
 
@@ -206,6 +182,38 @@ def _ragged(lo, size):
     return np.arange(ends[-1]) + (lo - starts).repeat(size), starts, ends
 
 
+def _winners(top):
+    """For each node, a column of top whose rows are its candidate features
+    in ascending order and hold each one's best cut score (-inf without a
+    valid cut), the row whose cut the node takes, or -1 when none has a
+    valid cut: a later candidate must beat the best so far by more than
+    1e-15."""
+    node, r = np.nonzero(top.T > -np.inf)
+    won = [-1] * top.shape[1]
+    best = [None] * top.shape[1]
+    for i, j, value in zip(node.tolist(), r.tolist(), top[r, node].tolist()):
+        if best[i] is None or value > best[i] + 1e-15:
+            best[i], won[i] = value, j
+    return np.array(won)
+
+
+def _threshold(below, above):
+    """The threshold of a cut between the sorted values below and above:
+    their midpoint, unless it rounds up to above (two adjacent floats),
+    which would send the rows of that value left too; then below."""
+    mid = 0.5 * (below + above)
+    return np.where(mid < above, mid, below)
+
+
+def _picks(m, node, *columns):
+    """Per node of m, the tuple of its entries in columns, or None for the
+    nodes not in node."""
+    picks = [None] * m
+    for i, *cut in zip(node.tolist(), *(c.tolist() for c in columns)):
+        picks[i] = tuple(cut)
+    return picks
+
+
 def _best_gain_cuts(Xt, y, index, lo, size, ones, features, min_leaf):
     """(feature, threshold, rows on the left, class-1 rows on the left) of
     each node's best cut, or None when no cut has positive gain. Xt is X
@@ -213,8 +221,8 @@ def _best_gain_cuts(Xt, y, index, lo, size, ones, features, min_leaf):
     of index, the presorted index of its tree (rows of X by feature), and
     holds ones[i] rows of class 1. Its candidates are the features in row i
     of features, ascending, or every feature when features is None.
-    Information gain with entropy, thresholds at midpoints of consecutive
-    distinct values, ties broken as in _best_cut.
+    Information gain with entropy, each candidate's first maximal cut
+    competing as in _winners, thresholds by _threshold.
 
     All nodes are scored as one (candidates, columns) array, a node's
     columns next to each other and no padding: a cut after a column leaves
@@ -263,31 +271,94 @@ def _best_gain_cuts(Xt, y, index, lo, size, ones, features, min_leaf):
     at_top = np.where(score == top.repeat(size, axis=1), np.arange(width),
                       width)
     first = np.minimum.reduceat(at_top, starts, axis=1)
-    # the tie rule, node by node, over the candidates with a valid cut
-    node, r = np.nonzero(top.T > -np.inf)
-    seg = r * len(size) + node
-    best = [None] * len(size)
-    won = [None] * len(size)
-    for k, (i, value) in enumerate(zip(node.tolist(), top.take(seg).tolist())):
-        if best[i] is None or value > best[i] + 1e-15:
-            best[i], won[i] = value, k
-    picks = [None] * len(size)
-    won = [k for k in won if k is not None]
-    if not won:
-        return picks
-    node, r, col = node[won], r[won], first.take(seg[won])
+    won = _winners(top)
+    node = np.flatnonzero(won >= 0)
+    r = won[node]
+    col = first[r, node]
     cut = r * width + col
-    below, above = xs.take(cut), xs.take(cut + 1)
-    # the midpoint, unless it rounds up to the value above the cut (two
-    # adjacent floats): then the rows of that value would go left too
-    thr = 0.5 * (below + above)
-    thr = np.where(thr < above, thr, below)
-    feature = r if features is None else features[node, r]
-    for i, j, t, n_left, ones_left in zip(
-            node.tolist(), feature.tolist(), thr.tolist(),
-            (col + 1 - starts.take(node)).tolist(), cum.take(cut).tolist()):
-        picks[i] = (j, t, n_left, ones_left)
-    return picks
+    return _picks(len(size), node, r if features is None else features[node, r],
+                  _threshold(xs.take(cut), xs.take(cut + 1)),
+                  col + 1 - starts.take(node), cum.take(cut))
+
+
+def _best_sse_cuts(Xt, g, index, lo, size, sums, features, min_leaf,
+                   friedman):
+    """As _best_gain_cuts, for a regression tree on the float targets g
+    (boosting's gradients): (feature, threshold, rows on the left, sum of g
+    on the left) of each node's best cut, or None when it has no valid
+    cut. A cut scores Friedman's improvement or the reduction in the
+    squared error of g, and every valid cut competes. sums is unused: each
+    candidate's running sum gives its own node total.
+
+    A flat running sum over nodes next to each other is exact only for
+    integers, so the nodes are scored as one padded (candidates, nodes,
+    widest node) block: a node's rows, then zeros, which leave its running
+    sums as a sum over its rows alone gives them."""
+    m, width = len(size), int(size.max())
+    c = np.arange(width)
+    cols = lo[:, None] + np.minimum(c, size[:, None] - 1)
+    if features is None:
+        feature = np.arange(len(Xt))[:, None, None]
+    else:
+        feature = features.T[:, :, None]
+    rows = index.take(feature * index.shape[1] + cols)
+    xs = Xt.take(rows + feature * Xt.shape[1])
+    cum = g.take(rows)
+    cum[:, c >= size[:, None]] = 0.0
+    cum.cumsum(axis=2, out=cum)
+    nl = c + 1
+    valid = np.zeros(xs.shape, dtype=bool)
+    np.greater(xs[..., 1:], xs[..., :-1], out=valid[..., :-1])
+    valid &= (nl >= min_leaf) & (size[:, None] - nl >= min_leaf)
+    at = np.flatnonzero(valid)
+    seg = at // width                       # (candidate, node) of each cut
+    sum_l = cum.take(at)
+    sum_r = cum[:, np.arange(m), size - 1].take(seg) - sum_l
+    nl = nl.take(at % width)
+    nr = size.take(seg % m) - nl
+    if friedman:
+        diff = sum_l / nl - sum_r / nr
+        gain = (nl * nr) / (nl + nr) * diff * diff
+    else:
+        gain = sum_l * sum_l / nl + sum_r * sum_r / nr
+    score = np.full(xs.shape, -np.inf)
+    score.put(at, gain)
+    won = _winners(score.max(axis=2))
+    node = np.flatnonzero(won >= 0)
+    r = won[node]
+    col = score.argmax(axis=2)[r, node]
+    cut = (r * m + node) * width + col
+    return _picks(m, node, r if features is None else features[node, r],
+                  _threshold(xs.take(cut), xs.take(cut + 1)), col + 1,
+                  cum.take(cut))
+
+
+class _Criterion(NamedTuple):
+    """What a tree grows by. A node of n rows whose targets sum to s starts
+    as node(n, s), and is a leaf without a search when pure(n, s). cuts
+    scores the cuts of a run of nodes (as _best_gain_cuts); when padded, it
+    pads each node to the widest of the run, and the run is counted at that
+    width against _ROUND_CELLS."""
+    node: Callable[[int, float], dict]
+    pure: Callable[[int, float], bool]
+    cuts: Callable[..., list]
+    padded: bool
+
+
+# classification: labels 0/1, whose sum is a node's class-1 rows
+_ENTROPY = _Criterion(lambda n, ones: {"n": n, "ones": ones},
+                      lambda n, ones: ones == 0 or ones == n,
+                      _best_gain_cuts, False)
+
+
+def _regression(friedman):
+    return _Criterion(lambda n, s: {}, lambda n, s: False,
+                      functools.partial(_best_sse_cuts, friedman=friedman),
+                      True)
+
+
+_SQUARED_ERROR = _regression(False)
+_FRIEDMAN = _regression(True)
 
 
 def _partition_ranges(Xt, index, lo, size, feature, threshold):
@@ -306,37 +377,55 @@ def _partition_ranges(Xt, index, lo, size, feature, threshold):
     index[:, cols[~head]] = part[~left].reshape(d, -1)
 
 
-def _grow_class_trees(X, y, index, rngs, k_features, min_leaf, max_depth):
-    """Entropy-gain classification trees on samples of the n rows of
-    (X, y), one per entry of rngs, grown together. Tree t owns columns
-    t * n .. (t + 1) * n of index, its sample's presorted index: row f lists
-    its rows of X by ascending X[:, f]. With 0 < k_features < d, each node
-    of tree t draws k_features candidate features from rngs[t] (the
-    forest's feature subsampling), otherwise every feature is one.
+def _grow_trees(X, target, index, lo, size, criterion, min_leaf, max_depth,
+                rngs=None, k_features=0):
+    """Trees on the rows of (X, target), one per entry of lo and size,
+    grown together by criterion. Tree t owns columns lo[t] .. lo[t] +
+    size[t] of index, its presorted index: row f lists its rows of X by
+    ascending X[:, f], a row as often as its sample holds it. With rngs and
+    0 < k_features < d, each node of tree t draws k_features candidate
+    features from rngs[t] (the forest's feature subsampling), otherwise
+    every feature is one.
 
     Each tree grows depth first from its own stack, so it draws in its own
     preorder, as if grown alone. Every round takes each tree's next node to
     search (every such node of its stack when it draws nothing), scores the
     cuts of all those nodes together and partitions together the nodes that
     have a child to search. A node owns a column range of index, and
-    partitioning it reorders that range in place."""
-    n, d = X.shape
-    draw = 0 < k_features < d
-    Xt = np.ascontiguousarray(X.T)
+    partitioning it reorders that range in place.
 
-    def searches(node, depth):
+    Returns the roots and every leaf as (node, row, lo, size): columns lo ..
+    lo + size of row `row` of index hold the leaf's rows. That row is the
+    parent's split feature (0 for a root); it lists the parent's left rows
+    first even where the parent's range was never partitioned."""
+    d = X.shape[1]
+    draw = rngs is not None and 0 < k_features < d
+    Xt = np.ascontiguousarray(X.T)
+    leaves = []
+
+    def searches(node, row, lo, size, s, depth):
         """Whether node needs a split search; otherwise it becomes a leaf."""
-        size, ones = node["n"], node["ones"]
-        if (ones == 0 or ones == size or size < 2 * min_leaf
+        if (criterion.pure(size, s) or size < 2 * min_leaf
                 or (max_depth and depth >= max_depth)):
             node["leaf"] = True
+            leaves.append((node, row, lo, size))
             return False
         return True
 
-    trees = [{"n": n, "ones": ones} for ones in
-             y.take(index[0]).reshape(len(rngs), n).sum(axis=1).tolist()]
-    stacks = [[(tree, t * n, 0)] if searches(tree, 0) else []
-              for t, tree in enumerate(trees)]
+    cols, starts, _ = _ragged(lo, size)
+    # a tree on no rows (a reduced-error tree whose rows were all held
+    # out) sums to 0; reduceat would give it the next tree's first row
+    sums = np.zeros(len(size), dtype=target.dtype)
+    rows = size > 0
+    if rows.any():
+        sums[rows] = np.add.reduceat(target.take(index[0].take(cols)),
+                                     starts[rows])
+    trees, stacks = [], []
+    for root in zip(lo.tolist(), size.tolist(), sums.tolist()):
+        tree = criterion.node(*root[1:])
+        trees.append(tree)
+        stacks.append([(tree, 0, *root, 0)] if searches(tree, 0, *root, 0)
+                      else [])
     while True:
         searched, features = [], []
         for t, stack in enumerate(stacks):
@@ -347,31 +436,34 @@ def _grow_class_trees(X, y, index, rngs, k_features, min_leaf, max_depth):
                                                    replace=False))
                     break
         if not searched:
-            return trees
-        lo, size, ones = np.array([(lo, node["n"], node["ones"])
-                                   for _, node, lo, _ in searched]).T
+            return trees, leaves
+        lo, size = np.array([entry[3:5] for entry in searched]).T
+        sums = np.array([entry[5] for entry in searched])
         features = np.sort(features, axis=1) if draw else None
+        width = k_features if draw else d
         cuts = []
-        for run in _chunks(size, k_features if draw else d):
-            cuts += _best_gain_cuts(
-                Xt, y, index, lo[run], size[run], ones[run],
+        for run in _chunks(np.full_like(size, size.max()) if criterion.padded
+                           else size, width):
+            cuts += criterion.cuts(
+                Xt, target, index, lo[run], size[run], sums[run],
                 None if features is None else features[run], min_leaf)
         split = []
-        for (t, node, lo, depth), cut in zip(searched, cuts):
+        for (t, node, row, lo, size, s, depth), cut in zip(searched, cuts):
             if cut is None:
                 node["leaf"] = True
+                leaves.append((node, row, lo, size))
                 continue
-            j, thr, n_left, ones_left = cut
-            left = {"n": n_left, "ones": ones_left}
-            right = {"n": node["n"] - n_left, "ones": node["ones"] - ones_left}
+            j, thr, n_left, s_left = cut
+            left = criterion.node(n_left, s_left)
+            right = criterion.node(size - n_left, s - s_left)
             node.update(leaf=False, feature=j, threshold=thr, left=left,
                         right=right)
-            deeper = [child for child in ((right, lo + n_left, depth + 1),
-                                          (left, lo, depth + 1))
-                      if searches(child[0], depth + 1)]
+            deeper = [child for child in (
+                (right, j, lo + n_left, size - n_left, s - s_left, depth + 1),
+                (left, j, lo, n_left, s_left, depth + 1)) if searches(*child)]
             if deeper:
                 stacks[t] += deeper
-                split.append((lo, node["n"], j, thr))
+                split.append((lo, size, j, thr))
         if split:
             lo, size, feature, threshold = map(np.array, zip(*split))
             for run in _chunks(size, d):
@@ -379,12 +471,12 @@ def _grow_class_trees(X, y, index, rngs, k_features, min_leaf, max_depth):
                                   threshold[run])
 
 
-def _grow_class_tree(X, y, min_leaf, max_depth):
-    """One entropy-gain classification tree on (X, y), every feature a
-    candidate at every node."""
-    [tree] = _grow_class_trees(X, y, _presort(X), [None], 0, min_leaf,
-                               max_depth)
-    return tree
+def _grow_decision_trees(sets, min_leaf):
+    """One entropy-gain classification tree per (X, y) of sets, every
+    feature a candidate at every node, grown together."""
+    X, y, index, lo, size = _stack(sets)
+    trees, _ = _grow_trees(X, y, index, lo, size, _ENTROPY, min_leaf, 0)
+    return trees
 
 
 def _leaf_label(node) -> int:
@@ -488,47 +580,23 @@ def _subtree_raise(node, X, y, z: float):
 # ---------------------------------------------------------------------------
 # regression trees for boosting
 
-def _best_sse_split(X, grad, order, min_leaf, friedman: bool):
-    """Best (feature, threshold) over all features of a node with the given
-    presorted index, by Friedman's improvement or by the reduction in the
-    squared error of grad; None when no feature has a valid cut."""
-    d, n = order.shape
-    features = np.arange(d)
-    xs = X[order, features[:, None]]
-    cum = np.cumsum(grad[order], axis=1)
-    nl, valid = _cut_points(xs, min_leaf)
-    nr = n - nl
-    sum_l = cum[:, :-1]
-    sum_r = cum[:, -1:] - sum_l
-    if friedman:
-        diff = sum_l / nl - sum_r / nr
-        score = (nl * nr) / (nl + nr) * diff * diff
-    else:
-        score = sum_l * sum_l / nl + sum_r * sum_r / nr
-    return _best_cut(score, xs, features, valid)
-
-
-def _grow_reg_tree(X, order, grad, hess, max_depth, min_leaf, friedman):
-    """Regression tree on the rows of X, whose presorted index is order; a
-    leaf holds sum(grad) / sum(hess) over its rows. Returns the tree and
-    each row's leaf value, which equals _reg_tree_predict(tree, X)."""
-    fitted = np.empty(len(grad))
-
-    def grow(rows, order, depth):
-        if depth < max_depth and len(rows) >= 2 * min_leaf:
-            split = _best_sse_split(X, grad, order, min_leaf, friedman)
-            if split is not None:
-                j, thr = split
-                left, right = _partition(X, rows, order, j, thr)
-                return {"leaf": False, "feature": j, "threshold": thr,
-                        "left": grow(*left, depth + 1),
-                        "right": grow(*right, depth + 1)}
-        # rows ascend, so both sums add the leaf's rows in row order
-        value = float(grad[rows].sum() / max(hess[rows].sum(), 1e-12))
-        fitted[rows] = value
-        return {"leaf": True, "value": value}
-
-    return grow(np.arange(len(grad)), order, 0), fitted
+def _set_leaf_values(leaves, index, grad, hess, fitted):
+    """Give each leaf of _grow_trees its value, sum(grad) / sum(hess) over
+    its rows in ascending order, and write that value into fitted at those
+    rows. Leaves of equal size share one C-ordered 2-D row sum, which adds
+    each row's values as a sum over that row alone does."""
+    by_size: dict = {}
+    for node, row, lo, size in leaves:
+        by_size.setdefault(size, []).append((node, row * index.shape[1] + lo))
+    for size, group in by_size.items():
+        nodes, starts = zip(*group)
+        rows = np.sort(index.take(np.array(starts)[:, None] + np.arange(size)),
+                       axis=1)
+        values = (grad.take(rows).sum(axis=1)
+                  / np.maximum(hess.take(rows).sum(axis=1), 1e-12))
+        fitted[rows] = values[:, None]
+        for node, value in zip(nodes, values.tolist()):
+            node["value"] = value
 
 
 def _reg_tree_predict(node, X) -> np.ndarray:
@@ -538,16 +606,32 @@ def _reg_tree_predict(node, X) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # family fitters. Beside each fitter sits the canonical form of its
 # hyperparameters on d features and the key of the work forms share: the
-# fitter receives forms with one key and nothing else of the specs, and
-# yields one (parameters, standardization or None) per form, in order.
+# fitter receives a list of training sets (X, y), one seed each, and forms
+# with one key and nothing else of the specs. It yields one (parameters,
+# standardization or None) per set and form, set by set, each set's forms
+# in order.
+
+def _per_set(fit_set):
+    """The fitter that fits the sets one at a time, by fit_set(X, y, forms,
+    seed), a generator of one result per form."""
+    def fit_sets(sets, forms, seeds):
+        for (X, y), seed in zip(sets, seeds):
+            yield from fit_set(X, y, forms, seed)
+    return fit_sets
+
+
+def _apart(form):
+    """The share key of a form that shares no work with other forms."""
+    return form
+
 
 def _alone(fit_one):
     """(share key, fitter) of a family whose forms share no work: each
-    form is its own group, fitted by fit_one(X, y, form, seed)."""
-    def fit_each(X, y, forms, seed):
+    form is its own group, fitted set by set by fit_one(X, y, form, seed)."""
+    def fit_set(X, y, forms, seed):
         for form in forms:
             yield fit_one(X, y, form, seed)
-    return (lambda form: form), fit_each
+    return _apart, _per_set(fit_set)
 
 
 def _logistic_form(hp, d):
@@ -947,33 +1031,45 @@ def _decision_tree_share(form):
     return form[-3:-1]
 
 
-def _fit_decision_tree(X, y, forms, seed):
+def _prune_mask(y, seed):
+    """The rows reduced-error pruning holds out: a seeded fifth of each
+    class, at least one row."""
+    rng = np.random.default_rng(seed)
+    prune_idx = []
+    for cls in (SAFE_CODE, UNSAFE_CODE):
+        idx = np.flatnonzero(y == cls)
+        idx = idx[rng.permutation(len(idx))]
+        prune_idx.extend(idx[: max(1, len(idx) // 5)])
+    prune_mask = np.zeros(len(y), dtype=bool)
+    prune_mask[prune_idx] = True
+    return prune_mask
+
+
+def _fit_decision_tree(sets, forms, seeds):
+    """Every set's tree grows in one _grow_decision_trees call; each form
+    then prunes its set's tree."""
     min_leaf, reduced_error = forms[0][-3:-1]
     if reduced_error == "yes":
-        rng = np.random.default_rng(seed)
-        prune_idx = []
-        for cls in (SAFE_CODE, UNSAFE_CODE):
-            idx = np.flatnonzero(y == cls)
-            idx = idx[rng.permutation(len(idx))]
-            prune_idx.extend(idx[: max(1, len(idx) // 5)])
-        prune_mask = np.zeros(len(y), dtype=bool)
-        prune_mask[prune_idx] = True
-        Xp, yp = X[prune_mask], y[prune_mask]
-        tree = _grow_class_tree(X[~prune_mask], y[~prune_mask], min_leaf, 0)
-        pruned, _ = _reduced_error_prune(tree, Xp, yp)
-        for *_, subtree_raise in forms:
-            if subtree_raise == "yes":
-                yield {"tree": _subtree_raise(pruned, Xp, yp, 0.0)[0]}, None
-            else:
-                yield {"tree": pruned}, None
+        masks = [_prune_mask(y, seed) for (_, y), seed in zip(sets, seeds)]
+        trees = _grow_decision_trees(
+            [(X[~mask], y[~mask]) for (X, y), mask in zip(sets, masks)],
+            min_leaf)
+        for tree, (X, y), mask in zip(trees, sets, masks):
+            Xp, yp = X[mask], y[mask]
+            pruned, _ = _reduced_error_prune(tree, Xp, yp)
+            for *_, subtree_raise in forms:
+                if subtree_raise == "yes":
+                    yield {"tree": _subtree_raise(pruned, Xp, yp, 0.0)[0]}, None
+                else:
+                    yield {"tree": pruned}, None
     else:
-        tree = _grow_class_tree(X, y, min_leaf, 0)
-        for confidence, *_, subtree_raise in forms:
-            z = NormalDist().inv_cdf(1.0 - confidence) if confidence < 0.5 else 0.0
-            pruned, _ = _pessimistic_prune(tree, z)
-            if subtree_raise == "yes":
-                pruned, _ = _subtree_raise(pruned, X, y, z)
-            yield {"tree": pruned}, None
+        for tree, (X, y) in zip(_grow_decision_trees(sets, min_leaf), sets):
+            for confidence, *_, subtree_raise in forms:
+                z = NormalDist().inv_cdf(1.0 - confidence) if confidence < 0.5 else 0.0
+                pruned, _ = _pessimistic_prune(tree, z)
+                if subtree_raise == "yes":
+                    pruned, _ = _subtree_raise(pruned, X, y, z)
+                yield {"tree": pruned}, None
 
 
 def _forest_split_features(K: int, d: int) -> int:
@@ -1007,8 +1103,10 @@ def _fit_random_forest(X, y, form, seed):
         rngs = [np.random.default_rng(int(ts)) for ts in block]
         counts = np.array([np.bincount(rng.integers(0, n, n), minlength=n)
                            for rng in rngs])
-        trees += _grow_class_trees(X, y, _bootstrap_index(order, counts), rngs,
-                                   k, min_leaf, depth)
+        grown, _ = _grow_trees(X, y, _bootstrap_index(order, counts),
+                               np.arange(len(rngs)) * n, np.full(len(rngs), n),
+                               _ENTROPY, min_leaf, depth, rngs, k)
+        trees += grown
     return {"trees": trees}, None
 
 
@@ -1018,17 +1116,24 @@ def _gradient_boosting_form(hp, d):
             hp["n_estimators"], hp["criterion"] == "friedman_mse")
 
 
-def _fit_gradient_boosting(X, y, form, seed):
-    exponential, lr, n_estimators, friedman = form
+def _fit_gradient_boosting(sets, forms, seeds):
+    """Stage-wise boosting (Friedman 2001) of depth-3 regression trees on
+    the gradients of the log-loss or the exponential loss; a leaf holds
+    sum(grad) / sum(hess) over its rows. Stage t of every set grows in one
+    _grow_trees call on the stacked rows. The forms share a key, so they
+    are equal, and one fit serves them all."""
+    exponential, lr, n_estimators, friedman = forms[0]
+    X, y, order, lo, size = _stack(sets)
+    inits = []
+    for _, y_set in sets:
+        p1 = float(np.clip(y_set.mean(), 1e-6, 1 - 1e-6))
+        log_odds = math.log(p1 / (1.0 - p1))
+        inits.append(0.5 * log_odds if exponential else log_odds)
     yy = 2.0 * y - 1.0
-    p1 = float(np.clip(y.mean(), 1e-6, 1 - 1e-6))
-    if exponential:
-        f0 = 0.5 * math.log(p1 / (1.0 - p1))
-    else:
-        f0 = math.log(p1 / (1.0 - p1))
-    f = np.full(len(y), f0)
-    order = _presort(X)
-    trees = []
+    f = np.repeat(inits, size)
+    criterion = _FRIEDMAN if friedman else _SQUARED_ERROR
+    fitted = np.empty(len(y))
+    trees = [[] for _ in sets]
     for _ in range(n_estimators):
         if exponential:
             e = np.exp(-yy * f)
@@ -1038,23 +1143,27 @@ def _fit_gradient_boosting(X, y, form, seed):
             p = 1.0 / (1.0 + np.exp(-f))
             grad = y - p
             hess = np.maximum(p * (1.0 - p), 1e-12)
-        tree, fitted = _grow_reg_tree(X, order, grad, hess, max_depth=3,
-                                      min_leaf=1, friedman=friedman)
+        index = order.copy()
+        stage, leaves = _grow_trees(X, grad, index, lo, size, criterion, 1, 3)
+        _set_leaf_values(leaves, index, grad, hess, fitted)
         f = f + lr * fitted
-        trees.append(tree)
-    return {"init": f0, "trees": trees, "learning_rate": lr}, None
+        for grown, tree in zip(trees, stage):
+            grown.append(tree)
+    for init, grown in zip(inits, trees):
+        for _ in forms:
+            yield {"init": init, "trees": grown, "learning_rate": lr}, None
 
 
 # family -> (canonical form of its hyperparameters on d features, key of the
 # work forms share, fitter of forms with one key)
 _FAMILY_FITS = {
-    "logistic": (_logistic_form, _logistic_share, _fit_logistic),
+    "logistic": (_logistic_form, _logistic_share, _per_set(_fit_logistic)),
     "naive_bayes": (_naive_bayes_form, *_alone(_fit_naive_bayes)),
     "decision_tree": (_decision_tree_form, _decision_tree_share,
                       _fit_decision_tree),
     "random_forest": (_random_forest_form, *_alone(_fit_random_forest)),
-    "gradient_boosting": (_gradient_boosting_form,
-                          *_alone(_fit_gradient_boosting)),
+    "gradient_boosting": (_gradient_boosting_form, _apart,
+                          _fit_gradient_boosting),
     "linear_svm": (_linear_svm_form, *_alone(_fit_linear_svm)),
 }
 
@@ -1150,38 +1259,43 @@ class TrainedClassifier:
         return np.array(table, dtype=float).reshape(shape)
 
 
-def fit_many(specs: list[ClassifierSpec], X: np.ndarray, y: np.ndarray,
-             feature_names: tuple[str, ...], rng_seed: int = 0):
-    """Train one classifier per spec, all of one family, on the same rows
-    and seed. Yields (index into specs, model) one model at a time, group
-    by group of equal shared_fit_key, so work the specs share is done once
-    and held for one group only. Each model equals fit(spec, ...) alone.
-    Requires both classes in y."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if len(np.unique(y)) < 2:
+def fit_many(specs: list[ClassifierSpec], sets, feature_names: tuple[str, ...],
+             seeds: list[int]):
+    """Train one classifier per spec, all of one family, on each training
+    set (X, y) of sets with its seed in seeds. Yields (set index, spec
+    index, model) one model at a time, group by group of equal
+    shared_fit_key, so work the specs share is done once and only one
+    group's models are held at once; the tree families grow a group's
+    trees for every set together. Each model equals fit(spec, X, y,
+    feature_names, seed) alone. Requires both classes in every y."""
+    if len(seeds) != len(sets):
+        raise ValueError(f"{len(seeds)} seeds for {len(sets)} training sets")
+    sets = [(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64))
+            for X, y in sets]
+    if any(len(np.unique(y)) < 2 for _, y in sets):
         raise SingleClassDataset("training data contains a single class")
     families = {spec.family for spec in specs}
     if len(families) != 1:
         raise ValueError(f"fit_many needs specs of one family, got {families}")
     form, share, fitter = _FAMILY_FITS[families.pop()]
-    forms = [form(spec.hyperparameters, X.shape[1]) for spec in specs]
+    forms = [form(spec.hyperparameters, sets[0][0].shape[1]) for spec in specs]
     groups: dict = {}
-    for i, f in enumerate(forms):
-        groups.setdefault(share(f), []).append(i)
+    for j, f in enumerate(forms):
+        groups.setdefault(share(f), []).append(j)
     names = tuple(feature_names)
     for group in groups.values():
-        fitted = fitter(X, y, [forms[i] for i in group], rng_seed)
-        for i, (params, standardization) in zip(group, fitted):
-            yield i, TrainedClassifier(spec=specs[i], feature_names=names,
-                                       standardization=standardization,
-                                       parameters=params)
+        fitted = fitter(sets, [forms[j] for j in group], seeds)
+        every = ((i, j) for i in range(len(sets)) for j in group)
+        for (i, j), (params, standardization) in zip(every, fitted):
+            yield i, j, TrainedClassifier(spec=specs[j], feature_names=names,
+                                          standardization=standardization,
+                                          parameters=params)
 
 
 def fit(spec: ClassifierSpec, X: np.ndarray, y: np.ndarray,
         feature_names: tuple[str, ...], rng_seed: int = 0) -> TrainedClassifier:
     """Train one classifier. Requires both classes in y."""
-    [(_, model)] = fit_many([spec], X, y, feature_names, rng_seed)
+    [(_, _, model)] = fit_many([spec], [(X, y)], feature_names, [rng_seed])
     return model
 
 

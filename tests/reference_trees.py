@@ -2,11 +2,12 @@
 feature again. Kept as the reference the presorted growth in
 roadsift.ml.models must match byte for byte.
 
-grow_class_tree stands in for models._grow_class_tree (the decision tree
-looks that name up when it fits); fit_random_forest and
+grow_decision_trees stands in for models._grow_decision_trees (the decision
+tree looks that name up when it fits); fit_random_forest and
 fit_gradient_boosting stand in for the forest and boosting entries of
-models._FAMILY_FITS. The forest here grows one tree after another, each to
-the end before the next starts, where models grows a forest's trees together.
+models._FAMILY_FITS, fitting one training set. Each tree here grows to the
+end before the next starts, where models grows a forest's trees, a K-fold's
+decision trees and a K-fold's boosting stage together.
 """
 
 import math
@@ -76,6 +77,10 @@ def grow_class_tree(X, y, min_leaf, max_depth, rng=None, k_features=0, depth=0):
     return node
 
 
+def grow_decision_trees(sets, min_leaf):
+    return [grow_class_tree(X, y, min_leaf, 0) for X, y in sets]
+
+
 def fit_random_forest(X, y, form, seed):
     n_trees, k, depth, min_leaf = form
     n = len(y)
@@ -116,6 +121,8 @@ def best_sse_split(X, g, min_leaf, friedman: bool):
         k = int(np.argmax(score))
         if best is None or score[k] > best[0] + 1e-15:
             thr = 0.5 * (xs[pos[k]] + xs[pos[k] + 1])
+            if thr >= xs[pos[k] + 1]:       # two adjacent floats
+                thr = xs[pos[k]]
             best = (float(score[k]), int(j), float(thr))
     return best
 

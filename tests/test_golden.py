@@ -86,20 +86,36 @@ def test_benchmark(data_set_1, tmp_path):
         "352f01ad5040b99fbbca299f926bf09419369a0267820783890de6561572a039")
 
 
-def test_forest_benchmark_data_set_2(tmp_path):
-    # a second forest digest, on more rows than data set 1 and other seeds
-    features = tmp_path / "set2"
+@pytest.fixture(scope="module")
+def data_set_2(tmp_path_factory):
+    # more rows than data set 1, and other seeds
+    out = tmp_path_factory.mktemp("set2")
     assert main(["generate", "-n", "60", "--rf", "1.5", "--no-traces",
-                 "--seed", "7", "--out", str(features)]) == 0
+                 "--seed", "7", "--out", str(out)]) == 0
+    return out / "features.csv"
+
+
+def ensemble_digest(features, tmp_path, family):
+    """Digest of one family's 3-fold report and its best_model.json, whose
+    bytes hold each tree's key order."""
     out = tmp_path / "bm"
-    assert main(["benchmark", "--features", str(features / "features.csv"),
-                 "--models", "random_forest", "--k", "3", "--seed", "5",
+    assert main(["benchmark", "--features", str(features),
+                 "--models", family, "--k", "3", "--seed", "5",
                  "--out", str(out)]) == 0
     every = hashlib.sha256()
-    for path in [out / "random_forest.report.json", out / "best_model.json"]:
+    for path in [out / f"{family}.report.json", out / "best_model.json"]:
         every.update(path.read_bytes())
-    assert every.hexdigest() == (
+    return every.hexdigest()
+
+
+def test_forest_benchmark_data_set_2(data_set_2, tmp_path):
+    assert ensemble_digest(data_set_2, tmp_path, "random_forest") == (
         "ec61da73f4dab971f2e5ab6ccaa50f6d7f761941ebccfe202348129a64576aa1")
+
+
+def test_boosting_benchmark_data_set_2(data_set_2, tmp_path):
+    assert ensemble_digest(data_set_2, tmp_path, "gradient_boosting") == (
+        "ed6d36010d8af3e807a08fd0fa75e435fe55ba9192415c97416a1cb07f1ee62e")
 
 
 @pytest.fixture(scope="module")

@@ -222,11 +222,11 @@ class TestFamilies:
     def test_degenerate_forest_matches_plain_tree(self):
         # one tree, all features, no depth/pruning difference: the forest
         # canopy is a single unpruned gain tree
-        from roadsift.ml.models import _grow_class_tree, _tree_predict
+        from roadsift.ml.models import _grow_decision_trees, _tree_predict
         ds = separable_ds(150, seed=2)
         forest = fit(ClassifierSpec("random_forest", {"I": 5, "K": 0, "M": 1}),
                      ds.X, ds.y, NAMES2, 4)
-        plain = _grow_class_tree(ds.X, ds.y, min_leaf=1, max_depth=0)
+        [plain] = _grow_decision_trees([(ds.X, ds.y)], min_leaf=1)
         plain_pred = _tree_predict(plain, ds.X)
         forest_pred = forest.predict_matrix(ds.X)
         # bootstrapped vote agrees with the plain tree on almost all rows
@@ -458,13 +458,16 @@ class TestCanonicalForm:
             for mine, theirs in zip(a.standardization, b.standardization):
                 assert np.array_equal(mine, theirs)
 
-    @pytest.mark.parametrize("family,distinct,shared_work,per_fold", [
-        ("logistic", 12, "_logistic_solve", 4),
-        ("linear_svm", 3, "_fit_linear_svm", 3),
-        ("decision_tree", 60, "_grow_class_tree", 10)],
+    # calls of the shared work in a 3-fold search: one solve per fold and
+    # penalty, one fit per fold and form, one call per M and R growing the
+    # three folds' trees
+    @pytest.mark.parametrize("family,distinct,shared_work,calls", [
+        ("logistic", 12, "_logistic_solve", 3 * 4),
+        ("linear_svm", 3, "_fit_linear_svm", 3 * 3),
+        ("decision_tree", 60, "_grow_decision_trees", 10)],
         ids=["logistic-12", "linear_svm-3", "decision_tree-60"])
     def test_grid_search_matches_per_cell_reference(self, family, distinct,
-                                                    shared_work, per_fold,
+                                                    shared_work, calls,
                                                     monkeypatch):
         ds = noisy_ds()
         scored, runs = [], []
@@ -485,11 +488,14 @@ class TestCanonicalForm:
                                 (models._linear_svm_form, *models._alone(counted)))
         cells = grid_search(family, ds, 3, 7)
         assert scored == [distinct]
-        assert len(runs) == 3 * per_fold
+        assert len(runs) == calls
+        if family == "decision_tree":
+            assert all(len(sets) == 3 for sets, _ in runs)
         monkeypatch.undo()
         assert cells == naive_grid_search(family, ds, 3, 7)
 
-    @pytest.mark.parametrize("family", ["logistic", "decision_tree"])
+    @pytest.mark.parametrize("family", ["logistic", "decision_tree",
+                                        "gradient_boosting"])
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_shared_work_matches_each_form_alone(self, family, data):
@@ -498,10 +504,9 @@ class TestCanonicalForm:
                       seed=data.draw(st.integers(0, 99), label="rows"))
         assume(min(ds.class_counts()) >= 2)
         firsts = {}
-        for cell in iter_cells(family):
-            if skip_reason(family, cell) is None:
-                spec = ClassifierSpec(family, cell)
-                firsts.setdefault(canonical_form(spec, d), spec)
+        for cell in small_ensemble_cells(family):
+            spec = ClassifierSpec(family, cell)
+            firsts.setdefault(canonical_form(spec, d), spec)
         every = list(firsts.values())
         picks = data.draw(st.lists(st.sampled_from(range(len(every))),
                                    min_size=1, max_size=12, unique=True),
@@ -511,19 +516,21 @@ class TestCanonicalForm:
         seed = data.draw(st.integers(0, 2**16), label="seed")
         assert kfold_evaluate_many(ds, specs, k, seed) == [
             kfold_evaluate(ds, spec, k, seed) for spec in specs]
-        shared = dict(fit_many(specs, ds.X, ds.y, ds.feature_names, seed))
-        for i, spec in enumerate(specs):
+        shared = {j: model for _, j, model in
+                  fit_many(specs, [(ds.X, ds.y)], ds.feature_names, [seed])}
+        for j, spec in enumerate(specs):
             alone = fit(spec, ds.X, ds.y, ds.feature_names, seed)
-            assert json.dumps(shared[i].parameters) == json.dumps(alone.parameters)
+            assert json.dumps(shared[j].parameters) == json.dumps(alone.parameters)
 
 
 @st.composite
-def oversampled_folds(draw):
+def oversampled_folds(draw, d=None):
     """A small matrix shaped like an oversampled training fold: columns
     quantised to a few levels, so values tie, and duplicated rows
-    appended."""
+    appended. d columns, or a drawn number."""
     n = draw(st.integers(2, 30))
-    d = draw(st.integers(1, 12))
+    if d is None:
+        d = draw(st.integers(1, 12))
     levels = draw(st.lists(st.sampled_from([2, 3, 5, 40]), min_size=d, max_size=d))
     scale = draw(st.sampled_from([0.5, 1.0 / 3.0, 7.25]))
     codes = draw(st.lists(st.lists(st.integers(0, 39), min_size=d, max_size=d),
@@ -546,6 +553,12 @@ PRESORT_DOMAINS = {
                           "n_estimators": [10]},
 }
 
+# the multi-set comparison: a forest of one block is enough there, as its
+# sets are fitted one at a time
+MULTI_SET_DOMAINS = {**PRESORT_DOMAINS,
+                     "random_forest": {**GRID_DOMAINS["random_forest"],
+                                       "I": [5]}}
+
 
 class TestPresortedGrowth:
     @pytest.mark.parametrize("family", list(PRESORT_DOMAINS))
@@ -562,7 +575,8 @@ class TestPresortedGrowth:
             assert max(PRESORT_DOMAINS[family]["I"]) > models._TREE_BLOCK
         fast = fit(spec, X, y, names, seed)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(models, "_grow_class_tree", reference_trees.grow_class_tree)
+            mp.setattr(models, "_grow_decision_trees",
+                       reference_trees.grow_decision_trees)
             mp.setitem(models._FAMILY_FITS, "random_forest",
                        (models._random_forest_form,
                         *models._alone(reference_trees.fit_random_forest)))
@@ -572,15 +586,43 @@ class TestPresortedGrowth:
             slow = fit(spec, X, y, names, seed)
         assert json.dumps(fast.parameters) == json.dumps(slow.parameters)
 
-    @pytest.mark.parametrize("family", ["decision_tree", "random_forest"])
-    def test_cut_between_adjacent_floats(self, family):
+    @pytest.mark.parametrize("family", list(MULTI_SET_DOMAINS))
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_sets_fitted_together_match_each_alone(self, family, data):
+        d = data.draw(st.integers(1, 12), label="d")
+        sets = data.draw(st.lists(oversampled_folds(d), min_size=2, max_size=5),
+                         label="sets")
+        assume(len({len(y) for _, y in sets}) > 1)
+        specs = data.draw(st.lists(st.builds(
+            lambda params: ClassifierSpec(family, params),
+            st.fixed_dictionaries({
+                name: st.sampled_from(values)
+                for name, values in MULTI_SET_DOMAINS[family].items()})),
+            min_size=1, max_size=3), label="specs")
+        seeds = data.draw(st.lists(st.integers(0, 2**16), min_size=len(sets),
+                                   max_size=len(sets)), label="seeds")
+        names = tuple(f"f{i}" for i in range(d))
+        together = {(i, j): model for i, j, model in
+                    fit_many(specs, sets, names, seeds)}
+        assert len(together) == len(sets) * len(specs)
+        for (i, j), model in together.items():
+            X, y = sets[i]
+            alone = fit(specs[j], X, y, names, seeds[i])
+            assert json.dumps(model.parameters) == json.dumps(alone.parameters)
+
+    @pytest.mark.parametrize("family, params", [
+        ("decision_tree", {"M": 1}), ("random_forest", {"M": 1}),
+        ("gradient_boosting", {"n_estimators": 10})],
+        ids=["decision_tree", "random_forest", "gradient_boosting"])
+    def test_cut_between_adjacent_floats(self, family, params):
         # the midpoint of these two values rounds up to the larger one
         a = 1.0 + 2.0**-52
         b = np.nextafter(a, 2.0)
         assert 0.5 * (a + b) == b
         X = np.array([[a], [a], [b], [b], [a], [b]])
         y = np.array([0, 0, 1, 1, 0, 1])
-        model = fit(ClassifierSpec(family, {"M": 1}), X, y, ("f0",), 0)
+        model = fit(ClassifierSpec(family, params), X, y, ("f0",), 0)
         assert model.predict_matrix(X).tolist() == y.tolist()
         tree = model.parameters.get("tree") or model.parameters["trees"][0]
         assert tree["threshold"] == a
@@ -605,22 +647,36 @@ class TestPresortedGrowth:
 
     @pytest.mark.parametrize("loss", ["log_loss", "exponential"])
     def test_leaf_values_are_the_margin_update(self, loss, monkeypatch):
+        # two sets of unequal size, grown stage by stage together
         ds = oversample_minority(noisy_ds(n=40, d=5), 2)
         X = np.round(ds.X * 2.0) / 2.0              # tied values
-        grown = []
-        grow = models._grow_reg_tree
+        sets = [(X[::2], ds.y[::2]), (X, ds.y)]
+        stages, updates = [], []
+        grow, set_values = models._grow_trees, models._set_leaf_values
 
-        def recorded(*args, **kwargs):
-            tree, fitted = grow(*args, **kwargs)
-            grown.append((tree, fitted.copy()))
-            return tree, fitted
-        monkeypatch.setattr(models, "_grow_reg_tree", recorded)
-        model = fit(ClassifierSpec("gradient_boosting",
-                                   {"n_estimators": 10, "loss": loss}),
-                    X, ds.y, ds.feature_names, 0)
-        assert [tree for tree, _ in grown] == model.parameters["trees"]
-        for tree, fitted in grown:
-            assert fitted.tobytes() == models._reg_tree_predict(tree, X).tobytes()
+        def grown(*args, **kwargs):
+            trees, leaves = grow(*args, **kwargs)
+            stages.append(trees)
+            return trees, leaves
+
+        def valued(leaves, index, grad, hess, fitted):
+            set_values(leaves, index, grad, hess, fitted)
+            updates.append(fitted.copy())
+        monkeypatch.setattr(models, "_grow_trees", grown)
+        monkeypatch.setattr(models, "_set_leaf_values", valued)
+        spec = ClassifierSpec("gradient_boosting",
+                              {"n_estimators": 10, "loss": loss})
+        fitted_models = [model for _, _, model in
+                         fit_many([spec], sets, ds.feature_names, [0, 1])]
+        assert len(stages) == len(updates) == 10
+        start = 0
+        for t, ((Xs, _), model) in enumerate(zip(sets, fitted_models)):
+            assert [trees[t] for trees in stages] == model.parameters["trees"]
+            rows = slice(start, start + len(Xs))
+            start += len(Xs)
+            for trees, fitted in zip(stages, updates):
+                assert fitted[rows].tobytes() == (
+                    models._reg_tree_predict(trees[t], Xs).tobytes())
 
 
 @st.composite
