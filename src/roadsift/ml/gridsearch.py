@@ -15,11 +15,14 @@ no more than d are drawn); gradient boosting treats ``deviance`` as
 ``log_loss`` and ``mse`` as ``squared_error``. Each distinct form is K-fold
 evaluated once per search, and every cell is still reported with its score.
 
-The distinct forms share one K-fold run, fold by fold, and inside a fold
-they share work (``models.shared_fit_key``): logistic regression solves
-once per penalty, and the caps of ``max_iter`` read that one solve at their
-step; the decision tree grows once per ``M`` and ``R``, and each ``C`` and
-``S`` prunes that tree. Other families fit each form on its own.
+The distinct forms share one K-fold run, which hands all K training sets
+to ``models.fit_many`` at once, and they share work
+(``models.shared_fit_key``): logistic regression solves once per fold and
+penalty, and the caps of ``max_iter`` read that one solve at their step;
+the decision tree grows once per ``M`` and ``R``, the K folds' trees
+together in one grower call, and each ``C`` and ``S`` prunes its fold's
+tree. Other families fit each form on its own; boosting also grows the K
+folds' trees together, stage by stage.
 """
 
 from __future__ import annotations

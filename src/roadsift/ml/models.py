@@ -10,10 +10,13 @@ linear SVM are solved to the optimum of their penalised losses by damped
 (proximal) Newton steps (_newton_solve); the hinge SVM by an interior-point
 method on its dual (l2, _hinge_dual_solve) or as the dual of a linear
 program (l1, _hinge_l1_solve); the ensembles draw seeded bootstraps and
-feature subsets. The classification trees (the decision tree and the
-forest's) come from one grower, _grow_class_trees, which grows a forest's
-trees together in blocks: each round scores the cuts of one node from every
-tree of the block at once.
+feature subsets. All three tree families come from one grower, _grow_trees,
+which grows many trees together: each round scores the cuts of one node
+from every tree at once, by entropy gain for the classification trees and
+by squared error or Friedman's improvement for boosting's regression trees.
+It grows a forest's trees in blocks, and the trees of every training set
+handed to fit_many at once (a K-fold's folds): the decision trees of one
+share group in one call, boosting's stage t of every set in one call.
 """
 
 from __future__ import annotations
@@ -188,13 +191,18 @@ def _winners(top):
     valid cut), the row whose cut the node takes, or -1 when none has a
     valid cut: a later candidate must beat the best so far by more than
     1e-15."""
-    node, r = np.nonzero(top.T > -np.inf)
-    won = [-1] * top.shape[1]
-    best = [None] * top.shape[1]
-    for i, j, value in zip(node.tolist(), r.tolist(), top[r, node].tolist()):
-        if best[i] is None or value > best[i] + 1e-15:
-            best[i], won[i] = value, j
-    return np.array(won)
+    best = top.max(axis=0)
+    # the rule settles on a score within 1e-15 of the best, or the best
+    # would have beaten it. When every candidate that close scores the best
+    # itself, the first of them wins; otherwise the rule is walked.
+    near = top + 1e-15 >= best
+    won = np.where(best > -np.inf, near.argmax(axis=0), -1)
+    for i in np.flatnonzero((near & (top < best)).any(axis=0)).tolist():
+        settled = None
+        for j, value in enumerate(top[:, i].tolist()):
+            if value > -np.inf and (settled is None or value > settled + 1e-15):
+                settled, won[i] = value, j
+    return won
 
 
 def _threshold(below, above):
@@ -583,17 +591,18 @@ def _subtree_raise(node, X, y, z: float):
 def _set_leaf_values(leaves, index, grad, hess, fitted):
     """Give each leaf of _grow_trees its value, sum(grad) / sum(hess) over
     its rows in ascending order, and write that value into fitted at those
-    rows. Leaves of equal size share one C-ordered 2-D row sum, which adds
-    each row's values as a sum over that row alone does."""
+    rows. Leaves of equal size share one C-ordered row sum, which adds each
+    row's values as a sum over that row alone does."""
     by_size: dict = {}
     for node, row, lo, size in leaves:
         by_size.setdefault(size, []).append((node, row * index.shape[1] + lo))
+    both = np.stack((grad, hess))
     for size, group in by_size.items():
         nodes, starts = zip(*group)
         rows = np.sort(index.take(np.array(starts)[:, None] + np.arange(size)),
                        axis=1)
-        values = (grad.take(rows).sum(axis=1)
-                  / np.maximum(hess.take(rows).sum(axis=1), 1e-12))
+        g, h = both.take(rows, axis=1).sum(axis=2)
+        values = g / np.maximum(h, 1e-12)
         fitted[rows] = values[:, None]
         for node, value in zip(nodes, values.tolist()):
             node["value"] = value

@@ -627,6 +627,26 @@ class TestPresortedGrowth:
         tree = model.parameters.get("tree") or model.parameters["trees"][0]
         assert tree["threshold"] == a
 
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_winners_follow_the_tie_rule(self, data):
+        # scores at and just under the best, where the candidate that wins
+        # depends on the ones before it
+        m = data.draw(st.integers(1, 4), label="nodes")
+        levels = [-np.inf, 0.25, 0.5 - 3e-15, 0.5 - 1.5e-15, 0.5 - 0.5e-15,
+                  0.5, 0.5 + 0.5e-15, 0.5 + 1.5e-15]
+        top = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from(levels), min_size=m, max_size=m),
+            min_size=1, max_size=6), label="top"))
+        expected = []
+        for column in top.T.tolist():
+            best = won = None
+            for j, value in enumerate(column):
+                if value > -np.inf and (best is None or value > best + 1e-15):
+                    best, won = value, j
+            expected.append(-1 if won is None else won)
+        assert models._winners(top).tolist() == expected
+
     def test_forest_memory_grows_with_the_block(self):
         # a block of trees holds a presorted index of d * n entries a tree;
         # growing all four blocks' trees at once would hold four of them
