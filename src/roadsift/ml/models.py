@@ -591,21 +591,30 @@ def _subtree_raise(node, X, y, z: float):
 def _set_leaf_values(leaves, index, grad, hess, fitted):
     """Give each leaf of _grow_trees its value, sum(grad) / sum(hess) over
     its rows in ascending order, and write that value into fitted at those
-    rows. Leaves of equal size share one C-ordered row sum, which adds each
-    row's values as a sum over that row alone does."""
-    by_size: dict = {}
-    for node, row, lo, size in leaves:
-        by_size.setdefault(size, []).append((node, row * index.shape[1] + lo))
-    both = np.stack((grad, hess))
-    for size, group in by_size.items():
-        nodes, starts = zip(*group)
-        rows = np.sort(index.take(np.array(starts)[:, None] + np.arange(size)),
-                       axis=1)
-        g, h = both.take(rows, axis=1).sum(axis=2)
-        values = g / np.maximum(h, 1e-12)
-        fitted[rows] = values[:, None]
-        for node, value in zip(nodes, values.tolist()):
-            node["value"] = value
+    rows.
+
+    The leaves' rows are gathered side by side, smallest leaf first, so the
+    leaves of one size form one C-ordered block; the row sums of a block
+    add each leaf's values as a sum over that leaf alone does."""
+    nodes, row, lo, size = zip(*leaves)
+    size = np.array(size)
+    by_size = np.argsort(size, kind="stable")
+    size = size[by_size]
+    cols, starts, ends = _ragged(
+        (np.array(row) * index.shape[1] + np.array(lo))[by_size], size)
+    # leaf k's rows, ascending: sorted as k * n + row, they stay together
+    shift = np.arange(len(size)).repeat(size) * len(fitted)
+    rows = np.sort(index.take(cols) + shift) - shift
+    both = np.stack((grad, hess)).take(rows, axis=1)
+    sums = np.empty((2, len(size)))
+    first = np.flatnonzero(np.diff(size, prepend=0))
+    for a, b in zip(first.tolist(), first[1:].tolist() + [len(size)]):
+        sums[:, a:b] = both[:, starts[a]:ends[b - 1]].reshape(
+            2, b - a, -1).sum(axis=2)
+    values = sums[0] / np.maximum(sums[1], 1e-12)
+    fitted[rows] = values.repeat(size)
+    for k, value in zip(by_size.tolist(), values.tolist()):
+        nodes[k]["value"] = value
 
 
 def _reg_tree_predict(node, X) -> np.ndarray:
