@@ -217,8 +217,8 @@ def _picks(m, node, *columns):
     """Per node of m, the tuple of its entries in columns, or None for the
     nodes not in node."""
     picks = [None] * m
-    for i, *cut in zip(node.tolist(), *(c.tolist() for c in columns)):
-        picks[i] = tuple(cut)
+    for i, cut in zip(node.tolist(), zip(*(c.tolist() for c in columns))):
+        picks[i] = cut
     return picks
 
 
@@ -342,31 +342,21 @@ def _best_sse_cuts(Xt, g, index, lo, size, sums, features, min_leaf,
 
 
 class _Criterion(NamedTuple):
-    """What a tree grows by. A node of n rows whose targets sum to s starts
-    as node(n, s), and is a leaf without a search when pure(n, s). cuts
-    scores the cuts of a run of nodes (as _best_gain_cuts); when padded, it
-    pads each node to the widest of the run, and the run is counted at that
-    width against _ROUND_CELLS."""
-    node: Callable[[int, float], dict]
-    pure: Callable[[int, float], bool]
+    """How a tree grows. cuts scores the cuts of a run of nodes (as
+    _best_gain_cuts). labels says that the targets are 0/1 class labels:
+    then a node records its rows n and its class-1 rows ones, a pure node
+    is a leaf without a search, and a run's nodes are scored side by side,
+    since running sums of integers are exact. Otherwise (float targets) a
+    node records nothing while it grows, and a run is scored padded to its
+    widest node, which counts at that width against _ROUND_CELLS."""
     cuts: Callable[..., list]
-    padded: bool
+    labels: bool
 
 
-# classification: labels 0/1, whose sum is a node's class-1 rows
-_ENTROPY = _Criterion(lambda n, ones: {"n": n, "ones": ones},
-                      lambda n, ones: ones == 0 or ones == n,
-                      _best_gain_cuts, False)
-
-
-def _regression(friedman):
-    return _Criterion(lambda n, s: {}, lambda n, s: False,
-                      functools.partial(_best_sse_cuts, friedman=friedman),
-                      True)
-
-
-_SQUARED_ERROR = _regression(False)
-_FRIEDMAN = _regression(True)
+_ENTROPY = _Criterion(_best_gain_cuts, True)
+_SQUARED_ERROR = _Criterion(
+    functools.partial(_best_sse_cuts, friedman=False), False)
+_FRIEDMAN = _Criterion(functools.partial(_best_sse_cuts, friedman=True), False)
 
 
 def _partition_ranges(Xt, index, lo, size, feature, threshold):
@@ -409,11 +399,12 @@ def _grow_trees(X, target, index, lo, size, criterion, min_leaf, max_depth,
     d = X.shape[1]
     draw = rngs is not None and 0 < k_features < d
     Xt = np.ascontiguousarray(X.T)
+    labels = criterion.labels
     leaves = []
 
     def searches(node, row, lo, size, s, depth):
         """Whether node needs a split search; otherwise it becomes a leaf."""
-        if (criterion.pure(size, s) or size < 2 * min_leaf
+        if ((labels and (s == 0 or s == size)) or size < 2 * min_leaf
                 or (max_depth and depth >= max_depth)):
             node["leaf"] = True
             leaves.append((node, row, lo, size))
@@ -430,7 +421,7 @@ def _grow_trees(X, target, index, lo, size, criterion, min_leaf, max_depth,
                                      starts[rows])
     trees, stacks = [], []
     for root in zip(lo.tolist(), size.tolist(), sums.tolist()):
-        tree = criterion.node(*root[1:])
+        tree = {"n": root[1], "ones": root[2]} if labels else {}
         trees.append(tree)
         stacks.append([(tree, 0, *root, 0)] if searches(tree, 0, *root, 0)
                       else [])
@@ -450,8 +441,8 @@ def _grow_trees(X, target, index, lo, size, criterion, min_leaf, max_depth,
         features = np.sort(features, axis=1) if draw else None
         width = k_features if draw else d
         cuts = []
-        for run in _chunks(np.full_like(size, size.max()) if criterion.padded
-                           else size, width):
+        for run in _chunks(size if labels else np.full_like(size, size.max()),
+                           width):
             cuts += criterion.cuts(
                 Xt, target, index, lo[run], size[run], sums[run],
                 None if features is None else features[run], min_leaf)
@@ -462,8 +453,9 @@ def _grow_trees(X, target, index, lo, size, criterion, min_leaf, max_depth,
                 leaves.append((node, row, lo, size))
                 continue
             j, thr, n_left, s_left = cut
-            left = criterion.node(n_left, s_left)
-            right = criterion.node(size - n_left, s - s_left)
+            left, right = (({"n": n_left, "ones": s_left},
+                             {"n": size - n_left, "ones": s - s_left})
+                            if labels else ({}, {}))
             node.update(leaf=False, feature=j, threshold=thr, left=left,
                         right=right)
             deeper = [child for child in (
