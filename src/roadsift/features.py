@@ -26,6 +26,7 @@ from .geometry import (
     segment_spine,
     self_intersects,
 )
+from .ml.models import label_code
 
 
 @dataclass(frozen=True)
@@ -157,19 +158,32 @@ def write_feature_csv(path: str | Path, rows: list[tuple[str, FeatureVector, str
                 + [label if label is not None else ""])
 
 
+def _feature_row(line: list[str]) -> tuple[str, FeatureVector, str | None]:
+    if len(line) != len(FEATURE_NAMES) + 2:
+        raise ValueError(f"{len(line)} columns, expected {len(FEATURE_NAMES) + 2}")
+    test_id, *cells, label = line
+    values = {n: float(v) for n, v in zip(FEATURE_NAMES, cells)}
+    for n in _INT_FEATURES:
+        if not values[n].is_integer():
+            raise ValueError(f"{n} {values[n]!r} is not a whole number")
+        values[n] = int(values[n])
+    if label:
+        label_code(label)
+    return test_id, FeatureVector(**values), label or None
+
+
 def read_feature_csv(path: str | Path) -> list[tuple[str, FeatureVector, str | None]]:
-    rows = []
+    """Read a file written by write_feature_csv. Raises ValueError naming
+    the file, and the line where known, on a missing or wrong header, a row
+    of the wrong width, a value that is not a number (or not a whole number
+    for a count), or a label other than empty, "safe" or "unsafe"."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        expected = ["test_id", *FEATURE_NAMES, "label"]
-        if header != expected:
-            raise ValueError(f"unexpected feature CSV header: {header}")
-        for line in reader:
-            test_id = line[0]
-            values = {n: float(v) for n, v in zip(FEATURE_NAMES, line[1:-1])}
-            for n in _INT_FEATURES:
-                values[n] = int(values[n])
-            label = line[-1] or None
-            rows.append((test_id, FeatureVector(**values), label))
-    return rows
+        try:
+            header = next(reader, None)
+            if header != ["test_id", *FEATURE_NAMES, "label"]:
+                raise ValueError(f"unexpected feature CSV header: {header}")
+            return [_feature_row(line) for line in reader]
+        except (ValueError, csv.Error) as exc:
+            where = f", line {reader.line_num}" if reader.line_num else ""
+            raise ValueError(f"{path}{where}: {exc}") from None

@@ -190,14 +190,10 @@ def _classify(kappa: np.ndarray, threshold: float) -> np.ndarray:
 
 def _runs(codes: np.ndarray) -> list[list[int]]:
     """Maximal runs of equal codes as [code, start, end_inclusive] triples."""
-    runs = []
-    start = 0
-    for i in range(1, len(codes)):
-        if codes[i] != codes[start]:
-            runs.append([int(codes[start]), start, i - 1])
-            start = i
-    runs.append([int(codes[start]), start, len(codes) - 1])
-    return runs
+    starts = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
+    ends = [start - 1 for start in starts] + [len(codes) - 1]
+    starts.insert(0, 0)
+    return [list(run) for run in zip(codes[starts].tolist(), starts, ends)]
 
 
 def _merge_short_runs(runs: list[list[int]], s: np.ndarray,

@@ -32,6 +32,7 @@ from .models import (
     canonical_form,
     fit,
     fit_many,
+    label_code,
     load_model,
     save_model,
     shared_fit_key,

@@ -19,6 +19,7 @@ from .models import (
     TrainedClassifier,
     fit,  # unused here; perfbench/tracer.py wraps it under this name
     fit_many,
+    label_code,
 )
 
 
@@ -57,14 +58,13 @@ class LabeledDataset:
 
 
 def dataset_from_rows(rows) -> LabeledDataset:
-    """Build the matrix view from labelled (id, FeatureVector, label) rows."""
+    """Build the matrix view from labelled (id, FeatureVector, label) rows.
+    Raises ValueError on a label other than "safe" or "unsafe"."""
     from ..features import FEATURE_NAMES
-    from ..oracle import UNSAFE
 
     return LabeledDataset(
         np.array([vec.as_array() for _, vec, _ in rows]),
-        np.array([UNSAFE_CODE if label == UNSAFE else SAFE_CODE
-                  for _, _, label in rows]),
+        np.array([label_code(label) for _, _, label in rows]),
         FEATURE_NAMES, tuple(tid for tid, _, _ in rows))
 
 

@@ -7,9 +7,9 @@ everywhere; every tie breaks toward unsafe, the fail-safe direction.
 
 All training is deterministic. Logistic regression and the squared-hinge
 linear SVM are solved to the optimum of their penalised losses by damped
-(proximal) Newton steps (_newton_solve); the hinge SVM by an interior-point
-method on its dual (l2, _hinge_dual_solve) or as the dual of a linear
-program (l1, _hinge_l1_solve); the ensembles draw seeded bootstraps and
+(proximal) Newton steps (_newton_solve); the l2 + hinge SVM by an
+interior-point method on its dual (_hinge_dual_solve), and l1 + hinge, which
+the grid skips, is refused; the ensembles draw seeded bootstraps and
 feature subsets. All three tree families come from one grower, _grow_trees,
 which grows many trees together: each round scores the cuts of one node
 from every tree at once, by entropy gain for the classification trees and
@@ -34,6 +34,17 @@ from scipy.special import expit
 
 SAFE_CODE = 0
 UNSAFE_CODE = 1
+# the oracle's verdict labels (oracle.SAFE, oracle.UNSAFE) by class code
+_LABEL_CODES = {"safe": SAFE_CODE, "unsafe": UNSAFE_CODE}
+
+
+def label_code(label) -> int:
+    """The class code of a verdict label. Raises ValueError for anything
+    but "safe" or "unsafe", so no other value is taken for either class."""
+    if isinstance(label, str) and label in _LABEL_CODES:
+        return _LABEL_CODES[label]
+    raise ValueError(f"label {label!r} is neither 'safe' nor 'unsafe'")
+
 
 MODEL_FORMAT_VERSION = 1
 
@@ -964,41 +975,19 @@ def _hinge_dual_solve(Xs, y):
     return a / n, float(b), steps, converged
 
 
-def _hinge_l1_solve(Xs, y):
-    """Minimise mean hinge loss + _SVM_ALPHA·‖w‖₁ over w and an unpenalised
-    bias b by HiGHS; returns (w, b, steps, converged).
-
-    The primal is a linear program with a variable and a constraint for
-    each row. HiGHS solves its dual instead, max Σu over 0 <= u <= 1/n with
-    -_SVM_ALPHA <= Gᵀ·u <= _SVM_ALPHA and y'·u = 0 (G the rows of Xs times
-    their sign y' = 2y - 1), which has 2d + 1 constraints whatever n is; w
-    and b are the multipliers of its constraints."""
-    from scipy.optimize import linprog  # only this form needs it
-
-    n, d = Xs.shape
-    sign = 2.0 * y - 1.0
-    G = Xs * sign[:, None]
-    res = linprog(-np.ones(n), A_ub=np.vstack([G.T, -G.T]),
-                  b_ub=np.full(2 * d, _SVM_ALPHA), A_eq=sign[None, :],
-                  b_eq=[0.0], bounds=(0.0, 1.0 / n), method="highs")
-    # u = 0 is feasible and the box bounds Σu, so HiGHS finds an optimum
-    upper = res.ineqlin.marginals
-    w = upper[d:] - upper[:d]
-    return w, float(-res.eqlin.marginals[0]), int(res.nit), res.status == 0
-
-
 def _svm_solve(Xs, y, penalty, loss):
     """(w, b, steps, converged) of the linear SVM of the form on the
-    standardised rows Xs; see _fit_linear_svm."""
+    standardised rows Xs; see _fit_linear_svm. Refuses l1 + hinge, as
+    gridsearch.skip_reason does."""
+    if loss == "hinge":
+        if penalty == "l1":
+            raise ValueError("l1 with hinge is unsupported")
+        beta, b, steps, converged = _hinge_dual_solve(Xs, y)
+        return _hinge_weights(Xs, y, beta), b, steps, converged
     l1, l2 = (_SVM_ALPHA, 0.0) if penalty == "l1" else (0.0, _SVM_ALPHA)
-    if loss == "squared_hinge":
-        [solved] = _newton_solve(Xs, y, _SQUARED_HINGE, l1, l2,
-                                 [_SVM_NEWTON_STEPS])
-        return solved
-    if l1:
-        return _hinge_l1_solve(Xs, y)
-    beta, b, steps, converged = _hinge_dual_solve(Xs, y)
-    return _hinge_weights(Xs, y, beta), b, steps, converged
+    [solved] = _newton_solve(Xs, y, _SQUARED_HINGE, l1, l2,
+                             [_SVM_NEWTON_STEPS])
+    return solved
 
 
 def _fit_linear_svm(X, y, form, seed):
@@ -1007,8 +996,8 @@ def _fit_linear_svm(X, y, form, seed):
     solved to its optimum. The squared hinge is smooth, so _newton_solve
     takes (proximal) Newton steps with its generalised Hessian, as for the
     logistic fit. The hinge is not: l2 + hinge solves the dual QP by an
-    interior-point method (_hinge_dual_solve), l1 + hinge the dual of its
-    linear program by HiGHS (_hinge_l1_solve)."""
+    interior-point method (_hinge_dual_solve). l1 + hinge is refused
+    (ValueError), as in the grid."""
     mean, std = _standardize_fit(X)
     w, b, _, _ = _svm_solve((X - mean) / std, y, *form)
     return {"weights": w.tolist(), "bias": b}, (mean, std)

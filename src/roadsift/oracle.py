@@ -33,6 +33,7 @@ from .geometry import (
     segment_spine,
     self_intersects,
 )
+from .ml.models import label_code
 
 SAFE = "safe"
 UNSAFE = "unsafe"
@@ -427,24 +428,33 @@ def load_dataset(path: str | Path, keep_traces: bool = True) -> list[TestCase]:
     """Read a file written by save_dataset. Trace rows get a zero
     lateral_offset and outcomes a zero max_abs_lateral_offset, since the
     file keeps neither; with keep_traces false every outcome's trace is
-    empty. Raises ValueError naming the file when a key is missing or a
-    value has the wrong type."""
-    rows = json.loads(Path(path).read_text())
+    empty. Raises ValueError naming the file, and the row where known, when
+    the file is not a JSON list of objects, a key is missing, a value has
+    the wrong type or a label is neither "safe" nor "unsafe"."""
+    try:
+        rows = json.loads(Path(path).read_text())
+    except ValueError as exc:      # bad JSON or bad UTF-8
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: top level is not a list of rows")
     state_values = itemgetter(*TRACE_KEYS)
     tests = []
-    try:
-        for row in rows:
+    for i, row in enumerate(rows):
+        try:
+            if not isinstance(row, dict):
+                raise TypeError("not an object")
             trace = (tuple(VehicleState(*state_values(st), 0.0)
                            for st in row.get("trace", []))
                      if keep_traces else ())
+            label_code(row["label"])
             outcome = TestOutcome(
                 label=row["label"], duration=float(row["duration_s"]),
                 max_abs_lateral_offset=0.0, trace=trace)
             tests.append(TestCase(id=row["id"], road=road_from_json(row),
                                   features=FeatureVector(**row["features"]),
                                   outcome=outcome))
-    except KeyError as exc:
-        raise ValueError(f"{path}: no key {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        except KeyError as exc:
+            raise ValueError(f"{path}, row {i}: no key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}, row {i}: {exc}") from None
     return tests

@@ -22,9 +22,15 @@ import numpy as np
 
 from .features import FEATURE_NAMES
 from .ml.evaluate import confusion_from_predictions
-from .ml.models import SAFE_CODE, UNSAFE_CODE, ClassifierSpec, TrainedClassifier, fit
+from .ml.models import (
+    SAFE_CODE,
+    UNSAFE_CODE,
+    ClassifierSpec,
+    TrainedClassifier,
+    fit,
+    label_code,
+)
 from .oracle import (
-    UNSAFE,
     DriverConfig,
     TestCase,
     generate_road,
@@ -70,7 +76,7 @@ class TestPool:
         self.revealed: set[str] = set()
         for tc in tests:
             self._visible.append(VisibleTest(tc.id, tc.features.as_dict()))
-            self._labels[tc.id] = UNSAFE_CODE if tc.outcome.label == UNSAFE else SAFE_CODE
+            self._labels[tc.id] = label_code(tc.outcome.label)
             self._durations[tc.id] = tc.outcome.duration
         self.composition = (
             sum(1 for v in self._labels.values() if v == SAFE_CODE),
@@ -103,10 +109,11 @@ def build_pool(tests: list[TestCase], counts: tuple[int, int], rng_seed: int,
     replacement and disjoint from exclude_ids (e.g. the training set)."""
     n_safe, n_unsafe = counts
     rng = np.random.default_rng(rng_seed)
-    safe = [t for t in tests
-            if t.id not in exclude_ids and t.outcome.label != UNSAFE]
-    unsafe = [t for t in tests
-              if t.id not in exclude_ids and t.outcome.label == UNSAFE]
+    by_class: tuple[list, list] = ([], [])
+    for t in tests:
+        if t.id not in exclude_ids:
+            by_class[label_code(t.outcome.label)].append(t)
+    safe, unsafe = by_class[SAFE_CODE], by_class[UNSAFE_CODE]
     if len(safe) < n_safe or len(unsafe) < n_unsafe:
         raise InsufficientClassRows(
             f"need {n_safe}/{n_unsafe} safe/unsafe, "
@@ -407,8 +414,7 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
     def drive(road, spine) -> tuple[int, float]:
         outcome = _simulate(spine, cfg.driver, road.lane_width,
                             keep_trace=False)
-        return (UNSAFE_CODE if outcome.label == UNSAFE else SAFE_CODE,
-                outcome.duration)
+        return label_code(outcome.label), outcome.duration
 
     X_rows: list[np.ndarray] = []
     y_rows: list[int] = []

@@ -514,6 +514,78 @@ def test_malformed_input_is_config_error(run_dir, tmp_path, capsys, case):
     if case in ("road_file_holding_a_list", "features_without_length"):
         assert ("r.json" if case.startswith("road") else "sim.json") in err
 
+
+def _edit_feature_csv(text, case):
+    if case == "empty":
+        return ""
+    header, *rows = (line.split(",") for line in text.splitlines())
+    if case == "short_row":
+        rows[0] = rows[0][:3]
+    elif case == "extra_column":
+        rows[0].append("safe")
+    elif case == "fractional_count":
+        rows[0][3] = "1.5"                    # num_l_turns
+    else:                                     # "capitalised_label"
+        rows = [[*row[:-1], row[-1].capitalize()] for row in rows]
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
+def _edit_dataset(text, case):
+    if case == "top_level_object":
+        return json.dumps({"a": 1})
+    if case == "rows_not_objects":
+        return "[1, 2]"
+    if case == "rows_holding_lists":
+        return '[["x"]]'
+    if case == "capitalised_label":
+        return text.replace('"label": "unsafe"', '"label": "Unsafe"')
+    return text[:-3]                          # "json_syntax_error"
+
+
+@pytest.mark.parametrize("command, case", [
+    *((command, case) for command in ("benchmark", "predict")
+      for case in ("empty", "short_row", "extra_column", "fractional_count",
+                   "capitalised_label")),
+    *((command, case) for command in ("can-convert", "experiment")
+      for case in ("top_level_object", "rows_not_objects",
+                   "rows_holding_lists", "capitalised_label",
+                   "json_syntax_error")),
+])
+def test_malformed_input_file_names_itself(run_dir, tmp_path, capsys, command,
+                                           case):
+    """A malformed feature CSV or dataset file exits 2 with its path in the
+    error, never with a traceback or by reading a bad label as safe."""
+    if command in ("benchmark", "predict"):
+        bad = tmp_path / f"{case}.csv"
+        bad.write_text(_edit_feature_csv(
+            (run_dir / "features.csv").read_text(), case))
+        argv = [command, "--features", str(bad), "--out", str(tmp_path / "o")]
+        if command == "benchmark":
+            argv += ["--models", "naive_bayes", "--k", "3", "--seed", "1"]
+        else:
+            bench = tmp_path / "bench"
+            assert main(["benchmark", "--features", str(run_dir / "features.csv"),
+                         "--models", "naive_bayes", "--k", "3", "--seed", "1",
+                         "--out", str(bench)]) == 0
+            argv += ["--model", str(bench / "best_model.json")]
+    else:
+        bad = tmp_path / f"{case}.json"
+        bad.write_text(_edit_dataset(
+            (run_dir / "simulation.full.json").read_text(), case))
+        argv = [command, "--out", str(tmp_path / "o")]
+        if command == "can-convert":
+            argv += ["--simulation", str(bad)]
+        else:
+            cfg = tmp_path / "exp.json"
+            cfg.write_text(json.dumps({
+                "protocol": "fix", "dataset": str(bad), "strategy": "random",
+                "S": 2, "pool": {"safe": 2, "unsafe": 0}, "seeds": [1]}))
+            argv += ["--config", str(cfg)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+
 class TestCanCommands:
     def test_convert_and_play(self, run_dir, tmp_path):
         out = tmp_path / "can"

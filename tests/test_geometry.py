@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from roadsift import geometry
 from roadsift.geometry import (
     LEFT_TURN,
     RIGHT_TURN,
@@ -19,6 +22,18 @@ from roadsift.geometry import (
 from roadsift.oracle import generate_road
 
 from conftest import arc_between_straights, straight_points
+
+
+def loop_runs(codes):
+    """geometry._runs as first written, one sample at a time: the reference."""
+    runs = []
+    start = 0
+    for i in range(1, len(codes)):
+        if codes[i] != codes[start]:
+            runs.append([int(codes[start]), start, i - 1])
+            start = i
+    runs.append([int(codes[start]), start, len(codes) - 1])
+    return runs
 
 
 def make_spine(points, **road_kw):
@@ -126,6 +141,13 @@ class TestSelfIntersects:
 
 
 class TestSegmentSpine:
+    @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=300))
+    def test_runs_match_the_loop(self, codes):
+        codes = np.asarray(codes, dtype=np.int8)
+        runs = geometry._runs(codes)
+        assert runs == loop_runs(codes)
+        assert all(type(v) is int for run in runs for v in run)
+
     def test_straight_road_single_segment(self):
         spine = make_spine(straight_points())
         segs = segment_spine(spine)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadsift.ml import UNSAFE_CODE
 from roadsift.ml.models import TrainedClassifier
@@ -323,3 +325,77 @@ class TestRealTime:
         assert len(seen) == res.generated > 64
         expected = np.random.SeedSequence(8).generate_state(len(seen))
         assert seen == [int(s) for s in expected]
+
+
+def _strategy(kind, model):
+    return {"random": RandomStrategy, "road_length": RoadLengthStrategy,
+            "model": lambda: ModelStrategy(model)}[kind]()
+
+
+def _predictions(prediction_cost):
+    """The number of predictions behind a charged prediction cost."""
+    return round(prediction_cost / CostModel.prediction_s)
+
+
+class TestCountsAddUp:
+    """Each protocol's counts add up, on small pools and budgets."""
+
+    @settings(max_examples=20)
+    @given(n_safe=st.integers(0, 12), n_unsafe=st.integers(0, 12),
+           kind=st.sampled_from(["random", "road_length", "model"]),
+           data=st.data())
+    def test_fix(self, moderate_tests, moderate_model, n_safe, n_unsafe, kind,
+                 data):
+        pool = build_pool(moderate_tests, (n_safe, n_unsafe),
+                          data.draw(st.integers(0, 999), label="pool_seed"))
+        S = data.draw(st.integers(1, max(len(pool), 1)), label="S")
+        if S > len(pool):
+            with pytest.raises(STooLarge):
+                run_fix(pool, _strategy(kind, moderate_model[0]), S, 0)
+            return
+        res = run_fix(pool, _strategy(kind, moderate_model[0]), S,
+                      data.draw(st.integers(0, 999), label="seed"))
+        assert len(set(res.suite_ids)) == len(res.suite_ids) == S
+        assert set(res.suite_ids) <= {t.id for t in pool.tests}
+        unsafe = sum(pool.reveal_post_mortem(tid) == UNSAFE_CODE
+                     for tid in res.suite_ids)
+        assert res.unsafe_ratio == unsafe / S
+        if kind == "model":
+            assert sum(res.confusion) == res.drawn
+        else:
+            assert (res.drawn, res.backfilled, res.confusion) == (S, 0, None)
+
+    @settings(max_examples=20)
+    @given(n_safe=st.integers(0, 12), n_unsafe=st.integers(1, 12),
+           kind=st.sampled_from(["random", "road_length", "model"]),
+           data=st.data())
+    def test_reach(self, moderate_tests, moderate_model, n_safe, n_unsafe,
+                   kind, data):
+        pool = build_pool(moderate_tests, (n_safe, n_unsafe),
+                          data.draw(st.integers(0, 999), label="pool_seed"))
+        N = data.draw(st.integers(1, n_unsafe), label="N")
+        res = run_reach(pool, _strategy(kind, moderate_model[0]), N,
+                        CostModel(), data.draw(st.integers(0, 999), label="seed"))
+        assert sum(pool.reveal_post_mortem(tid) == UNSAFE_CODE
+                   for tid in pool.revealed) == N
+        assert res.executed_count == len(pool.revealed)
+        if kind == "model":
+            assert sum(res.confusion) == _predictions(res.prediction_cost) > 0
+        else:
+            assert res.confusion is None and res.prediction_cost == 0.0
+
+    @settings(max_examples=10)
+    @given(mode=st.sampled_from(RealTimeConfig.MODES),
+           budget_s=st.floats(30.0, 240.0), warmup_n=st.integers(0, 4),
+           seed=st.integers(0, 999))
+    def test_realtime(self, moderate_model, mode, budget_s, warmup_n, seed):
+        kwargs = {"pretrained": {"model": moderate_model[0]},
+                  "adaptive": {"warmup_n": warmup_n}}.get(mode, {})
+        res = run_realtime(RealTimeConfig(mode=mode, budget_s=budget_s,
+                                          **kwargs), seed)
+        assert (res.executed_safe + res.executed_unsafe + res.rejected
+                == res.generated)
+        assert sum(res.time_fractions.values()) == pytest.approx(1.0, abs=1e-12)
+        predicted = _predictions(res.clock.get("prediction", 0.0))
+        assert (0 if res.confusion is None else sum(res.confusion)) == predicted
+        assert res.rejected <= predicted
