@@ -53,8 +53,9 @@ class MappingError(ValueError):
 
 
 class CsvFormatError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, path: str | Path, line: int, message: str):
+        super().__init__(f"{path}, line {line}: {message}")
+        self.path = path
         self.line = line
 
 
@@ -379,33 +380,37 @@ def write_playback_csv(records: list[PlaybackRecord], path: str | Path) -> None:
 
 
 def read_playback_csv(path: str | Path) -> list[PlaybackRecord]:
+    """Read a file written by write_playback_csv; a file holding only the
+    header is an empty playback. Raises CsvFormatError naming the file and
+    the line when the file is empty, its header is wrong or a row is bad."""
     records = []
     prev_ts = None
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        first = fh.readline()
+        if first.strip() != CSV_HEADER:
+            raise CsvFormatError(path, 1, f"bad header {first.strip()!r}" if first
+                                 else f"empty file, expected {CSV_HEADER!r}")
+        for lineno, raw in enumerate(fh, start=2):
             line = raw.strip()
-            if lineno == 1:
-                if line != CSV_HEADER:
-                    raise CsvFormatError(f"bad header {line!r}", lineno)
-                continue
             if not line:
                 continue
             parts = line.split(",")
             if len(parts) != 4:
-                raise CsvFormatError(f"expected 4 fields, got {len(parts)}", lineno)
+                raise CsvFormatError(path, lineno,
+                                     f"expected 4 fields, got {len(parts)}")
             try:
                 ts = int(parts[0])
                 can_id = int(parts[1], 16)
                 dlc = int(parts[2])
                 data = bytes.fromhex(parts[3])
             except ValueError as exc:
-                raise CsvFormatError(str(exc), lineno) from exc
+                raise CsvFormatError(path, lineno, str(exc)) from exc
             if dlc != len(data):
-                raise CsvFormatError(
-                    f"dlc {dlc} != data length {len(data)}", lineno)
+                raise CsvFormatError(path, lineno,
+                                     f"dlc {dlc} != data length {len(data)}")
             if prev_ts is not None and ts < prev_ts:
-                raise CsvFormatError(
-                    f"timestamp {ts} decreases from {prev_ts}", lineno)
+                raise CsvFormatError(path, lineno,
+                                     f"timestamp {ts} decreases from {prev_ts}")
             prev_ts = ts
             records.append(PlaybackRecord(ts, can_id, dlc, data))
     return records

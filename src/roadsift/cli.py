@@ -380,7 +380,10 @@ def cmd_can_convert(args) -> int:
         Path(args.dbc).read_text() if args.dbc else canbus.DEFAULT_DBC)
     mapping = canbus.DEFAULT_MAPPING
     if args.mapping:
-        entries = json.loads(Path(args.mapping).read_text())
+        try:
+            entries = json.loads(Path(args.mapping).read_text())
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ValueError(f"{args.mapping}: {exc}") from None
         keys = {"field", "message", "signal", "factor"}
         if not (isinstance(entries, list)
                 and all(isinstance(e, dict) and e.keys() >= keys for e in entries)):

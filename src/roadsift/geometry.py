@@ -290,9 +290,12 @@ def road_from_json(obj: dict) -> RoadPoints:
 def load_road(path: str | Path) -> tuple[str, RoadPoints]:
     """Read a road description file: {"id", "lane_width", "map_size", "road_points"}.
 
-    Raises ValueError naming the file when a key is missing or a value has
-    the wrong type."""
-    obj = json.loads(Path(path).read_text())
+    Raises ValueError naming the file when it is not JSON, a key is missing
+    or a value has the wrong type."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except ValueError as exc:      # bad JSON or bad UTF-8
+        raise ValueError(f"{path}: {exc}") from None
     try:
         return str(obj["id"]), road_from_json(obj)
     except KeyError as exc:

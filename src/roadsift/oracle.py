@@ -16,13 +16,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
-from .features import FeatureVector, features_from_segments
+from .features import FEATURE_NAMES, FeatureVector, features_from_segments
 from .geometry import (
     MAP_SIZE,
     RoadPoints,
@@ -405,23 +406,67 @@ def unsafe_fraction(tests: list[TestCase]) -> float:
     return sum(1 for t in tests if t.outcome.label == UNSAFE) / max(len(tests), 1)
 
 
+def _json_array(items: list[str], depth: int) -> str:
+    """The json.dumps(..., indent=1) text of a list whose items' texts are
+    given, for a list nested depth levels deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+
+
+def _json_object(keys: tuple[str, ...], depth: int) -> str:
+    """The json.dumps(..., indent=1) text of an object with these keys,
+    nested depth levels deep, with a %s in place of each value."""
+    pad = "\n" + " " * (depth + 1)
+    return ("{" + pad + ("," + pad).join(f"{json.dumps(k)}: %s" for k in keys)
+            + "\n" + " " * depth + "}")
+
+
+def _json_scalars(values: list) -> tuple[str, ...]:
+    """The json text of each value. Finite floats are their repr, as in
+    json; NaN, infinities and anything that is not a float go through
+    json.dumps."""
+    try:
+        texts = tuple(map(float.__repr__, values))
+    except TypeError:                 # an int, a bool, a string
+        return tuple(map(json.dumps, values))
+    if all(map(math.isfinite, values)):
+        return texts
+    return tuple(map(json.dumps, values))
+
+
+# the text of one dataset row and its parts, as json.dumps(rows, indent=1)
+# lays them out: a row is nested one level deep, a trace state three
+_ROW = _json_object(("id", "road_points", "lane_width", "map_size",
+                     "features", "label", "duration_s", "trace"), 1)
+_FEATURES = _json_object(FEATURE_NAMES, 2)
+_POINT = _json_array(["%s", "%s"], 3)
+_STATE = _json_object(TRACE_KEYS, 3)
+
+
 def save_dataset(path: str | Path, tests: list[TestCase]) -> None:
-    """Write the labelled-dataset JSON consumed by the CAN conversion step."""
+    """Write the labelled-dataset JSON consumed by the CAN conversion step:
+    the bytes of json.dumps(rows, indent=1) and a newline, built from
+    fixed templates, since json's indenting encoder is pure Python."""
     state_values = attrgetter(*TRACE_KEYS)
+    feature_values = attrgetter(*FEATURE_NAMES)
     rows = []
     for tc in tests:
-        rows.append({
-            "id": tc.id,
-            "road_points": [[x, y] for x, y in tc.road.points],
-            "lane_width": tc.road.lane_width,
-            "map_size": tc.road.map_size,
-            "features": tc.features.as_dict(),
-            "label": tc.outcome.label,
-            "duration_s": tc.outcome.duration,
-            "trace": [dict(zip(TRACE_KEYS, state_values(st)))
-                      for st in tc.outcome.trace],
-        })
-    Path(path).write_text(json.dumps(rows, indent=1) + "\n")
+        road, outcome = tc.road, tc.outcome
+        points = list(chain.from_iterable(road.points))
+        trace = list(chain.from_iterable(map(state_values, outcome.trace)))
+        rows.append(_ROW % (
+            json.dumps(tc.id),
+            _json_array([_POINT] * len(road.points), 2) % _json_scalars(points),
+            json.dumps(road.lane_width),
+            json.dumps(road.map_size),
+            _FEATURES % tuple(map(json.dumps, feature_values(tc.features))),
+            json.dumps(outcome.label),
+            json.dumps(outcome.duration),
+            _json_array([_STATE] * len(outcome.trace), 2) % _json_scalars(trace),
+        ))
+    Path(path).write_text(_json_array(rows, 0) + "\n")
 
 
 def load_dataset(path: str | Path, keep_traces: bool = True) -> list[TestCase]:

@@ -335,6 +335,7 @@ class TestPlaybackCsv:
         with pytest.raises(CsvFormatError) as err:
             read_playback_csv(path)
         assert err.value.line == 3
+        assert str(err.value).startswith(f"{path}, line 3: ")
 
     def test_dlc_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -347,6 +348,19 @@ class TestPlaybackCsv:
         path.write_text("nope\n")
         with pytest.raises(CsvFormatError):
             read_playback_csv(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        with pytest.raises(CsvFormatError) as err:
+            read_playback_csv(path)
+        assert err.value.line == 1 and str(path) in str(err.value)
+
+    def test_header_only_is_empty_playback(self, tmp_path):
+        path = tmp_path / "none.csv"
+        write_playback_csv([], path)
+        assert path.read_text() == CSV_HEADER + "\n"
+        assert read_playback_csv(path) == []
 
 
 class TestPlayback:

@@ -550,12 +550,34 @@ def _edit_dataset(text, case):
       for case in ("top_level_object", "rows_not_objects",
                    "rows_holding_lists", "capitalised_label",
                    "json_syntax_error")),
+    ("extract-features", "road_json_syntax_error"),
+    ("can-convert", "mapping_json_syntax_error"),
+    ("can-play", "empty_playback"),
+    ("can-play", "bad_playback_row"),
 ])
 def test_malformed_input_file_names_itself(run_dir, tmp_path, capsys, command,
                                            case):
-    """A malformed feature CSV or dataset file exits 2 with its path in the
-    error, never with a traceback or by reading a bad label as safe."""
-    if command in ("benchmark", "predict"):
+    """A malformed feature CSV, dataset, road, mapping or playback file
+    exits 2 with its path in the error, never with a traceback or by
+    reading a bad label as safe."""
+    if case == "road_json_syntax_error":
+        bad = tmp_path / "roads" / "r.json"
+        bad.parent.mkdir()
+        bad.write_text('{"id": ')
+        argv = [command, "--roads", str(bad.parent),
+                "--out", str(tmp_path / "f.csv")]
+    elif case == "mapping_json_syntax_error":
+        bad = tmp_path / "map.json"
+        bad.write_text("[1,")
+        argv = [command, "--simulation", str(run_dir / "simulation.full.json"),
+                "--mapping", str(bad), "--out", str(tmp_path / "c")]
+    elif command == "can-play":
+        bad = tmp_path / f"{case}.canplayback.csv"
+        bad.write_text("" if case == "empty_playback"
+                       else canbus.CSV_HEADER + "\n0,zz,2,aabb\n")
+        argv = [command, "--playback", str(bad),
+                "--target", f"file://{tmp_path / 'out.bin'}", "--pacing", "fast"]
+    elif command in ("benchmark", "predict"):
         bad = tmp_path / f"{case}.csv"
         bad.write_text(_edit_feature_csv(
             (run_dir / "features.csv").read_text(), case))
@@ -585,6 +607,7 @@ def test_malformed_input_file_names_itself(run_dir, tmp_path, capsys, command,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
+    assert "Traceback" not in err
 
 class TestCanCommands:
     def test_convert_and_play(self, run_dir, tmp_path):

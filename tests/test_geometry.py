@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadsift import geometry
+from roadsift.features import FEATURE_NAMES, extract_features
 from roadsift.geometry import (
     LEFT_TURN,
     RIGHT_TURN,
@@ -19,7 +20,7 @@ from roadsift.geometry import (
     segment_spine,
     self_intersects,
 )
-from roadsift.oracle import generate_road
+from roadsift.oracle import DriverConfig, generate_road, simulate_drive
 
 from conftest import arc_between_straights, straight_points
 
@@ -194,6 +195,76 @@ class TestSegmentSpine:
                     assert mean_k > 0
                 elif seg.kind == RIGHT_TURN:
                     assert mean_k < 0
+
+
+# motions of the map square onto itself, as maps of (x, y, map size)
+MAP_MOTIONS = {
+    "quarter_turn": lambda x, y, c: (c - y, x),
+    "half_turn": lambda x, y, c: (c - x, c - y),
+    "mirror": lambda x, y, c: (c - x, y),
+}
+
+
+def moved_road(road, motion):
+    move = MAP_MOTIONS[motion]
+    return RoadPoints(points=tuple(move(x, y, road.map_size)
+                                   for x, y in road.points),
+                      lane_width=road.lane_width, map_size=road.map_size)
+
+
+class TestMapMotions:
+    """Metamorphic relations: a quarter or half turn about the map centre
+    and a mirror image are the same road to the features, the drive and
+    the self-intersection check, up to rounding; a mirror image swaps the
+    left and right turn counts."""
+
+    # a verdict is compared only when the drive's largest lateral offset is
+    # this far from the offset at which the car leaves its lane, since a
+    # moved road is equal to its original only up to rounding
+    MARGIN = 1e-6
+
+    @settings(max_examples=4)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_features_and_verdict_kept(self, seed):
+        road, _ = generate_road(seed)
+        before = extract_features(road)
+        # a calm and a risky driver, so that both verdicts occur
+        configs = [DriverConfig(risk_factor=rf) for rf in (0.7, 1.5)]
+        drives = [simulate_drive(road, cfg) for cfg in configs]
+        for motion in MAP_MOTIONS:
+            moved = moved_road(road, motion)
+            assert not self_intersects(interpolate_spine(moved),
+                                       moved.lane_width)
+            expected = before.as_dict()
+            if motion == "mirror":
+                expected["num_l_turns"], expected["num_r_turns"] = (
+                    before.num_r_turns, before.num_l_turns)
+            got = extract_features(moved).as_dict()
+            for name in FEATURE_NAMES:
+                assert got[name] == pytest.approx(expected[name], rel=0,
+                                                  abs=1e-6), (motion, name)
+            for cfg, drive in zip(configs, drives):
+                limit = (cfg.oob_fraction * cfg.vehicle_width
+                         + (road.lane_width - cfg.vehicle_width) / 2.0)
+                if abs(drive.max_abs_lateral_offset - limit) > self.MARGIN:
+                    assert (simulate_drive(moved, cfg).label
+                            == drive.label), (motion, cfg.risk_factor)
+
+    @settings(max_examples=10)
+    @given(points=st.lists(st.tuples(st.floats(20.0, 180.0),
+                                     st.floats(20.0, 180.0)),
+                           min_size=3, max_size=7))
+    def test_self_intersection_kept(self, points):
+        # free control points, so some roads cross themselves
+        try:
+            road = RoadPoints(points=tuple(points))
+        except DegenerateRoad:
+            return
+        crosses = self_intersects(interpolate_spine(road), road.lane_width)
+        for motion in MAP_MOTIONS:
+            moved = moved_road(road, motion)
+            assert self_intersects(interpolate_spine(moved),
+                                   moved.lane_width) == crosses, motion
 
 
 class TestInvariants:

@@ -1,20 +1,30 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from roadsift.features import extract_features
+from roadsift.features import (
+    FEATURE_NAMES,
+    _INT_FEATURES,
+    FeatureVector,
+    extract_features,
+)
 from roadsift.geometry import RoadPoints, interpolate_spine
 from roadsift.oracle import (
     SAFE,
+    TRACE_KEYS,
     UNSAFE,
     DriveTimeout,
     DriverConfig,
     GenerationExhausted,
     GeneratorBounds,
     NonPositiveRadius,
+    TestCase,
+    TestOutcome,
+    VehicleState,
     build_dataset,
     generate_road,
     load_dataset,
@@ -302,3 +312,93 @@ class TestBuildDataset:
                  for t in lean]
                 == [(t.id, t.road, t.features, t.outcome.label, t.outcome.duration)
                     for t in full])
+
+
+def _json_reference(tests):
+    """A dataset file as json.dumps(rows, indent=1) lays it out."""
+    rows = [{"id": tc.id,
+             "road_points": [[x, y] for x, y in tc.road.points],
+             "lane_width": tc.road.lane_width,
+             "map_size": tc.road.map_size,
+             "features": tc.features.as_dict(),
+             "label": tc.outcome.label,
+             "duration_s": tc.outcome.duration,
+             "trace": [{k: getattr(st_, k) for k in TRACE_KEYS}
+                       for st_ in tc.outcome.trace]}
+            for tc in tests]
+    return json.dumps(rows, indent=1) + "\n"
+
+
+# floats that json writes in its own words, or at the ends of their range
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7e308)
+
+
+@st.composite
+def _test_cases(draw, floats):
+    """One to three tests with drawn values in every field save_dataset
+    writes; a trace may be empty, and the counts are ints."""
+    tests = []
+    for _ in range(draw(st.integers(1, 3))):
+        points = tuple((10.0 * k + draw(st.floats(0.0, 5.0)),
+                        draw(st.floats(0.0, 200.0)))
+                       for k in range(draw(st.integers(3, 5))))
+        features = FeatureVector(**{
+            name: draw(st.integers(0, 10**6) if name in _INT_FEATURES
+                       else floats)
+            for name in FEATURE_NAMES})
+        trace = tuple(VehicleState(*draw(st.lists(floats, min_size=8,
+                                                  max_size=8)), 0.0)
+                      for _ in range(draw(st.integers(0, 3))))
+        outcome = TestOutcome(label=draw(st.sampled_from([SAFE, UNSAFE])),
+                              duration=draw(floats),
+                              max_abs_lateral_offset=0.0, trace=trace)
+        tests.append(TestCase(
+            id=draw(st.text(max_size=6)),
+            road=RoadPoints(points=points, lane_width=draw(floats)),
+            features=features, outcome=outcome))
+    return tests
+
+
+def _edge_case():
+    values = (_EDGE_FLOATS * 4)[:len(FEATURE_NAMES)]
+    features = FeatureVector(**{
+        name: 7 if name in _INT_FEATURES else value
+        for name, value in zip(FEATURE_NAMES, values)})
+    trace = (VehicleState(*_EDGE_FLOATS, 0.5, -2.0, 0.0),)
+    road = RoadPoints(points=((0.0, 5e-324), (10.0, 200.0), (20.0, 1.5)))
+    return [TestCase(id="edge", road=road, features=features,
+                     outcome=TestOutcome(UNSAFE, math.inf, 0.0, trace)),
+            TestCase(id="bare", road=road, features=features,
+                     outcome=TestOutcome(SAFE, -0.0, 0.0, ()))]
+
+
+class TestDatasetWriter:
+    @settings(max_examples=25)
+    @given(tests=_test_cases(st.one_of(st.sampled_from(_EDGE_FLOATS),
+                                       st.floats())))
+    @example(tests=_edge_case())
+    def test_bytes_match_json(self, tmp_path_factory, tests):
+        path = tmp_path_factory.mktemp("writer") / "simulation.full.json"
+        save_dataset(path, tests)
+        assert path.read_text() == _json_reference(tests)
+
+    def test_no_tests(self, tmp_path):
+        save_dataset(tmp_path / "d.json", [])
+        assert (tmp_path / "d.json").read_text() == _json_reference([])
+
+    @settings(max_examples=15)
+    @given(tests=_test_cases(st.floats(allow_nan=False, allow_infinity=False)))
+    def test_finite_values_read_back(self, tmp_path_factory, tests):
+        path = tmp_path_factory.mktemp("writer") / "simulation.full.json"
+        save_dataset(path, tests)
+        back = load_dataset(path)
+        assert [t.id for t in back] == [t.id for t in tests]
+        for a, b in zip(tests, back):
+            assert b.road == a.road
+            assert b.features == a.features
+            assert b.outcome.label == a.outcome.label
+            assert b.outcome.duration == a.outcome.duration
+            assert ([[getattr(st_, k) for k in TRACE_KEYS]
+                     for st_ in b.outcome.trace]
+                    == [[getattr(st_, k) for k in TRACE_KEYS]
+                        for st_ in a.outcome.trace])
