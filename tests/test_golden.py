@@ -4,9 +4,9 @@ Any change to road generation, driving, feature extraction, dataset output
 (with and without traces) and its reading back, road files, CAN conversion
 and wire framing, the six-family benchmark, a random-forest benchmark on a
 second data set, the decision-tree, logistic and SVM grids, the real-time
-loop or model-based FIX / REACH selection shows up here as a changed
-digest, so an intended change must update a digest in the same commit and
-say why.
+loop or FIX / REACH selection, with or without a model, shows up here as a
+changed digest, so an intended change must update a digest in the same
+commit and say why.
 
 The linear SVM grid (6cc44726… → 92180393…) and the benchmark
 (0c2383e2… → 352f01ad…) changed when the linear SVM began to be solved to
@@ -176,24 +176,52 @@ def test_realtime_adaptive(tmp_path):
         "ebcb389ca9f696098ff8587cd17cb45027253a2ed444ca006d1dde2fe5c8995d")
 
 
+def selection_digest(traced_set, tmp_path, protocol, strategy, target):
+    """Digest of the aggregate of 5 repetitions on a pool of the traced
+    set's 8 safe and 7 unsafe tests."""
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "protocol": protocol,
+        "dataset": str(traced_set / "simulation.full.json"),
+        "pool": {"safe": 8, "unsafe": 7}, "repetitions": 5,
+        **strategy, **target}))
+    out = tmp_path / protocol
+    assert main(["experiment", "--config", str(cfg), "--seed", "11",
+                 "--out", str(out)]) == 0
+    return sha256(out / "aggregate.csv")
+
+
 @pytest.mark.parametrize("protocol, target, digest", [
     ("fix", {"S": 6},
      "aa70629a6371e42bebdc1b472fc2ae9e754d59deae1aef2d4f2c3b0313af4a14"),
     ("reach", {"N": 4},
      "8fea5286c65e22520f2c851190479f391c6270a212e855bfc0883ec8ed295fb4"),
-], ids=["fix", "reach"])
+    # the filter keeps 7 of the 15 draws in every repetition, so FIX
+    # backfills 5 skipped tests
+    ("fix", {"S": 12},
+     "566d7c03665ce3ee82c53dc7218e7e6a1ba47a0a5002748c27c24108ba5ddbe0"),
+], ids=["fix", "reach", "fix_backfill"])
 def test_model_strategy(traced_set, tmp_path, protocol, target, digest):
     assert main(["benchmark", "--features", str(traced_set / "features.csv"),
                  "--models", "logistic", "--k", "3", "--seed", "1",
                  "--out", str(tmp_path / "bm")]) == 0
-    cfg = tmp_path / "exp.json"
-    cfg.write_text(json.dumps({
-        "protocol": protocol,
-        "dataset": str(traced_set / "simulation.full.json"),
-        "pool": {"safe": 8, "unsafe": 7}, "strategy": "model",
-        "model": str(tmp_path / "bm" / "best_model.json"),
-        "repetitions": 5, **target}))
-    out = tmp_path / protocol
-    assert main(["experiment", "--config", str(cfg), "--seed", "11",
-                 "--out", str(out)]) == 0
-    assert sha256(out / "aggregate.csv") == digest
+    strategy = {"strategy": "model",
+                "model": str(tmp_path / "bm" / "best_model.json")}
+    assert selection_digest(traced_set, tmp_path, protocol, strategy,
+                            target) == digest
+
+
+@pytest.mark.parametrize("protocol, strategy, target, digest", [
+    ("fix", "random", {"S": 6},
+     "9f3ce4cdc7ca980497abec0b400facfb9c042c2ca327f49961710f599183effb"),
+    ("fix", "road_length", {"S": 6},
+     "356260154bed9f899032da459e8da096f689d68b46e490b733ac55c8b674c9e7"),
+    ("reach", "random", {"N": 4},
+     "bb8c0471da88c9b1d62bced2df7dd7cfe7a7d69139468106383c13bbda197958"),
+    ("reach", "road_length", {"N": 4},
+     "cefe11876f84f602deeb1318435979b458570b344bf373aacd84d08b1d9d647c"),
+], ids=["fix_random", "fix_road_length", "reach_random", "reach_road_length"])
+def test_strategy_without_filter(traced_set, tmp_path, protocol, strategy,
+                                 target, digest):
+    assert selection_digest(traced_set, tmp_path, protocol,
+                            {"strategy": strategy}, target) == digest

@@ -399,3 +399,67 @@ class TestCountsAddUp:
         predicted = _predictions(res.clock.get("prediction", 0.0))
         assert (0 if res.confusion is None else sum(res.confusion)) == predicted
         assert res.rejected <= predicted
+
+
+class TestSkipOrder:
+    """A filter's kept draws come first, in draw order, then its skipped
+    draws, in skip order, for verdict tables drawn by hypothesis."""
+
+    @staticmethod
+    def screen(moderate_tests, data):
+        pool = build_pool(moderate_tests,
+                          (data.draw(st.integers(0, 8), label="n_safe"),
+                           data.draw(st.integers(1, 8), label="n_unsafe")),
+                          data.draw(st.integers(0, 999), label="pool_seed"))
+        verdicts = data.draw(st.lists(st.sampled_from([0, UNSAFE_CODE]),
+                                      min_size=len(pool), max_size=len(pool)),
+                             label="verdicts")
+        stub = StubStrategy(dict(zip((t.id for t in pool.tests), verdicts)))
+        seed = data.draw(st.integers(0, 999), label="seed")
+        order = [t.id for t in stub.order(pool, np.random.default_rng(seed))]
+        kept = [tid for tid in order if stub.predictions[tid] == UNSAFE_CODE]
+        skipped = [tid for tid in order if tid not in kept]
+        return pool, stub, seed, order, kept, skipped
+
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_fix_suite(self, moderate_tests, data):
+        pool, stub, seed, order, kept, skipped = self.screen(moderate_tests,
+                                                             data)
+        S = data.draw(st.integers(1, len(pool)), label="S")
+        res = run_fix(pool, stub, S, seed)
+        assert list(res.suite_ids) == (kept + skipped)[:S]
+        assert res.backfilled == max(0, S - len(kept))
+        judged = order.index(kept[S - 1]) + 1 if S <= len(kept) else len(order)
+        assert res.drawn == sum(res.confusion) == judged
+
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_reach_executions(self, moderate_tests, data):
+        pool, stub, seed, order, kept, skipped = self.screen(moderate_tests,
+                                                             data)
+        N = data.draw(st.integers(1, pool.unsafe_count), label="N")
+        executed = []
+        execute = pool.execute
+
+        def recording(test_id):
+            executed.append(test_id)
+            return execute(test_id)
+
+        pool.execute = recording
+        res = run_reach(pool, stub, N, CostModel(), seed)
+        screened = kept + skipped
+        unsafe = [tid for tid in screened
+                  if pool.reveal_post_mortem(tid) == UNSAFE_CODE]
+        assert executed == screened[:screened.index(unsafe[N - 1]) + 1]
+        assert res.executed_count == len(executed)
+        assert res.fallback_used == (len(executed) > len(kept))
+        # every draw judged before the N-th unsafe execution, or the whole
+        # pool when the skipped draws had to run; one charge per judgement
+        judged = (order.index(executed[-1]) + 1 if not res.fallback_used
+                  else len(order))
+        assert sum(res.confusion) == judged
+        charged = 0.0
+        for _ in range(judged):
+            charged += CostModel.prediction_s
+        assert res.prediction_cost == charged
