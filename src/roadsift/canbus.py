@@ -15,6 +15,7 @@ Wire framing: timestamp_ms (u32 LE) | can_id (u32 LE) | dlc (u8) | data.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 import socket
@@ -150,6 +151,28 @@ _SG_RE = re.compile(
     r"^\s*SG_\s+(\w+)\s*:\s*(\d+)\|(\d+)@([01])([+-])\s*"
     r"\(\s*([^,]+)\s*,\s*([^)]+)\s*\)\s*"
     r"\[\s*([^|]+)\|([^\]]+)\s*\]\s*\"([^\"]*)\"\s*(.*)$")
+
+
+def _read_utf8(path: str | Path) -> str:
+    """A file's text; raises ValueError naming the file and the line of the
+    first byte that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: byte {data[exc.start]:#04x} "
+                         "is not UTF-8") from None
+
+
+def read_dbc(path: str | Path) -> CanDatabase:
+    """parse_dbc of a file; raises ValueError naming the file and, where it
+    is known, the line."""
+    text = _read_utf8(path)
+    try:
+        return parse_dbc(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def parse_dbc(text: str) -> CanDatabase:
@@ -340,6 +363,8 @@ def convert_trace(trace, db: CanDatabase, mapping: SignalMapping,
 
     trace: sequence of VehicleState-like objects (attribute access).
     """
+    if sample_period_ms < 1:
+        raise ValueError(f"sample_period_ms must be >= 1, got {sample_period_ms}")
     if not trace:
         raise MappingError("empty trace")
     plan = _compile(db, mapping)
@@ -381,11 +406,12 @@ def write_playback_csv(records: list[PlaybackRecord], path: str | Path) -> None:
 
 def read_playback_csv(path: str | Path) -> list[PlaybackRecord]:
     """Read a file written by write_playback_csv; a file holding only the
-    header is an empty playback. Raises CsvFormatError naming the file and
-    the line when the file is empty, its header is wrong or a row is bad."""
+    header is an empty playback. Raises ValueError naming the file and
+    the line when the file is not UTF-8, and CsvFormatError when it is
+    empty, its header is wrong or a row is bad."""
     records = []
     prev_ts = None
-    with open(path) as fh:
+    with io.StringIO(_read_utf8(path), newline=None) as fh:
         first = fh.readline()
         if first.strip() != CSV_HEADER:
             raise CsvFormatError(path, 1, f"bad header {first.strip()!r}" if first

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import canbus, selection
 from .features import (
+    FeatureVector,
     extract_features,
     read_feature_csv,
     write_feature_csv,
@@ -172,16 +173,26 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _road_features(roads: str) -> list[tuple[str, FeatureVector]]:
+    """(id, features) of each road file in a directory, in name order; a road
+    that cannot be read or measured raises ValueError naming its file."""
+    rows = []
+    for path in sorted(Path(roads).glob("*.json")):
+        road_id, road = load_road(path)
+        try:
+            rows.append((road_id, extract_features(road)))
+        except ValueError as exc:       # the road crosses itself
+            raise ValueError(f"{path}: {exc}") from None
+    return rows
+
+
 def cmd_extract_features(args) -> int:
     _require(args, "out")
-    rows = []
     if args.simulation is not None:
-        for tc in load_dataset(args.simulation, keep_traces=False):
-            rows.append((tc.id, tc.features, tc.outcome.label))
+        rows = [(tc.id, tc.features, tc.outcome.label)
+                for tc in load_dataset(args.simulation, keep_traces=False)]
     elif args.roads is not None:
-        for path in sorted(Path(args.roads).glob("*.json")):
-            road_id, road = load_road(path)
-            rows.append((road_id, extract_features(road), None))
+        rows = [(road_id, vec, None) for road_id, vec in _road_features(args.roads)]
     else:
         raise ConfigError("need --roads or --simulation")
     write_feature_csv(args.out, rows)
@@ -263,14 +274,10 @@ def cmd_rank_features(args) -> int:
 def cmd_predict(args) -> int:
     _require(args, "model", "out")
     model = load_model(args.model)
-    rows = []
     if args.features is not None:
-        for tid, vec, _ in read_feature_csv(args.features):
-            rows.append((tid, vec))
+        rows = [(tid, vec) for tid, vec, _ in read_feature_csv(args.features)]
     elif args.roads is not None:
-        for path in sorted(Path(args.roads).glob("*.json")):
-            road_id, road = load_road(path)
-            rows.append((road_id, extract_features(road)))
+        rows = _road_features(args.roads)
     else:
         raise ConfigError("need --roads or --features")
     codes = model.predict_matrix(model.feature_matrix([v for _, v in rows]))
@@ -376,8 +383,10 @@ def cmd_experiment(args) -> int:
 
 def cmd_can_convert(args) -> int:
     _require(args, "simulation", "out")
-    db = canbus.parse_dbc(
-        Path(args.dbc).read_text() if args.dbc else canbus.DEFAULT_DBC)
+    if args.dbc:
+        db = canbus.read_dbc(args.dbc)
+    else:
+        db = canbus.parse_dbc(canbus.DEFAULT_DBC)
     mapping = canbus.DEFAULT_MAPPING
     if args.mapping:
         try:

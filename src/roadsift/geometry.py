@@ -290,8 +290,8 @@ def road_from_json(obj: dict) -> RoadPoints:
 def load_road(path: str | Path) -> tuple[str, RoadPoints]:
     """Read a road description file: {"id", "lane_width", "map_size", "road_points"}.
 
-    Raises ValueError naming the file when it is not JSON, a key is missing
-    or a value has the wrong type."""
+    Raises ValueError naming the file when it is not JSON, a key is missing,
+    a value has the wrong type or the road is degenerate."""
     try:
         obj = json.loads(Path(path).read_text())
     except ValueError as exc:      # bad JSON or bad UTF-8
@@ -300,7 +300,7 @@ def load_road(path: str | Path) -> tuple[str, RoadPoints]:
         return str(obj["id"]), road_from_json(obj)
     except KeyError as exc:
         raise ValueError(f"{path}: no key {exc}") from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

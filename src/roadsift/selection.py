@@ -15,7 +15,9 @@ so experiment results are deterministic and fast.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import ClassVar
 
 import numpy as np
@@ -165,10 +167,34 @@ class ModelStrategy(RandomStrategy):
         return self._codes[test.id] == UNSAFE_CODE
 
 
-def _filter_confusion(pool: TestPool,
-                      predicted: dict[str, int]) -> tuple[int, int, int, int]:
+def _screen(pool: TestPool, strategy, rng_seed: int, predicted: dict[str, int]
+            ) -> Iterator[tuple[VisibleTest, bool]]:
+    """The tests in the order FIX and REACH take them, each with a flag that
+    says it was skipped: the draws the strategy's filter keeps, in draw
+    order, then the draws it skipped, in skip order. A draw is judged, and
+    its verdict recorded in predicted, only when the next test is asked
+    for. A strategy without accepts keeps every draw."""
+    accepts = getattr(strategy, "accepts", None)
+    skipped: list[VisibleTest] = []
+    for test in strategy.order(pool, np.random.default_rng(rng_seed)):
+        if accepts is not None:
+            keep = accepts(test)
+            predicted[test.id] = UNSAFE_CODE if keep else SAFE_CODE
+            if not keep:
+                skipped.append(test)
+                continue
+        yield test, False
+    for test in skipped:
+        yield test, True
+
+
+def _filter_confusion(pool: TestPool, predicted: dict[str, int]
+                      ) -> tuple[int, int, int, int] | None:
     """(tp, fp, tn, fn) of a filter's verdicts on the tests it judged, scored
-    against ground truth read after the protocol has finished."""
+    against ground truth read after the protocol has finished; None when
+    nothing was judged, i.e. the strategy does not filter."""
+    if not predicted:
+        return None
     return confusion_from_predictions(
         np.array([pool.reveal_post_mortem(tid) for tid in predicted]),
         np.array(list(predicted.values())))
@@ -187,42 +213,23 @@ class FixResult:
 
 
 def run_fix(pool: TestPool, strategy, S: int, rng_seed: int) -> FixResult:
-    """Build a suite of exactly S tests. Baselines take the first S in their
-    order; filtering strategies keep only predicted-unsafe draws, then
-    backfill from the rejects when the pool runs dry. Labels are revealed
-    only after the suite is final."""
+    """Build a suite of exactly S tests: the first S of the screen, so a
+    filtering strategy backfills from its skipped draws when the pool runs
+    dry. Labels are revealed only after the suite is final."""
+    if S < 1:
+        raise ValueError(f"S must be >= 1, got {S}")
     if S > len(pool):
         raise STooLarge(f"S={S} exceeds pool size {len(pool)}")
-    rng = np.random.default_rng(rng_seed)
-    order = strategy.order(pool, rng)
-
-    accepts = getattr(strategy, "accepts", None)
-    suite: list[VisibleTest] = []
-    rejected: list[VisibleTest] = []
     predicted: dict[str, int] = {}
-    drawn = 0
-    for test in order:
-        if len(suite) >= S:
-            break
-        drawn += 1
-        keep = accepts is None or accepts(test)
-        if accepts is not None:
-            predicted[test.id] = UNSAFE_CODE if keep else SAFE_CODE
-        (suite if keep else rejected).append(test)
-    backfilled = 0
-    while len(suite) < S:
-        suite.append(rejected[backfilled])
-        backfilled += 1
-
-    labels = [pool.execute(t.id)[0] for t in suite]
-    unsafe_ratio = labels.count(UNSAFE_CODE) / S
+    suite = list(islice(_screen(pool, strategy, rng_seed, predicted), S))
+    labels = [pool.execute(test.id)[0] for test, _ in suite]
 
     return FixResult(
-        suite_ids=tuple(t.id for t in suite),
-        unsafe_ratio=unsafe_ratio,
-        confusion=None if accepts is None else _filter_confusion(pool, predicted),
-        drawn=drawn,
-        backfilled=backfilled)
+        suite_ids=tuple(test.id for test, _ in suite),
+        unsafe_ratio=labels.count(UNSAFE_CODE) / S,
+        confusion=_filter_confusion(pool, predicted),
+        drawn=len(predicted) if predicted else S,
+        backfilled=sum(skipped for _, skipped in suite))
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +244,11 @@ class CostModel:
     retrain_base_s: ClassVar[float] = 0.1     # adaptive refit, plus per-row term
     retrain_per_row_s: ClassVar[float] = 1e-4
 
+    def __post_init__(self):
+        if not (math.isfinite(self.overhead_s) and self.overhead_s >= 0.0):
+            raise ValueError(
+                f"overhead_s must be finite and >= 0, got {self.overhead_s}")
+
 
 @dataclass(frozen=True)
 class ReachResult:
@@ -250,57 +262,39 @@ class ReachResult:
 
 def run_reach(pool: TestPool, strategy, N: int, cost_model: CostModel,
               rng_seed: int) -> ReachResult:
-    """Execute tests until N unsafe verdicts are revealed. Filtering
-    strategies skip predicted-safe draws at prediction cost only; if the
-    pool is exhausted before N unsafe executed, previously skipped tests run
+    """Execute tests from the screen until N unsafe verdicts are revealed.
+    A filtering strategy skips predicted-safe draws at prediction cost only;
+    if the pool is exhausted before N unsafe executed, the skipped tests run
     in skip order (flagged as fallback)."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     if N > pool.unsafe_count:
         raise NTooLarge(f"N={N} exceeds pool unsafe count {pool.unsafe_count}")
-    rng = np.random.default_rng(rng_seed)
-    order = strategy.order(pool, rng)
-
-    cost_safe = cost_unsafe = pred_cost = 0.0
-    executed = 0
-    unsafe_seen = 0
-    skipped: list[VisibleTest] = []
     predicted: dict[str, int] = {}
-    accepts = getattr(strategy, "accepts", None)
-
-    def run_one(test: VisibleTest):
-        nonlocal executed, unsafe_seen, cost_safe, cost_unsafe
+    screen = _screen(pool, strategy, rng_seed, predicted)
+    cost_safe = cost_unsafe = pred_cost = 0.0
+    executed = unsafe_seen = 0
+    fallback_used = False
+    while unsafe_seen < N:          # checked before the next draw is judged
+        test, skipped = next(screen)
+        fallback_used |= skipped
         label, duration = pool.execute(test.id)
         executed += 1
-        charge = duration + cost_model.overhead_s
         if label == UNSAFE_CODE:
             unsafe_seen += 1
-            cost_unsafe += charge
+            cost_unsafe += duration + cost_model.overhead_s
         else:
-            cost_safe += charge
-
-    for test in order:
-        if unsafe_seen >= N:
-            break
-        if accepts is not None:
-            pred_cost += cost_model.prediction_s
-            keep = accepts(test)
-            predicted[test.id] = UNSAFE_CODE if keep else SAFE_CODE
-            if not keep:
-                skipped.append(test)
-                continue
-        run_one(test)
-
-    fallback_used = unsafe_seen < N
-    for test in skipped:            # runs only when fallback_used
-        if unsafe_seen >= N:
-            break
-        run_one(test)
+            cost_safe += duration + cost_model.overhead_s
+    # one charge per judged draw, added in turn: a product rounds otherwise
+    for _ in predicted:
+        pred_cost += cost_model.prediction_s
 
     return ReachResult(
         executed_count=executed,
         elapsed_cost_safe=cost_safe,
         elapsed_cost_unsafe=cost_unsafe,
         prediction_cost=pred_cost,
-        confusion=None if accepts is None else _filter_confusion(pool, predicted),
+        confusion=_filter_confusion(pool, predicted),
         fallback_used=fallback_used)
 
 
@@ -359,8 +353,9 @@ class RealTimeConfig:
     spec: ClassVar[ClassifierSpec] = ClassifierSpec("logistic")   # adaptive refits
 
     def __post_init__(self):
-        if self.budget_s <= 0.0:
-            raise ValueError("budget must be positive")
+        if not (math.isfinite(self.budget_s) and self.budget_s > 0.0):
+            raise ValueError(
+                f"budget_s must be finite and > 0, got {self.budget_s}")
         if self.mode not in self.MODES:
             raise ValueError(f"unknown real-time mode {self.mode!r}")
         if self.mode == "pretrained" and self.model is None:

@@ -32,6 +32,7 @@ from roadsift.canbus import (
     open_sink,
     parse_dbc,
     playback,
+    read_dbc,
     read_frames,
     read_playback_csv,
     write_playback_csv,
@@ -76,6 +77,21 @@ class TestParseDbc:
         with pytest.raises(DbcSyntaxError) as err:
             parse_dbc(DEFAULT_DBC + "SG_ broken\n")
         assert err.value.line == len(DEFAULT_DBC.splitlines()) + 1
+
+    def test_file_read_as_its_text(self, tmp_path):
+        path = tmp_path / "default.dbc"
+        path.write_text(DEFAULT_DBC)
+        assert read_dbc(path) == parse_dbc(DEFAULT_DBC)
+
+    @pytest.mark.parametrize("second_line", [
+        b"SG_ broken\n", b' SG_ speed : 0|16@1+ (1,0) [0|1] "\xb0" X\n'],
+        ids=["syntax", "not_utf8"])
+    def test_file_error_names_file_and_line(self, tmp_path, second_line):
+        path = tmp_path / "bad.dbc"
+        path.write_bytes(b"BO_ 256 X: 8 E\n" + second_line)
+        with pytest.raises(ValueError) as err:
+            read_dbc(path)
+        assert str(path) in str(err.value) and "line 2:" in str(err.value)
 
     def test_overlapping_signals(self):
         text = ('BO_ 1 X: 8 E\n'
@@ -208,6 +224,12 @@ class TestConvertTrace:
         records = convert_trace(flat_trace(1.0), db,
                                 SignalMapping(entries=()), 100)
         assert records == []
+
+    @pytest.mark.parametrize("period", [0, -20])
+    def test_period_below_one_rejected(self, period):
+        db = parse_dbc(DEFAULT_DBC)
+        with pytest.raises(ValueError, match=f"sample_period_ms .*{period}"):
+            convert_trace(flat_trace(1.0), db, DEFAULT_MAPPING, period)
 
     def test_empty_trace_rejected(self):
         db = parse_dbc(DEFAULT_DBC)
@@ -355,6 +377,22 @@ class TestPlaybackCsv:
         with pytest.raises(CsvFormatError) as err:
             read_playback_csv(path)
         assert err.value.line == 1 and str(path) in str(err.value)
+
+    def test_not_utf8_names_file_and_line(self, tmp_path):
+        # the bad byte lies past the first block a text reader decodes
+        path = tmp_path / "bin.csv"
+        rows = b"".join(b"%d,100,2,aabb\n" % (10 * i) for i in range(2000))
+        path.write_bytes(CSV_HEADER.encode() + b"\n" + rows
+                         + b"20000,100,2,aa\xffb\n")
+        with pytest.raises(ValueError) as err:
+            read_playback_csv(path)
+        assert str(err.value).startswith(f"{path}, line 2002: ")
+
+    def test_crlf_lines_read(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(CSV_HEADER.encode() + b"\r\n0,100,2,aabb\r\n")
+        assert read_playback_csv(path) == [PlaybackRecord(0, 0x100, 2,
+                                                          b"\xaa\xbb")]
 
     def test_header_only_is_empty_playback(self, tmp_path):
         path = tmp_path / "none.csv"

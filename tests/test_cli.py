@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -355,6 +356,30 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg), "--seed", "3",
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("protocol, setting, value", [
+        ("fix", "S", 0), ("fix", "S", -3), ("reach", "N", 0), ("reach", "N", -2),
+        ("reach", "overhead_s", -50.0), ("realtime", "budget_s", math.nan)],
+        ids=["S_zero", "S_negative", "N_zero", "N_negative",
+             "overhead_negative", "budget_nan"])
+    def test_out_of_range_setting_is_config_error(self, run_dir, tmp_path,
+                                                  capsys, protocol, setting,
+                                                  value):
+        if protocol == "realtime":
+            base = {"mode": "baseline", "budget_s": 50.0}
+        else:
+            base = {"dataset": str(run_dir / "simulation.full.json"),
+                    "pool": {"safe": 8, "unsafe": 4}, "strategy": "random",
+                    "S" if protocol == "fix" else "N": 3}
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"protocol": protocol, "repetitions": 1,
+                                   **base, setting: value}))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", str(cfg), "--seed", "3",
+                     "--out", str(out)]) == 2
+        assert setting in capsys.readouterr().err
+        assert not list(out.glob("rep_*.json"))
+
     def test_realtime_fractions_reported(self, tmp_path):
         cfg = tmp_path / "rt.json"
         cfg.write_text(json.dumps({
@@ -550,20 +575,31 @@ def _edit_dataset(text, case):
       for case in ("top_level_object", "rows_not_objects",
                    "rows_holding_lists", "capitalised_label",
                    "json_syntax_error")),
-    ("extract-features", "road_json_syntax_error"),
+    *(("extract-features", case) for case in (
+        "road_json_syntax_error", "road_of_two_points", "road_crossing_itself")),
+    *(("predict", case) for case in ("road_of_two_points",
+                                     "road_crossing_itself")),
     ("can-convert", "mapping_json_syntax_error"),
+    ("can-convert", "dbc_bad_signal_line"),
+    ("can-convert", "dbc_not_utf8"),
     ("can-play", "empty_playback"),
     ("can-play", "bad_playback_row"),
+    ("can-play", "playback_not_utf8"),
 ])
 def test_malformed_input_file_names_itself(run_dir, tmp_path, capsys, command,
                                            case):
-    """A malformed feature CSV, dataset, road, mapping or playback file
-    exits 2 with its path in the error, never with a traceback or by
-    reading a bad label as safe."""
-    if case == "road_json_syntax_error":
+    """A malformed feature CSV, dataset, road, mapping, DBC or playback file
+    exits 2 with its path in the error, and the line where it is known,
+    never with a traceback or by reading a bad label as safe."""
+    line = None
+    if case.startswith("road_"):
         bad = tmp_path / "roads" / "r.json"
         bad.parent.mkdir()
-        bad.write_text('{"id": ')
+        points = ([[10, 10], [20, 10]] if case == "road_of_two_points"
+                  else [[10, 10], [100, 10], [100, 12], [10, 14]])
+        bad.write_text('{"id": ' if case == "road_json_syntax_error"
+                       else json.dumps({"id": "r", "lane_width": 4.0,
+                                        "road_points": points}))
         argv = [command, "--roads", str(bad.parent),
                 "--out", str(tmp_path / "f.csv")]
     elif case == "mapping_json_syntax_error":
@@ -571,10 +607,21 @@ def test_malformed_input_file_names_itself(run_dir, tmp_path, capsys, command,
         bad.write_text("[1,")
         argv = [command, "--simulation", str(run_dir / "simulation.full.json"),
                 "--mapping", str(bad), "--out", str(tmp_path / "c")]
+    elif case.startswith("dbc_"):
+        bad = tmp_path / "bad.dbc"
+        bad.write_bytes(b"BO_ 256 VEHICLE_DYNAMICS: 8 ECU\n"
+                        + (b"SG_ bad\n" if case == "dbc_bad_signal_line"
+                           else b" SG_ speed \xff\n"))
+        line = 2
+        argv = [command, "--simulation", str(run_dir / "simulation.full.json"),
+                "--dbc", str(bad), "--out", str(tmp_path / "c")]
     elif command == "can-play":
         bad = tmp_path / f"{case}.canplayback.csv"
-        bad.write_text("" if case == "empty_playback"
-                       else canbus.CSV_HEADER + "\n0,zz,2,aabb\n")
+        rows = {"bad_playback_row": b"0,zz,2,aabb\n",
+                "playback_not_utf8": b"0,100,2,aabb\n20,100,2,aa\xffb\n"}
+        bad.write_bytes(canbus.CSV_HEADER.encode() + b"\n" + rows[case]
+                        if case in rows else b"")
+        line = {"bad_playback_row": 2, "playback_not_utf8": 3}.get(case, 1)
         argv = [command, "--playback", str(bad),
                 "--target", f"file://{tmp_path / 'out.bin'}", "--pacing", "fast"]
     elif command in ("benchmark", "predict"):
@@ -584,12 +631,6 @@ def test_malformed_input_file_names_itself(run_dir, tmp_path, capsys, command,
         argv = [command, "--features", str(bad), "--out", str(tmp_path / "o")]
         if command == "benchmark":
             argv += ["--models", "naive_bayes", "--k", "3", "--seed", "1"]
-        else:
-            bench = tmp_path / "bench"
-            assert main(["benchmark", "--features", str(run_dir / "features.csv"),
-                         "--models", "naive_bayes", "--k", "3", "--seed", "1",
-                         "--out", str(bench)]) == 0
-            argv += ["--model", str(bench / "best_model.json")]
     else:
         bad = tmp_path / f"{case}.json"
         bad.write_text(_edit_dataset(
@@ -603,10 +644,17 @@ def test_malformed_input_file_names_itself(run_dir, tmp_path, capsys, command,
                 "protocol": "fix", "dataset": str(bad), "strategy": "random",
                 "S": 2, "pool": {"safe": 2, "unsafe": 0}, "seeds": [1]}))
             argv += ["--config", str(cfg)]
+    if command == "predict":
+        bench = tmp_path / "bench"
+        assert main(["benchmark", "--features", str(run_dir / "features.csv"),
+                     "--models", "naive_bayes", "--k", "3", "--seed", "1",
+                     "--out", str(bench)]) == 0
+        argv += ["--model", str(bench / "best_model.json")]
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
+    assert line is None or f"line {line}:" in err
     assert "Traceback" not in err
 
 class TestCanCommands:
@@ -633,6 +681,17 @@ class TestCanCommands:
                      "--target", f"file://{target}", "--pacing", "fast"]) == 0
         assert target.stat().st_size == sum(9 + r.dlc for r in
                                             read_playback_csv(csvs[0]))
+
+    @pytest.mark.parametrize("period", [0, -20])
+    def test_period_below_one_is_config_error(self, run_dir, tmp_path, capsys,
+                                              period):
+        out = tmp_path / "can"
+        capsys.readouterr()
+        assert main(["can-convert", "--simulation",
+                     str(run_dir / "simulation.full.json"),
+                     "--period-ms", str(period), "--out", str(out)]) == 2
+        assert "sample_period_ms" in capsys.readouterr().err
+        assert not list(out.glob("*.canplayback.csv"))
 
     def test_malformed_dbc_is_config_error(self, run_dir, tmp_path):
         bad = tmp_path / "bad.dbc"

@@ -267,6 +267,30 @@ class TestMapMotions:
                                    moved.lane_width) == crosses, motion
 
 
+class TestSpineRelations:
+    """On generated roads, the sampled spine starts at the first control
+    point and ends at the last, and the segments cover its samples in order,
+    each starting one sample after the one before it ends. The spine does
+    not sample the inner control points, so they are not asserted."""
+
+    @settings(max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_spine_ends_at_end_control_points(self, seed):
+        road, spine = generate_road(seed)
+        ends = road.as_array()[[0, -1]]
+        assert np.hypot(*(spine.xy[[0, -1]] - ends).T).max() <= 1e-9
+
+    @settings(max_examples=10)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_segments_cover_the_samples(self, seed):
+        _, spine = generate_road(seed)
+        segs = segment_spine(spine)
+        assert segs[0].start_index == 0
+        assert segs[-1].end_index == len(spine) - 1
+        for a, b in zip(segs, segs[1:]):
+            assert b.start_index == a.end_index + 1
+
+
 class TestInvariants:
     def test_arc_length_additivity(self):
         for seed in range(10):

@@ -90,6 +90,11 @@ class TestFix:
         with pytest.raises(STooLarge):
             run_fix(pool_6040, RandomStrategy(), len(pool_6040) + 1, 0)
 
+    @pytest.mark.parametrize("S", [0, -3])
+    def test_s_below_one(self, pool_6040, S):
+        with pytest.raises(ValueError, match=f"S must be >= 1, got {S}"):
+            run_fix(pool_6040, RandomStrategy(), S, 0)
+
     def test_perfect_selector_all_unsafe(self, moderate_tests, pool_6040):
         res = run_fix(pool_6040, perfect_stub(moderate_tests), 30, 3)
         assert res.unsafe_ratio == 1.0
@@ -174,6 +179,16 @@ class TestReach:
         with pytest.raises(NTooLarge):
             run_reach(pool_6040, RandomStrategy(), pool_6040.unsafe_count + 1,
                       CostModel(), 0)
+
+    @pytest.mark.parametrize("N", [0, -2])
+    def test_n_below_one(self, pool_6040, N):
+        with pytest.raises(ValueError, match=f"N must be >= 1, got {N}"):
+            run_reach(pool_6040, RandomStrategy(), N, CostModel(), 0)
+
+    @pytest.mark.parametrize("overhead_s", [-50.0, math.nan, math.inf])
+    def test_overhead_finite_and_not_negative(self, overhead_s):
+        with pytest.raises(ValueError, match="overhead_s"):
+            CostModel(overhead_s=overhead_s)
 
     def test_perfect_selector_exact(self, moderate_tests, pool_6040):
         res = run_reach(pool_6040, perfect_stub(moderate_tests), 10,
@@ -302,6 +317,12 @@ class TestRealTime:
             RealTimeConfig(mode="baseline", budget_s=-5.0)
         with pytest.raises(ValueError):
             RealTimeConfig(mode="adaptive", budget_s=100.0, model=moderate_model)
+
+    @pytest.mark.parametrize("budget_s", [0.0, math.nan, math.inf, -math.inf])
+    def test_budget_finite_and_positive(self, budget_s):
+        # an infinite budget would never end the loop
+        with pytest.raises(ValueError, match="budget_s"):
+            RealTimeConfig(mode="baseline", budget_s=budget_s)
 
     @pytest.mark.parametrize("bad", [{"retrain_every": 0}, {"warmup_n": -1}])
     def test_retrain_and_warmup_validation(self, bad):
