@@ -350,6 +350,11 @@ def _compile(db: CanDatabase, mapping: SignalMapping) -> list[tuple]:
     return [(msg.can_id, msg.dlc, per_message[msg.name]) for msg in messages]
 
 
+def check_sample_period(sample_period_ms: int) -> None:
+    if sample_period_ms < 1:
+        raise ValueError(f"sample_period_ms must be >= 1, got {sample_period_ms}")
+
+
 def convert_trace(trace, db: CanDatabase, mapping: SignalMapping,
                   sample_period_ms: int = 20) -> list[PlaybackRecord]:
     """Zero-order-hold resample of the trace, one record per mapped message
@@ -363,8 +368,7 @@ def convert_trace(trace, db: CanDatabase, mapping: SignalMapping,
 
     trace: sequence of VehicleState-like objects (attribute access).
     """
-    if sample_period_ms < 1:
-        raise ValueError(f"sample_period_ms must be >= 1, got {sample_period_ms}")
+    check_sample_period(sample_period_ms)
     if not trace:
         raise MappingError("empty trace")
     plan = _compile(db, mapping)

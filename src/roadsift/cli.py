@@ -291,13 +291,19 @@ def cmd_predict(args) -> int:
 
 
 def _aggregate_csv(path: Path, rows: list[dict]) -> None:
+    """Mean and stddev of each numeric key over the reps that hold it; a key
+    that some reps lack (a real-time rep that never left its warm-up has no
+    post_mortem_accuracy) is named with how many hold it: "key (k of n
+    reps)"."""
     keys = sorted({k for row in rows for k in row if isinstance(row[k], (int, float))})
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "mean", "stddev"])
         for key in keys:
-            vals = np.array([float(row[key]) for row in rows])
-            writer.writerow([key, f"{vals.mean():.9g}", f"{vals.std():.9g}"])
+            vals = np.array([float(row[key]) for row in rows if key in row])
+            name = key if len(vals) == len(rows) else (
+                f"{key} ({len(vals)} of {len(rows)} reps)")
+            writer.writerow([name, f"{vals.mean():.9g}", f"{vals.std():.9g}"])
 
 
 def cmd_experiment(args) -> int:
@@ -402,6 +408,8 @@ def cmd_can_convert(args) -> int:
             (e["field"], e["message"], e["signal"], float(e["factor"]))
             for e in entries))
     period = _given(args, sample_period_ms="period_ms")
+    if period:                  # checked once, so also without traces
+        canbus.check_sample_period(**period)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tests = load_dataset(args.simulation)
@@ -412,6 +420,8 @@ def cmd_can_convert(args) -> int:
         records = canbus.convert_trace(tc.outcome.trace, db, mapping, **period)
         canbus.write_playback_csv(records, out / f"{tc.id}.canplayback.csv")
         converted += 1
+    if not converted:
+        print(f"{args.simulation} holds no traces (generated with --no-traces?)")
     print(f"converted {converted} traces -> {out}")
     return EXIT_OK
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.spatial import cKDTree
 
 STRAIGHT = "straight"
 LEFT_TURN = "left"
@@ -120,6 +118,94 @@ def _centripetal_knots(pts: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(d)])
 
 
+def _gtsv(dl: list, d: list, du: list, *columns: list) -> None:
+    """Solve the tridiagonal system with sub-, main and super-diagonal dl, d
+    and du for each right-hand side column, in place, in the operation order
+    of LAPACK's reference dgtsv: Gaussian elimination with partial pivoting,
+    where a row interchange brings a second super-diagonal into dl, then
+    back substitution."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            for b in columns:
+                b[i + 1] = b[i + 1] - fact * b[i]
+            if i < n - 2:
+                dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            for b in columns:
+                b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    for b in columns:
+        b[n - 1] = b[n - 1] / d[n - 1]
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+        for i in range(n - 3, -1, -1):
+            b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+
+
+def _natural_spline(knots: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Coefficients (4, 2, n - 1) of the natural cubic through the n points
+    pts (n, 2) at knots: power 3 down to 0, by coordinate, by piece.
+
+    The bits are those of CubicSpline(knots, pts, bc_type="natural",
+    axis=0): the same tridiagonal system for the slopes at the knots, with
+    the terms of the zero end second derivatives, solved in dgtsv's order
+    (its banded solve calls dgtsv), then the Hermite coefficients of each
+    piece. The tests compare the two bit for bit."""
+    dx = np.diff(knots)
+    y = pts.T
+    slope = np.diff(y) / dx
+    b = np.empty(y.shape)
+    b[:, 1:-1] = 3 * (dx[1:] * slope[:, :-1] + dx[:-1] * slope[:, 1:])
+    b[:, 0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[:, 1] - y[:, 0])
+    b[:, -1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[:, -1] - y[:, -2])
+    h = dx.tolist()
+    diagonal = [2 * h[0], *(2 * (p + q) for p, q in zip(h, h[1:])), 2 * h[-1]]
+    columns = b.tolist()
+    _gtsv(h[1:] + h[-1:], diagonal, h[:1] + h[:-1], *columns)
+    dydx = np.array(columns)
+    t = (dydx[:, :-1] + dydx[:, 1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - dydx[:, :-1]) / dx - t, dydx[:, :-1], y[:, :-1]))
+
+
+def _pieces(knots: np.ndarray, coeffs: np.ndarray, t: np.ndarray):
+    """The coefficients (8, m) of the pieces that hold the m parameters t,
+    in the rows of coeffs.reshape(8, -1), and t's offsets (m,) from their
+    pieces' first knots. A t on an inner knot starts the next piece; the
+    last knot closes the last piece."""
+    i = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
+    return np.take(coeffs.reshape(8, -1), i, axis=1), t - knots[i]
+
+
+def _value(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Positions (2, m) of the pieces c at offsets z, summed power by power
+    from 0.0 (not by Horner's rule), as PPoly sums them."""
+    z2 = z * z
+    return 0.0 + c[6:] + c[4:6] * z + c[2:4] * z2 + c[:2] * (z2 * z)
+
+
+def _derivatives(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivatives (2, m) of the pieces c at offsets z,
+    each term formed as PPoly forms it: (c·z^p)·k."""
+    d1 = 0.0 + c[4:6] + c[2:4] * z * 2.0 + c[:2] * (z * z) * 3.0
+    d2 = 0.0 + c[2:4] * 2.0 + c[:2] * z * 6.0
+    return d1, d2
+
+
+def _arc_steps(xy: np.ndarray) -> np.ndarray:
+    """Distances between consecutive positions xy (2, m)."""
+    step = np.diff(xy)
+    return np.sqrt(step[0] * step[0] + step[1] * step[1])
+
+
 def interpolate_spine(road: RoadPoints, config: GeometryConfig | None = None) -> RoadSpine:
     """Interpolate control points into an arc-length sampled road spine.
 
@@ -130,15 +216,14 @@ def interpolate_spine(road: RoadPoints, config: GeometryConfig | None = None) ->
     cfg = config or GeometryConfig()
     pts = road.as_array()
     knots = _centripetal_knots(pts)
-    spline = CubicSpline(knots, pts, bc_type="natural", axis=0)
+    coeffs = _natural_spline(knots, pts)
 
     # dense pre-pass to build the arc-length -> parameter map
     approx_len = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
     n_fine = max(32, int(math.ceil(approx_len / (cfg.sampling_step / 4.0))))
     tq_fine = np.linspace(knots[0], knots[-1], n_fine + 1)
-    pos_fine = spline(tq_fine)
     arc_fine = np.concatenate(
-        [[0.0], np.cumsum(np.linalg.norm(np.diff(pos_fine, axis=0), axis=1))])
+        [[0.0], np.cumsum(_arc_steps(_value(*_pieces(knots, coeffs, tq_fine))))])
     total = float(arc_fine[-1])
 
     # emit samples at uniform arc spacing strictly below the configured step
@@ -151,16 +236,24 @@ def interpolate_spine(road: RoadPoints, config: GeometryConfig | None = None) ->
     tq = tq_fine[idx] + frac * (tq_fine[idx + 1] - tq_fine[idx])
     tq[0], tq[-1] = knots[0], knots[-1]
 
-    pos, d1, d2 = spline(tq), spline(tq, 1), spline(tq, 2)
-    heading = _wrap_angle(np.arctan2(d1[:, 1], d1[:, 0]))
-    speed_sq = d1[:, 0] ** 2 + d1[:, 1] ** 2
+    # one piece search for the positions and both derivatives (rows x, y)
+    c, z = _pieces(knots, coeffs, tq)
+    pos = _value(c, z)
+    d1, d2 = _derivatives(c, z)
+    heading = _wrap_angle(np.arctan2(d1[1], d1[0]))
+    speed_sq = d1[0] ** 2 + d1[1] ** 2
     denom = np.maximum(speed_sq, 1e-12) ** 1.5
-    kappa = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / denom
+    kappa = (d1[0] * d2[1] - d1[1] * d2[0]) / denom
     kappa = np.clip(kappa, -1.0 / cfg.min_radius, 1.0 / cfg.min_radius)
 
-    s = np.concatenate(
-        [[0.0], np.cumsum(np.linalg.norm(np.diff(pos, axis=0), axis=1))])
-    return RoadSpine(s=s, xy=pos, heading=heading, curvature=kappa)
+    s = np.concatenate([[0.0], np.cumsum(_arc_steps(pos))])
+    # C order: a column dot product (the shoelace area) rounds by layout
+    return RoadSpine(s=s, xy=np.ascontiguousarray(pos.T), heading=heading,
+                     curvature=kappa)
+
+
+_PAIR_BLOCK = 8          # consecutive spine samples pruned together
+_PAIR_MARGIN = 1e-6      # m, widens the block test past any rounding
 
 
 def self_intersects(spine: RoadSpine, lane_width: float) -> bool:
@@ -170,15 +263,37 @@ def self_intersects(spine: RoadSpine, lane_width: float) -> bool:
     Pairs whose arc separation is within 2x the proximity threshold are the
     road's own continuity and are ignored; a legal single turn never trips
     the check for radii above roughly the lane width.
+
+    Samples i < j are such a pair when d0*d0 + d1*d1 <= r*r for their
+    coordinate differences d0, d1 and r = 2 x lane_width (the test, to the
+    bit, of a k-d tree's pair query), and s[j] - s[i] > exclusion. Blocks of
+    consecutive samples are pruned first: two blocks whose bounding boxes
+    lie farther apart than r (plus a margin), or whose arc span stays within
+    the exclusion, hold no such pair.
     """
     proximity = 2.0 * lane_width
     exclusion = 2.0 * proximity
-    xy = spine.xy
-    s = spine.s
-    pairs = cKDTree(xy).query_pairs(r=proximity, output_type="ndarray")
-    if len(pairs) == 0:
+    n = len(spine.s)
+    n_blocks = -(-n // _PAIR_BLOCK)
+    # the last block is filled up with the last sample, which adds no pair
+    idx = np.minimum(np.arange(n_blocks * _PAIR_BLOCK), n - 1)
+    x = spine.xy[idx, 0].reshape(n_blocks, _PAIR_BLOCK)
+    y = spine.xy[idx, 1].reshape(n_blocks, _PAIR_BLOCK)
+    s = spine.s[idx].reshape(n_blocks, _PAIR_BLOCK)
+
+    # block a against block b; s does not decrease, so b < a spans no arc
+    lo_x, hi_x, lo_y, hi_y = x.min(1), x.max(1), y.min(1), y.max(1)
+    gap_x = np.maximum(np.maximum(lo_x - hi_x[:, None], lo_x[:, None] - hi_x), 0.0)
+    gap_y = np.maximum(np.maximum(lo_y - hi_y[:, None], lo_y[:, None] - hi_y), 0.0)
+    reach = proximity + _PAIR_MARGIN
+    a, b = np.nonzero((gap_x * gap_x + gap_y * gap_y <= reach * reach)
+                      & (s[:, -1] - s[:, :1] > exclusion))
+    if len(a) == 0:
         return False
-    return bool(np.any(np.abs(s[pairs[:, 0]] - s[pairs[:, 1]]) > exclusion))
+    d0 = x[a][:, :, None] - x[b][:, None, :]
+    d1 = y[a][:, :, None] - y[b][:, None, :]
+    return bool(np.any((d0 * d0 + d1 * d1 <= proximity * proximity)
+                       & (s[b][:, None, :] - s[a][:, :, None] > exclusion)))
 
 
 def _classify(kappa: np.ndarray, threshold: float) -> np.ndarray:
@@ -278,11 +393,27 @@ def segment_spine(spine: RoadSpine, config: GeometryConfig | None = None) -> lis
     return segments
 
 
+_JSON_NUMBERS = {int, float}      # the types json reads numbers as; not bool
+
+
+def _is_pair(p) -> bool:
+    return (type(p) is list and len(p) == 2
+            and type(p[0]) in _JSON_NUMBERS and type(p[1]) in _JSON_NUMBERS)
+
+
 def road_from_json(obj: dict) -> RoadPoints:
-    """The road of a road file or a dataset row: "road_points",
-    "lane_width" and an optional "map_size". A missing key raises KeyError."""
+    """The road of a road file or a dataset row, as json read it:
+    "road_points", "lane_width" and an optional "map_size". A missing key
+    raises KeyError; road_points that is not a list of [x, y] number
+    pairs, ValueError."""
+    points = obj["road_points"]
+    if type(points) is not list:
+        raise ValueError(f"road_points is not a list: {points!r}")
+    if not all(map(_is_pair, points)):
+        i = next(i for i, p in enumerate(points) if not _is_pair(p))
+        raise ValueError(f"road point {i} is not a pair of numbers: {points[i]!r}")
     return RoadPoints(
-        points=tuple((p[0], p[1]) for p in obj["road_points"]),
+        points=tuple((x, y) for x, y in points),
         lane_width=float(obj["lane_width"]),
         map_size=float(obj.get("map_size", MAP_SIZE)))
 
@@ -291,7 +422,8 @@ def load_road(path: str | Path) -> tuple[str, RoadPoints]:
     """Read a road description file: {"id", "lane_width", "map_size", "road_points"}.
 
     Raises ValueError naming the file when it is not JSON, a key is missing,
-    a value has the wrong type or the road is degenerate."""
+    a value has the wrong type or is an integer past a float's range, or the
+    road is degenerate."""
     try:
         obj = json.loads(Path(path).read_text())
     except ValueError as exc:      # bad JSON or bad UTF-8
@@ -300,7 +432,7 @@ def load_road(path: str | Path) -> tuple[str, RoadPoints]:
         return str(obj["id"]), road_from_json(obj)
     except KeyError as exc:
         raise ValueError(f"{path}: no key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

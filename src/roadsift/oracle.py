@@ -500,6 +500,6 @@ def load_dataset(path: str | Path, keep_traces: bool = True) -> list[TestCase]:
                                   outcome=outcome))
         except KeyError as exc:
             raise ValueError(f"{path}, row {i}: no key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}, row {i}: {exc}") from None
     return tests

@@ -257,6 +257,27 @@ class TestExperiment:
         assert any(line.startswith("unsafe_ratio,") for line in agg)
         assert len(list(out.glob("rep_*.json"))) == 5
 
+    def test_realtime_aggregate_over_the_reps_that_hold_a_key(self, tmp_path):
+        # with seed 1, some of the 30 adaptive reps never leave the warm-up,
+        # so their rep_*.json holds no post_mortem_accuracy
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"protocol": "realtime", "mode": "adaptive",
+                                   "warmup_n": 3, "rf": 1.5, "budget_s": 100.0}))
+        out = tmp_path / "rt"
+        assert main(["experiment", "--config", str(cfg), "--seed", "1",
+                     "--out", str(out)]) == 0
+        reps = [json.loads(p.read_text()) for p in out.glob("rep_*.json")]
+        held = [rep["post_mortem_accuracy"] for rep in reps
+                if "post_mortem_accuracy" in rep]
+        assert len(reps) == 30 and 0 < len(held) < 30
+        rows = {row[0]: row[1:] for row in
+                (line.split(",") for line in
+                 (out / "aggregate.csv").read_text().splitlines()[1:])}
+        every = sorted({k for rep in reps for k in rep} - {"post_mortem_accuracy"})
+        partial = f"post_mortem_accuracy ({len(held)} of 30 reps)"
+        assert sorted(rows) == sorted([*every, partial])
+        assert float(rows[partial][0]) == pytest.approx(sum(held) / len(held))
+
     def test_reach_n_too_large(self, run_dir, tmp_path):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({
@@ -564,7 +585,21 @@ def _edit_dataset(text, case):
         return '[["x"]]'
     if case == "capitalised_label":
         return text.replace('"label": "unsafe"', '"label": "Unsafe"')
+    if case == "road_point_of_one_coordinate":
+        rows = json.loads(text)
+        rows[0]["road_points"][1] = rows[0]["road_points"][1][:1]
+        return json.dumps(rows)
     return text[:-3]                          # "json_syntax_error"
+
+
+# road files whose road_points is not a list of [x, y] number pairs
+BAD_ROAD_POINTS = {
+    "road_points_object": {"0": [10, 10], "1": [20, 10], "2": [30, 10]},
+    "road_point_of_one_coordinate": [[10, 10], [20], [30, 10]],
+    "road_point_of_three_coordinates": [[10, 10], [20, 10, 5], [30, 10]],
+    "road_point_holding_text": [[10, 10], [20, "10"], [30, 10]],
+    "road_point_past_float": [[10, 10], [10**400, 10], [30, 10]],
+}
 
 
 @pytest.mark.parametrize("command, case", [
@@ -574,11 +609,12 @@ def _edit_dataset(text, case):
     *((command, case) for command in ("can-convert", "experiment")
       for case in ("top_level_object", "rows_not_objects",
                    "rows_holding_lists", "capitalised_label",
-                   "json_syntax_error")),
+                   "json_syntax_error", "road_point_of_one_coordinate")),
     *(("extract-features", case) for case in (
-        "road_json_syntax_error", "road_of_two_points", "road_crossing_itself")),
+        "road_json_syntax_error", "road_of_two_points", "road_crossing_itself",
+        *BAD_ROAD_POINTS)),
     *(("predict", case) for case in ("road_of_two_points",
-                                     "road_crossing_itself")),
+                                     "road_crossing_itself", *BAD_ROAD_POINTS)),
     ("can-convert", "mapping_json_syntax_error"),
     ("can-convert", "dbc_bad_signal_line"),
     ("can-convert", "dbc_not_utf8"),
@@ -592,11 +628,12 @@ def test_malformed_input_file_names_itself(run_dir, tmp_path, capsys, command,
     exits 2 with its path in the error, and the line where it is known,
     never with a traceback or by reading a bad label as safe."""
     line = None
-    if case.startswith("road_"):
+    if case.startswith("road_") and command not in ("can-convert", "experiment"):
         bad = tmp_path / "roads" / "r.json"
         bad.parent.mkdir()
-        points = ([[10, 10], [20, 10]] if case == "road_of_two_points"
-                  else [[10, 10], [100, 10], [100, 12], [10, 14]])
+        points = BAD_ROAD_POINTS.get(case, (
+            [[10, 10], [20, 10]] if case == "road_of_two_points"
+            else [[10, 10], [100, 10], [100, 12], [10, 14]]))
         bad.write_text('{"id": ' if case == "road_json_syntax_error"
                        else json.dumps({"id": "r", "lane_width": 4.0,
                                         "road_points": points}))
@@ -692,6 +729,23 @@ class TestCanCommands:
                      "--period-ms", str(period), "--out", str(out)]) == 2
         assert "sample_period_ms" in capsys.readouterr().err
         assert not list(out.glob("*.canplayback.csv"))
+
+    @pytest.mark.parametrize("period", [None, 0])
+    def test_dataset_without_traces(self, tmp_path, capsys, period):
+        # the period is checked before the traces, so also when there are none
+        sim = tmp_path / "nt"
+        assert main(["generate", "-n", "3", "--no-traces", "--seed", "1",
+                     "--out", str(sim)]) == 0
+        flags = [] if period is None else ["--period-ms", str(period)]
+        capsys.readouterr()
+        code = main(["can-convert", "--simulation",
+                     str(sim / "simulation.full.json"), *flags,
+                     "--out", str(tmp_path / "can")])
+        captured = capsys.readouterr()
+        if period is None:
+            assert code == 0 and "holds no traces" in captured.out
+        else:
+            assert code == 2 and "sample_period_ms" in captured.err
 
     def test_malformed_dbc_is_config_error(self, run_dir, tmp_path):
         bad = tmp_path / "bad.dbc"
