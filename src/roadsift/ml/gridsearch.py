@@ -35,7 +35,7 @@ from .evaluate import (
     kfold_evaluate,  # unused here; perfbench/tracer.py wraps it under this name
     kfold_evaluate_many,
 )
-from .models import GRID_DOMAINS, ClassifierSpec, canonical_form
+from .models import _RECORDS, GRID_DOMAINS, ClassifierSpec, canonical_form
 
 
 @dataclass(frozen=True)
@@ -56,38 +56,10 @@ def iter_cells(family: str) -> list[dict]:
 
 
 def skip_reason(family: str, params: dict) -> str | None:
-    """Reason a cell cannot be trained, or None when it is valid.
-
-    Logistic: dual only with liblinear+l2, l1 needs liblinear or saga,
-    elasticnet needs saga, penalty none not with liblinear. SVM: hinge needs
-    l2+dual, l1 needs squared_hinge without dual, l2+squared_hinge runs
-    either way.
-    """
-    if family == "logistic":
-        penalty, solver, dual = params["penalty"], params["solver"], params["dual"]
-        if dual and not (solver == "liblinear" and penalty == "l2"):
-            return "dual only supported by liblinear with l2"
-        if penalty == "l1" and solver not in ("liblinear", "saga"):
-            return f"l1 not supported by {solver}"
-        if penalty == "elasticnet" and solver != "saga":
-            return f"elasticnet not supported by {solver}"
-        if penalty == "none" and solver == "liblinear":
-            return "liblinear requires a penalty"
-    if family == "linear_svm":
-        penalty, loss, dual = params["penalty"], params["loss"], params["dual"]
-        if penalty == "l1" and loss == "hinge":
-            return "l1 with hinge is unsupported"
-        if penalty == "l1" and dual:
-            return "l1 requires the primal form"
-        if penalty == "l2" and loss == "hinge" and not dual:
-            return "hinge with l2 requires the dual form"
-    return None
-
-
-def _tie_key(params: dict):
-    estimators = params.get("I", params.get("n_estimators", 0))
-    depth = params.get("depth", 0)
-    return (estimators, depth, sorted((k, str(v)) for k, v in params.items()))
+    """Reason a cell cannot be trained, or None when it is valid: the
+    family's skip rule (logistic regression's penalty, solver and dual
+    conflicts; the linear SVM's penalty, loss and dual conflicts)."""
+    return _RECORDS[family].skip(params)
 
 
 def grid_search(family: str, ds: LabeledDataset, k: int,
@@ -112,7 +84,9 @@ def grid_search(family: str, ds: LabeledDataset, k: int,
               for form, report in zip(specs, reports)}
     evaluated = [GridCell(params, "evaluated", scores[form])
                  for params, form in valid]
-    evaluated.sort(key=lambda c: (-c.weighted_avg_f1, _tie_key(c.params)))
+    tie = _RECORDS[family].tie
+    evaluated.sort(key=lambda c: (-c.weighted_avg_f1, tie(c.params),
+                                  sorted((k, str(v)) for k, v in c.params.items())))
     return evaluated + skipped
 
 

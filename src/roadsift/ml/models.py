@@ -5,6 +5,10 @@ decision tree with C4.5-style pruning knobs, a random forest, a linear SVM,
 and gradient-boosted depth-3 trees. Unsafe is the positive class (1)
 everywhere; every tie breaks toward unsafe, the fail-safe direction.
 
+A family is one record, a _Family in _RECORDS, which holds all that is
+particular to it, from its grid domain to its predictor. FAMILIES,
+GRID_DOMAINS and DEFAULT_HYPERPARAMETERS are derived from the records.
+
 All training is deterministic. Logistic regression and the squared-hinge
 linear SVM are solved to the optimum of their penalised losses by damped
 (proximal) Newton steps (_newton_solve); the l2 + hinge SVM by an
@@ -47,52 +51,6 @@ def label_code(label) -> int:
 
 MODEL_FORMAT_VERSION = 1
 
-# hyperparameter domains; grid-search sweeps exactly these lists
-GRID_DOMAINS: dict[str, dict[str, list]] = {
-    "logistic": {
-        "penalty": ["l1", "l2", "elasticnet", "none"],
-        "dual": [True, False],
-        "max_iter": [10, 100, 1000],
-        "solver": ["newton-cg", "lbfgs", "liblinear", "sag", "saga"],
-    },
-    "naive_bayes": {},
-    "decision_tree": {
-        "C": [0.001, 0.01, 0.05, 0.1, 0.5],
-        "M": [1, 10, 20, 50, 100],
-        "R": ["yes", "no"],
-        "S": ["yes", "no"],
-    },
-    "random_forest": {
-        "I": [5, 10, 100, 1000, 2000],
-        "K": [0, 10, 100, 500, 1000],
-        "depth": [0, 5, 10, 20],
-        "M": [1, 10, 20, 50, 100],
-    },
-    "gradient_boosting": {
-        "loss": ["log_loss", "deviance", "exponential"],
-        "learning_rate": [0.01, 0.1, 0.2, 0.4],
-        "n_estimators": [10, 100, 1000],
-        "criterion": ["friedman_mse", "squared_error", "mse"],
-    },
-    "linear_svm": {
-        "penalty": ["l1", "l2"],
-        "loss": ["hinge", "squared_hinge"],
-        "dual": [True, False],
-    },
-}
-
-DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
-    "logistic": {"penalty": "l2", "dual": False, "max_iter": 1000, "solver": "lbfgs"},
-    "naive_bayes": {},
-    "decision_tree": {"C": 0.1, "M": 10, "R": "no", "S": "no"},
-    "random_forest": {"I": 100, "K": 0, "depth": 0, "M": 1},
-    "gradient_boosting": {"loss": "log_loss", "learning_rate": 0.1,
-                          "n_estimators": 100, "criterion": "friedman_mse"},
-    "linear_svm": {"penalty": "l2", "loss": "squared_hinge", "dual": False},
-}
-
-FAMILIES = tuple(GRID_DOMAINS)
-
 
 class SingleClassDataset(ValueError):
     """Training data must contain both classes."""
@@ -113,10 +71,10 @@ class ClassifierSpec:
     hyperparameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in GRID_DOMAINS:
+        if self.family not in _RECORDS:
             raise ValueError(f"unknown family {self.family!r}")
-        domain = GRID_DOMAINS[self.family]
-        merged = dict(DEFAULT_HYPERPARAMETERS[self.family])
+        domain = _RECORDS[self.family].domain
+        merged = dict(_RECORDS[self.family].defaults)
         for name, value in self.hyperparameters.items():
             if name not in domain:
                 raise ValueError(
@@ -642,44 +600,78 @@ def _reg_tree_predict(node, X) -> np.ndarray:
     return np.array([_leaf(node, x)["value"] for x in X], dtype=np.float64)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_trees(trees, boosting: bool, n_features: int) -> None:
+    """Raise ValueError unless trees is a non-empty list and every node of
+    each tree is an object with a bool leaf; an internal node splits on an
+    int feature below n_features at a numeric threshold and has left and
+    right; a leaf holds a numeric value (boosting) or int counts n and
+    ones. The walk keeps an explicit stack, so a deep tree cannot exhaust
+    the interpreter's recursion limit."""
+    if not isinstance(trees, list) or not trees:
+        raise ValueError("trees is not a non-empty list")
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, dict) or not isinstance(node.get("leaf"), bool):
+            raise ValueError("tree node is not an object with a bool 'leaf'")
+        if not node["leaf"]:
+            feature = node.get("feature")
+            if type(feature) is not int or not 0 <= feature < n_features:
+                raise ValueError(f"tree node splits on feature {feature!r}, "
+                                 f"not one of {n_features}")
+            if not _is_number(node.get("threshold")):
+                raise ValueError("tree node has no numeric threshold")
+            stack += (node.get("left"), node.get("right"))
+        elif boosting:
+            if not _is_number(node.get("value")):
+                raise ValueError("tree leaf has no numeric value")
+        elif type(node.get("n")) is not int or type(node.get("ones")) is not int:
+            raise ValueError("tree leaf lacks int counts n and ones")
+
+
 # ---------------------------------------------------------------------------
-# family fitters. Beside each fitter sits the canonical form of its
-# hyperparameters on d features and the key of the work forms share: the
+# families. A family is one _Family record, at the end of this section,
+# which joins the fitter, predictor and payload check below with its grid. A
 # fitter receives a list of training sets (X, y), one seed each, and forms
 # with one key and nothing else of the specs. It yields one (parameters,
 # standardization or None) per set and form, set by set, each set's forms
 # in order.
 
-def _per_set(fit_set):
-    """The fitter that fits the sets one at a time, by fit_set(X, y, forms,
-    seed), a generator of one result per form."""
+def _alone(fit_one):
+    """The fitter of a family whose forms share no work (share key: the
+    form itself), each form fitted set by set by fit_one(X, y, form,
+    seed)."""
     def fit_sets(sets, forms, seeds):
         for (X, y), seed in zip(sets, seeds):
-            yield from fit_set(X, y, forms, seed)
+            for form in forms:
+                yield fit_one(X, y, form, seed)
     return fit_sets
 
 
-def _apart(form):
-    """The share key of a form that shares no work with other forms."""
-    return form
+def _payload(parameters, *keys):
+    """The values of keys in a loaded payload; ValueError naming those it
+    lacks."""
+    missing = [key for key in keys if key not in parameters]
+    if missing:
+        raise ValueError(f"parameters lack {missing}")
+    return [parameters[key] for key in keys]
 
 
-def _alone(fit_one):
-    """(share key, fitter) of a family whose forms share no work: each
-    form is its own group, fitted set by set by fit_one(X, y, form, seed)."""
-    def fit_set(X, y, forms, seed):
-        for form in forms:
-            yield fit_one(X, y, form, seed)
-    return _apart, _per_set(fit_set)
+def _predict_linear(p, X):
+    # a row sum, not X @ w: BLAS orders the sum by batch shape, and a row's
+    # score must not depend on the rows scored with it
+    z = (X * np.asarray(p["weights"])).sum(axis=1) + p["bias"]
+    return (z >= 0.0).astype(np.int64)
 
 
-def _logistic_form(hp, d):
-    return (hp["penalty"], hp["max_iter"])
-
-
-def _logistic_share(form):
-    # the max_iter caps truncate one solve of the penalty's objective
-    return form[0]
+def _check_linear(p, d):
+    weights, _ = _payload(p, "weights", "bias")
+    if len(weights) != d:
+        raise ValueError(f"{len(weights)} weights for {d} features")
 
 
 # The solvers' fixed settings. They say how closely the one objective of a
@@ -878,7 +870,7 @@ def _logistic_solve(Xs, y, penalty, caps):
     return _newton_solve(Xs, y, _LOG_LOSS, l1, l2, caps)
 
 
-def _fit_logistic(X, y, forms, seed):
+def _fit_logistic(sets, forms, seeds):
     """Penalised logistic regression on standardised columns: mean log-loss
     plus 1e-4·‖w‖² (l2, elasticnet) plus 1e-4·‖w‖₁ (l1, elasticnet), with an
     unpenalised bias. l2 and none take damped Newton (IRLS) steps; l1 and
@@ -886,18 +878,32 @@ def _fit_logistic(X, y, forms, seed):
     step's quadratic model (a proximal Newton method, as in glmnet), with
     the same line search. max_iter caps the Newton steps; the fit stops
     early once every entry of the (minimum-norm sub)gradient is below 1e-8.
-    The forms share a penalty, and one _logistic_solve serves every cap."""
+    The forms share a penalty, and one _logistic_solve a set serves every
+    cap."""
     penalty = forms[0][0]
-    mean, std = _standardize_fit(X)
     caps = sorted({max_iter for _, max_iter in forms})
-    solved = dict(zip(caps, _logistic_solve((X - mean) / std, y, penalty, caps)))
-    for _, max_iter in forms:
-        w, b, _, _ = solved[max_iter]
-        yield {"weights": w.tolist(), "bias": b}, (mean, std)
+    for X, y in sets:
+        mean, std = _standardize_fit(X)
+        solved = dict(zip(caps, _logistic_solve((X - mean) / std, y, penalty,
+                                                caps)))
+        for _, max_iter in forms:
+            w, b, _, _ = solved[max_iter]
+            yield {"weights": w.tolist(), "bias": b}, (mean, std)
 
 
-def _linear_svm_form(hp, d):
-    return (hp["penalty"], hp["loss"])
+def _logistic_skip(params):
+    """Dual only with liblinear + l2, l1 needs liblinear or saga, elasticnet
+    needs saga, penalty none not with liblinear."""
+    penalty, solver, dual = params["penalty"], params["solver"], params["dual"]
+    if dual and not (solver == "liblinear" and penalty == "l2"):
+        return "dual only supported by liblinear with l2"
+    if penalty == "l1" and solver not in ("liblinear", "saga"):
+        return f"l1 not supported by {solver}"
+    if penalty == "elasticnet" and solver != "saga":
+        return f"elasticnet not supported by {solver}"
+    if penalty == "none" and solver == "liblinear":
+        return "liblinear requires a penalty"
+    return None
 
 
 def _hinge_weights(Xs, y, beta):
@@ -1003,13 +1009,17 @@ def _hinge_dual_solve(Xs, y):
     return a / n, float(b), steps, converged
 
 
+# the linear SVM's fit and its grid refuse l1 + hinge in these words
+_L1_HINGE = "l1 with hinge is unsupported"
+
+
 def _svm_solve(Xs, y, penalty, loss):
     """(w, b, steps, converged) of the linear SVM of the form on the
     standardised rows Xs; see _fit_linear_svm. Refuses l1 + hinge, as
-    gridsearch.skip_reason does."""
+    the grid's skip rule does."""
     if loss == "hinge":
         if penalty == "l1":
-            raise ValueError("l1 with hinge is unsupported")
+            raise ValueError(_L1_HINGE)
         beta, b, steps, converged = _hinge_dual_solve(Xs, y)
         return _hinge_weights(Xs, y, beta), b, steps, converged
     l1, l2 = (_SVM_ALPHA, 0.0) if penalty == "l1" else (0.0, _SVM_ALPHA)
@@ -1031,8 +1041,17 @@ def _fit_linear_svm(X, y, form, seed):
     return {"weights": w.tolist(), "bias": b}, (mean, std)
 
 
-def _naive_bayes_form(hp, d):
-    return ()
+def _linear_svm_skip(params):
+    """Hinge needs l2 and the dual form, l1 needs squared_hinge without
+    dual, l2 + squared_hinge runs either way."""
+    penalty, loss, dual = params["penalty"], params["loss"], params["dual"]
+    if penalty == "l1" and loss == "hinge":
+        return _L1_HINGE
+    if penalty == "l1" and dual:
+        return "l1 requires the primal form"
+    if penalty == "l2" and loss == "hinge" and not dual:
+        return "hinge with l2 requires the dual form"
+    return None
 
 
 def _fit_naive_bayes(X, y, form, seed):
@@ -1046,16 +1065,28 @@ def _fit_naive_bayes(X, y, form, seed):
     return params, None
 
 
+def _predict_naive_bayes(p, X):
+    priors = np.asarray(p["priors"])
+    means = np.asarray(p["means"])
+    variances = np.asarray(p["vars"])
+    scores = []
+    for cls in (SAFE_CODE, UNSAFE_CODE):
+        ll = -0.5 * np.sum(
+            np.log(2.0 * np.pi * variances[cls])
+            + (X - means[cls]) ** 2 / variances[cls], axis=1)
+        scores.append(ll + math.log(max(priors[cls], 1e-300)))
+    return (scores[UNSAFE_CODE] >= scores[SAFE_CODE]).astype(np.int64)
+
+
+def _check_naive_bayes(p, d):
+    _payload(p, "priors", "means", "vars")
+
+
 def _decision_tree_form(hp, d):
     # reduced-error pruning scores a held-out prune set and never reads C
     if hp["R"] == "yes":
         return (hp["M"], "yes", hp["S"])
     return (hp["C"], hp["M"], "no", hp["S"])
-
-
-def _decision_tree_share(form):
-    # one grown tree per min-leaf and pruning kind; each form prunes it
-    return form[-3:-1]
 
 
 def _prune_mask(y, seed):
@@ -1105,10 +1136,6 @@ def _forest_split_features(K: int, d: int) -> int:
     return min(K or math.isqrt(d), d)
 
 
-def _random_forest_form(hp, d):
-    return (hp["I"], _forest_split_features(hp["K"], d), hp["depth"], hp["M"])
-
-
 def _bootstrap_index(order, counts):
     """The presorted index of one bootstrap sample per row of counts, side
     by side: order (_presort(X)) with row r of X repeated counts[t, r]
@@ -1135,6 +1162,13 @@ def _fit_random_forest(X, y, form, seed):
                                _ENTROPY, min_leaf, depth, rngs, k)
         trees += grown
     return {"trees": trees}, None
+
+
+def _predict_forest(p, X):
+    votes = np.zeros(len(X), dtype=np.int64)
+    for tree in p["trees"]:
+        votes += _tree_predict(tree, X)
+    return (2 * votes >= len(p["trees"])).astype(np.int64)
 
 
 def _gradient_boosting_form(hp, d):
@@ -1181,18 +1215,107 @@ def _fit_gradient_boosting(sets, forms, seeds):
             yield {"init": init, "trees": grown, "learning_rate": lr}, None
 
 
-# family -> (canonical form of its hyperparameters on d features, key of the
-# work forms share, fitter of forms with one key)
-_FAMILY_FITS = {
-    "logistic": (_logistic_form, _logistic_share, _per_set(_fit_logistic)),
-    "naive_bayes": (_naive_bayes_form, *_alone(_fit_naive_bayes)),
-    "decision_tree": (_decision_tree_form, _decision_tree_share,
-                      _fit_decision_tree),
-    "random_forest": (_random_forest_form, *_alone(_fit_random_forest)),
-    "gradient_boosting": (_gradient_boosting_form, _apart,
-                          _fit_gradient_boosting),
-    "linear_svm": (_linear_svm_form, *_alone(_fit_linear_svm)),
+def _predict_boosting(p, X):
+    f = np.full(len(X), p["init"])
+    for tree in p["trees"]:
+        f = f + p["learning_rate"] * _reg_tree_predict(tree, X)
+    return (f >= 0.0).astype(np.int64)
+
+
+def _check_boosting(p, d):
+    init, trees, learning_rate = _payload(p, "init", "trees", "learning_rate")
+    if not (_is_number(init) and _is_number(learning_rate)):
+        raise ValueError("init or learning_rate is not a number")
+    _check_trees(trees, True, d)
+
+
+class _Family(NamedTuple):
+    """One model family. domain lists the values of each hyperparameter,
+    which grid_search sweeps, and defaults holds the value a spec leaves
+    unset. form(hyperparameters, d) is the canonical form, share(form) the
+    key of the work forms share, and fit the fitter of forms with one key.
+    predict(parameters, X) gives the class codes of standardised rows X,
+    and check(parameters, d) raises TypeError or ValueError unless a loaded
+    payload is one that predict reads on d features. skip(cell) is why
+    grid_search skips a cell, or None, and tie(cell) the (estimators,
+    depth) it ranks cells of equal F1 by, fewest first."""
+    domain: dict[str, list]
+    defaults: dict
+    form: Callable[[dict, int], tuple]
+    fit: Callable
+    predict: Callable[[dict, np.ndarray], np.ndarray]
+    check: Callable[[dict, int], None]
+    share: Callable[[tuple], object] = lambda form: form
+    skip: Callable[[dict], str | None] = lambda cell: None
+    tie: Callable[[dict], tuple] = lambda cell: (0, 0)
+
+
+# in this order, which breaks ties between families in benchmark's ranking
+_RECORDS = {
+    "logistic": _Family(
+        domain={"penalty": ["l1", "l2", "elasticnet", "none"],
+                "dual": [True, False],
+                "max_iter": [10, 100, 1000],
+                "solver": ["newton-cg", "lbfgs", "liblinear", "sag", "saga"]},
+        defaults={"penalty": "l2", "dual": False, "max_iter": 1000,
+                  "solver": "lbfgs"},
+        form=lambda hp, d: (hp["penalty"], hp["max_iter"]),
+        # the max_iter caps truncate one solve of the penalty's objective
+        share=lambda form: form[0],
+        fit=_fit_logistic, predict=_predict_linear,
+        check=_check_linear, skip=_logistic_skip),
+    "naive_bayes": _Family(
+        domain={}, defaults={}, form=lambda hp, d: (),
+        fit=_alone(_fit_naive_bayes), predict=_predict_naive_bayes,
+        check=_check_naive_bayes),
+    "decision_tree": _Family(
+        domain={"C": [0.001, 0.01, 0.05, 0.1, 0.5],
+                "M": [1, 10, 20, 50, 100],
+                "R": ["yes", "no"],
+                "S": ["yes", "no"]},
+        defaults={"C": 0.1, "M": 10, "R": "no", "S": "no"},
+        form=_decision_tree_form,
+        # one grown tree per min-leaf and pruning kind; each form prunes it
+        share=lambda form: form[-3:-1],
+        fit=_fit_decision_tree,
+        predict=lambda p, X: _tree_predict(p["tree"], X),
+        check=lambda p, d: _check_trees(_payload(p, "tree"), False, d)),
+    "random_forest": _Family(
+        domain={"I": [5, 10, 100, 1000, 2000],
+                "K": [0, 10, 100, 500, 1000],
+                "depth": [0, 5, 10, 20],
+                "M": [1, 10, 20, 50, 100]},
+        defaults={"I": 100, "K": 0, "depth": 0, "M": 1},
+        form=lambda hp, d: (hp["I"], _forest_split_features(hp["K"], d),
+                            hp["depth"], hp["M"]),
+        fit=_alone(_fit_random_forest), predict=_predict_forest,
+        check=lambda p, d: _check_trees(*_payload(p, "trees"), False, d),
+        tie=lambda cell: (cell["I"], cell["depth"])),
+    "gradient_boosting": _Family(
+        domain={"loss": ["log_loss", "deviance", "exponential"],
+                "learning_rate": [0.01, 0.1, 0.2, 0.4],
+                "n_estimators": [10, 100, 1000],
+                "criterion": ["friedman_mse", "squared_error", "mse"]},
+        defaults={"loss": "log_loss", "learning_rate": 0.1,
+                  "n_estimators": 100, "criterion": "friedman_mse"},
+        form=_gradient_boosting_form, fit=_fit_gradient_boosting,
+        predict=_predict_boosting, check=_check_boosting,
+        tie=lambda cell: (cell["n_estimators"], 0)),
+    "linear_svm": _Family(
+        domain={"penalty": ["l1", "l2"],
+                "loss": ["hinge", "squared_hinge"],
+                "dual": [True, False]},
+        defaults={"penalty": "l2", "loss": "squared_hinge", "dual": False},
+        form=lambda hp, d: (hp["penalty"], hp["loss"]),
+        fit=_alone(_fit_linear_svm), predict=_predict_linear,
+        check=_check_linear, skip=_linear_svm_skip),
 }
+
+FAMILIES = tuple(_RECORDS)
+# hyperparameter domains; grid-search sweeps exactly these lists
+GRID_DOMAINS = {name: family.domain for name, family in _RECORDS.items()}
+DEFAULT_HYPERPARAMETERS = {name: family.defaults
+                           for name, family in _RECORDS.items()}
 
 
 def canonical_form(spec: ClassifierSpec, n_features: int) -> tuple:
@@ -1201,8 +1324,7 @@ def canonical_form(spec: ClassifierSpec, n_features: int) -> tuple:
     The fitter sees nothing else of the spec, so two specs of one family
     with equal forms train identical models on the same data and seed.
     """
-    form, _, _ = _FAMILY_FITS[spec.family]
-    return form(spec.hyperparameters, n_features)
+    return _RECORDS[spec.family].form(spec.hyperparameters, n_features)
 
 
 def shared_fit_key(spec: ClassifierSpec, n_features: int):
@@ -1210,8 +1332,7 @@ def shared_fit_key(spec: ClassifierSpec, n_features: int):
     its family on n_features columns: one logistic solve per penalty, one
     grown tree per decision-tree min-leaf and pruning kind, one fit per
     form otherwise. fit_many does one such fit per distinct key."""
-    _, share, _ = _FAMILY_FITS[spec.family]
-    return share(canonical_form(spec, n_features))
+    return _RECORDS[spec.family].share(canonical_form(spec, n_features))
 
 
 # ---------------------------------------------------------------------------
@@ -1224,52 +1345,19 @@ class TrainedClassifier:
     standardization: tuple[np.ndarray, np.ndarray] | None
     parameters: dict
 
-    def _apply_standardization(self, X: np.ndarray) -> np.ndarray:
-        if self.standardization is None:
-            return X
-        mean, std = self.standardization
-        return (X - mean) / std
-
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         """Class codes (0 safe / 1 unsafe) for an (n, d) matrix in the
         model's feature order."""
         if X.shape[1] != len(self.feature_names):
             raise FeatureMismatch(
                 f"expected {len(self.feature_names)} features, got {X.shape[1]}")
-        # C order, so each row's sums below run over its contiguous values
-        # alike in any batch
-        X = self._apply_standardization(np.ascontiguousarray(X, dtype=np.float64))
-        family = self.spec.family
-        p = self.parameters
-        if family in ("logistic", "linear_svm"):
-            # a row sum, not X @ w: BLAS orders the sum by batch shape, and a
-            # row's score must not depend on the rows scored with it
-            z = (X * np.asarray(p["weights"])).sum(axis=1) + p["bias"]
-            return (z >= 0.0).astype(np.int64)
-        if family == "naive_bayes":
-            priors = np.asarray(p["priors"])
-            means = np.asarray(p["means"])
-            variances = np.asarray(p["vars"])
-            scores = []
-            for cls in (SAFE_CODE, UNSAFE_CODE):
-                ll = -0.5 * np.sum(
-                    np.log(2.0 * np.pi * variances[cls])
-                    + (X - means[cls]) ** 2 / variances[cls], axis=1)
-                scores.append(ll + math.log(max(priors[cls], 1e-300)))
-            return (scores[UNSAFE_CODE] >= scores[SAFE_CODE]).astype(np.int64)
-        if family == "decision_tree":
-            return _tree_predict(p["tree"], X)
-        if family == "random_forest":
-            votes = np.zeros(len(X), dtype=np.int64)
-            for tree in p["trees"]:
-                votes += _tree_predict(tree, X)
-            return (2 * votes >= len(p["trees"])).astype(np.int64)
-        if family == "gradient_boosting":
-            f = np.full(len(X), p["init"])
-            for tree in p["trees"]:
-                f = f + p["learning_rate"] * _reg_tree_predict(tree, X)
-            return (f >= 0.0).astype(np.int64)
-        raise ValueError(f"unknown family {family!r}")
+        # C order, so each row's sums in the predictor run over its
+        # contiguous values alike in any batch
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        if self.standardization is not None:
+            mean, std = self.standardization
+            X = (X - mean) / std
+        return _RECORDS[self.spec.family].predict(self.parameters, X)
 
     def feature_matrix(self, rows) -> np.ndarray:
         """(n, d) matrix in the model's feature order from n feature
@@ -1304,14 +1392,15 @@ def fit_many(specs: list[ClassifierSpec], sets, feature_names: tuple[str, ...],
     families = {spec.family for spec in specs}
     if len(families) != 1:
         raise ValueError(f"fit_many needs specs of one family, got {families}")
-    form, share, fitter = _FAMILY_FITS[families.pop()]
-    forms = [form(spec.hyperparameters, sets[0][0].shape[1]) for spec in specs]
+    family = _RECORDS[families.pop()]
+    forms = [family.form(spec.hyperparameters, sets[0][0].shape[1])
+             for spec in specs]
     groups: dict = {}
     for j, f in enumerate(forms):
-        groups.setdefault(share(f), []).append(j)
+        groups.setdefault(family.share(f), []).append(j)
     names = tuple(feature_names)
     for group in groups.values():
-        fitted = fitter(sets, [forms[j] for j in group], seeds)
+        fitted = family.fit(sets, [forms[j] for j in group], seeds)
         every = ((i, j) for i in range(len(sets)) for j in group)
         for (i, j), (params, standardization) in zip(every, fitted):
             yield i, j, TrainedClassifier(spec=specs[j], feature_names=names,
@@ -1342,74 +1431,6 @@ def save_model(model: TrainedClassifier, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload) + "\n")
 
 
-# the parameter keys predict_matrix reads, per family
-_PARAMETER_KEYS = {
-    "logistic": ("weights", "bias"),
-    "naive_bayes": ("priors", "means", "vars"),
-    "decision_tree": ("tree",),
-    "random_forest": ("trees",),
-    "gradient_boosting": ("init", "trees", "learning_rate"),
-    "linear_svm": ("weights", "bias"),
-}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_tree(tree, boosting: bool, n_features: int) -> None:
-    """Raise ValueError unless every node of tree is an object with a bool
-    leaf; an internal node splits on an int feature below n_features at a
-    numeric threshold and has left and right; a leaf holds a numeric value
-    (boosting) or int counts n and ones. The walk keeps an explicit stack,
-    so a deep tree cannot exhaust the interpreter's recursion limit."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, dict) or not isinstance(node.get("leaf"), bool):
-            raise ValueError("tree node is not an object with a bool 'leaf'")
-        if not node["leaf"]:
-            feature = node.get("feature")
-            if type(feature) is not int or not 0 <= feature < n_features:
-                raise ValueError(f"tree node splits on feature {feature!r}, "
-                                 f"not one of {n_features}")
-            if not _is_number(node.get("threshold")):
-                raise ValueError("tree node has no numeric threshold")
-            stack += (node.get("left"), node.get("right"))
-        elif boosting:
-            if not _is_number(node.get("value")):
-                raise ValueError("tree leaf has no numeric value")
-        elif type(node.get("n")) is not int or type(node.get("ones")) is not int:
-            raise ValueError("tree leaf lacks int counts n and ones")
-
-
-def _check_parameters(family: str, parameters, n_features: int) -> None:
-    """Raise TypeError or ValueError when a loaded payload lacks what
-    predict_matrix reads, a linear model's weights miss a feature, or a
-    tree is malformed."""
-    if not isinstance(parameters, dict):
-        raise TypeError("parameters is not a JSON object")
-    keys = _PARAMETER_KEYS[family]
-    missing = [key for key in keys if key not in parameters]
-    if missing:
-        raise ValueError(f"{family} parameters lack {missing}")
-    if "weights" in keys and len(parameters["weights"]) != n_features:
-        raise ValueError(f"{len(parameters['weights'])} weights for "
-                         f"{n_features} features")
-    if family == "decision_tree":
-        _check_tree(parameters["tree"], False, n_features)
-    elif "trees" in keys:
-        trees = parameters["trees"]
-        if not isinstance(trees, list) or not trees:
-            raise ValueError("trees is not a non-empty list")
-        boosting = family == "gradient_boosting"
-        if boosting and not (_is_number(parameters["init"])
-                             and _is_number(parameters["learning_rate"])):
-            raise ValueError("init or learning_rate is not a number")
-        for tree in trees:
-            _check_tree(tree, boosting, n_features)
-
-
 def load_model(path: str | Path) -> TrainedClassifier:
     try:
         payload = json.loads(Path(path).read_text())
@@ -1432,7 +1453,9 @@ def load_model(path: str | Path) -> TrainedClassifier:
         if std is not None:
             standardization = (np.asarray(std["mean"]), np.asarray(std["std"]))
         parameters = payload["parameters"]
-        _check_parameters(spec.family, parameters, len(feature_names))
+        if not isinstance(parameters, dict):
+            raise TypeError("parameters is not a JSON object")
+        _RECORDS[spec.family].check(parameters, len(feature_names))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptModelFile(f"model file {path} is invalid: {exc}") from exc
     return TrainedClassifier(spec=spec, feature_names=feature_names,

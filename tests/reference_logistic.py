@@ -3,9 +3,10 @@ descent from zero that stops when no coordinate moves by 1e-6 or after
 max_iter steps. Kept as the reference the converged solver in
 roadsift.ml.models must do no worse than on the same objective.
 
-fit_logistic stands in for models._fit_logistic (the logistic entry of
-models._FAMILY_FITS); objective evaluates the penalised mean log-loss that
-both minimise, independently of the package.
+fit_logistic fits one form on one set, as models._fit_logistic (the fitter
+of the logistic record in models._RECORDS) does for each; objective
+evaluates the penalised mean log-loss that both minimise, independently of
+the package.
 """
 
 import numpy as np

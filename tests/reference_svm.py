@@ -2,11 +2,11 @@
 zero with step size 0.5/sqrt(t+1). Kept as the reference the solvers in
 roadsift.ml.models must do no worse than on the same objective.
 
-fit_linear_svm stands in for models._fit_linear_svm (the linear_svm entry
-of models._FAMILY_FITS); objective evaluates the penalised mean hinge loss
-that both minimise, kkt_residual the optimality of a squared-hinge fit, and
-dual_objective the value of the l2 + hinge dual at given multipliers, all
-independently of the package.
+fit_linear_svm stands in for models._fit_linear_svm (the fitter of the
+linear_svm record in models._RECORDS); objective evaluates the penalised
+mean hinge loss that both minimise, kkt_residual the optimality of a
+squared-hinge fit, and dual_objective the value of the l2 + hinge dual at
+given multipliers, all independently of the package.
 """
 
 import math

@@ -4,10 +4,10 @@ roadsift.ml.models must match byte for byte.
 
 grow_decision_trees stands in for models._grow_decision_trees (the decision
 tree looks that name up when it fits); fit_random_forest and
-fit_gradient_boosting stand in for the forest and boosting entries of
-models._FAMILY_FITS, fitting one training set. Each tree here grows to the
-end before the next starts, where models grows a forest's trees, a K-fold's
-decision trees and a K-fold's boosting stage together.
+fit_gradient_boosting stand in for the fitters of the forest and boosting
+records in models._RECORDS, fitting one training set. Each tree here grows
+to the end before the next starts, where models grows a forest's trees, a
+K-fold's decision trees and a K-fold's boosting stage together.
 """
 
 import math

@@ -490,9 +490,9 @@ class TestCanonicalForm:
             return work(*args)
         monkeypatch.setattr(gridsearch, "kfold_evaluate_many", kfold_counted)
         monkeypatch.setattr(models, shared_work, counted)
-        if family == "linear_svm":      # the fitter table holds the function
-            monkeypatch.setitem(models._FAMILY_FITS, family,
-                                (models._linear_svm_form, *models._alone(counted)))
+        if family == "linear_svm":      # the family's record holds the function
+            monkeypatch.setitem(models._RECORDS, family, models._RECORDS[
+                family]._replace(fit=models._alone(counted)))
         cells = grid_search(family, ds, 3, 7)
         assert scored == [distinct]
         assert len(runs) == calls
@@ -584,12 +584,11 @@ class TestPresortedGrowth:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(models, "_grow_decision_trees",
                        reference_trees.grow_decision_trees)
-            mp.setitem(models._FAMILY_FITS, "random_forest",
-                       (models._random_forest_form,
-                        *models._alone(reference_trees.fit_random_forest)))
-            mp.setitem(models._FAMILY_FITS, "gradient_boosting",
-                       (models._gradient_boosting_form,
-                        *models._alone(reference_trees.fit_gradient_boosting)))
+            for name, fit_one in (
+                    ("random_forest", reference_trees.fit_random_forest),
+                    ("gradient_boosting", reference_trees.fit_gradient_boosting)):
+                mp.setitem(models._RECORDS, name, models._RECORDS[name]._replace(
+                    fit=models._alone(fit_one)))
             slow = fit(spec, X, y, names, seed)
         assert json.dumps(fast.parameters) == json.dumps(slow.parameters)
 
