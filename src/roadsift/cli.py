@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .geometry import load_road, save_road
 from .ml import (
     FAMILIES,
     ClassifierSpec,
+    FeatureMismatch,
     LabeledDataset,
     UNSAFE_CODE,
     canonical_form,
@@ -123,6 +125,15 @@ def _resolve(args, config: dict, keys: dict):
                               f"(choose from {', '.join(map(repr, choices))})")
         setattr(args, key, parsed)
     return args
+
+
+def _is_finite_number(value) -> bool:
+    """Whether value is a JSON number, not a bool, that a float holds
+    finitely."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:                 # an integer past a float's range
+        return False
 
 
 def _require(args, *names):
@@ -280,7 +291,11 @@ def cmd_predict(args) -> int:
         rows = _road_features(args.roads)
     else:
         raise ConfigError("need --roads or --features")
-    codes = model.predict_matrix(model.feature_matrix([v for _, v in rows]))
+    try:
+        X = model.feature_matrix([v for _, v in rows])
+    except FeatureMismatch as exc:
+        raise FeatureMismatch(f"model file {args.model}: {exc}") from None
+    codes = model.predict_matrix(X)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["test_id", "predicted"])
@@ -404,6 +419,10 @@ def cmd_can_convert(args) -> int:
                 and all(isinstance(e, dict) and e.keys() >= keys for e in entries)):
             raise ConfigError(f"{args.mapping}: each mapping entry needs the "
                               f"keys {sorted(keys)}")
+        for i, e in enumerate(entries):
+            if not _is_finite_number(e["factor"]):
+                raise ConfigError(f"{args.mapping}: entry {i}: factor "
+                                  f"{e['factor']!r} is not a finite number")
         mapping = canbus.SignalMapping(entries=tuple(
             (e["field"], e["message"], e["signal"], float(e["factor"]))
             for e in entries))

@@ -601,14 +601,25 @@ def _reg_tree_predict(node, X) -> np.ndarray:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether value is a JSON number, not a bool, that a float holds
+    finitely."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:                 # an integer past a float's range
+        return False
+
+
+def _is_vector(value, d: int) -> bool:
+    """Whether value is a list of d finite numbers."""
+    return (isinstance(value, list) and len(value) == d
+            and all(map(_is_number, value)))
 
 
 def _check_trees(trees, boosting: bool, n_features: int) -> None:
     """Raise ValueError unless trees is a non-empty list and every node of
     each tree is an object with a bool leaf; an internal node splits on an
-    int feature below n_features at a numeric threshold and has left and
-    right; a leaf holds a numeric value (boosting) or int counts n and
+    int feature below n_features at a finite threshold and has left and
+    right; a leaf holds a finite value (boosting) or int counts n and
     ones. The walk keeps an explicit stack, so a deep tree cannot exhaust
     the interpreter's recursion limit."""
     if not isinstance(trees, list) or not trees:
@@ -624,11 +635,11 @@ def _check_trees(trees, boosting: bool, n_features: int) -> None:
                 raise ValueError(f"tree node splits on feature {feature!r}, "
                                  f"not one of {n_features}")
             if not _is_number(node.get("threshold")):
-                raise ValueError("tree node has no numeric threshold")
+                raise ValueError("tree node has no finite threshold")
             stack += (node.get("left"), node.get("right"))
         elif boosting:
             if not _is_number(node.get("value")):
-                raise ValueError("tree leaf has no numeric value")
+                raise ValueError("tree leaf has no finite value")
         elif type(node.get("n")) is not int or type(node.get("ones")) is not int:
             raise ValueError("tree leaf lacks int counts n and ones")
 
@@ -664,14 +675,17 @@ def _payload(parameters, *keys):
 def _predict_linear(p, X):
     # a row sum, not X @ w: BLAS orders the sum by batch shape, and a row's
     # score must not depend on the rows scored with it
-    z = (X * np.asarray(p["weights"])).sum(axis=1) + p["bias"]
+    w = np.asarray(p["weights"], dtype=np.float64)
+    z = (X * w).sum(axis=1) + p["bias"]
     return (z >= 0.0).astype(np.int64)
 
 
 def _check_linear(p, d):
-    weights, _ = _payload(p, "weights", "bias")
-    if len(weights) != d:
-        raise ValueError(f"{len(weights)} weights for {d} features")
+    weights, bias = _payload(p, "weights", "bias")
+    if not _is_vector(weights, d):
+        raise ValueError(f"weights is not a list of {d} finite numbers")
+    if not _is_number(bias):
+        raise ValueError("bias is not a finite number")
 
 
 # The solvers' fixed settings. They say how closely the one objective of a
@@ -1066,9 +1080,8 @@ def _fit_naive_bayes(X, y, form, seed):
 
 
 def _predict_naive_bayes(p, X):
-    priors = np.asarray(p["priors"])
-    means = np.asarray(p["means"])
-    variances = np.asarray(p["vars"])
+    priors, means, variances = (np.asarray(p[key], dtype=np.float64)
+                                for key in ("priors", "means", "vars"))
     scores = []
     for cls in (SAFE_CODE, UNSAFE_CODE):
         ll = -0.5 * np.sum(
@@ -1079,7 +1092,15 @@ def _predict_naive_bayes(p, X):
 
 
 def _check_naive_bayes(p, d):
-    _payload(p, "priors", "means", "vars")
+    priors, means, variances = _payload(p, "priors", "means", "vars")
+    if not (_is_vector(priors, 2) and all(0.0 <= q <= 1.0 for q in priors)):
+        raise ValueError("priors is not 2 numbers in [0, 1]")
+    for name, rows in (("means", means), ("vars", variances)):
+        if not (isinstance(rows, list) and len(rows) == 2
+                and all(_is_vector(row, d) for row in rows)):
+            raise ValueError(f"{name} is not 2 lists of {d} finite numbers")
+    if not all(v > 0.0 for row in variances for v in row):
+        raise ValueError("a variance is not positive")
 
 
 def _decision_tree_form(hp, d):
@@ -1216,7 +1237,7 @@ def _fit_gradient_boosting(sets, forms, seeds):
 
 
 def _predict_boosting(p, X):
-    f = np.full(len(X), p["init"])
+    f = np.full(len(X), float(p["init"]))
     for tree in p["trees"]:
         f = f + p["learning_rate"] * _reg_tree_predict(tree, X)
     return (f >= 0.0).astype(np.int64)
@@ -1225,7 +1246,7 @@ def _predict_boosting(p, X):
 def _check_boosting(p, d):
     init, trees, learning_rate = _payload(p, "init", "trees", "learning_rate")
     if not (_is_number(init) and _is_number(learning_rate)):
-        raise ValueError("init or learning_rate is not a number")
+        raise ValueError("init or learning_rate is not a finite number")
     _check_trees(trees, True, d)
 
 
@@ -1439,7 +1460,7 @@ def load_model(path: str | Path) -> TrainedClassifier:
     if not isinstance(payload, dict):
         raise CorruptModelFile(f"model file {path} is not a JSON object")
     version = payload.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise CorruptModelFile(
             f"model file {path} has format_version {version!r}, "
             f"expected {MODEL_FORMAT_VERSION}")
@@ -1447,17 +1468,27 @@ def load_model(path: str | Path) -> TrainedClassifier:
         if not isinstance(payload["hyperparameters"], dict):
             raise TypeError("hyperparameters is not a JSON object")
         spec = ClassifierSpec(payload["family"], payload["hyperparameters"])
-        feature_names = tuple(payload["feature_names"])
+        names = payload["feature_names"]
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+                and len(set(names)) == len(names)):
+            raise ValueError("feature_names is not a list of distinct strings")
+        d = len(names)
         std = payload["standardization"]
         standardization = None
         if std is not None:
-            standardization = (np.asarray(std["mean"]), np.asarray(std["std"]))
+            if not (isinstance(std, dict) and std.keys() == {"mean", "std"}
+                    and _is_vector(std["mean"], d) and _is_vector(std["std"], d)
+                    and all(s > 0.0 for s in std["std"])):
+                raise ValueError("standardization is neither null nor a mean "
+                                 f"and a positive std of {d} finite numbers")
+            standardization = (np.asarray(std["mean"], dtype=np.float64),
+                               np.asarray(std["std"], dtype=np.float64))
         parameters = payload["parameters"]
         if not isinstance(parameters, dict):
             raise TypeError("parameters is not a JSON object")
-        _RECORDS[spec.family].check(parameters, len(feature_names))
+        _RECORDS[spec.family].check(parameters, d)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptModelFile(f"model file {path} is invalid: {exc}") from exc
-    return TrainedClassifier(spec=spec, feature_names=feature_names,
+    return TrainedClassifier(spec=spec, feature_names=tuple(names),
                              standardization=standardization,
                              parameters=parameters)

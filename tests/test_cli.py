@@ -1,12 +1,19 @@
+import contextlib
+import copy
 import inspect
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from roadsift import canbus, cli
 from roadsift.cli import main
+from roadsift.features import FEATURE_NAMES, read_feature_csv
+from roadsift.ml import FAMILIES, ClassifierSpec, fit, save_model
 from roadsift.canbus import DEFAULT_DBC, parse_dbc, decode_signal, read_playback_csv
 from roadsift.oracle import load_dataset
 
@@ -19,6 +26,41 @@ def run_dir(tmp_path_factory):
                  "--out", str(out)])
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def tiny_models(run_dir, tmp_path_factory):
+    """A small valid model file of each family, on two of run_dir's
+    features, as parsed JSON."""
+    rows = read_feature_csv(run_dir / "features.csv")
+    names = FEATURE_NAMES[:2]
+    X = [[vec.as_dict()[n] for n in names] for _, vec, _ in rows]
+    y = [int(label == "unsafe") for _, _, label in rows]
+    path = tmp_path_factory.mktemp("models") / "model.json"
+    payloads = {}
+    small = {"random_forest": {"I": 5, "depth": 5},
+             "gradient_boosting": {"n_estimators": 10}}
+    for family in FAMILIES:
+        spec = ClassifierSpec(family, small.get(family, {}))
+        save_model(fit(spec, X, y, names, 0), path)
+        payloads[family] = json.loads(path.read_text())
+    return payloads
+
+
+def json_paths(node, path=()):
+    """The path of every value in a parsed JSON document, the root's ()
+    first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from json_paths(value, path + (key,))
+
+
+DELETE = object()
+# what a node of a model file is replaced with, or DELETE for deleting it
+# from its object
+NODE_CHANGES = [None, True, "x", [], {}, math.nan, -1, 1e308, DELETE]
 
 
 class TestGenerate:
@@ -145,6 +187,41 @@ class TestExtractAndPredict:
         after = sorted(p.name for p in run_dir.rglob("*"))
         assert before == after     # inputs untouched, no trace artifacts
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_a_changed_model_file_predicts_or_is_named(self, run_dir, tiny_models,
+                                                       tmp_path_factory, family,
+                                                       data):
+        payload = copy.deepcopy(tiny_models[family])
+        where = data.draw(st.sampled_from(list(json_paths(payload))), label="node")
+        change = data.draw(st.sampled_from(NODE_CHANGES), label="change")
+        if where:
+            *up, key = where
+            parent = payload
+            for step in up:
+                parent = parent[step]
+            if change is DELETE:
+                assume(isinstance(parent, dict))
+                del parent[key]
+            else:
+                parent[key] = change
+        else:
+            assume(change is not DELETE)
+            payload = change
+        model = tmp_path_factory.getbasetemp() / f"changed_{family}.json"
+        model.write_text(json.dumps(payload))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["predict", "--model", str(model),
+                         "--features", str(run_dir / "features.csv"),
+                         "--out", str(model.with_name("p.csv"))])
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert str(model) in err.getvalue()
+
     def test_missing_label_is_config_error(self, run_dir, tmp_path):
         unlabelled = tmp_path / "u.csv"
         main(["extract-features", "--roads", str(run_dir / "roads"),
@@ -152,10 +229,9 @@ class TestExtractAndPredict:
         assert main(["benchmark", "--features", str(unlabelled),
                      "--seed", "1", "--out", str(tmp_path / "b")]) == 2
 
-    def test_feature_mismatch_is_config_error(self, run_dir, tmp_path):
+    def test_feature_mismatch_is_config_error(self, run_dir, tmp_path, capsys):
         model_path = tmp_path / "weird.json"
         import numpy as np
-        from roadsift.ml import ClassifierSpec, fit, save_model
         X = np.random.default_rng(0).normal(size=(30, 2))
         y = (X[:, 0] > 0).astype(int)
         save_model(fit(ClassifierSpec("logistic"), X, y, ("a", "b"), 0),
@@ -163,6 +239,7 @@ class TestExtractAndPredict:
         assert main(["predict", "--model", str(model_path),
                      "--features", str(run_dir / "features.csv"),
                      "--out", str(tmp_path / "p.csv")]) == 2
+        assert str(model_path) in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("parameters", [{}, {"weights": [0.1], "bias": 0.0}])
@@ -502,6 +579,9 @@ class TestExperiment:
 @pytest.mark.parametrize("case", ["pool_without_unsafe", "seeds_not_a_list",
                                   "seeds_holding_a_boolean",
                                   "mapping_without_signal",
+                                  "factor_holding_a_list",
+                                  "factor_as_text_past_a_float",
+                                  "factor_true",
                                   "road_without_points",
                                   "road_file_holding_a_list",
                                   "dataset_row_without_label",
@@ -541,6 +621,16 @@ def test_malformed_input_is_config_error(run_dir, tmp_path, capsys, case):
                                         "factor": 3.6}]))
         argv = ["can-convert", "--simulation", sim, "--mapping", str(mapping),
                 "--out", str(tmp_path / "c")]
+    elif case.startswith("factor"):
+        factor = {"factor_holding_a_list": [3.6],
+                  "factor_as_text_past_a_float": "1e400",
+                  "factor_true": True}[case]
+        entry = {"field": "speed", "message": "VEHICLE_DYNAMICS",
+                 "signal": "speed_kmh", "factor": 3.6}
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps([entry, {**entry, "factor": factor}]))
+        argv = ["can-convert", "--simulation", sim, "--mapping", str(mapping),
+                "--out", str(tmp_path / "c")]
     else:
         exp = {"protocol": "fix", "dataset": sim, "strategy": "random",
                "S": 6, "pool": {"safe": 8, "unsafe": 4}, "seeds": [1, 2]}
@@ -559,6 +649,8 @@ def test_malformed_input_is_config_error(run_dir, tmp_path, capsys, case):
     assert err.startswith("error: ")
     if case in ("road_file_holding_a_list", "features_without_length"):
         assert ("r.json" if case.startswith("road") else "sim.json") in err
+    if case.startswith("factor"):
+        assert "map.json: entry 1: factor" in err
 
 
 def _edit_feature_csv(text, case):

@@ -221,6 +221,14 @@ class TestFamilies:
         model = fit(ClassifierSpec(family, params), train.X, train.y, NAMES2, 2)
         assert holdout_evaluate(model, test).accuracy >= 0.9
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_defaults_lie_in_the_domain(self, family):
+        record = models._RECORDS[family]
+        assert record.defaults.keys() == record.domain.keys()
+        for name, value in record.defaults.items():
+            assert any(type(v) is type(value) and v == value
+                       for v in record.domain[name])
+
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).normal(size=(20, 2))
         with pytest.raises(SingleClassDataset):
@@ -1004,6 +1012,8 @@ class TestRanking:
 
 CLASS_LEAF = {"n": 1, "ones": 0, "leaf": True}
 VALUE_LEAF = {"leaf": True, "value": 0.5}
+NB_PAYLOAD = {"priors": [0.5, 0.5], "means": [[0.0, 0.0], [1.0, 1.0]],
+              "vars": [[1.0, 1.0], [1.0, 1.0]]}
 
 
 def split_node(leaf, feature=0, threshold=0.0, **children):
@@ -1086,6 +1096,30 @@ class TestPersistence:
                                                   VALUE_LEAF, right={"leaf": True})]}}),
         ("gradient_boosting", {"parameters": {"init": 0.0, "learning_rate": "0.1",
                                               "trees": [VALUE_LEAF]}}),
+        ("gradient_boosting", {"parameters": {"init": 0.0, "learning_rate": 0.1,
+                                              "trees": [{**VALUE_LEAF,
+                                                         "value": math.nan}]}}),
+        ("logistic", {"format_version": True}),
+        ("logistic", {"feature_names": [["f0"], "f1"]}),
+        ("logistic", {"feature_names": ["f0", "f0"]}),
+        ("logistic", {"standardization": {"mean": [0.5], "std": [1.0, 1.0]}}),
+        ("logistic", {"standardization": {"mean": [0.5, 0.5], "std": [1.0]}}),
+        ("logistic", {"standardization": {"mean": [0.5, 0.5], "std": [0.0, 0.0]}}),
+        ("logistic", {"standardization": {"mean": [0.5, 0.5], "std": ["1", "1"]}}),
+        ("logistic", {"standardization": {"mean": [0.5, 0.5], "std": None}}),
+        ("logistic", {"standardization": {"mean": [0.5, math.inf],
+                                          "std": [1.0, 1.0]}}),
+        ("logistic", {"parameters": {"weights": ["0.5", "0.5"], "bias": 0.0}}),
+        ("logistic", {"parameters": {"weights": [0.5, 0.5], "bias": "0.0"}}),
+        ("linear_svm", {"parameters": {"weights": [0.5, math.nan], "bias": 0.0}}),
+        ("linear_svm", {"parameters": {"weights": [0.5, 10**400], "bias": 0.0}}),
+        ("naive_bayes", {"parameters": {**NB_PAYLOAD, "priors": [1.0]}}),
+        ("naive_bayes", {"parameters": {**NB_PAYLOAD, "priors": [0.5, 1.5]}}),
+        ("naive_bayes", {"parameters": {**NB_PAYLOAD, "priors": ["0.5", "0.5"]}}),
+        ("naive_bayes", {"parameters": {**NB_PAYLOAD, "means": [[0.0, 1.0]]}}),
+        ("naive_bayes", {"parameters": {**NB_PAYLOAD, "means": [[0.0], [1.0]]}}),
+        ("naive_bayes", {"parameters": {**NB_PAYLOAD,
+                                        "vars": [[1.0, -1.0], [1.0, 1.0]]}}),
     ])
     def test_invalid_payload_is_corrupt(self, tmp_path, family, edit):
         ds = separable_ds(40)

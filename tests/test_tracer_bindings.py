@@ -7,6 +7,7 @@ MissingEntryPoint, so the bindings are checked here.
 
 from pathlib import Path
 
+import roadsift.ml
 import roadsift.oracle
 from roadsift.cli import main
 
@@ -31,3 +32,11 @@ def test_tracer_resolves_and_restores_entry_points(tmp_path, monkeypatch):
     drives = [span[4] for span in recorder.spans if span[0] == "oracle.drive"]
     assert drives and all(tag["steps"] > 0 for tag in drives)
     assert roadsift.oracle._simulate is original
+
+
+def test_tracer_names_the_families_in_their_order(monkeypatch):
+    # the tracer's per-family metric names are fixed in BENCHMARK.json
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    assert roadsift.ml.FAMILIES == tracer.FAMILIES
