@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
+from .inputs import read_text
 from .oracle import TRACE_KEYS
 
 LITTLE_ENDIAN = "little"
@@ -153,22 +154,10 @@ _SG_RE = re.compile(
     r"\[\s*([^|]+)\|([^\]]+)\s*\]\s*\"([^\"]*)\"\s*(.*)$")
 
 
-def _read_utf8(path: str | Path) -> str:
-    """A file's text; raises ValueError naming the file and the line of the
-    first byte that is not UTF-8."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode()
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}, line {line}: byte {data[exc.start]:#04x} "
-                         "is not UTF-8") from None
-
-
 def read_dbc(path: str | Path) -> CanDatabase:
     """parse_dbc of a file; raises ValueError naming the file and, where it
     is known, the line."""
-    text = _read_utf8(path)
+    text = read_text(path)
     try:
         return parse_dbc(text)
     except ValueError as exc:
@@ -410,12 +399,12 @@ def write_playback_csv(records: list[PlaybackRecord], path: str | Path) -> None:
 
 def read_playback_csv(path: str | Path) -> list[PlaybackRecord]:
     """Read a file written by write_playback_csv; a file holding only the
-    header is an empty playback. Raises ValueError naming the file and
-    the line when the file is not UTF-8, and CsvFormatError when it is
-    empty, its header is wrong or a row is bad."""
+    header is an empty playback. Raises ValueError naming the file, and
+    the line where known, when it cannot be read or is not UTF-8, and
+    CsvFormatError when it is empty, its header is wrong or a row is bad."""
     records = []
     prev_ts = None
-    with io.StringIO(_read_utf8(path), newline=None) as fh:
+    with io.StringIO(read_text(path), newline=None) as fh:
         first = fh.readline()
         if first.strip() != CSV_HEADER:
             raise CsvFormatError(path, 1, f"bad header {first.strip()!r}" if first

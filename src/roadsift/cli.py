@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from .features import (
     write_feature_csv,
 )
 from .geometry import load_road, save_road
+from .inputs import is_number, read_json
 from .ml import (
     FAMILIES,
     ClassifierSpec,
@@ -60,10 +60,6 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-class ConfigError(Exception):
-    pass
-
-
 # the experiment keys each protocol reads; every protocol also reads
 # "protocol", and either "seeds" or --seed with "repetitions"
 PROTOCOL_KEYS = {
@@ -92,12 +88,9 @@ K_FOLDS = 10            # --k when not given; the library has no default
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    obj = read_json(path)
     if not isinstance(obj, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
+        raise ValueError(f"config {path} must be a JSON object")
     return obj
 
 
@@ -108,7 +101,7 @@ def _resolve(args, config: dict, keys: dict):
     any JSON value), then checked against the choices. Null is not given."""
     unknown = set(config) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in config.items():
         if getattr(args, key) is not None or value is None:
             continue
@@ -118,28 +111,19 @@ def _resolve(args, config: dict, keys: dict):
                 raise ValueError
             parsed = value if kind in (bool, None) else kind(str(value))
         except ValueError:
-            raise ConfigError(f"config key {key!r}: invalid {kind.__name__} "
-                              f"value: {value!r}") from None
+            raise ValueError(f"config key {key!r}: invalid {kind.__name__} "
+                             f"value: {value!r}") from None
         if choices is not None and parsed not in choices:
-            raise ConfigError(f"config key {key!r}: invalid choice: {parsed!r} "
-                              f"(choose from {', '.join(map(repr, choices))})")
+            raise ValueError(f"config key {key!r}: invalid choice: {parsed!r} "
+                             f"(choose from {', '.join(map(repr, choices))})")
         setattr(args, key, parsed)
     return args
-
-
-def _is_finite_number(value) -> bool:
-    """Whether value is a JSON number, not a bool, that a float holds
-    finitely."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:                 # an integer past a float's range
-        return False
 
 
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
-            raise ConfigError(f"--{name.replace('_', '-')} is required")
+            raise ValueError(f"--{name.replace('_', '-')} is required")
 
 
 def _given(args, *names, **renamed) -> dict:
@@ -154,7 +138,7 @@ def _labelled_dataset_from_csv(path: str) -> LabeledDataset:
     rows = read_feature_csv(path)
     unlabelled = [tid for tid, _, label in rows if label is None]
     if unlabelled:
-        raise ConfigError(
+        raise ValueError(
             f"{len(unlabelled)} rows without a label in {path} "
             f"(first: {unlabelled[0]})")
     return dataset_from_rows(rows)
@@ -166,7 +150,7 @@ def _labelled_dataset_from_csv(path: str) -> LabeledDataset:
 def cmd_generate(args) -> int:
     _require(args, "n", "seed", "out")
     if args.n < 1:
-        raise ConfigError(f"-n must be >= 1, got {args.n}")
+        raise ValueError(f"-n must be >= 1, got {args.n}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "roads").mkdir(exist_ok=True)
@@ -205,7 +189,7 @@ def cmd_extract_features(args) -> int:
     elif args.roads is not None:
         rows = [(road_id, vec, None) for road_id, vec in _road_features(args.roads)]
     else:
-        raise ConfigError("need --roads or --simulation")
+        raise ValueError("need --roads or --simulation")
     write_feature_csv(args.out, rows)
     print(f"wrote {len(rows)} feature rows to {args.out}")
     return EXIT_OK
@@ -219,7 +203,7 @@ def cmd_benchmark(args) -> int:
         else [f.strip() for f in args.models.split(",")]
     for fam in families:
         if fam not in FAMILIES:
-            raise ConfigError(f"unknown model family {fam!r}")
+            raise ValueError(f"unknown model family {fam!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -290,7 +274,7 @@ def cmd_predict(args) -> int:
     elif args.roads is not None:
         rows = _road_features(args.roads)
     else:
-        raise ConfigError("need --roads or --features")
+        raise ValueError("need --roads or --features")
     try:
         X = model.feature_matrix([v for _, v in rows])
     except FeatureMismatch as exc:
@@ -333,8 +317,8 @@ def cmd_experiment(args) -> int:
     unread = [k for k in sorted({"seed", *EXPERIMENT_KEYS} - read)
               if getattr(args, k) is not None]
     if unread:
-        raise ConfigError(f"protocol {args.protocol!r} with {selector} "
-                          f"{choice!r} does not read {', '.join(map(repr, unread))}")
+        raise ValueError(f"protocol {args.protocol!r} with {selector} "
+                         f"{choice!r} does not read {', '.join(map(repr, unread))}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -342,11 +326,11 @@ def cmd_experiment(args) -> int:
         _require(args, "seed")
         reps = 30 if args.repetitions is None else args.repetitions
         if reps < 1:
-            raise ConfigError(f"repetitions must be >= 1, got {reps}")
+            raise ValueError(f"repetitions must be >= 1, got {reps}")
         seeds = [args.seed + i for i in range(reps)]
     elif not (isinstance(seeds, list)
               and all(type(seed) is int for seed in seeds)):
-        raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
+        raise ValueError(f"seeds must be a list of integers, got {seeds!r}")
     cost = selection.CostModel(**_given(args, "overhead_s"))
 
     rows = []
@@ -355,8 +339,8 @@ def cmd_experiment(args) -> int:
         pool_cfg = args.pool
         if not (isinstance(pool_cfg, dict) and pool_cfg.keys() == {"safe", "unsafe"}
                 and all(type(n) is int and n >= 0 for n in pool_cfg.values())):
-            raise ConfigError('pool must be an object with exactly "safe" and '
-                              f'"unsafe" counts, each an int >= 0, got {pool_cfg!r}')
+            raise ValueError('pool must be an object with exactly "safe" and '
+                             f'"unsafe" counts, each an int >= 0, got {pool_cfg!r}')
         tests = load_dataset(args.dataset, keep_traces=False)
         if args.strategy == "model":
             _require(args, "model")
@@ -410,19 +394,16 @@ def cmd_can_convert(args) -> int:
         db = canbus.parse_dbc(canbus.DEFAULT_DBC)
     mapping = canbus.DEFAULT_MAPPING
     if args.mapping:
-        try:
-            entries = json.loads(Path(args.mapping).read_text())
-        except ValueError as exc:  # bad JSON or bad UTF-8
-            raise ValueError(f"{args.mapping}: {exc}") from None
+        entries = read_json(args.mapping)
         keys = {"field", "message", "signal", "factor"}
         if not (isinstance(entries, list)
                 and all(isinstance(e, dict) and e.keys() >= keys for e in entries)):
-            raise ConfigError(f"{args.mapping}: each mapping entry needs the "
-                              f"keys {sorted(keys)}")
+            raise ValueError(f"{args.mapping}: each mapping entry needs the "
+                             f"keys {sorted(keys)}")
         for i, e in enumerate(entries):
-            if not _is_finite_number(e["factor"]):
-                raise ConfigError(f"{args.mapping}: entry {i}: factor "
-                                  f"{e['factor']!r} is not a finite number")
+            if not is_number(e["factor"]):
+                raise ValueError(f"{args.mapping}: entry {i}: factor "
+                                 f"{e['factor']!r} is not a finite number")
         mapping = canbus.SignalMapping(entries=tuple(
             (e["field"], e["message"], e["signal"], float(e["factor"]))
             for e in entries))
@@ -546,12 +527,12 @@ def main(argv=None) -> int:
     try:
         _resolve(args, _load_config(args.config), args.config_keys)
         return args.handler(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         # bad flags, config keys, input files, parameters
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, OSError) as exc:
-        # generation exhaustion, sink failures, IO
+        # generation exhaustion, sink failures, writing outputs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -9,6 +9,7 @@ measure how far each segment strays from its straight chord.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -26,6 +27,7 @@ from .geometry import (
     segment_spine,
     self_intersects,
 )
+from .inputs import read_text
 from .ml.models import label_code
 
 
@@ -177,13 +179,12 @@ def read_feature_csv(path: str | Path) -> list[tuple[str, FeatureVector, str | N
     the file, and the line where known, on a missing or wrong header, a row
     of the wrong width, a value that is not a number (or not a whole number
     for a count), or a label other than empty, "safe" or "unsafe"."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header != ["test_id", *FEATURE_NAMES, "label"]:
-                raise ValueError(f"unexpected feature CSV header: {header}")
-            return [_feature_row(line) for line in reader]
-        except (ValueError, csv.Error) as exc:
-            where = f", line {reader.line_num}" if reader.line_num else ""
-            raise ValueError(f"{path}{where}: {exc}") from None
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader, None)
+        if header != ["test_id", *FEATURE_NAMES, "label"]:
+            raise ValueError(f"unexpected feature CSV header: {header}")
+        return [_feature_row(line) for line in reader]
+    except (ValueError, csv.Error) as exc:
+        where = f", line {reader.line_num}" if reader.line_num else ""
+        raise ValueError(f"{path}{where}: {exc}") from None

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .inputs import is_vector, read_json
+
 STRAIGHT = "straight"
 LEFT_TURN = "left"
 RIGHT_TURN = "right"
@@ -393,24 +395,16 @@ def segment_spine(spine: RoadSpine, config: GeometryConfig | None = None) -> lis
     return segments
 
 
-_JSON_NUMBERS = {int, float}      # the types json reads numbers as; not bool
-
-
-def _is_pair(p) -> bool:
-    return (type(p) is list and len(p) == 2
-            and type(p[0]) in _JSON_NUMBERS and type(p[1]) in _JSON_NUMBERS)
-
-
 def road_from_json(obj: dict) -> RoadPoints:
     """The road of a road file or a dataset row, as json read it:
     "road_points", "lane_width" and an optional "map_size". A missing key
-    raises KeyError; road_points that is not a list of [x, y] number
-    pairs, ValueError."""
+    raises KeyError; road_points that is not a list of [x, y] pairs of
+    finite numbers, ValueError."""
     points = obj["road_points"]
     if type(points) is not list:
         raise ValueError(f"road_points is not a list: {points!r}")
-    if not all(map(_is_pair, points)):
-        i = next(i for i, p in enumerate(points) if not _is_pair(p))
+    if not all(is_vector(p, 2) for p in points):
+        i = next(i for i, p in enumerate(points) if not is_vector(p, 2))
         raise ValueError(f"road point {i} is not a pair of numbers: {points[i]!r}")
     return RoadPoints(
         points=tuple((x, y) for x, y in points),
@@ -421,13 +415,10 @@ def road_from_json(obj: dict) -> RoadPoints:
 def load_road(path: str | Path) -> tuple[str, RoadPoints]:
     """Read a road description file: {"id", "lane_width", "map_size", "road_points"}.
 
-    Raises ValueError naming the file when it is not JSON, a key is missing,
-    a value has the wrong type or is an integer past a float's range, or the
-    road is degenerate."""
-    try:
-        obj = json.loads(Path(path).read_text())
-    except ValueError as exc:      # bad JSON or bad UTF-8
-        raise ValueError(f"{path}: {exc}") from None
+    Raises ValueError naming the file when it cannot be read or is not
+    JSON, a key is missing, a value has the wrong type or is not finite, or
+    the road is degenerate."""
+    obj = read_json(path)
     try:
         return str(obj["id"]), road_from_json(obj)
     except KeyError as exc:

@@ -35,6 +35,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ..inputs import is_number, is_vector, read_json
+
 SAFE_CODE = 0
 UNSAFE_CODE = 1
 # the oracle's verdict labels (oracle.SAFE, oracle.UNSAFE) by class code
@@ -600,21 +602,6 @@ def _reg_tree_predict(node, X) -> np.ndarray:
     return np.array([_leaf(node, x)["value"] for x in X], dtype=np.float64)
 
 
-def _is_number(value) -> bool:
-    """Whether value is a JSON number, not a bool, that a float holds
-    finitely."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:                 # an integer past a float's range
-        return False
-
-
-def _is_vector(value, d: int) -> bool:
-    """Whether value is a list of d finite numbers."""
-    return (isinstance(value, list) and len(value) == d
-            and all(map(_is_number, value)))
-
-
 def _check_trees(trees, boosting: bool, n_features: int) -> None:
     """Raise ValueError unless trees is a non-empty list and every node of
     each tree is an object with a bool leaf; an internal node splits on an
@@ -634,11 +621,11 @@ def _check_trees(trees, boosting: bool, n_features: int) -> None:
             if type(feature) is not int or not 0 <= feature < n_features:
                 raise ValueError(f"tree node splits on feature {feature!r}, "
                                  f"not one of {n_features}")
-            if not _is_number(node.get("threshold")):
+            if not is_number(node.get("threshold")):
                 raise ValueError("tree node has no finite threshold")
             stack += (node.get("left"), node.get("right"))
         elif boosting:
-            if not _is_number(node.get("value")):
+            if not is_number(node.get("value")):
                 raise ValueError("tree leaf has no finite value")
         elif type(node.get("n")) is not int or type(node.get("ones")) is not int:
             raise ValueError("tree leaf lacks int counts n and ones")
@@ -682,9 +669,9 @@ def _predict_linear(p, X):
 
 def _check_linear(p, d):
     weights, bias = _payload(p, "weights", "bias")
-    if not _is_vector(weights, d):
+    if not is_vector(weights, d):
         raise ValueError(f"weights is not a list of {d} finite numbers")
-    if not _is_number(bias):
+    if not is_number(bias):
         raise ValueError("bias is not a finite number")
 
 
@@ -1093,11 +1080,11 @@ def _predict_naive_bayes(p, X):
 
 def _check_naive_bayes(p, d):
     priors, means, variances = _payload(p, "priors", "means", "vars")
-    if not (_is_vector(priors, 2) and all(0.0 <= q <= 1.0 for q in priors)):
+    if not (is_vector(priors, 2) and all(0.0 <= q <= 1.0 for q in priors)):
         raise ValueError("priors is not 2 numbers in [0, 1]")
     for name, rows in (("means", means), ("vars", variances)):
         if not (isinstance(rows, list) and len(rows) == 2
-                and all(_is_vector(row, d) for row in rows)):
+                and all(is_vector(row, d) for row in rows)):
             raise ValueError(f"{name} is not 2 lists of {d} finite numbers")
     if not all(v > 0.0 for row in variances for v in row):
         raise ValueError("a variance is not positive")
@@ -1245,7 +1232,7 @@ def _predict_boosting(p, X):
 
 def _check_boosting(p, d):
     init, trees, learning_rate = _payload(p, "init", "trees", "learning_rate")
-    if not (_is_number(init) and _is_number(learning_rate)):
+    if not (is_number(init) and is_number(learning_rate)):
         raise ValueError("init or learning_rate is not a finite number")
     _check_trees(trees, True, d)
 
@@ -1454,9 +1441,9 @@ def save_model(model: TrainedClassifier, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> TrainedClassifier:
     try:
-        payload = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, RecursionError, OSError) as exc:
-        raise CorruptModelFile(f"cannot read model file {path}: {exc}") from exc
+        payload = read_json(path)
+    except ValueError as exc:         # read_json's message names the file
+        raise CorruptModelFile(f"cannot read model file {exc}") from None
     if not isinstance(payload, dict):
         raise CorruptModelFile(f"model file {path} is not a JSON object")
     version = payload.get("format_version")
@@ -1477,7 +1464,7 @@ def load_model(path: str | Path) -> TrainedClassifier:
         standardization = None
         if std is not None:
             if not (isinstance(std, dict) and std.keys() == {"mean", "std"}
-                    and _is_vector(std["mean"], d) and _is_vector(std["std"], d)
+                    and is_vector(std["mean"], d) and is_vector(std["std"], d)
                     and all(s > 0.0 for s in std["std"])):
                 raise ValueError("standardization is neither null nor a mean "
                                  f"and a positive std of {d} finite numbers")

@@ -34,6 +34,7 @@ from .geometry import (
     segment_spine,
     self_intersects,
 )
+from .inputs import read_json
 from .ml.models import label_code
 
 SAFE = "safe"
@@ -476,10 +477,7 @@ def load_dataset(path: str | Path, keep_traces: bool = True) -> list[TestCase]:
     empty. Raises ValueError naming the file, and the row where known, when
     the file is not a JSON list of objects, a key is missing, a value has
     the wrong type or a label is neither "safe" nor "unsafe"."""
-    try:
-        rows = json.loads(Path(path).read_text())
-    except ValueError as exc:      # bad JSON or bad UTF-8
-        raise ValueError(f"{path}: {exc}") from None
+    rows = read_json(path)
     if not isinstance(rows, list):
         raise ValueError(f"{path}: top level is not a list of rows")
     state_values = itemgetter(*TRACE_KEYS)
