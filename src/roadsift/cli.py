@@ -6,7 +6,10 @@ accepts --config <json> whose keys are its flags' names, plus the experiment
 keys for experiment, each value parsed like its flag (explicit flags win;
 unknown keys are rejected, and so are experiment keys the run does not
 read). A setting not given takes the library's default. Exit codes: 0
-success, 2 usage or configuration error, 3 runtime failure.
+success; 2 a bad flag or setting, or an input file or directory that is
+missing, unreadable, not UTF-8, not JSON, nested too deep to parse or
+malformed, with its path (and the line where known) in the error; 3 a
+runtime failure, such as an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .features import (
     write_feature_csv,
 )
 from .geometry import load_road, save_road
-from .inputs import is_number, read_json
+from .inputs import is_number, json_files, read_json
 from .ml import (
     FAMILIES,
     ClassifierSpec,
@@ -169,10 +172,11 @@ def cmd_generate(args) -> int:
 
 
 def _road_features(roads: str) -> list[tuple[str, FeatureVector]]:
-    """(id, features) of each road file in a directory, in name order; a road
-    that cannot be read or measured raises ValueError naming its file."""
+    """(id, features) of each road file in a directory, in name order; a
+    directory that cannot be listed, or a road that cannot be read or
+    measured, raises ValueError naming it."""
     rows = []
-    for path in sorted(Path(roads).glob("*.json")):
+    for path in json_files(roads):
         road_id, road = load_road(path)
         try:
             rows.append((road_id, extract_features(road)))
@@ -407,6 +411,10 @@ def cmd_can_convert(args) -> int:
         mapping = canbus.SignalMapping(entries=tuple(
             (e["field"], e["message"], e["signal"], float(e["factor"]))
             for e in entries))
+        try:                    # checked once, so also without traces
+            mapping.validate(db, canbus.TRACE_KEYS)
+        except ValueError as exc:
+            raise ValueError(f"{args.mapping}: {exc}") from None
     period = _given(args, sample_period_ms="period_ms")
     if period:                  # checked once, so also without traces
         canbus.check_sample_period(**period)

@@ -27,7 +27,7 @@ from .geometry import (
     segment_spine,
     self_intersects,
 )
-from .inputs import read_text
+from .inputs import is_number, read_text
 from .ml.models import label_code
 
 
@@ -51,6 +51,16 @@ class FeatureVector:
     mean_radius: float
     full_road_diversity: float
     mean_road_diversity: float
+
+    def __post_init__(self):
+        # the counts are ints, every other feature a float or an int; all
+        # finite, so no model is fed a NaN or an infinity
+        for name in FEATURE_NAMES:
+            value = getattr(self, name)
+            if not (is_number(value)
+                    and (type(value) is int or name not in _INT_FEATURES)):
+                kind = "an int" if name in _INT_FEATURES else "a finite number"
+                raise ValueError(f"feature {name} {value!r} is not {kind}")
 
     def as_dict(self) -> dict[str, float]:
         return {n: getattr(self, n) for n in FEATURE_NAMES}
@@ -176,9 +186,10 @@ def _feature_row(line: list[str]) -> tuple[str, FeatureVector, str | None]:
 
 def read_feature_csv(path: str | Path) -> list[tuple[str, FeatureVector, str | None]]:
     """Read a file written by write_feature_csv. Raises ValueError naming
-    the file, and the line where known, on a missing or wrong header, a row
-    of the wrong width, a value that is not a number (or not a whole number
-    for a count), or a label other than empty, "safe" or "unsafe"."""
+    the file, and the line where known, when it cannot be read or is not
+    UTF-8, on a missing or wrong header, a row of the wrong width, a value
+    that is not a finite number (or not a whole number for a count), or a
+    label other than empty, "safe" or "unsafe"."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
         header = next(reader, None)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .inputs import is_vector, read_json
+from .inputs import is_vector, positive, read_json
 
 STRAIGHT = "straight"
 LEFT_TURN = "left"
@@ -399,7 +399,8 @@ def road_from_json(obj: dict) -> RoadPoints:
     """The road of a road file or a dataset row, as json read it:
     "road_points", "lane_width" and an optional "map_size". A missing key
     raises KeyError; road_points that is not a list of [x, y] pairs of
-    finite numbers, ValueError."""
+    finite numbers, or a lane_width or map_size that is not a finite number
+    > 0, ValueError."""
     points = obj["road_points"]
     if type(points) is not list:
         raise ValueError(f"road_points is not a list: {points!r}")
@@ -408,8 +409,8 @@ def road_from_json(obj: dict) -> RoadPoints:
         raise ValueError(f"road point {i} is not a pair of numbers: {points[i]!r}")
     return RoadPoints(
         points=tuple((x, y) for x, y in points),
-        lane_width=float(obj["lane_width"]),
-        map_size=float(obj.get("map_size", MAP_SIZE)))
+        lane_width=positive("lane_width", obj["lane_width"]),
+        map_size=positive("map_size", obj.get("map_size", MAP_SIZE)))
 
 
 def load_road(path: str | Path) -> tuple[str, RoadPoints]:
@@ -423,7 +424,7 @@ def load_road(path: str | Path) -> tuple[str, RoadPoints]:
         return str(obj["id"]), road_from_json(obj)
     except KeyError as exc:
         raise ValueError(f"{path}: no key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

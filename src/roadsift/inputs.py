@@ -37,6 +37,17 @@ def read_json(path: str | Path):
         raise ValueError(f"{path}: JSON nested too deep to parse") from None
 
 
+def json_files(directory: str | Path) -> list[Path]:
+    """The .json files in a directory, in name order. Raises ValueError
+    naming the directory when it is missing, not a directory or cannot be
+    listed."""
+    try:
+        return sorted(p for p in Path(directory).iterdir()
+                      if p.name.endswith(".json"))
+    except OSError as exc:
+        raise ValueError(f"{directory}: {exc.strerror or exc}") from None
+
+
 def is_number(value) -> bool:
     """Whether value is a JSON number, not a bool, that a float holds
     finitely."""
@@ -44,6 +55,23 @@ def is_number(value) -> bool:
         return type(value) in (int, float) and math.isfinite(value)
     except OverflowError:                 # an integer past a float's range
         return False
+
+
+def are_numbers(values: list) -> bool:
+    """Whether is_number holds for every value, checked a list at a time."""
+    try:
+        return (set(map(type, values)) <= {int, float}
+                and all(map(math.isfinite, values)))
+    except OverflowError:
+        return False
+
+
+def positive(name: str, value) -> float:
+    """value as a float when it is a finite number > 0; otherwise
+    ValueError naming it."""
+    if not (is_number(value) and value > 0):
+        raise ValueError(f"{name} {value!r} is not a finite number > 0")
+    return float(value)
 
 
 def is_vector(value, d: int) -> bool:

@@ -664,7 +664,7 @@ def _predict_linear(p, X):
     # score must not depend on the rows scored with it
     w = np.asarray(p["weights"], dtype=np.float64)
     z = (X * w).sum(axis=1) + p["bias"]
-    return (z >= 0.0).astype(np.int64)
+    return (~(z < 0.0)).astype(np.int64)      # a NaN score is unsafe too
 
 
 def _check_linear(p, d):
@@ -1227,7 +1227,7 @@ def _predict_boosting(p, X):
     f = np.full(len(X), float(p["init"]))
     for tree in p["trees"]:
         f = f + p["learning_rate"] * _reg_tree_predict(tree, X)
-    return (f >= 0.0).astype(np.int64)
+    return (~(f < 0.0)).astype(np.int64)      # a NaN score is unsafe too
 
 
 def _check_boosting(p, d):

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, le
 from pathlib import Path
 from typing import ClassVar
 
@@ -34,7 +34,7 @@ from .geometry import (
     segment_spine,
     self_intersects,
 )
-from .inputs import read_json
+from .inputs import are_numbers, is_number, positive, read_json
 from .ml.models import label_code
 
 SAFE = "safe"
@@ -444,6 +444,7 @@ _ROW = _json_object(("id", "road_points", "lane_width", "map_size",
 _FEATURES = _json_object(FEATURE_NAMES, 2)
 _POINT = _json_array(["%s", "%s"], 3)
 _STATE = _json_object(TRACE_KEYS, 3)
+_STATE_VALUES = itemgetter(*TRACE_KEYS)
 
 
 def save_dataset(path: str | Path, tests: list[TestCase]) -> None:
@@ -470,34 +471,67 @@ def save_dataset(path: str | Path, tests: list[TestCase]) -> None:
     Path(path).write_text(_json_array(rows, 0) + "\n")
 
 
+def _read_trace(states, keep: bool) -> tuple[VehicleState, ...]:
+    """The trace of a dataset row, or () when not kept. Raises TypeError
+    or ValueError unless states is a list and, when kept, each state an
+    object whose TRACE_KEYS values are finite numbers, t never
+    decreasing."""
+    if type(states) is not list:
+        raise TypeError(f"trace is not a list: {states!r}")
+    if not keep:
+        return ()
+    if not set(map(type, states)) <= {dict}:
+        raise TypeError("a trace state is not an object")
+    rows = list(map(_STATE_VALUES, states))
+    if not are_numbers(list(chain.from_iterable(rows))):
+        j, key, value = next((j, key, value) for j, row in enumerate(rows)
+                             for key, value in zip(TRACE_KEYS, row)
+                             if not is_number(value))
+        raise ValueError(f"trace state {j}: {key} {value!r} is not a finite number")
+    times = [row[0] for row in rows]          # t is the first trace key
+    if not all(map(le, times, times[1:])):
+        j = next(j for j in range(1, len(times)) if times[j] < times[j - 1])
+        raise ValueError(f"trace state {j}: t {times[j]!r} is before "
+                         f"{times[j - 1]!r}")
+    return tuple(VehicleState(*row, 0.0) for row in rows)
+
+
 def load_dataset(path: str | Path, keep_traces: bool = True) -> list[TestCase]:
     """Read a file written by save_dataset. Trace rows get a zero
     lateral_offset and outcomes a zero max_abs_lateral_offset, since the
     file keeps neither; with keep_traces false every outcome's trace is
-    empty. Raises ValueError naming the file, and the row where known, when
-    the file is not a JSON list of objects, a key is missing, a value has
-    the wrong type or a label is neither "safe" nor "unsafe"."""
+    empty, and the trace states are not checked. Raises ValueError naming
+    the file, and the row where known, when the file cannot be read or is
+    not a JSON list of objects, a key is missing, a value has the wrong
+    type or is not finite, an id is not a string or repeats one before it,
+    a duration is not > 0, a trace goes back in time or a label is neither
+    "safe" nor "unsafe"."""
     rows = read_json(path)
     if not isinstance(rows, list):
         raise ValueError(f"{path}: top level is not a list of rows")
-    state_values = itemgetter(*TRACE_KEYS)
     tests = []
+    seen = {}
     for i, row in enumerate(rows):
         try:
             if not isinstance(row, dict):
                 raise TypeError("not an object")
-            trace = (tuple(VehicleState(*state_values(st), 0.0)
-                           for st in row.get("trace", []))
-                     if keep_traces else ())
+            test_id = row["id"]
+            if type(test_id) is not str:
+                raise TypeError(f"id {test_id!r} is not a string")
+            if test_id in seen:
+                raise ValueError(f"id {test_id!r} is also row {seen[test_id]}'s")
+            seen[test_id] = i
+            trace = _read_trace(row.get("trace", []), keep_traces)
             label_code(row["label"])
             outcome = TestOutcome(
-                label=row["label"], duration=float(row["duration_s"]),
+                label=row["label"],
+                duration=positive("duration_s", row["duration_s"]),
                 max_abs_lateral_offset=0.0, trace=trace)
-            tests.append(TestCase(id=row["id"], road=road_from_json(row),
+            tests.append(TestCase(id=test_id, road=road_from_json(row),
                                   features=FeatureVector(**row["features"]),
                                   outcome=outcome))
         except KeyError as exc:
             raise ValueError(f"{path}, row {i}: no key {exc}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}, row {i}: {exc}") from None
     return tests

@@ -424,13 +424,14 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
         if generated == len(seeds):
             seeds = seed_seq.generate_state(2 * len(seeds))
         road, spine = generate_road(int(seeds[generated]))
-        row = features_from_segments(spine, segment_spine(spine)).as_array()
+        features = features_from_segments(spine, segment_spine(spine))
         clock.charge("generation", cfg.cost.generation_s)
         generated += 1
 
         predicted = None
         if model is not None and not (adaptive and generated <= cfg.warmup_n):
-            predicted = int(model.predict_matrix(row[None, :])[0])
+            predicted = int(model.predict_matrix(
+                model.feature_matrix([features]))[0])
             clock.charge("prediction", cfg.cost.prediction_s)
             if predicted != UNSAFE_CODE:
                 rejected.append((road, spine))
@@ -447,7 +448,7 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
             predictions.append(predicted)
             truths.append(truth)
         if adaptive:
-            X_rows.append(row)
+            X_rows.append(features.as_array())
             y_rows.append(truth)
             since_retrain += 1
             if since_retrain >= cfg.retrain_every and len(set(y_rows)) == 2:

@@ -47,6 +47,26 @@ def tiny_models(run_dir, tmp_path_factory):
     return payloads
 
 
+@pytest.fixture(scope="module")
+def full_model(run_dir, tmp_path_factory):
+    """A logistic model file on all of run_dir's features."""
+    rows = read_feature_csv(run_dir / "features.csv")
+    path = tmp_path_factory.mktemp("models") / "full.json"
+    save_model(fit(ClassifierSpec("logistic"),
+                   [vec.as_array() for _, vec, _ in rows],
+                   [int(label == "unsafe") for _, _, label in rows],
+                   FEATURE_NAMES, 0), path)
+    return path
+
+
+def _csv_cell(value) -> str:
+    """A changed feature table's cell as CSV text: a string as it is, None
+    empty, anything else as JSON (NaN as "NaN", which float reads)."""
+    if isinstance(value, str):
+        return value
+    return "" if value is None else json.dumps(value)
+
+
 def json_paths(node, path=()):
     """The path of every value in a parsed JSON document, the root's ()
     first."""
@@ -58,9 +78,67 @@ def json_paths(node, path=()):
 
 
 DELETE = object()
-# what a node of a model file is replaced with, or DELETE for deleting it
+# what a node of an input file is replaced with, or DELETE for deleting it
 # from its object
 NODE_CHANGES = [None, True, "x", [], {}, math.nan, -1, 1e308, DELETE]
+
+
+def changed_node(data, document, caps=None):
+    """A copy of a parsed JSON document with one node, drawn from data,
+    replaced by a drawn NODE_CHANGES value or deleted from its object.
+
+    A number put under a key of caps is capped at caps[key]: such values
+    (a run's budget, a trace's end time) ask for a run as long as they say,
+    which is valid, so they are drawn under a small cap."""
+    document = copy.deepcopy(document)
+    where = data.draw(st.sampled_from(list(json_paths(document))), label="node")
+    change = data.draw(st.sampled_from(NODE_CHANGES), label="change")
+    if where and where[-1] in (caps or {}) and type(change) in (int, float):
+        change = min(change, caps[where[-1]])
+    if not where:
+        assume(change is not DELETE)
+        return change
+    if change is DELETE:
+        parent = node_at(document, where[:-1])
+        assume(isinstance(parent, dict))
+        del parent[where[-1]]
+    else:
+        node_at(document, where[:-1])[where[-1]] = change
+    return document
+
+
+def node_at(document, where):
+    """The node of a parsed JSON document at path where."""
+    for step in where:
+        document = document[step]
+    return document
+
+
+def run_main(argv) -> tuple[int, str]:
+    """main's exit code and its stderr; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_ran_or_named(code, err, path):
+    """Exit 0, or exit 2 with path in the error; never a traceback."""
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert str(path) in err
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(run_dir):
+    """The first two rows of run_dir's dataset, each trace cut to three
+    states, as parsed JSON."""
+    rows = json.loads((run_dir / "simulation.full.json").read_text())[:2]
+    for row in rows:
+        row["trace"] = row["trace"][:3]
+    return rows
 
 
 class TestGenerate:
@@ -193,34 +271,45 @@ class TestExtractAndPredict:
     def test_a_changed_model_file_predicts_or_is_named(self, run_dir, tiny_models,
                                                        tmp_path_factory, family,
                                                        data):
-        payload = copy.deepcopy(tiny_models[family])
-        where = data.draw(st.sampled_from(list(json_paths(payload))), label="node")
-        change = data.draw(st.sampled_from(NODE_CHANGES), label="change")
-        if where:
-            *up, key = where
-            parent = payload
-            for step in up:
-                parent = parent[step]
-            if change is DELETE:
-                assume(isinstance(parent, dict))
-                del parent[key]
-            else:
-                parent[key] = change
-        else:
-            assume(change is not DELETE)
-            payload = change
         model = tmp_path_factory.getbasetemp() / f"changed_{family}.json"
-        model.write_text(json.dumps(payload))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
-            code = main(["predict", "--model", str(model),
-                         "--features", str(run_dir / "features.csv"),
-                         "--out", str(model.with_name("p.csv"))])
-        assert code in (0, 2)
-        assert "Traceback" not in err.getvalue()
-        if code == 2:
-            assert str(model) in err.getvalue()
+        model.write_text(json.dumps(changed_node(data, tiny_models[family])))
+        code, err = run_main(["predict", "--model", str(model),
+                              "--features", str(run_dir / "features.csv"),
+                              "--out", str(model.with_name("p.csv"))])
+        assert_ran_or_named(code, err, model)
+
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_a_changed_road_file_is_measured_or_named(self, run_dir,
+                                                      tmp_path_factory, data):
+        road = json.loads((run_dir / "roads" / "test_00000.json").read_text())
+        roads = tmp_path_factory.getbasetemp() / "changed_roads"
+        roads.mkdir(exist_ok=True)
+        path = roads / "r.json"
+        path.write_text(json.dumps(changed_node(data, road)))
+        code, err = run_main(["extract-features", "--roads", str(roads),
+                              "--out", str(roads.with_name("f.csv"))])
+        assert_ran_or_named(code, err, path)
+
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_a_changed_feature_csv_predicts_or_is_named(self, run_dir,
+                                                        full_model,
+                                                        tmp_path_factory, data):
+        # the CSV as a list of rows of cells, so that json_paths reaches
+        # every row and cell; a changed cell is written as _csv_cell says
+        table = [line.split(",") for line in
+                 (run_dir / "features.csv").read_text().splitlines()]
+        changed = changed_node(data, table)
+        path = tmp_path_factory.getbasetemp() / "changed_features.csv"
+        path.write_text("".join(
+            (",".join(map(_csv_cell, row)) if isinstance(row, list)
+             else _csv_cell(row)) + "\n"
+            for row in (changed if isinstance(changed, list) else [changed])))
+        code, err = run_main(["predict", "--model", str(full_model),
+                              "--features", str(path),
+                              "--out", str(path.with_name("p.csv"))])
+        assert_ran_or_named(code, err, path)
 
     def test_missing_label_is_config_error(self, run_dir, tmp_path):
         unlabelled = tmp_path / "u.csv"
@@ -426,6 +515,33 @@ class TestExperiment:
                      "--out", str(out)]) == 0
         rep = json.loads(next(out.glob("rep_*.json")).read_text())
         assert rep["generated"] >= 1
+
+    @pytest.mark.parametrize("protocol", ["fix", "realtime"])
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_a_changed_config_runs_or_is_refused(self, run_dir, tmp_path_factory,
+                                                 protocol, data):
+        # a config value is checked where the run reads it, so an error
+        # names the key, or the file the value names, rather than always
+        # the config file. budget_s asks for a run as long as it says, so
+        # it is drawn under a cap of 20 s, a few drives
+        config = {
+            "fix": {"protocol": "fix",
+                    "dataset": str(run_dir / "simulation.full.json"),
+                    "strategy": "random", "S": 2,
+                    "pool": {"safe": 2, "unsafe": 1}, "seeds": [1]},
+            "realtime": {"protocol": "realtime", "mode": "baseline",
+                         "budget_s": 20.0, "seeds": [1]},
+        }[protocol]
+        base = tmp_path_factory.getbasetemp()
+        path = base / f"changed_{protocol}.json"
+        path.write_text(json.dumps(changed_node(data, config,
+                                                caps={"budget_s": 20.0})))
+        code, err = run_main(["experiment", "--config", str(path),
+                              "--out", str(base / f"changed_{protocol}")])
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        assert code == 0 or err.startswith("error: ")
 
     def test_zero_repetitions_is_config_error(self, run_dir, tmp_path):
         cfg = tmp_path / "exp.json"
@@ -653,6 +769,9 @@ def test_malformed_input_is_config_error(run_dir, tmp_path, capsys, case):
         assert "map.json: entry 1: factor" in err
 
 
+DEEP = "[" * 200_000        # JSON nested too deep to parse
+
+
 def _edit_feature_csv(text, case):
     if case == "empty":
         return ""
@@ -663,9 +782,34 @@ def _edit_feature_csv(text, case):
         rows[0].append("safe")
     elif case == "fractional_count":
         rows[0][3] = "1.5"                    # num_l_turns
+    elif case.startswith("direct_distance_"):
+        rows[0][1] = case.removeprefix("direct_distance_")
     else:                                     # "capitalised_label"
         rows = [[*row[:-1], row[-1].capitalize()] for row in rows]
     return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
+# dataset edits (path from the list of rows, new value), each a value that
+# load_dataset refuses
+DATASET_EDITS = {
+    "trace_speed_empty_text": ((0, "trace", 1, "speed"), ""),
+    "trace_speed_null": ((0, "trace", 1, "speed"), None),
+    "trace_speed_list": ((0, "trace", 1, "speed"), [1]),
+    "trace_speed_text_past_a_float": ((0, "trace", 1, "speed"), "1e400"),
+    "trace_speed_true": ((0, "trace", 1, "speed"), True),
+    "trace_object": ((0, "trace"), {}),
+    "trace_going_back_in_time": ((0, "trace", 2, "t"), -5.0),
+    "duration_text": ((0, "duration_s"), "1.5"),
+    "duration_true": ((0, "duration_s"), True),
+    "duration_nan": ((0, "duration_s"), math.nan),
+    "lane_width_text": ((0, "lane_width"), "4"),
+    "repeated_id": ((1, "id"), "test_00000"),
+    "feature_null": ((0, "features", "length"), None),
+    "feature_list": ((0, "features", "length"), [1.0]),
+}
+# the edits that a trace-free read (FIX, REACH) also refuses
+TRACE_FREE_EDITS = [case for case in DATASET_EDITS
+                    if not case.startswith("trace_") or case == "trace_object"]
 
 
 def _edit_dataset(text, case):
@@ -677,9 +821,15 @@ def _edit_dataset(text, case):
         return '[["x"]]'
     if case == "capitalised_label":
         return text.replace('"label": "unsafe"', '"label": "Unsafe"')
+    if case == "nested_too_deep":
+        return DEEP
+    rows = json.loads(text)
     if case == "road_point_of_one_coordinate":
-        rows = json.loads(text)
         rows[0]["road_points"][1] = rows[0]["road_points"][1][:1]
+        return json.dumps(rows)
+    if case in DATASET_EDITS:
+        where, value = DATASET_EDITS[case]
+        node_at(rows, where[:-1])[where[-1]] = value
         return json.dumps(rows)
     return text[:-3]                          # "json_syntax_error"
 
@@ -692,88 +842,127 @@ BAD_ROAD_POINTS = {
     "road_point_holding_text": [[10, 10], [20, "10"], [30, 10]],
     "road_point_past_float": [[10, 10], [10**400, 10], [30, 10]],
 }
+# road file texts that are not JSON of a road
+BAD_ROAD_TEXTS = {"road_json_syntax_error": '{"id": ',
+                  "road_nested_too_deep": DEEP}
 
 
 @pytest.mark.parametrize("command, case", [
     *((command, case) for command in ("benchmark", "predict")
       for case in ("empty", "short_row", "extra_column", "fractional_count",
-                   "capitalised_label")),
+                   "capitalised_label", "direct_distance_nan",
+                   "direct_distance_inf", "direct_distance_-inf",
+                   "direct_distance_1e400", "features_missing")),
     *((command, case) for command in ("can-convert", "experiment")
       for case in ("top_level_object", "rows_not_objects",
                    "rows_holding_lists", "capitalised_label",
-                   "json_syntax_error", "road_point_of_one_coordinate")),
-    *(("extract-features", case) for case in (
-        "road_json_syntax_error", "road_of_two_points", "road_crossing_itself",
-        *BAD_ROAD_POINTS)),
-    *(("predict", case) for case in ("road_of_two_points",
-                                     "road_crossing_itself", *BAD_ROAD_POINTS)),
+                   "json_syntax_error", "road_point_of_one_coordinate",
+                   "nested_too_deep", "dataset_missing", *TRACE_FREE_EDITS)),
+    *(("can-convert", case) for case in DATASET_EDITS
+      if case not in TRACE_FREE_EDITS),
+    *(("extract-features", case) for case in ("feature_null", "feature_list")),
+    *((command, case) for command in ("extract-features", "predict")
+      for case in ("road_of_two_points", "road_crossing_itself",
+                   *BAD_ROAD_POINTS, *BAD_ROAD_TEXTS, "roads_missing")),
     ("can-convert", "mapping_json_syntax_error"),
+    ("can-convert", "mapping_nested_too_deep"),
+    ("can-convert", "mapping_missing"),
     ("can-convert", "dbc_bad_signal_line"),
     ("can-convert", "dbc_not_utf8"),
+    ("can-convert", "dbc_missing"),
     ("can-play", "empty_playback"),
     ("can-play", "bad_playback_row"),
     ("can-play", "playback_not_utf8"),
+    ("can-play", "playback_missing"),
+    ("generate", "config_nested_too_deep"),
+    ("generate", "config_not_utf8"),
+    ("predict", "model_not_utf8"),
 ])
 def test_malformed_input_file_names_itself(run_dir, tmp_path, capsys, command,
                                            case):
-    """A malformed feature CSV, dataset, road, mapping, DBC or playback file
-    exits 2 with its path in the error, and the line where it is known,
-    never with a traceback or by reading a bad label as safe."""
+    """A missing, unreadable or malformed feature CSV, dataset, road,
+    mapping, DBC, playback, config or model file exits 2 with its path in
+    the error, and the line where it is known, never with a traceback or
+    by reading a bad label as safe."""
     line = None
-    if case.startswith("road_") and command not in ("can-convert", "experiment"):
+    if case == "roads_missing":
+        bad = tmp_path / "nowhere"
+        argv = [command, "--roads", str(bad), "--out", str(tmp_path / "f.csv")]
+    elif case.startswith("road_") and command not in ("can-convert", "experiment"):
         bad = tmp_path / "roads" / "r.json"
         bad.parent.mkdir()
         points = BAD_ROAD_POINTS.get(case, (
             [[10, 10], [20, 10]] if case == "road_of_two_points"
             else [[10, 10], [100, 10], [100, 12], [10, 14]]))
-        bad.write_text('{"id": ' if case == "road_json_syntax_error"
-                       else json.dumps({"id": "r", "lane_width": 4.0,
-                                        "road_points": points}))
+        bad.write_text(BAD_ROAD_TEXTS.get(case) or json.dumps(
+            {"id": "r", "lane_width": 4.0, "road_points": points}))
         argv = [command, "--roads", str(bad.parent),
                 "--out", str(tmp_path / "f.csv")]
-    elif case == "mapping_json_syntax_error":
+    elif case.startswith("mapping_"):
         bad = tmp_path / "map.json"
-        bad.write_text("[1,")
+        if case != "mapping_missing":
+            bad.write_text("[1," if case == "mapping_json_syntax_error" else DEEP)
         argv = [command, "--simulation", str(run_dir / "simulation.full.json"),
                 "--mapping", str(bad), "--out", str(tmp_path / "c")]
     elif case.startswith("dbc_"):
         bad = tmp_path / "bad.dbc"
-        bad.write_bytes(b"BO_ 256 VEHICLE_DYNAMICS: 8 ECU\n"
-                        + (b"SG_ bad\n" if case == "dbc_bad_signal_line"
-                           else b" SG_ speed \xff\n"))
-        line = 2
+        if case != "dbc_missing":
+            bad.write_bytes(b"BO_ 256 VEHICLE_DYNAMICS: 8 ECU\n"
+                            + (b"SG_ bad\n" if case == "dbc_bad_signal_line"
+                               else b" SG_ speed \xff\n"))
+            line = 2
         argv = [command, "--simulation", str(run_dir / "simulation.full.json"),
                 "--dbc", str(bad), "--out", str(tmp_path / "c")]
     elif command == "can-play":
         bad = tmp_path / f"{case}.canplayback.csv"
         rows = {"bad_playback_row": b"0,zz,2,aabb\n",
                 "playback_not_utf8": b"0,100,2,aabb\n20,100,2,aa\xffb\n"}
-        bad.write_bytes(canbus.CSV_HEADER.encode() + b"\n" + rows[case]
-                        if case in rows else b"")
-        line = {"bad_playback_row": 2, "playback_not_utf8": 3}.get(case, 1)
+        if case != "playback_missing":
+            bad.write_bytes(canbus.CSV_HEADER.encode() + b"\n" + rows[case]
+                            if case in rows else b"")
+            line = {"bad_playback_row": 2, "playback_not_utf8": 3}.get(case, 1)
         argv = [command, "--playback", str(bad),
                 "--target", f"file://{tmp_path / 'out.bin'}", "--pacing", "fast"]
+    elif case.startswith("config_"):
+        bad = tmp_path / "cfg.json"
+        if case == "config_not_utf8":
+            bad.write_bytes(b'{"out": "\xff"}\n')
+            line = 1
+        else:
+            bad.write_text(DEEP)
+        argv = [command, "--config", str(bad)]
+    elif case == "model_not_utf8":
+        bad = tmp_path / "model.json"
+        bad.write_bytes(b'{"family": "\xff"}\n')
+        line = 1
+        argv = [command, "--model", str(bad),
+                "--features", str(run_dir / "features.csv"),
+                "--out", str(tmp_path / "o")]
     elif command in ("benchmark", "predict"):
         bad = tmp_path / f"{case}.csv"
-        bad.write_text(_edit_feature_csv(
-            (run_dir / "features.csv").read_text(), case))
+        if case != "features_missing":
+            bad.write_text(_edit_feature_csv(
+                (run_dir / "features.csv").read_text(), case))
+        if case.startswith("direct_distance_"):
+            line = 2
         argv = [command, "--features", str(bad), "--out", str(tmp_path / "o")]
         if command == "benchmark":
             argv += ["--models", "naive_bayes", "--k", "3", "--seed", "1"]
     else:
         bad = tmp_path / f"{case}.json"
-        bad.write_text(_edit_dataset(
-            (run_dir / "simulation.full.json").read_text(), case))
+        if case != "dataset_missing":
+            bad.write_text(_edit_dataset(
+                (run_dir / "simulation.full.json").read_text(), case))
         argv = [command, "--out", str(tmp_path / "o")]
-        if command == "can-convert":
-            argv += ["--simulation", str(bad)]
-        else:
+        if command == "experiment":
             cfg = tmp_path / "exp.json"
             cfg.write_text(json.dumps({
                 "protocol": "fix", "dataset": str(bad), "strategy": "random",
                 "S": 2, "pool": {"safe": 2, "unsafe": 0}, "seeds": [1]}))
             argv += ["--config", str(cfg)]
-    if command == "predict":
+        else:
+            argv += ["--simulation", str(bad)]
+    if command == "predict" and "--model" not in argv:
         bench = tmp_path / "bench"
         assert main(["benchmark", "--features", str(run_dir / "features.csv"),
                      "--models", "naive_bayes", "--k", "3", "--seed", "1",
@@ -838,6 +1027,34 @@ class TestCanCommands:
             assert code == 0 and "holds no traces" in captured.out
         else:
             assert code == 2 and "sample_period_ms" in captured.err
+
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_a_changed_dataset_converts_or_is_named(self, tiny_dataset,
+                                                    tmp_path_factory, data):
+        base = tmp_path_factory.getbasetemp()
+        path = base / "changed.full.json"
+        path.write_text(json.dumps(changed_node(data, tiny_dataset,
+                                                caps={"t": 5.0})))
+        code, err = run_main(["can-convert", "--simulation", str(path),
+                              "--out", str(base / "changed_can")])
+        assert_ran_or_named(code, err, path)
+
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_a_changed_mapping_converts_or_is_named(self, tiny_dataset,
+                                                    tmp_path_factory, data):
+        base = tmp_path_factory.getbasetemp()
+        sim = base / "tiny.full.json"
+        sim.write_text(json.dumps(tiny_dataset))
+        entries = [dict(zip(("field", "message", "signal", "factor"), entry))
+                   for entry in canbus.DEFAULT_MAPPING.entries]
+        path = base / "changed_mapping.json"
+        path.write_text(json.dumps(changed_node(data, entries)))
+        code, err = run_main(["can-convert", "--simulation", str(sim),
+                              "--mapping", str(path),
+                              "--out", str(base / "mapped_can")])
+        assert_ran_or_named(code, err, path)
 
     def test_malformed_dbc_is_config_error(self, run_dir, tmp_path):
         bad = tmp_path / "bad.dbc"

@@ -234,6 +234,19 @@ class TestFamilies:
         with pytest.raises(SingleClassDataset):
             fit(ClassifierSpec("logistic"), X, np.zeros(20, dtype=int), NAMES2, 0)
 
+    @pytest.mark.parametrize("predict, parameters", [
+        ("_predict_linear", {"weights": [1e308, 1e308], "bias": 0.0}),
+        ("_predict_boosting", {"init": 0.0, "learning_rate": 1e308,
+                               "trees": [{"leaf": True, "value": 1e308},
+                                         {"leaf": True, "value": -1e308}]}),
+    ])
+    def test_a_nan_score_predicts_unsafe(self, predict, parameters):
+        # finite parameters whose score is inf - inf: the tie rule sends
+        # an undecided row to unsafe
+        with np.errstate(over="ignore", invalid="ignore"):
+            codes = getattr(models, predict)(parameters, np.array([[2.0, -2.0]]))
+        assert codes.tolist() == [UNSAFE_CODE]
+
     def test_degenerate_forest_matches_plain_tree(self):
         # one tree, all features, no depth/pruning difference: the forest
         # canopy is a single unpruned gain tree

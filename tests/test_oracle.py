@@ -334,33 +334,43 @@ _EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7e308)
 
 
 @st.composite
-def _test_cases(draw, floats):
+def _test_cases(draw, floats, readable=False):
     """One to three tests with drawn values in every field save_dataset
-    writes; a trace may be empty, and the counts are ints."""
+    writes; a trace may be empty, the counts are ints and the other
+    features finite, as FeatureVector requires. Readable tests are ones
+    load_dataset takes back: distinct ids, durations and lane widths > 0
+    and traces in time order."""
+    finite = floats.filter(math.isfinite)
+    positive = floats.filter(lambda v: v > 0) if readable else floats
     tests = []
-    for _ in range(draw(st.integers(1, 3))):
+    for test_id in draw(st.lists(st.text(max_size=6), min_size=1, max_size=3,
+                                 unique=readable)):
         points = tuple((10.0 * k + draw(st.floats(0.0, 5.0)),
                         draw(st.floats(0.0, 200.0)))
                        for k in range(draw(st.integers(3, 5))))
         features = FeatureVector(**{
             name: draw(st.integers(0, 10**6) if name in _INT_FEATURES
-                       else floats)
+                       else finite)
             for name in FEATURE_NAMES})
-        trace = tuple(VehicleState(*draw(st.lists(floats, min_size=8,
-                                                  max_size=8)), 0.0)
-                      for _ in range(draw(st.integers(0, 3))))
+        states = [draw(st.lists(floats, min_size=8, max_size=8))
+                  for _ in range(draw(st.integers(0, 3)))]
+        if readable:
+            states.sort(key=lambda values: values[0])    # by t
         outcome = TestOutcome(label=draw(st.sampled_from([SAFE, UNSAFE])),
-                              duration=draw(floats),
-                              max_abs_lateral_offset=0.0, trace=trace)
+                              duration=draw(positive),
+                              max_abs_lateral_offset=0.0,
+                              trace=tuple(VehicleState(*values, 0.0)
+                                          for values in states))
         tests.append(TestCase(
-            id=draw(st.text(max_size=6)),
-            road=RoadPoints(points=points, lane_width=draw(floats)),
+            id=test_id,
+            road=RoadPoints(points=points, lane_width=draw(positive)),
             features=features, outcome=outcome))
     return tests
 
 
 def _edge_case():
-    values = (_EDGE_FLOATS * 4)[:len(FEATURE_NAMES)]
+    finite = [v for v in _EDGE_FLOATS if math.isfinite(v)]
+    values = (finite * 6)[:len(FEATURE_NAMES)]
     features = FeatureVector(**{
         name: 7 if name in _INT_FEATURES else value
         for name, value in zip(FEATURE_NAMES, values)})
@@ -387,7 +397,8 @@ class TestDatasetWriter:
         assert (tmp_path / "d.json").read_text() == _json_reference([])
 
     @settings(max_examples=15)
-    @given(tests=_test_cases(st.floats(allow_nan=False, allow_infinity=False)))
+    @given(tests=_test_cases(st.floats(allow_nan=False, allow_infinity=False),
+                             readable=True))
     def test_finite_values_read_back(self, tmp_path_factory, tests):
         path = tmp_path_factory.mktemp("writer") / "simulation.full.json"
         save_dataset(path, tests)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadsift.ml import UNSAFE_CODE
+from roadsift.ml import UNSAFE_CODE, load_model, save_model
 from roadsift.ml.models import TrainedClassifier
 from roadsift.oracle import UNSAFE
 from roadsift.selection import (
@@ -294,6 +295,23 @@ class TestRealTime:
         model, _ = moderate_model
         cfg = RealTimeConfig(mode="pretrained", budget_s=self.BUDGET, model=model)
         assert run_realtime(cfg, rng_seed=3) == run_realtime(cfg, rng_seed=3)
+
+    def test_pretrained_reads_features_by_name(self, moderate_model, tmp_path):
+        # reversing a model file's feature names together with its weights
+        # and standardisation gives the same model
+        model, _ = moderate_model
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        for values in (payload["feature_names"], payload["parameters"]["weights"],
+                       *payload["standardization"].values()):
+            values.reverse()
+        reversed_path = tmp_path / "reversed.json"
+        reversed_path.write_text(json.dumps(payload))
+        results = [run_realtime(RealTimeConfig(mode="pretrained", budget_s=300.0,
+                                               model=load_model(p)), rng_seed=1)
+                   for p in (path, reversed_path)]
+        assert results[0] == results[1]
 
     def test_adaptive_retrains_and_reports(self):
         cfg = RealTimeConfig(mode="adaptive", budget_s=self.BUDGET, warmup_n=12)
