@@ -21,7 +21,7 @@ import re
 import socket
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -30,6 +30,7 @@ from .oracle import TRACE_KEYS
 
 LITTLE_ENDIAN = "little"
 BIG_ENDIAN = "big"
+MAX_U32 = (1 << 32) - 1     # the wire's timestamp and can_id fields
 
 
 class DbcSyntaxError(ValueError):
@@ -87,8 +88,17 @@ class CanSignalDef:
         if not 0 <= self.start_bit <= 63:
             raise SignalOutOfFrame(
                 f"{self.name}: start_bit {self.start_bit} outside 0..63")
+        values = (self.scale, self.offset, self.minimum, self.maximum)
+        if not (all(map(math.isfinite, values)) and self.scale != 0):
+            raise ValueError(f"{self.name}: scale, offset, min and max must be "
+                             f"finite numbers and scale not 0, got {values}")
         if self.minimum > self.maximum:
             raise ValueError(f"{self.name}: min > max")
+        # a clamped value's raw field lies between these two
+        if not all(math.isfinite((end - self.offset) / self.scale)
+                   for end in (self.minimum, self.maximum)):
+            raise ValueError(f"{self.name}: [min, max] has no finite raw "
+                             "values at this scale and offset")
 
     def bit_positions(self) -> list[int]:
         """Frame bit indices (byte*8 + bit-in-byte, LSB=0) occupied by the
@@ -116,6 +126,9 @@ class CanMessageDef:
     signals: tuple[CanSignalDef, ...]
 
     def __post_init__(self):
+        if not 0 <= self.can_id <= MAX_U32:
+            raise ValueError(f"{self.name}: can_id {self.can_id} does not fit "
+                             "the wire's 32 bits")
         if not 0 <= self.dlc <= 8:
             raise ValueError(f"{self.name}: dlc {self.dlc} outside 0..8")
         seen: dict[int, str] = {}
@@ -147,6 +160,7 @@ class CanDatabase:
         raise MappingError(f"no message named {name}")
 
 
+_LINE_KINDS = {"BO_ ": "message", "SG_ ": "signal"}
 _BO_RE = re.compile(r"^BO_\s+(\d+)\s+(\w+)\s*:\s*(\d+)\s+(\S+)\s*$")
 _SG_RE = re.compile(
     r"^\s*SG_\s+(\w+)\s*:\s*(\d+)\|(\d+)@([01])([+-])\s*"
@@ -165,28 +179,29 @@ def read_dbc(path: str | Path) -> CanDatabase:
 
 
 def parse_dbc(text: str) -> CanDatabase:
-    """Parse the BO_/SG_ subset; other line kinds are ignored."""
-    messages: list[dict] = []
+    """Parse the BO_/SG_ subset; other line kinds are ignored. A line that
+    does not parse is a DbcSyntaxError; a message or signal that is out of
+    range, overlaps another signal or reuses a message name raises its
+    own error, prefixed with the line."""
+    messages: dict[str, CanMessageDef] = {}     # by name, in file order
+    last = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
-        stripped = line.strip()
-        if stripped.startswith("BO_ "):
-            m = _BO_RE.match(stripped)
-            if not m:
-                raise DbcSyntaxError(f"bad message line: {stripped!r}", lineno)
-            messages.append({
-                "can_id": int(m.group(1)),
-                "name": m.group(2),
-                "dlc": int(m.group(3)),
-                "signals": [],
-            })
-        elif stripped.startswith("SG_ "):
-            m = _SG_RE.match(stripped)
-            if not m:
-                raise DbcSyntaxError(f"bad signal line: {stripped!r}", lineno)
-            if not messages:
-                raise DbcSyntaxError("signal line before any message", lineno)
-            try:
+        stripped = raw.strip()
+        kind = _LINE_KINDS.get(stripped[:4])
+        if kind is None:
+            continue
+        m = (_BO_RE if kind == "message" else _SG_RE).match(stripped)
+        if not m:
+            raise DbcSyntaxError(f"bad {kind} line: {stripped!r}", lineno)
+        if kind == "signal" and last is None:
+            raise DbcSyntaxError("signal line before any message", lineno)
+        try:
+            if kind == "message":
+                if m.group(2) in messages:
+                    raise ValueError(f"message {m.group(2)} is defined twice")
+                last = CanMessageDef(can_id=int(m.group(1)), name=m.group(2),
+                                     dlc=int(m.group(3)), signals=())
+            else:
                 sig = CanSignalDef(
                     name=m.group(1),
                     start_bit=int(m.group(2)),
@@ -198,13 +213,12 @@ def parse_dbc(text: str) -> CanDatabase:
                     minimum=float(m.group(8)),
                     maximum=float(m.group(9)),
                     unit=m.group(10))
-            except ValueError as exc:
-                raise DbcSyntaxError(str(exc), lineno) from exc
-            messages[-1]["signals"].append(sig)
-    return CanDatabase(messages=tuple(
-        CanMessageDef(can_id=m["can_id"], name=m["name"], dlc=m["dlc"],
-                      signals=tuple(m["signals"]))
-        for m in messages))
+                # the message checks its signals' bits again with each one
+                last = replace(last, signals=last.signals + (sig,))
+        except ValueError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
+        messages[last.name] = last
+    return CanDatabase(messages=tuple(messages.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +415,9 @@ def read_playback_csv(path: str | Path) -> list[PlaybackRecord]:
     """Read a file written by write_playback_csv; a file holding only the
     header is an empty playback. Raises ValueError naming the file, and
     the line where known, when it cannot be read or is not UTF-8, and
-    CsvFormatError when it is empty, its header is wrong or a row is bad."""
+    CsvFormatError when it is empty, its header is wrong or a row is bad:
+    a field that does not parse, a timestamp or can_id outside the wire's
+    u32, a dlc past classic CAN's 8 bytes or unlike the data's length."""
     records = []
     prev_ts = None
     with io.StringIO(read_text(path), newline=None) as fh:
@@ -424,9 +440,12 @@ def read_playback_csv(path: str | Path) -> list[PlaybackRecord]:
                 data = bytes.fromhex(parts[3])
             except ValueError as exc:
                 raise CsvFormatError(path, lineno, str(exc)) from exc
-            if dlc != len(data):
-                raise CsvFormatError(path, lineno,
-                                     f"dlc {dlc} != data length {len(data)}")
+            if not (0 <= ts <= MAX_U32 and 0 <= can_id <= MAX_U32
+                    and dlc == len(data) <= 8):
+                raise CsvFormatError(
+                    path, lineno, f"timestamp_ms {ts} and can_id {parts[1]} "
+                    f"must fit the wire's u32, and dlc {dlc} be the data's "
+                    f"{len(data)} bytes, at most 8")
             if prev_ts is not None and ts < prev_ts:
                 raise CsvFormatError(path, lineno,
                                      f"timestamp {ts} decreases from {prev_ts}")

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import canbus, selection
 from .features import (
+    LABELS,
     FeatureVector,
     extract_features,
     read_feature_csv,
@@ -36,7 +37,6 @@ from .ml import (
     ClassifierSpec,
     FeatureMismatch,
     LabeledDataset,
-    UNSAFE_CODE,
     canonical_form,
     dataset_from_rows,
     fit,
@@ -49,8 +49,6 @@ from .ml import (
     shared_fit_key,
 )
 from .oracle import (
-    SAFE,
-    UNSAFE,
     DriverConfig,
     build_dataset,
     load_dataset,
@@ -104,7 +102,7 @@ def _resolve(args, config: dict, keys: dict):
     any JSON value), then checked against the choices. Null is not given."""
     unknown = set(config) - set(keys)
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"{args.config}: unknown config keys: {sorted(unknown)}")
     for key, value in config.items():
         if getattr(args, key) is not None or value is None:
             continue
@@ -114,13 +112,18 @@ def _resolve(args, config: dict, keys: dict):
                 raise ValueError
             parsed = value if kind in (bool, None) else kind(str(value))
         except ValueError:
-            raise ValueError(f"config key {key!r}: invalid {kind.__name__} "
-                             f"value: {value!r}") from None
+            raise _config_error(args, key, f"invalid {kind.__name__} value: "
+                                f"{value!r}") from None
         if choices is not None and parsed not in choices:
-            raise ValueError(f"config key {key!r}: invalid choice: {parsed!r} "
-                             f"(choose from {', '.join(map(repr, choices))})")
+            raise _config_error(args, key, f"invalid choice: {parsed!r} (choose "
+                                f"from {', '.join(map(repr, choices))})")
         setattr(args, key, parsed)
     return args
+
+
+def _config_error(args, key: str, message: str) -> ValueError:
+    """The error for a refused config value: the config file, the key, why."""
+    return ValueError(f"{args.config}: config key {key!r}: {message}")
 
 
 def _require(args, *names):
@@ -288,7 +291,7 @@ def cmd_predict(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["test_id", "predicted"])
         for (tid, _), code in zip(rows, codes.tolist()):
-            writer.writerow([tid, UNSAFE if code == UNSAFE_CODE else SAFE])
+            writer.writerow([tid, LABELS[code]])
     print(f"{len(rows)} predictions -> {args.out}")
     return EXIT_OK
 
@@ -330,11 +333,11 @@ def cmd_experiment(args) -> int:
         _require(args, "seed")
         reps = 30 if args.repetitions is None else args.repetitions
         if reps < 1:
-            raise ValueError(f"repetitions must be >= 1, got {reps}")
+            raise _config_error(args, "repetitions", f"{reps} is not >= 1")
         seeds = [args.seed + i for i in range(reps)]
     elif not (isinstance(seeds, list)
               and all(type(seed) is int for seed in seeds)):
-        raise ValueError(f"seeds must be a list of integers, got {seeds!r}")
+        raise _config_error(args, "seeds", f"{seeds!r} is not a list of integers")
     cost = selection.CostModel(**_given(args, "overhead_s"))
 
     rows = []
@@ -343,8 +346,8 @@ def cmd_experiment(args) -> int:
         pool_cfg = args.pool
         if not (isinstance(pool_cfg, dict) and pool_cfg.keys() == {"safe", "unsafe"}
                 and all(type(n) is int and n >= 0 for n in pool_cfg.values())):
-            raise ValueError('pool must be an object with exactly "safe" and '
-                             f'"unsafe" counts, each an int >= 0, got {pool_cfg!r}')
+            raise _config_error(args, "pool", f'{pool_cfg!r} is not an object of '
+                                'exactly "safe" and "unsafe" counts, each an int >= 0')
         tests = load_dataset(args.dataset, keep_traces=False)
         if args.strategy == "model":
             _require(args, "model")
@@ -411,10 +414,11 @@ def cmd_can_convert(args) -> int:
         mapping = canbus.SignalMapping(entries=tuple(
             (e["field"], e["message"], e["signal"], float(e["factor"]))
             for e in entries))
-        try:                    # checked once, so also without traces
-            mapping.validate(db, canbus.TRACE_KEYS)
-        except ValueError as exc:
-            raise ValueError(f"{args.mapping}: {exc}") from None
+    try:                        # checked once, so also without traces
+        mapping.validate(db, canbus.TRACE_KEYS)
+    except ValueError as exc:   # names the mapping, the DBC or both
+        files = " with ".join(p for p in (args.mapping, args.dbc) if p)
+        raise ValueError(f"{files}: {exc}") from None
     period = _given(args, sample_period_ms="period_ms")
     if period:                  # checked once, so also without traces
         canbus.check_sample_period(**period)

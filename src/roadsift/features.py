@@ -28,7 +28,21 @@ from .geometry import (
     self_intersects,
 )
 from .inputs import is_number, read_text
-from .ml.models import label_code
+
+# the oracle's verdicts, the only labels a test carries; a verdict's class
+# code, which the classifiers learn (unsafe is the positive class), is its
+# index in LABELS
+SAFE, UNSAFE = LABELS = ("safe", "unsafe")
+SAFE_CODE, UNSAFE_CODE = 0, 1
+_LABEL_CODES = {label: code for code, label in enumerate(LABELS)}
+
+
+def label_code(label) -> int:
+    """The class code of a verdict label. Raises ValueError for anything
+    but "safe" or "unsafe", so no other value is taken for either class."""
+    if isinstance(label, str) and label in _LABEL_CODES:
+        return _LABEL_CODES[label]
+    raise ValueError(f"label {label!r} is neither 'safe' nor 'unsafe'")
 
 
 @dataclass(frozen=True)

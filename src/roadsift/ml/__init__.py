@@ -1,5 +1,6 @@
 """Classifier training, evaluation, tuning, and persistence."""
 
+from ..features import SAFE_CODE, UNSAFE_CODE, label_code
 from .evaluate import (
     EmptySplit,
     EvalReport,
@@ -22,8 +23,6 @@ from .models import (
     DEFAULT_HYPERPARAMETERS,
     FAMILIES,
     GRID_DOMAINS,
-    SAFE_CODE,
-    UNSAFE_CODE,
     ClassifierSpec,
     CorruptModelFile,
     FeatureMismatch,
@@ -32,7 +31,6 @@ from .models import (
     canonical_form,
     fit,
     fit_many,
-    label_code,
     load_model,
     save_model,
     shared_fit_key,

@@ -11,15 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..features import FEATURE_NAMES, SAFE_CODE, UNSAFE_CODE, label_code
 from .models import (
-    SAFE_CODE,
-    UNSAFE_CODE,
     ClassifierSpec,
     SingleClassDataset,
     TrainedClassifier,
+    class_heads,
     fit,  # unused here; perfbench/tracer.py wraps it under this name
     fit_many,
-    label_code,
+    shuffled_classes,
 )
 
 
@@ -60,8 +60,6 @@ class LabeledDataset:
 def dataset_from_rows(rows) -> LabeledDataset:
     """Build the matrix view from labelled (id, FeatureVector, label) rows.
     Raises ValueError on a label other than "safe" or "unsafe"."""
-    from ..features import FEATURE_NAMES
-
     return LabeledDataset(
         np.array([vec.as_array() for _, vec, _ in rows]),
         np.array([label_code(label) for _, _, label in rows]),
@@ -96,18 +94,12 @@ def split(ds: LabeledDataset, train_fraction: float, rng_seed: int,
     balance, the test side keeps the raw distribution."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    rng = np.random.default_rng(rng_seed)
-    train_idx, test_idx = [], []
-    for cls in (SAFE_CODE, UNSAFE_CODE):
-        idx = np.flatnonzero(ds.y == cls)
-        idx = idx[rng.permutation(len(idx))]
-        k = int(round(train_fraction * len(idx)))
-        train_idx.extend(idx[:k])
-        test_idx.extend(idx[k:])
-    if not train_idx or not test_idx:
+    train_mask = class_heads(ds.y, rng_seed,
+                             lambda n: int(round(train_fraction * n)))
+    if train_mask.all() or not train_mask.any():
         raise EmptySplit("split leaves an empty side")
-    train = ds.subset(np.sort(train_idx))
-    test = ds.subset(np.sort(test_idx))
+    train = ds.subset(np.flatnonzero(train_mask))
+    test = ds.subset(np.flatnonzero(~train_mask))
     if oversample_train:
         train = oversample_minority(train, rng_seed + 1)
     return train, test
@@ -121,14 +113,7 @@ def balanced_training_set(ds: LabeledDataset, train_fraction: float,
     per_class = int(train_fraction * min(n_safe, n_unsafe))
     if per_class < 1:
         raise EmptySplit("not enough rows for a balanced training set")
-    rng = np.random.default_rng(rng_seed)
-    train_idx = []
-    for cls in (SAFE_CODE, UNSAFE_CODE):
-        idx = np.flatnonzero(ds.y == cls)
-        idx = idx[rng.permutation(len(idx))]
-        train_idx.extend(idx[:per_class])
-    train_mask = np.zeros(len(ds), dtype=bool)
-    train_mask[train_idx] = True
+    train_mask = class_heads(ds.y, rng_seed, lambda n: per_class)
     return ds.subset(np.flatnonzero(train_mask)), ds.subset(np.flatnonzero(~train_mask))
 
 
@@ -196,18 +181,10 @@ def confusion_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[
 def stratified_folds(y: np.ndarray, k: int, rng_seed: int) -> list[np.ndarray]:
     """k disjoint, exhaustive, stratified folds with sizes differing by at
     most one."""
-    rng = np.random.default_rng(rng_seed)
-    buckets: list[list[int]] = [[] for _ in range(k)]
-    offset = 0
-    for cls in (SAFE_CODE, UNSAFE_CODE):
-        idx = np.flatnonzero(y == cls)
-        idx = idx[rng.permutation(len(idx))]
-        # deal round-robin, continuing from where the previous class stopped
-        # so fold sizes stay within one of each other overall
-        for i, row in enumerate(idx):
-            buckets[(offset + i) % k].append(int(row))
-        offset += len(idx)
-    return [np.sort(np.array(b, dtype=np.int64)) for b in buckets]
+    # deal round-robin, the unsafe class on from where the safe class
+    # stopped, so fold sizes stay within one of each other overall
+    order = np.concatenate(shuffled_classes(y, rng_seed))
+    return [np.sort(order[j::k]) for j in range(k)]
 
 
 def kfold_evaluate_many(ds: LabeledDataset, specs: list[ClassifierSpec],

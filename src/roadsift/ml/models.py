@@ -29,27 +29,15 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from statistics import NormalDist
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ..features import FEATURE_NAMES, SAFE_CODE, UNSAFE_CODE
 from ..inputs import is_number, is_vector, read_json
-
-SAFE_CODE = 0
-UNSAFE_CODE = 1
-# the oracle's verdict labels (oracle.SAFE, oracle.UNSAFE) by class code
-_LABEL_CODES = {"safe": SAFE_CODE, "unsafe": UNSAFE_CODE}
-
-
-def label_code(label) -> int:
-    """The class code of a verdict label. Raises ValueError for anything
-    but "safe" or "unsafe", so no other value is taken for either class."""
-    if isinstance(label, str) and label in _LABEL_CODES:
-        return _LABEL_CODES[label]
-    raise ValueError(f"label {label!r} is neither 'safe' nor 'unsafe'")
-
 
 MODEL_FORMAT_VERSION = 1
 
@@ -97,6 +85,25 @@ def _standardize_fit(X: np.ndarray):
     std = X.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
     return mean, std
+
+
+# ---------------------------------------------------------------------------
+# the stratified draw of splits, folds and prune sets
+
+def shuffled_classes(y, seed) -> list[np.ndarray]:
+    """Each class's row indices in a seeded order, safe class first."""
+    rng = np.random.default_rng(seed)
+    classes = [np.flatnonzero(y == cls) for cls in (SAFE_CODE, UNSAFE_CODE)]
+    return [idx[rng.permutation(len(idx))] for idx in classes]
+
+
+def class_heads(y, seed, size) -> np.ndarray:
+    """The mask of the first size(n) rows of each class of n rows, in
+    shuffled_classes(y, seed) order."""
+    mask = np.zeros(len(y), dtype=bool)
+    for idx in shuffled_classes(y, seed):
+        mask[idx[:size(len(idx))]] = True
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -1086,8 +1093,11 @@ def _check_naive_bayes(p, d):
         if not (isinstance(rows, list) and len(rows) == 2
                 and all(is_vector(row, d) for row in rows)):
             raise ValueError(f"{name} is not 2 lists of {d} finite numbers")
-    if not all(v > 0.0 for row in variances for v in row):
-        raise ValueError("a variance is not positive")
+    # prediction takes the log of 2π·var, which must stay finite
+    if not all(v > 0.0 and math.isfinite(2.0 * math.pi * v)
+               for row in variances for v in row):
+        raise ValueError("a variance is not positive, or 2π times it is "
+                         "not finite")
 
 
 def _decision_tree_form(hp, d):
@@ -1100,15 +1110,7 @@ def _decision_tree_form(hp, d):
 def _prune_mask(y, seed):
     """The rows reduced-error pruning holds out: a seeded fifth of each
     class, at least one row."""
-    rng = np.random.default_rng(seed)
-    prune_idx = []
-    for cls in (SAFE_CODE, UNSAFE_CODE):
-        idx = np.flatnonzero(y == cls)
-        idx = idx[rng.permutation(len(idx))]
-        prune_idx.extend(idx[: max(1, len(idx) // 5)])
-    prune_mask = np.zeros(len(y), dtype=bool)
-    prune_mask[prune_idx] = True
-    return prune_mask
+    return class_heads(y, seed, lambda n: max(1, n // 5))
 
 
 def _fit_decision_tree(sets, forms, seeds):
@@ -1368,18 +1370,16 @@ class TrainedClassifier:
         return _RECORDS[self.spec.family].predict(self.parameters, X)
 
     def feature_matrix(self, rows) -> np.ndarray:
-        """(n, d) matrix in the model's feature order from n feature
-        mappings (dicts or FeatureVectors)."""
-        table = []
-        for features in rows:
-            if hasattr(features, "as_dict"):
-                features = features.as_dict()
-            missing = [n for n in self.feature_names if n not in features]
-            if missing:
-                raise FeatureMismatch(f"missing features: {missing}")
-            table.append([features[n] for n in self.feature_names])
-        shape = (len(rows), len(self.feature_names))
-        return np.array(table, dtype=float).reshape(shape)
+        """(n, d) matrix in the model's feature order from a list of n
+        FeatureVectors. Raises FeatureMismatch when the model reads a name
+        that is not a feature."""
+        names = self.feature_names
+        missing = [n for n in names if n not in FEATURE_NAMES]
+        if missing:
+            raise FeatureMismatch(f"missing features: {missing}")
+        values = attrgetter(*names) if names else lambda row: ()
+        return np.array([values(row) for row in rows],
+                        dtype=float).reshape(len(rows), len(names))
 
 
 def fit_many(specs: list[ClassifierSpec], sets, feature_names: tuple[str, ...],

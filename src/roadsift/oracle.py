@@ -23,7 +23,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from .features import FEATURE_NAMES, FeatureVector, features_from_segments
+from .features import (
+    FEATURE_NAMES,
+    SAFE,
+    UNSAFE,
+    FeatureVector,
+    features_from_segments,
+    label_code,
+)
 from .geometry import (
     MAP_SIZE,
     RoadPoints,
@@ -35,10 +42,6 @@ from .geometry import (
     self_intersects,
 )
 from .inputs import are_numbers, is_number, positive, read_json
-from .ml.models import label_code
-
-SAFE = "safe"
-UNSAFE = "unsafe"
 
 
 class NonPositiveRadius(ValueError):

@@ -22,16 +22,16 @@ from typing import ClassVar
 
 import numpy as np
 
-from .features import FEATURE_NAMES
-from .ml.evaluate import confusion_from_predictions
-from .ml.models import (
+from .features import (
+    FEATURE_NAMES,
     SAFE_CODE,
     UNSAFE_CODE,
-    ClassifierSpec,
-    TrainedClassifier,
-    fit,
+    FeatureVector,
+    features_from_segments,
     label_code,
 )
+from .ml.evaluate import confusion_from_predictions
+from .ml.models import ClassifierSpec, TrainedClassifier, fit
 from .oracle import (
     DriverConfig,
     TestCase,
@@ -40,7 +40,6 @@ from .oracle import (
     segment_spine,
 )
 from .oracle import _simulate  # deterministic oracle core
-from .features import features_from_segments
 
 
 class InsufficientClassRows(ValueError):
@@ -63,7 +62,7 @@ class BudgetTooSmall(ValueError):
 class VisibleTest:
     """What a selector may see: identity and static features only."""
     id: str
-    features: dict[str, float]
+    features: FeatureVector
 
 
 class TestPool:
@@ -77,7 +76,7 @@ class TestPool:
         self._durations = {}
         self.revealed: set[str] = set()
         for tc in tests:
-            self._visible.append(VisibleTest(tc.id, tc.features.as_dict()))
+            self._visible.append(VisibleTest(tc.id, tc.features))
             self._labels[tc.id] = label_code(tc.outcome.label)
             self._durations[tc.id] = tc.outcome.duration
         self.composition = (
@@ -143,7 +142,7 @@ class RoadLengthStrategy:
 
     def order(self, pool: TestPool, rng: np.random.Generator) -> list[VisibleTest]:
         return sorted(pool.tests,
-                      key=lambda t: (-t.features["length"], t.id))
+                      key=lambda t: (-t.features.length, t.id))
 
 
 class ModelStrategy(RandomStrategy):

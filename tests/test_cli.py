@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,44 @@ def changed_node(data, document, caps=None):
     else:
         node_at(document, where[:-1])[where[-1]] = change
     return document
+
+
+def changed_bytes(data, blob: bytes) -> bytes:
+    """blob cut short at a drawn byte, or with a 0xff byte, which is never
+    UTF-8, inserted there."""
+    at = data.draw(st.integers(0, len(blob)), label="at")
+    if data.draw(st.booleans(), label="truncate"):
+        return blob[:at]
+    return blob[:at] + b"\xff" + blob[at:]
+
+
+def changed_json(data, document, caps=None) -> bytes:
+    """A JSON document's bytes with one drawn change: changed_node's, or
+    changed_bytes' on its text."""
+    if data.draw(st.booleans(), label="bytes"):
+        return changed_bytes(data, json.dumps(document).encode())
+    return json.dumps(changed_node(data, document, caps)).encode()
+
+
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?")
+# what a number token of a text file is replaced with
+NUMBER_CHANGES = ["0", "-1", "nan", "inf", "1e308", "x"]
+
+
+def changed_text(data, text: str) -> bytes:
+    """A text file's bytes with one drawn change: a line deleted, a number
+    token replaced by a NUMBER_CHANGES value, or changed_bytes' change."""
+    kind = data.draw(st.sampled_from(["line", "number", "bytes"]), label="kind")
+    if kind == "line":
+        lines = text.splitlines(keepends=True)
+        del lines[data.draw(st.integers(0, len(lines) - 1), label="line")]
+        return "".join(lines).encode()
+    if kind == "number":
+        start, end = data.draw(st.sampled_from(
+            [m.span() for m in NUMBER.finditer(text)]), label="token")
+        change = data.draw(st.sampled_from(NUMBER_CHANGES), label="change")
+        return (text[:start] + change + text[end:]).encode()
+    return changed_bytes(data, text.encode())
 
 
 def node_at(document, where):
@@ -272,11 +311,23 @@ class TestExtractAndPredict:
                                                        tmp_path_factory, family,
                                                        data):
         model = tmp_path_factory.getbasetemp() / f"changed_{family}.json"
-        model.write_text(json.dumps(changed_node(data, tiny_models[family])))
+        model.write_bytes(changed_json(data, tiny_models[family]))
         code, err = run_main(["predict", "--model", str(model),
                               "--features", str(run_dir / "features.csv"),
                               "--out", str(model.with_name("p.csv"))])
         assert_ran_or_named(code, err, model)
+
+    def test_a_naive_bayes_variance_past_the_log_is_named(self, run_dir,
+                                                          tiny_models, tmp_path):
+        # 2π · 1e308 overflows, which once scored a class -inf on every row
+        payload = copy.deepcopy(tiny_models["naive_bayes"])
+        payload["parameters"]["vars"][1][0] = 1e308
+        model = tmp_path / "nb.json"
+        model.write_text(json.dumps(payload))
+        code, err = run_main(["predict", "--model", str(model),
+                              "--features", str(run_dir / "features.csv"),
+                              "--out", str(tmp_path / "p.csv")])
+        assert code == 2 and str(model) in err and "variance" in err
 
     @settings(max_examples=15)
     @given(data=st.data())
@@ -286,7 +337,7 @@ class TestExtractAndPredict:
         roads = tmp_path_factory.getbasetemp() / "changed_roads"
         roads.mkdir(exist_ok=True)
         path = roads / "r.json"
-        path.write_text(json.dumps(changed_node(data, road)))
+        path.write_bytes(changed_json(data, road))
         code, err = run_main(["extract-features", "--roads", str(roads),
                               "--out", str(roads.with_name("f.csv"))])
         assert_ran_or_named(code, err, path)
@@ -535,8 +586,7 @@ class TestExperiment:
         }[protocol]
         base = tmp_path_factory.getbasetemp()
         path = base / f"changed_{protocol}.json"
-        path.write_text(json.dumps(changed_node(data, config,
-                                                caps={"budget_s": 20.0})))
+        path.write_bytes(changed_json(data, config, caps={"budget_s": 20.0}))
         code, err = run_main(["experiment", "--config", str(path),
                               "--out", str(base / f"changed_{protocol}")])
         assert code in (0, 2)
@@ -555,6 +605,26 @@ class TestExperiment:
         }))
         assert main(["experiment", "--config", str(cfg), "--seed", "1",
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("S", 1e308), ("repetitions", 0), ("seeds", [1, "2"]),
+        ("pool", {"safe": 2, "unsafe": -1})])
+    def test_a_refused_config_value_names_file_and_key(self, run_dir, tmp_path,
+                                                       key, value):
+        config = {"protocol": "fix",
+                  "dataset": str(run_dir / "simulation.full.json"),
+                  "strategy": "random", "S": 2,
+                  "pool": {"safe": 2, "unsafe": 1}, key: value}
+        # either seeds, or --seed with repetitions
+        seed = ["--seed", "1"] if key == "repetitions" else []
+        if key not in ("repetitions", "seeds"):
+            config["seeds"] = [1]
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(config))
+        code, err = run_main(["experiment", "--config", str(cfg), *seed,
+                              "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert err.startswith(f"error: {cfg}: config key {key!r}: ")
 
     @pytest.mark.parametrize("bad", [{"retrain_every": 0}, {"warmup_n": -1}])
     def test_out_of_range_realtime_setting_is_config_error(self, tmp_path, bad):
@@ -1034,8 +1104,7 @@ class TestCanCommands:
                                                     tmp_path_factory, data):
         base = tmp_path_factory.getbasetemp()
         path = base / "changed.full.json"
-        path.write_text(json.dumps(changed_node(data, tiny_dataset,
-                                                caps={"t": 5.0})))
+        path.write_bytes(changed_json(data, tiny_dataset, caps={"t": 5.0}))
         code, err = run_main(["can-convert", "--simulation", str(path),
                               "--out", str(base / "changed_can")])
         assert_ran_or_named(code, err, path)
@@ -1050,10 +1119,68 @@ class TestCanCommands:
         entries = [dict(zip(("field", "message", "signal", "factor"), entry))
                    for entry in canbus.DEFAULT_MAPPING.entries]
         path = base / "changed_mapping.json"
-        path.write_text(json.dumps(changed_node(data, entries)))
+        path.write_bytes(changed_json(data, entries))
         code, err = run_main(["can-convert", "--simulation", str(sim),
                               "--mapping", str(path),
                               "--out", str(base / "mapped_can")])
+        assert_ran_or_named(code, err, path)
+
+    # (text in DEFAULT_DBC, its replacement, the line the error names): each
+    # a value can-convert once ended on in a traceback, took without a
+    # word, or refused without naming the file
+    @pytest.mark.parametrize("old, new, line", [
+        ("(0.01,0)", "(0,0)", 2), ("(0.01,0)", "(0.01,inf)", 2),
+        ("(0.01,0)", "(nan,0)", 2), ("(0.01,0)", "(inf,0)", 2),
+        ("[0|655.35]", "[nan|655.35]", 2),
+        ("BO_ 257 STEERING", "BO_ 257 VEHICLE_DYNAMICS", 4),
+        ("BO_ 256", "BO_ 99999999999999", 1)],
+        ids=["scale_0", "offset_inf", "scale_nan", "scale_inf", "min_nan",
+             "name_reused", "id_past_u32"])
+    def test_a_bad_dbc_value_names_file_and_line(self, tiny_dataset, tmp_path,
+                                                 old, new, line):
+        sim = tmp_path / "tiny.full.json"
+        sim.write_text(json.dumps(tiny_dataset))
+        path = tmp_path / "bad.dbc"
+        path.write_text(DEFAULT_DBC.replace(old, new, 1))
+        code, err = run_main(["can-convert", "--simulation", str(sim),
+                              "--dbc", str(path), "--out", str(tmp_path / "c")])
+        assert code == 2 and f"{path}: line {line}: " in err
+
+    @pytest.mark.parametrize("row", [
+        "0,1ffffffffff,2,aabb", "99999999999,100,2,aabb", "-20,100,2,aabb",
+        "0,-100,2,aabb", "0,100,9,001122334455667788"],
+        ids=["id_past_u32", "timestamp_past_u32", "negative_timestamp",
+             "negative_id", "dlc_9"])
+    def test_a_bad_playback_value_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "bad.canplayback.csv"
+        path.write_text(f"{canbus.CSV_HEADER}\n{row}\n")
+        code, err = run_main(["can-play", "--playback", str(path), "--target",
+                              f"file://{tmp_path / 'out.bin'}"])
+        assert code == 2 and f"{path}, line 2: " in err
+
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_a_changed_dbc_converts_or_is_named(self, tiny_dataset,
+                                                tmp_path_factory, data):
+        base = tmp_path_factory.getbasetemp()
+        sim = base / "tiny.full.json"
+        sim.write_text(json.dumps(tiny_dataset))
+        path = base / "changed.dbc"
+        path.write_bytes(changed_text(data, DEFAULT_DBC))
+        code, err = run_main(["can-convert", "--simulation", str(sim),
+                              "--dbc", str(path),
+                              "--out", str(base / "dbc_can")])
+        assert_ran_or_named(code, err, path)
+
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_a_changed_playback_plays_or_is_named(self, tmp_path_factory, data):
+        base = tmp_path_factory.getbasetemp()
+        path = base / "changed.canplayback.csv"
+        path.write_bytes(changed_text(data, f"{canbus.CSV_HEADER}\n"
+                                      "0,100,2,aabb\n20,101,8,0011223344556677\n"))
+        code, err = run_main(["can-play", "--playback", str(path),
+                              "--target", f"file://{base / 'played.bin'}"])
         assert_ran_or_named(code, err, path)
 
     def test_malformed_dbc_is_config_error(self, run_dir, tmp_path):

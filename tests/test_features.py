@@ -1,10 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from roadsift.features import (
     FEATURE_NAMES,
+    LABELS,
+    SAFE,
+    SAFE_CODE,
+    UNSAFE,
+    UNSAFE_CODE,
     extract_attributes,
     extract_diversity,
     extract_features,
@@ -290,3 +298,21 @@ class TestFeatureCsv:
         value = line.split(",")[2]    # length column
         mantissa = value.replace(".", "").replace("-", "").lstrip("0")
         assert len(mantissa) >= 9
+
+
+class TestVerdictVocabulary:
+    def test_codes_index_the_labels(self):
+        assert LABELS[SAFE_CODE] == SAFE and LABELS[UNSAFE_CODE] == UNSAFE
+
+    @pytest.mark.parametrize("module", ["roadsift.geometry", "roadsift.features",
+                                        "roadsift.oracle", "roadsift.canbus"])
+    def test_the_data_layer_loads_no_model_code(self, module):
+        # a fresh interpreter, so modules other tests imported do not count
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, {module}; print(*sorted(sys.modules))"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        ).stdout.split()
+        assert module in loaded
+        assert not [m for m in loaded if m.startswith("roadsift.ml")]
