@@ -319,7 +319,8 @@ class TestExtractAndPredict:
 
     def test_a_naive_bayes_variance_past_the_log_is_named(self, run_dir,
                                                           tiny_models, tmp_path):
-        # 2π · 1e308 overflows, which once scored a class -inf on every row
+        # 2π · 1e308 overflows, and its log would score the class -inf on
+        # every row
         payload = copy.deepcopy(tiny_models["naive_bayes"])
         payload["parameters"]["vars"][1][0] = 1e308
         model = tmp_path / "nb.json"
@@ -1125,9 +1126,9 @@ class TestCanCommands:
                               "--out", str(base / "mapped_can")])
         assert_ran_or_named(code, err, path)
 
-    # (text in DEFAULT_DBC, its replacement, the line the error names): each
-    # a value can-convert once ended on in a traceback, took without a
-    # word, or refused without naming the file
+    # (text in DEFAULT_DBC, its replacement, the line the error names): a
+    # scale, offset or bound no frame can be packed with, a message name
+    # that two messages hold, and an id the wire's u32 cannot carry
     @pytest.mark.parametrize("old, new, line", [
         ("(0.01,0)", "(0,0)", 2), ("(0.01,0)", "(0.01,inf)", 2),
         ("(0.01,0)", "(nan,0)", 2), ("(0.01,0)", "(inf,0)", 2),
