@@ -181,9 +181,11 @@ def read_dbc(path: str | Path) -> CanDatabase:
 def parse_dbc(text: str) -> CanDatabase:
     """Parse the BO_/SG_ subset; other line kinds are ignored. A line that
     does not parse is a DbcSyntaxError; a message or signal that is out of
-    range, overlaps another signal or reuses a message name raises its
+    range or overlaps another signal, a message that reuses a message name
+    or can_id and a signal that reuses a name in its message raise their
     own error, prefixed with the line."""
     messages: dict[str, CanMessageDef] = {}     # by name, in file order
+    names_by_id: dict[int, str] = {}
     last = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -197,11 +199,19 @@ def parse_dbc(text: str) -> CanDatabase:
             raise DbcSyntaxError("signal line before any message", lineno)
         try:
             if kind == "message":
-                if m.group(2) in messages:
-                    raise ValueError(f"message {m.group(2)} is defined twice")
-                last = CanMessageDef(can_id=int(m.group(1)), name=m.group(2),
+                can_id, name = int(m.group(1)), m.group(2)
+                if name in messages:
+                    raise ValueError(f"message {name} is defined twice")
+                if can_id in names_by_id:
+                    raise ValueError(f"message {name} reuses can_id {can_id} "
+                                     f"of message {names_by_id[can_id]}")
+                names_by_id[can_id] = name
+                last = CanMessageDef(can_id=can_id, name=name,
                                      dlc=int(m.group(3)), signals=())
             else:
+                if any(sig.name == m.group(1) for sig in last.signals):
+                    raise ValueError(f"signal {m.group(1)} is defined twice "
+                                     f"in message {last.name}")
                 sig = CanSignalDef(
                     name=m.group(1),
                     start_bit=int(m.group(2)),

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, fields
+from functools import cache
 from itertools import chain
 from operator import attrgetter, itemgetter, le
 from pathlib import Path
@@ -41,7 +43,7 @@ from .geometry import (
     segment_spine,
     self_intersects,
 )
-from .inputs import are_numbers, is_number, positive, read_json
+from .inputs import are_numbers, is_number, positive, read_json, read_json_rows
 
 
 class NonPositiveRadius(ValueError):
@@ -474,6 +476,24 @@ def save_dataset(path: str | Path, tests: list[TestCase]) -> None:
     Path(path).write_text(_json_array(rows, 0) + "\n")
 
 
+# the JSON number grammar in ASCII digits; NaN and Infinity are not in it.
+# At most 100 digits before the point keep an integer under int()'s limit
+# on the digits it converts. The optional parts are written "(?:...|)",
+# which re matches faster than "(?:...)?"
+_NUMBER = r"-?(?:[1-9][0-9]{0,99}|0)(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|)"
+
+
+@cache
+def _saved_trace() -> re.Pattern:
+    """The text of a trace as save_dataset lays it out, from the writer's
+    own templates with a number in place of each %s: the only trace text
+    a trace-free read skips. Compiled on first use, not at import."""
+    state = re.escape(_STATE).replace("%s", _NUMBER)
+    head, sep, tail = re.escape(_json_array(["%s", "%s"], 2)).split("%s")
+    return re.compile(f"{re.escape(_json_array([], 2))}"
+                      f"|{head}{state}(?:{sep}{state})*{tail}")
+
+
 def _read_trace(states, keep: bool) -> tuple[VehicleState, ...]:
     """The trace of a dataset row, or () when not kept. Raises TypeError
     or ValueError unless states is a list and, when kept, each state an
@@ -503,13 +523,16 @@ def load_dataset(path: str | Path, keep_traces: bool = True) -> list[TestCase]:
     """Read a file written by save_dataset. Trace rows get a zero
     lateral_offset and outcomes a zero max_abs_lateral_offset, since the
     file keeps neither; with keep_traces false every outcome's trace is
-    empty, and the trace states are not checked. Raises ValueError naming
+    empty, and the trace states are not checked: a trace laid out as
+    save_dataset writes it is checked as JSON text and not built, any
+    other trace is parsed and dropped. Raises ValueError naming
     the file, and the row where known, when the file cannot be read or is
     not a JSON list of objects, a key is missing, a value has the wrong
     type or is not finite, an id is not a string or repeats one before it,
     a duration is not > 0, a trace goes back in time or a label is neither
     "safe" nor "unsafe"."""
-    rows = read_json(path)
+    rows = (read_json(path) if keep_traces
+            else read_json_rows(path, "trace", _saved_trace()))
     if not isinstance(rows, list):
         raise ValueError(f"{path}: top level is not a list of rows")
     tests = []

@@ -6,16 +6,18 @@ import json
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from roadsift import canbus, cli
+from roadsift import canbus, cli, oracle
 from roadsift.cli import main
 from roadsift.features import FEATURE_NAMES, read_feature_csv
 from roadsift.ml import FAMILIES, ClassifierSpec, fit, save_model
 from roadsift.canbus import DEFAULT_DBC, parse_dbc, decode_signal, read_playback_csv
+from roadsift.inputs import read_json
 from roadsift.oracle import load_dataset
 
 
@@ -1127,16 +1129,19 @@ class TestCanCommands:
         assert_ran_or_named(code, err, path)
 
     # (text in DEFAULT_DBC, its replacement, the line the error names): a
-    # scale, offset or bound no frame can be packed with, a message name
-    # that two messages hold, and an id the wire's u32 cannot carry
+    # scale, offset or bound no frame can be packed with, a message name or
+    # can_id that two messages hold, a signal name that two signals of one
+    # message hold, and an id the wire's u32 cannot carry
     @pytest.mark.parametrize("old, new, line", [
         ("(0.01,0)", "(0,0)", 2), ("(0.01,0)", "(0.01,inf)", 2),
         ("(0.01,0)", "(nan,0)", 2), ("(0.01,0)", "(inf,0)", 2),
         ("[0|655.35]", "[nan|655.35]", 2),
         ("BO_ 257 STEERING", "BO_ 257 VEHICLE_DYNAMICS", 4),
+        ("BO_ 257 STEERING", "BO_ 256 STEERING", 4),
+        ("SG_ brake_pct", "SG_ throttle_pct", 9),
         ("BO_ 256", "BO_ 99999999999999", 1)],
         ids=["scale_0", "offset_inf", "scale_nan", "scale_inf", "min_nan",
-             "name_reused", "id_past_u32"])
+             "name_reused", "id_reused", "signal_reused", "id_past_u32"])
     def test_a_bad_dbc_value_names_file_and_line(self, tiny_dataset, tmp_path,
                                                  old, new, line):
         sim = tmp_path / "tiny.full.json"
@@ -1146,6 +1151,7 @@ class TestCanCommands:
         code, err = run_main(["can-convert", "--simulation", str(sim),
                               "--dbc", str(path), "--out", str(tmp_path / "c")])
         assert code == 2 and f"{path}: line {line}: " in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("row", [
         "0,1ffffffffff,2,aabb", "99999999999,100,2,aabb", "-20,100,2,aabb",
@@ -1190,3 +1196,100 @@ class TestCanCommands:
         assert main(["can-convert", "--simulation",
                      str(run_dir / "simulation.full.json"),
                      "--dbc", str(bad), "--out", str(tmp_path / "c")]) == 2
+
+
+def json_rows_reference(path, key, skip):
+    """What read_json_rows reads, the plain way: read_json, then every
+    list-valued key of a top-level row object replaced by []."""
+    rows = read_json(path)
+    for row in rows if isinstance(rows, list) else ():
+        if isinstance(row, dict) and isinstance(row.get(key), list):
+            row[key] = []
+    return rows
+
+
+def read_or_refused(path):
+    """load_dataset(path, keep_traces=False), or the text of its
+    ValueError."""
+    try:
+        return load_dataset(path, keep_traces=False)
+    except ValueError as exc:
+        return str(exc)
+
+
+WHITESPACE = [" ", "\n", "\t", "\r"]
+
+
+def changed_space(data, text: str) -> bytes:
+    """text with one whitespace change inside a drawn row's trace: a
+    drawn JSON whitespace character inserted at a drawn position, or a
+    whitespace character there deleted."""
+    starts = [m.end() for m in re.finditer('"trace": ', text)]
+    start = data.draw(st.sampled_from(starts), label="trace")
+    at = data.draw(st.integers(start, text.index("\n }", start)), label="at")
+    if data.draw(st.booleans(), label="delete"):
+        assume(text[at] in WHITESPACE)
+        return (text[:at] + text[at + 1:]).encode()
+    return (text[:at] + data.draw(st.sampled_from(WHITESPACE), label="space")
+            + text[at:]).encode()
+
+
+class TestTraceFreeRead:
+    """load_dataset(keep_traces=False) checks a trace laid out as
+    save_dataset writes it as text, and parses any other."""
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_a_changed_dataset_reads_as_json_does(self, tiny_dataset,
+                                                  tmp_path_factory, data):
+        # the saved layout is json.dumps(rows, indent=1) and a newline
+        text = json.dumps(tiny_dataset, indent=1) + "\n"
+        kind = data.draw(st.sampled_from(["node", "text", "space"]), label="kind")
+        if kind == "node":
+            blob = (json.dumps(changed_node(data, tiny_dataset), indent=1)
+                    + "\n").encode()
+        elif kind == "text":           # changed_bytes' changes too
+            blob = changed_text(data, text)
+        else:
+            blob = changed_space(data, text)
+        path = tmp_path_factory.getbasetemp() / "trace_free.full.json"
+        path.write_bytes(blob)
+        with mock.patch.object(oracle, "read_json_rows", json_rows_reference):
+            want = read_or_refused(path)
+        assert read_or_refused(path) == want
+
+    def test_every_saved_trace_matches_the_pattern(self, run_dir):
+        text = (run_dir / "simulation.full.json").read_text()
+        starts = [m.end() for m in re.finditer('"trace": ', text)]
+        assert len(starts) == 20
+        assert all(oracle._saved_trace().match(text, at) for at in starts)
+
+    def test_a_compact_dataset_gives_the_same_outputs(self, run_dir, full_model,
+                                                      tmp_path):
+        # no trace of compact JSON has the saved layout, so every trace is
+        # parsed and dropped
+        saved = run_dir / "simulation.full.json"
+        compact = tmp_path / "compact.full.json"
+        compact.write_text(json.dumps(json.loads(saved.read_text())))
+        assert not oracle._saved_trace().search(compact.read_text())
+        outputs = {}
+        for sim in (saved, compact):
+            out = tmp_path / f"{sim.stem}_out"
+            out.mkdir()
+            assert main(["extract-features", "--simulation", str(sim),
+                         "--out", str(out / "features.csv")]) == 0
+            for protocol, size in (("fix", {"S": 6}), ("reach", {"N": 3})):
+                config = out / f"{protocol}.json"
+                config.write_text(json.dumps({
+                    "protocol": protocol, "dataset": str(sim),
+                    "pool": {"safe": 8, "unsafe": 4}, "strategy": "model",
+                    "model": str(full_model), "repetitions": 4, **size}))
+                assert main(["experiment", "--config", str(config),
+                             "--seed", "12", "--out", str(out / protocol)]) == 0
+                config.unlink()
+            outputs[sim] = {p.relative_to(out): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()}
+        assert outputs[saved] == outputs[compact]
+        assert outputs[saved][Path("features.csv")] == (
+            run_dir / "features.csv").read_bytes()
+        assert sum(p.name.startswith("rep_") for p in outputs[saved]) == 8

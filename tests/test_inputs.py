@@ -1,7 +1,10 @@
 """The one reader of input files and the one number rule."""
 
 import ast
+import dataclasses
+import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -12,8 +15,11 @@ from roadsift.inputs import (
     json_files,
     positive,
     read_json,
+    read_json_rows,
     read_text,
 )
+from roadsift.oracle import DriverConfig, build_dataset, save_dataset
+from roadsift.oracle import _saved_trace
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "roadsift"
 
@@ -109,3 +115,89 @@ def test_json_files(tmp_path):
     for missing in (tmp_path / "nowhere", tmp_path / "a.json"):
         with pytest.raises(ValueError, match=str(missing)):
             json_files(missing)
+
+
+@pytest.fixture(scope="module")
+def saved_text(tmp_path_factory):
+    """The text save_dataset writes for two tests, each trace cut to two
+    states."""
+    tests = build_dataset(2, DriverConfig(), 5)
+    for tc in tests:
+        tc.outcome = dataclasses.replace(tc.outcome, trace=tc.outcome.trace[:2])
+    path = tmp_path_factory.mktemp("rows") / "saved.json"
+    save_dataset(path, tests)
+    return path.read_text()
+
+
+def _first_trace(text: str) -> tuple[int, int]:
+    """Where the first row's trace value starts and ends in saved text."""
+    start = text.index('"trace": ') + len('"trace": ')
+    return start, text.index("\n }", start)
+
+
+def _with_first_trace(text: str, value: str) -> str:
+    start, end = _first_trace(text)
+    return text[:start] + value + text[end:]
+
+
+def _with_first_speed(text: str, value: str) -> str:
+    """text with the first trace state's speed replaced by value."""
+    m = re.compile(r'"speed": ([^,]+)').search(text, _first_trace(text)[0])
+    return text[:m.start(1)] + value + text[m.end(1):]
+
+
+# (how the saved text is changed, which rows' traces the reader skips):
+# each must read as json.loads reads it, but for those traces, or fail with
+# read_json's error
+ROW_CASES = {
+    "unchanged": (lambda t: t, [0, 1]),
+    "second_trace_key_wins": (
+        lambda t: t.replace("\n  ]\n }", '\n  ],\n  "trace": 5\n }', 1), [1]),
+    "second_trace_key_skipped": (
+        lambda t: t.replace('{\n  "id"', '{\n  "trace": 5,\n  "id"', 1), [0, 1]),
+    "trace_key_in_features": (
+        lambda t: t.replace('"features": {\n',
+                            '"features": {\n  "trace": %s,\n'
+                            % t[slice(*_first_trace(t))], 1), [0, 1]),
+    "nan_in_trace": (lambda t: _with_first_speed(t, "NaN"), [1]),
+    "past_float_in_trace": (lambda t: _with_first_speed(t, "1e999"), [0, 1]),
+    "leading_zero_in_trace": (lambda t: _with_first_speed(t, "01.5"), []),
+    "long_int_in_trace": (lambda t: _with_first_speed(t, "9" * 5000), [1]),
+    "trace_object": (lambda t: _with_first_trace(t, "{}"), [1]),
+    "trace_number": (lambda t: _with_first_trace(t, "5"), [1]),
+    "trace_mixed_list": (lambda t: _with_first_trace(t, '[1, "a"]'), [1]),
+    "trace_empty": (lambda t: _with_first_trace(t, "[]"), [0, 1]),
+    "compact": (lambda t: json.dumps(json.loads(t)), []),
+    "truncated_mid_number": (
+        lambda t: t[:re.compile(r'"speed": \d').search(t).end()], []),
+    "empty_list": (lambda t: "[]", []),
+    "empty_list_with_space": (lambda t: " \n[ \n]\n", []),
+    "trailing_text": (lambda t: t + "x", []),
+    "second_list": (lambda t: t + "[]", []),
+    "byte_order_mark": (lambda t: "\ufeff" + t, []),
+    "top_level_object": (lambda t: '{"rows": %s}' % t, []),
+    "row_not_object": (lambda t: t.replace("[\n {", "[\n 7,\n {", 1), [0, 1]),
+    "row_closed_by_bracket": (lambda t: t.replace("\n }", "\n ]", 1), []),
+    "trailing_comma": (lambda t: t.replace("\n }", "\n },", 1), []),
+}
+
+
+@pytest.mark.parametrize("case", list(ROW_CASES))
+def test_read_json_rows_reads_as_json_does(saved_text, tmp_path, case):
+    change, skipped = ROW_CASES[case]
+    path = tmp_path / "rows.json"
+    path.write_text(change(saved_text))
+    try:
+        want = read_json(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            read_json_rows(path, "trace", _saved_trace())
+        assert str(info.value) == str(exc)
+        return
+    rows = [row for row in want if isinstance(row, dict)] \
+        if isinstance(want, list) else []
+    for i in skipped:
+        rows[i]["trace"] = []
+    got = read_json_rows(path, "trace", _saved_trace())
+    # as JSON text, so that a NaN equals itself and 1 differs from 1.0
+    assert json.dumps(got) == json.dumps(want)
