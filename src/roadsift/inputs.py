@@ -33,14 +33,15 @@ def read_text(path: str | Path) -> str:
 
 def read_json(path: str | Path):
     """A JSON file's value; raises ValueError naming the file as read_text
-    does, and when it is not JSON or is nested too deep to parse."""
+    does, and when it is not JSON, holds an integer too long for int() to
+    convert or is nested too deep to parse."""
     return _parsed(path, read_text(path))
 
 
 def _parsed(path: str | Path, text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:     # JSONDecodeError, or int()'s digit limit
         raise ValueError(f"{path}: {exc}") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deep to parse") from None

@@ -144,14 +144,22 @@ def plan_speed_profile(spine: RoadSpine, cfg: DriverConfig) -> np.ndarray:
     v[turning] = np.minimum(
         cfg.v_max,
         cfg.risk_factor * np.sqrt(cfg.mu * cfg.g / kappa[turning]))
-    # both passes index Python lists: numpy scalar indexing is slower
+    # both passes index Python lists: numpy scalar indexing is slower. Each
+    # min(v[i], w) is written out as a comparison, as in _simulate
     v = v.tolist()
     ds = np.diff(spine.s).tolist()
+    sqrt = math.sqrt
+    brake2 = 2.0 * cfg.a_brake
+    accel2 = 2.0 * cfg.a_accel
     v[0] = 0.0
     for i in range(len(v) - 2, -1, -1):          # braking feasibility
-        v[i] = min(v[i], math.sqrt(v[i + 1] ** 2 + 2.0 * cfg.a_brake * ds[i]))
+        w = sqrt(v[i + 1] ** 2 + brake2 * ds[i])
+        if w < v[i]:
+            v[i] = w
     for i in range(len(v) - 1):                  # acceleration feasibility
-        v[i + 1] = min(v[i + 1], math.sqrt(v[i] ** 2 + 2.0 * cfg.a_accel * ds[i]))
+        w = sqrt(v[i] ** 2 + accel2 * ds[i])
+        if w < v[i + 1]:
+            v[i + 1] = w
     return np.array(v)
 
 
@@ -172,13 +180,20 @@ def _simulate(spine: RoadSpine, cfg: DriverConfig, lane_width: float,
     (total_length / 1 m/s + 120 s) of simulated time.
     """
     # the loop reads Python lists and locals: numpy scalar indexing and
-    # attribute lookups dominated its cost
+    # attribute lookups dominated its cost. Each clamp is a conditional
+    # expression, not a call of min or max: min(a, y) is written
+    # y if y < a else a, and max(a, y) is y if y > a else a, which keeps
+    # the builtins' rule that a tie or a NaN y gives a
     sx = spine.xy[:, 0].tolist()
     sy = spine.xy[:, 1].tolist()
     s_arc = spine.s.tolist()
     spine_heading = spine.heading.tolist()
     profile = plan_speed_profile(spine, cfg).tolist()
     n = len(sx)
+    last = n - 1
+    # the last sample's v_ref is its own speed: profile[ptr + 1] is
+    # profile[min(ptr + 1, last)] without a clamp
+    profile.append(profile[last])
 
     dt = cfg.timestep
     half_lane = lane_width / 2.0
@@ -189,8 +204,10 @@ def _simulate(spine: RoadSpine, cfg: DriverConfig, lane_width: float,
     speed_gain = cfg.speed_gain
     wheelbase = cfg.wheelbase
     max_steer = cfg.max_steer
+    min_steer = -max_steer
     a_accel = cfg.a_accel
     a_brake = cfg.a_brake
+    min_accel = -a_brake
     yaw_cap_acc = cfg.grip_margin * cfg.mu * cfg.g
     end_s = spine.total_length - 0.5
     cos, sin, tan, atan2, hypot = math.cos, math.sin, math.tan, math.atan2, math.hypot
@@ -204,6 +221,10 @@ def _simulate(spine: RoadSpine, cfg: DriverConfig, lane_width: float,
     rate_step = cfg.max_steer_rate * dt
     ptr = 0
     look = 0
+    # the cos and sin of spine_heading[ptr], recomputed when ptr moves
+    hx = cos(spine_heading[0])
+    hy = sin(spine_heading[0])
+    hx_ptr = 0
     t = 0.0
     max_steps = int((spine.total_length / 1.0 + 120.0) / dt)
 
@@ -213,7 +234,7 @@ def _simulate(spine: RoadSpine, cfg: DriverConfig, lane_width: float,
 
     for _ in range(max_steps):
         # advance the progress pointer to the nearest sample (monotone)
-        while ptr < n - 1:
+        while ptr < last:
             dx0 = sx[ptr] - x
             dy0 = sy[ptr] - y
             dx1 = sx[ptr + 1] - x
@@ -224,8 +245,10 @@ def _simulate(spine: RoadSpine, cfg: DriverConfig, lane_width: float,
                 break
 
         # signed lateral offset from the local tangent
-        hx = cos(spine_heading[ptr])
-        hy = sin(spine_heading[ptr])
+        if ptr != hx_ptr:
+            hx_ptr = ptr
+            hx = cos(spine_heading[ptr])
+            hy = sin(spine_heading[ptr])
         ex = x - sx[ptr]
         ey = y - sy[ptr]
         offset = hx * ey - hy * ex
@@ -250,21 +273,27 @@ def _simulate(spine: RoadSpine, cfg: DriverConfig, lane_width: float,
         target_s = progress + pursuit
         if look < ptr:
             look = ptr
-        while look < n - 1 and s_arc[look] < target_s:
+        while look < last and s_arc[look] < target_s:
             look += 1
         tx, ty = sx[look], sy[look]
         alpha = atan2(ty - y, tx - x) - heading
         alpha = (alpha + pi) % two_pi - pi
-        dist = max(hypot(tx - x, ty - y), 1e-6)
+        dist = hypot(tx - x, ty - y)
+        if 1e-6 > dist:
+            dist = 1e-6
         steer = atan2(2.0 * wheelbase * sin(alpha), dist)
-        steer = max(-max_steer, min(max_steer, steer))
-        steer = max(steer_prev - rate_step, min(steer_prev + rate_step, steer))
+        steer = steer if steer < max_steer else max_steer
+        steer = steer if steer > min_steer else min_steer
+        bound = steer_prev + rate_step
+        steer = steer if steer < bound else bound
+        bound = steer_prev - rate_step
+        steer = steer if steer > bound else bound
         steer_prev = steer
 
         # longitudinal control toward the planned profile
-        v_ref = profile[min(ptr + 1, n - 1)]
-        accel = (v_ref - speed) / dt
-        accel = max(-a_brake, min(a_accel, accel))
+        accel = (profile[ptr + 1] - speed) / dt
+        accel = accel if accel < a_accel else a_accel
+        accel = accel if accel > min_accel else min_accel
         throttle = accel / a_accel if accel > 0.0 else 0.0
         brake = -accel / a_brake if accel < 0.0 else 0.0
 
@@ -277,11 +306,13 @@ def _simulate(spine: RoadSpine, cfg: DriverConfig, lane_width: float,
         yaw_rate = speed * tan(steer) / wheelbase
         if speed > 0.1:
             cap = yaw_cap_acc / speed
-            yaw_rate = max(-cap, min(cap, yaw_rate))
+            yaw_rate = yaw_rate if yaw_rate < cap else cap
+            yaw_rate = yaw_rate if yaw_rate > -cap else -cap
         x += speed * cos(heading) * dt
         y += speed * sin(heading) * dt
         heading = (heading + yaw_rate * dt + pi) % two_pi - pi
-        speed = max(0.0, speed + accel * dt)
+        speed += accel * dt
+        speed = speed if speed > 0.0 else 0.0
         t += dt
     else:
         raise DriveTimeout(

@@ -843,6 +843,7 @@ def test_malformed_input_is_config_error(run_dir, tmp_path, capsys, case):
 
 
 DEEP = "[" * 200_000        # JSON nested too deep to parse
+LONG_INTEGER = "9" * 5000   # past int()'s 4300-digit limit, which json.loads keeps
 
 
 def _edit_feature_csv(text, case):
@@ -896,6 +897,8 @@ def _edit_dataset(text, case):
         return text.replace('"label": "unsafe"', '"label": "Unsafe"')
     if case == "nested_too_deep":
         return DEEP
+    if case == "integer_past_digit_limit":
+        return text.replace('"test_00000"', LONG_INTEGER, 1)
     rows = json.loads(text)
     if case == "road_point_of_one_coordinate":
         rows[0]["road_points"][1] = rows[0]["road_points"][1][:1]
@@ -917,7 +920,8 @@ BAD_ROAD_POINTS = {
 }
 # road file texts that are not JSON of a road
 BAD_ROAD_TEXTS = {"road_json_syntax_error": '{"id": ',
-                  "road_nested_too_deep": DEEP}
+                  "road_nested_too_deep": DEEP,
+                  "road_integer_past_digit_limit": f'{{"id": {LONG_INTEGER}}}'}
 
 
 @pytest.mark.parametrize("command, case", [
@@ -930,7 +934,8 @@ BAD_ROAD_TEXTS = {"road_json_syntax_error": '{"id": ',
       for case in ("top_level_object", "rows_not_objects",
                    "rows_holding_lists", "capitalised_label",
                    "json_syntax_error", "road_point_of_one_coordinate",
-                   "nested_too_deep", "dataset_missing", *TRACE_FREE_EDITS)),
+                   "nested_too_deep", "integer_past_digit_limit",
+                   "dataset_missing", *TRACE_FREE_EDITS)),
     *(("can-convert", case) for case in DATASET_EDITS
       if case not in TRACE_FREE_EDITS),
     *(("extract-features", case) for case in ("feature_null", "feature_list")),

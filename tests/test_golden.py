@@ -13,6 +13,10 @@ The linear SVM grid (6cc44726… → 92180393…) and the benchmark
 its optimum, by Newton steps, an interior-point method or a linear program,
 instead of taking 1000 subgradient steps. The SVM's weighted F1 on data set
 1 moved from 0.776 to 0.750; the benchmark still picks random_forest.
+
+The traced sets at risk factors 0.5 and 2.5 were recorded while the drive
+still clamped with the builtins min and max, before those clamps became
+conditional expressions, and held unchanged after.
 """
 
 import hashlib
@@ -133,6 +137,28 @@ def test_generate_with_traces(traced_set):
         "61ac165e43e8878ab0a59e58f82cc0c5b0e8458906a97c6fac52644f7716a3fa")
     assert sha256(traced_set / "roads" / "test_00000.json") == (
         "04047341494d1753648e3773aa2833f36aff384b5ffe9fbbd50f582a8dc378be")
+
+
+# At rf 1.5 the steering clamp binds on one side only, 4 times in the 5.2k
+# steps above; at rf 2.5 it binds on both sides. The friction-circle
+# yaw-rate cap binds at rf 1.5 and 2.5. At rf 0.5 all 20 drives are safe
+# and neither binds. The 1e-6 distance floor and the speed floor bind on
+# none of these sets: test_oracle's reference-drive property, which
+# compares every step with the builtin min/max form, covers them, not
+# these digests.
+@pytest.mark.parametrize("rf, features, simulation", [
+    ("0.5", "6f8731584e38f53820d22f9336d390964bea915b24a11729d042ae9156d8dde4",
+     "b15ea44db083ceb595cd2975848ce9827b2aac1cba5a9da6a097b764fda6691d"),
+    ("2.5", "af93552576a8f9d560f5870b98d187a5f6aee20e771cb5ee7a1287cbc2b8890c",
+     "83cd40940b9818b161ae5290bcdafaf3d3f03a174fc6935f6951314d8c4d77f1"),
+], ids=["rf_0_5", "rf_2_5"])
+def test_generate_with_traces_at_risk_extremes(tmp_path, rf, features,
+                                               simulation):
+    out = tmp_path / "run"
+    assert main(["generate", "-n", "20", "--rf", rf, "--seed", "7",
+                 "--out", str(out)]) == 0
+    assert sha256(out / "features.csv") == features
+    assert sha256(out / "simulation.full.json") == simulation
 
 
 def test_can_convert(traced_set, tmp_path):

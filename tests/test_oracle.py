@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import fields
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from roadsift.features import (
     FeatureVector,
     extract_features,
 )
-from roadsift.geometry import RoadPoints, interpolate_spine
+from roadsift.geometry import RoadPoints, RoadSpine, interpolate_spine
 from roadsift.oracle import (
     SAFE,
     TRACE_KEYS,
@@ -36,6 +38,7 @@ from roadsift.oracle import (
 )
 from roadsift.oracle import _simulate
 
+import reference_drive
 from conftest import arc_between_straights, straight_points
 
 
@@ -209,6 +212,39 @@ class TestSimulateDrive:
         assert traced.trace
         assert traced.trace[-1].t <= traced.duration
 
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), rf=st.floats(0.5, 2.5),
+           timestep=st.floats(0.01, 0.1), keep_trace=st.booleans(),
+           poison=st.none() | st.tuples(
+               st.sampled_from(["x", "y", "s", "heading", "curvature"]),
+               st.floats(0.0, 1.0),
+               st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])))
+    # a NaN sample that the look-ahead point reaches makes the steering
+    # angle NaN, and one in s makes both passes of the speed profile meet
+    # NaN speeds; there only the builtins' tie rule decides the clamps
+    @example(seed=7, rf=1.5, timestep=0.05, keep_trace=True,
+             poison=("x", 0.05, math.nan))
+    @example(seed=7, rf=1.5, timestep=0.05, keep_trace=True,
+             poison=("s", 0.5, math.nan))
+    @example(seed=3, rf=0.5, timestep=0.1, keep_trace=False, poison=None)
+    def test_drive_matches_reference(self, seed, rf, timestep, keep_trace,
+                                     poison):
+        """The drive and its speed profile equal the one written with the
+        builtins min and max, bit for bit: label, duration, offset and
+        every trace field, NaNs and signed zeros included. Shorter steps
+        than 0.01 s only lengthen the drive. A poisoned spine, with one
+        value no generated road holds, makes the clamps meet NaNs,
+        infinities and zeros of either sign."""
+        road, spine = generate_road(seed)
+        spine = _poisoned(spine, poison)
+        cfg = DriverConfig(risk_factor=rf, timestep=timestep)
+        args = (spine, cfg, road.lane_width, keep_trace)
+        assert (_drive_bits(_simulate, *args)
+                == _drive_bits(reference_drive._simulate, *args))
+        assert (_result_or_error(lambda: plan_speed_profile(spine, cfg).tobytes())
+                == _result_or_error(lambda: reference_drive.plan_speed_profile(
+                    spine, cfg).tobytes()))
+
     def test_risk_monotonicity(self):
         counts = []
         for rf in (0.7, 1.0, 1.5, 2.0):
@@ -217,6 +253,47 @@ class TestSimulateDrive:
             counts.append(sum(1 for t in tests if t.outcome.label == UNSAFE))
         assert counts == sorted(counts)
         assert counts[-1] > counts[0]
+
+
+def _poisoned(spine, poison):
+    """The spine with one value replaced: poison is the column (x, y, s,
+    heading or curvature), the sample as a fraction of the spine's length
+    in samples, and the value; None leaves the spine as it is."""
+    if poison is None:
+        return spine
+    column, where, value = poison
+    arrays = {"s": spine.s.copy(), "xy": spine.xy.copy(),
+              "heading": spine.heading.copy(),
+              "curvature": spine.curvature.copy()}
+    i = int(where * (len(spine) - 1))
+    if column in ("x", "y"):
+        arrays["xy"][i, "xy".index(column)] = value
+    else:
+        arrays[column][i] = value
+    return RoadSpine(**arrays)
+
+
+def _result_or_error(call):
+    """What call returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except Exception as exc:       # a poisoned spine may stop either drive
+        return type(exc), str(exc)
+
+
+_STATE_VALUES = attrgetter(*(f.name for f in fields(VehicleState)))
+
+
+def _drive_bits(drive, spine, cfg, lane_width, keep_trace):
+    """A drive's outcome with every float as float.hex text, so that -0.0
+    differs from 0.0; or the error the drive raises."""
+    def bits():
+        out = drive(spine, cfg, lane_width, keep_trace=keep_trace)
+        return (out.label, out.duration.hex(),
+                out.max_abs_lateral_offset.hex(),
+                [tuple(map(float.hex, _STATE_VALUES(state)))
+                 for state in out.trace])
+    return _result_or_error(bits)
 
 
 class TestGenerator:
