@@ -481,11 +481,19 @@ class TransmissionReport:
 
 def open_sink(target: str):
     """file://path opens a binary file; tcp://host:port opens a socket
-    stream. Anything with a write() method is accepted directly."""
+    stream, for a non-empty host and a decimal port in 1..65535, checked
+    before any connection is tried. Anything with a write() method is
+    accepted directly."""
     if target.startswith("file://"):
         return open(target[len("file://"):], "wb")
     if target.startswith("tcp://"):
         host, _, port = target[len("tcp://"):].partition(":")
+        # int() takes spaces and non-ASCII digits, and getaddrinfo wraps a
+        # port past 65535 to 16 bits
+        if not (host and port.isascii() and port.isdigit()
+                and 1 <= int(port) <= 65535):
+            raise ValueError(f"sink target {target!r} is not tcp://host:port "
+                             "with a host and a port in 1..65535")
         sock = socket.create_connection((host, int(port)))
         return sock.makefile("wb")
     raise ValueError(f"unsupported sink target {target!r}")

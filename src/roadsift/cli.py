@@ -335,9 +335,11 @@ def cmd_experiment(args) -> int:
         if reps < 1:
             raise _config_error(args, "repetitions", f"{reps} is not >= 1")
         seeds = [args.seed + i for i in range(reps)]
-    elif not (isinstance(seeds, list)
-              and all(type(seed) is int for seed in seeds)):
-        raise _config_error(args, "seeds", f"{seeds!r} is not a list of integers")
+    elif not (isinstance(seeds, list) and seeds
+              and all(type(seed) is int for seed in seeds)
+              and len(set(seeds)) == len(seeds)):
+        raise _config_error(args, "seeds", f"{seeds!r} is not a non-empty "
+                            "list of distinct integers")
     cost = selection.CostModel(**_given(args, "overhead_s"))
 
     rows = []

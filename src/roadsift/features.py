@@ -45,6 +45,24 @@ def label_code(label) -> int:
     raise ValueError(f"label {label!r} is neither 'safe' nor 'unsafe'")
 
 
+# the stratified draw of splits, folds and prune sets
+
+def shuffled_classes(y, seed) -> list[np.ndarray]:
+    """Each class's row indices in a seeded order, safe class first."""
+    rng = np.random.default_rng(seed)
+    classes = [np.flatnonzero(y == cls) for cls in (SAFE_CODE, UNSAFE_CODE)]
+    return [idx[rng.permutation(len(idx))] for idx in classes]
+
+
+def class_heads(y, seed, size) -> np.ndarray:
+    """The mask of the first size(n) rows of each class of n rows, in
+    shuffled_classes(y, seed) order."""
+    mask = np.zeros(len(y), dtype=bool)
+    for idx in shuffled_classes(y, seed):
+        mask[idx[:size(len(idx))]] = True
+    return mask
+
+
 @dataclass(frozen=True)
 class FeatureVector:
     direct_distance: float

@@ -11,15 +11,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..features import FEATURE_NAMES, SAFE_CODE, UNSAFE_CODE, label_code
+from ..features import (
+    FEATURE_NAMES,
+    SAFE_CODE,
+    UNSAFE_CODE,
+    class_heads,
+    label_code,
+    shuffled_classes,
+)
 from .models import (
     ClassifierSpec,
     SingleClassDataset,
     TrainedClassifier,
-    class_heads,
     fit,  # unused here; perfbench/tracer.py wraps it under this name
     fit_many,
-    shuffled_classes,
 )
 
 

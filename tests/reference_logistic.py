@@ -1,9 +1,9 @@
 """Logistic regression as first written: full-batch (proximal) gradient
 descent from zero that stops when no coordinate moves by 1e-6 or after
 max_iter steps. Kept as the reference the converged solver in
-roadsift.ml.models must do no worse than on the same objective.
+roadsift.ml.linear must do no worse than on the same objective.
 
-fit_logistic fits one form on one set, as models._fit_logistic (the fitter
+fit_logistic fits one form on one set, as linear._fit_logistic (the fitter
 of the logistic record in models._RECORDS) does for each; objective
 evaluates the penalised mean log-loss that both minimise, independently of
 the package.
@@ -11,7 +11,7 @@ the package.
 
 import numpy as np
 
-from roadsift.ml.models import _standardize_fit
+from roadsift.ml.linear import _standardize_fit
 
 ALPHA = 1e-4
 

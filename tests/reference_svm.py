@@ -1,8 +1,8 @@
 """The linear SVM as first written: 1000 full-batch subgradient steps from
 zero with step size 0.5/sqrt(t+1). Kept as the reference the solvers in
-roadsift.ml.models must do no worse than on the same objective.
+roadsift.ml.linear must do no worse than on the same objective.
 
-fit_linear_svm stands in for models._fit_linear_svm (the fitter of the
+fit_linear_svm stands in for linear._fit_linear_svm (the fitter of the
 linear_svm record in models._RECORDS); objective evaluates the penalised
 mean hinge loss that both minimise, kkt_residual the optimality of a
 squared-hinge fit, and dual_objective the value of the l2 + hinge dual at
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from roadsift.ml.models import _standardize_fit
+from roadsift.ml.linear import _standardize_fit
 
 ALPHA = 1e-3
 

@@ -1,12 +1,12 @@
 """Per-node tree growth as first written: every node argsorts each candidate
 feature again. Kept as the reference the presorted growth in
-roadsift.ml.models must match byte for byte.
+roadsift.ml.trees must match byte for byte.
 
-grow_decision_trees stands in for models._grow_decision_trees (the decision
+grow_decision_trees stands in for trees._grow_decision_trees (the decision
 tree looks that name up when it fits); fit_random_forest and
 fit_gradient_boosting stand in for the fitters of the forest and boosting
 records in models._RECORDS, fitting one training set. Each tree here grows
-to the end before the next starts, where models grows a forest's trees, a
+to the end before the next starts, where trees grows a forest's trees, a
 K-fold's decision trees and a K-fold's boosting stage together.
 """
 
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from roadsift.ml.models import _binary_entropy, _reg_tree_predict
+from roadsift.ml.trees import _binary_entropy, _reg_tree_predict
 
 
 def best_gain_split(X, y, feature_idx, min_leaf):

@@ -443,6 +443,34 @@ class TestPlayback:
         blob = (tmp_path / "out.bin").read_bytes()
         assert read_frames(blob) == records
 
+    @pytest.mark.parametrize("target", [
+        "tcp://localhost", "tcp://localhost:", "tcp://:8080",
+        "tcp://localhost:0", "tcp://localhost:65536", "tcp://localhost:65616",
+        "tcp://localhost:-1", "tcp://localhost: 80", "tcp://localhost:http",
+        "tcp://localhost:٨٠"])
+    def test_a_bad_tcp_target_is_named_before_connecting(self, target,
+                                                         monkeypatch):
+        def connect(address):
+            raise AssertionError(f"connected to {address}")
+        monkeypatch.setattr(canbus.socket, "create_connection", connect)
+        with pytest.raises(ValueError) as err:
+            open_sink(target)
+        assert repr(target) in str(err.value)
+
+    def test_a_tcp_target_connects_to_its_port(self, monkeypatch):
+        addresses = []
+
+        class Socket:
+            def makefile(self, mode):
+                return io.BytesIO()
+
+        def connect(address):
+            addresses.append(address)
+            return Socket()
+        monkeypatch.setattr(canbus.socket, "create_connection", connect)
+        open_sink("tcp://localhost:65535")
+        assert addresses == [("localhost", 65535)]
+
     @pytest.mark.parametrize("cut, offset", [(9 + 4 + 5, 13), (9 + 4 + 9 + 2, 13)],
                              ids=["header", "payload"])
     def test_truncated_frames_rejected(self, cut, offset):

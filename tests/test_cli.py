@@ -611,7 +611,7 @@ class TestExperiment:
 
     @pytest.mark.parametrize("key, value", [
         ("S", 1e308), ("repetitions", 0), ("seeds", [1, "2"]),
-        ("pool", {"safe": 2, "unsafe": -1})])
+        ("pool", {"safe": 2, "unsafe": -1}), ("seeds", []), ("seeds", [1, 1])])
     def test_a_refused_config_value_names_file_and_key(self, run_dir, tmp_path,
                                                        key, value):
         config = {"protocol": "fix",
@@ -1169,6 +1169,15 @@ class TestCanCommands:
         code, err = run_main(["can-play", "--playback", str(path), "--target",
                               f"file://{tmp_path / 'out.bin'}"])
         assert code == 2 and f"{path}, line 2: " in err
+
+    def test_a_port_past_65535_is_refused(self, tmp_path):
+        # getaddrinfo wraps a port to 16 bits: 65616 would reach port 80
+        path = tmp_path / "one.canplayback.csv"
+        path.write_text(f"{canbus.CSV_HEADER}\n0,100,2,aabb\n")
+        target = "tcp://localhost:65616"
+        code, err = run_main(["can-play", "--playback", str(path),
+                              "--target", target])
+        assert code == 2 and repr(target) in err
 
     @settings(max_examples=15)
     @given(data=st.data())

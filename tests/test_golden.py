@@ -17,6 +17,12 @@ instead of taking 1000 subgradient steps. The SVM's weighted F1 on data set
 The traced sets at risk factors 0.5 and 2.5 were recorded while the drive
 still clamped with the builtins min and max, before those clamps became
 conditional expressions, and held unchanged after.
+
+The digests were recorded with numpy 2.4.6 and scipy 1.17.1 on glibc
+2.36, on an x86-64 CPU with AVX-512 and FMA. numpy picks some vector math
+kernels by CPU, and glibc's libm picks FMA code paths, so on another CPU
+the digests of generated datasets and of boosting can change. The CI
+workflow installs those numpy and scipy versions.
 """
 
 import hashlib

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -44,7 +46,7 @@ from roadsift.ml import (
     split,
     stratified_folds,
 )
-from roadsift.ml import gridsearch, models
+from roadsift.ml import gridsearch, linear, models, trees
 from roadsift.ml.gridsearch import GridCell, grid_search
 
 import reference_logistic
@@ -243,19 +245,19 @@ class TestFamilies:
     def test_a_nan_score_predicts_unsafe(self, predict, parameters):
         # finite parameters whose score is inf - inf: the tie rule sends
         # an undecided row to unsafe
+        owner = linear if predict == "_predict_linear" else trees
         with np.errstate(over="ignore", invalid="ignore"):
-            codes = getattr(models, predict)(parameters, np.array([[2.0, -2.0]]))
+            codes = getattr(owner, predict)(parameters, np.array([[2.0, -2.0]]))
         assert codes.tolist() == [UNSAFE_CODE]
 
     def test_degenerate_forest_matches_plain_tree(self):
         # one tree, all features, no depth/pruning difference: the forest
         # canopy is a single unpruned gain tree
-        from roadsift.ml.models import _grow_decision_trees, _tree_predict
         ds = separable_ds(150, seed=2)
         forest = fit(ClassifierSpec("random_forest", {"I": 5, "K": 0, "M": 1}),
                      ds.X, ds.y, NAMES2, 4)
-        [plain] = _grow_decision_trees([(ds.X, ds.y)], min_leaf=1)
-        plain_pred = _tree_predict(plain, ds.X)
+        [plain] = trees._grow_decision_trees([(ds.X, ds.y)], min_leaf=1)
+        plain_pred = trees._tree_predict(plain, ds.X)
         forest_pred = forest.predict_matrix(ds.X)
         # bootstrapped vote agrees with the plain tree on almost all rows
         assert np.mean(plain_pred == forest_pred) >= 0.95
@@ -489,18 +491,18 @@ class TestCanonicalForm:
     # calls of the shared work in a 3-fold search: one solve per fold and
     # penalty, one fit per fold and form, one call per M and R growing the
     # three folds' trees
-    @pytest.mark.parametrize("family,distinct,shared_work,calls", [
-        ("logistic", 12, "_logistic_solve", 3 * 4),
-        ("linear_svm", 3, "_fit_linear_svm", 3 * 3),
-        ("decision_tree", 60, "_grow_decision_trees", 10)],
+    @pytest.mark.parametrize("family,distinct,owner,shared_work,calls", [
+        ("logistic", 12, linear, "_logistic_solve", 3 * 4),
+        ("linear_svm", 3, linear, "_fit_linear_svm", 3 * 3),
+        ("decision_tree", 60, trees, "_grow_decision_trees", 10)],
         ids=["logistic-12", "linear_svm-3", "decision_tree-60"])
     def test_grid_search_matches_per_cell_reference(self, family, distinct,
-                                                    shared_work, calls,
+                                                    owner, shared_work, calls,
                                                     monkeypatch):
         ds = noisy_ds()
         scored, runs = [], []
         kfold = gridsearch.kfold_evaluate_many
-        work = getattr(models, shared_work)
+        work = getattr(owner, shared_work)
 
         def kfold_counted(ds, specs, *args):
             scored.append(len(specs))
@@ -510,7 +512,7 @@ class TestCanonicalForm:
             runs.append(args)
             return work(*args)
         monkeypatch.setattr(gridsearch, "kfold_evaluate_many", kfold_counted)
-        monkeypatch.setattr(models, shared_work, counted)
+        monkeypatch.setattr(owner, shared_work, counted)
         if family == "linear_svm":      # the family's record holds the function
             monkeypatch.setitem(models._RECORDS, family, models._RECORDS[
                 family]._replace(fit=models._alone(counted)))
@@ -600,10 +602,10 @@ class TestPresortedGrowth:
         seed = data.draw(st.integers(0, 2**16), label="seed")
         names = tuple(f"f{i}" for i in range(X.shape[1]))
         if family == "random_forest":   # some forests span several blocks
-            assert max(PRESORT_DOMAINS[family]["I"]) > models._TREE_BLOCK
+            assert max(PRESORT_DOMAINS[family]["I"]) > trees._TREE_BLOCK
         fast = fit(spec, X, y, names, seed)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(models, "_grow_decision_trees",
+            mp.setattr(trees, "_grow_decision_trees",
                        reference_trees.grow_decision_trees)
             for name, fit_one in (
                     ("random_forest", reference_trees.fit_random_forest),
@@ -672,7 +674,7 @@ class TestPresortedGrowth:
                 if value > -np.inf and (best is None or value > best + 1e-15):
                     best, won = value, j
             expected.append(-1 if won is None else won)
-        assert models._winners(top).tolist() == expected
+        assert trees._winners(top).tolist() == expected
 
     def test_forest_memory_grows_with_the_block(self):
         # a block of trees holds a presorted index of d * n entries a tree;
@@ -681,16 +683,39 @@ class TestPresortedGrowth:
         n, d = 2000, 18
         X = rng.normal(size=(n, d))
         y = (X[:, 0] + 0.8 * rng.normal(size=n) > 0.3).astype(np.int64)
-        index_bytes = 8 * d * n * models._TREE_BLOCK
+        index_bytes = 8 * d * n * trees._TREE_BLOCK
         tracemalloc.start()
         try:
-            params, _ = models._fit_random_forest(
-                X, y, (4 * models._TREE_BLOCK, 4, 3, 1), 0)
+            params, _ = trees._fit_random_forest(
+                X, y, (4 * trees._TREE_BLOCK, 4, 3, 1), 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(params["trees"]) == 4 * models._TREE_BLOCK
+        assert len(params["trees"]) == 4 * trees._TREE_BLOCK
         assert peak < 3 * index_bytes
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="trees._raise_heap_bounds acts on glibc's malloc")
+    def test_boosting_rounds_keep_their_pages(self):
+        # in a fresh process, where no other test's frees have raised
+        # glibc's bounds first: without trees._raise_heap_bounds the second
+        # K-fold takes about 140k minor faults, with it a few dozen
+        code = textwrap.dedent("""\
+            import resource
+            from roadsift.ml import ClassifierSpec, dataset_from_tests, kfold_evaluate
+            from roadsift.oracle import DriverConfig, build_dataset
+            ds = dataset_from_tests(
+                build_dataset(100, DriverConfig(), 5, keep_traces=False))
+            spec = ClassifierSpec("gradient_boosting")
+            kfold_evaluate(ds, spec, 10, 6)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            kfold_evaluate(ds, spec, 10, 6)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True)
+        assert int(done.stdout) < 10_000
 
     @pytest.mark.parametrize("loss", ["log_loss", "exponential"])
     def test_leaf_values_are_the_margin_update(self, loss, monkeypatch):
@@ -699,18 +724,18 @@ class TestPresortedGrowth:
         X = np.round(ds.X * 2.0) / 2.0              # tied values
         sets = [(X[::2], ds.y[::2]), (X, ds.y)]
         stages, updates = [], []
-        grow, set_values = models._grow_trees, models._set_leaf_values
+        grow, set_values = trees._grow_trees, trees._set_leaf_values
 
         def grown(*args, **kwargs):
-            trees, leaves = grow(*args, **kwargs)
-            stages.append(trees)
-            return trees, leaves
+            stage, leaves = grow(*args, **kwargs)
+            stages.append(stage)
+            return stage, leaves
 
         def valued(leaves, index, grad, hess, fitted):
             set_values(leaves, index, grad, hess, fitted)
             updates.append(fitted.copy())
-        monkeypatch.setattr(models, "_grow_trees", grown)
-        monkeypatch.setattr(models, "_set_leaf_values", valued)
+        monkeypatch.setattr(trees, "_grow_trees", grown)
+        monkeypatch.setattr(trees, "_set_leaf_values", valued)
         spec = ClassifierSpec("gradient_boosting",
                               {"n_estimators": 10, "loss": loss})
         fitted_models = [model for _, _, model in
@@ -718,12 +743,12 @@ class TestPresortedGrowth:
         assert len(stages) == len(updates) == 10
         start = 0
         for t, ((Xs, _), model) in enumerate(zip(sets, fitted_models)):
-            assert [trees[t] for trees in stages] == model.parameters["trees"]
+            assert [stage[t] for stage in stages] == model.parameters["trees"]
             rows = slice(start, start + len(Xs))
             start += len(Xs)
-            for trees, fitted in zip(stages, updates):
+            for stage, fitted in zip(stages, updates):
                 assert fitted[rows].tobytes() == (
-                    models._reg_tree_predict(trees[t], Xs).tobytes())
+                    trees._reg_tree_predict(stage[t], Xs).tobytes())
 
 
 @st.composite
@@ -754,10 +779,10 @@ LOGISTIC_FORMS = [(penalty, max_iter)
 
 def assert_caps_read_one_path(Xs, y, penalty, caps):
     """The solve reported at each cap equals a solve capped there alone."""
-    shared = models._logistic_solve(Xs, y, penalty, caps)
+    shared = linear._logistic_solve(Xs, y, penalty, caps)
     assert len(shared) == len(caps)
     for cap, (w, b, steps, converged) in zip(caps, shared):
-        [(w1, b1, steps1, converged1)] = models._logistic_solve(
+        [(w1, b1, steps1, converged1)] = linear._logistic_solve(
             Xs, y, penalty, [cap])
         assert w.tobytes() == w1.tobytes() and b == b1
         assert (steps, converged) == (steps1, converged1)
@@ -783,17 +808,17 @@ class TestLogisticSolver:
            stop=st.sampled_from([{}] + [stop for stop, _ in STALLS]))
     def test_caps_truncate_one_path(self, data, penalty, caps, stop):
         X, y = data
-        mean, std = models._standardize_fit(X)
+        mean, std = linear._standardize_fit(X)
         with pytest.MonkeyPatch.context() as mp:
             for name, value in stop.items():
-                mp.setattr(models, name, value)
+                mp.setattr(linear, name, value)
             assert_caps_read_one_path((X - mean) / std, y, penalty, caps)
 
     @pytest.mark.parametrize("stop, penalty", STALLS)
     def test_caps_after_a_stall(self, stop, penalty, monkeypatch):
         for name, value in stop.items():
-            monkeypatch.setattr(models, name, value)
-        mean, std = models._standardize_fit(SEVEN_X)
+            monkeypatch.setattr(linear, name, value)
+        mean, std = linear._standardize_fit(SEVEN_X)
         shared = assert_caps_read_one_path((SEVEN_X - mean) / std, SEVEN_Y,
                                            penalty, [3, 10, 100, 1000])
         *_, (_, _, steps, converged) = shared
@@ -802,7 +827,7 @@ class TestLogisticSolver:
 
     @pytest.mark.parametrize("penalty", ["none", "l1"])
     def test_caps_cut_at_ten(self, penalty):
-        mean, std = models._standardize_fit(SEVEN_X)
+        mean, std = linear._standardize_fit(SEVEN_X)
         shared = assert_caps_read_one_path((SEVEN_X - mean) / std, SEVEN_Y,
                                            penalty, [10, 100, 1000])
         assert shared[0][2:] == (10, False)
@@ -814,9 +839,9 @@ class TestLogisticSolver:
     def test_no_worse_than_gradient_descent(self, form, data):
         X, y = data
         penalty, max_iter = form
-        mean, std = models._standardize_fit(X)
+        mean, std = linear._standardize_fit(X)
         Xs = (X - mean) / std
-        [(w, b, steps, converged)] = models._logistic_solve(
+        [(w, b, steps, converged)] = linear._logistic_solve(
             Xs, y, penalty, [max_iter])
         ref, _ = reference_logistic.fit_logistic(X, y, form, 0)
         objective = reference_logistic.objective
@@ -834,7 +859,7 @@ class TestLogisticSolver:
             model = fit(ClassifierSpec("logistic", {"penalty": penalty}),
                         ds.X, ds.y, ds.feature_names)
             mean, std = model.standardization
-            [(w, b, _, converged)] = models._logistic_solve(
+            [(w, b, _, converged)] = linear._logistic_solve(
                 (ds.X - mean) / std, ds.y, penalty, [1000])
             assert converged
             assert model.parameters == {"weights": w.tolist(), "bias": b}
@@ -844,10 +869,10 @@ class TestLogisticSolver:
         X = np.array([[8, -12], [-20, -13], [10, -19], [10, 13], [13, -16],
                       [6, -11], [19, -9]], dtype=float)
         y = np.array([0, 1, 0, 1, 0, 1, 0])
-        mean, std = models._standardize_fit(X)
+        mean, std = linear._standardize_fit(X)
         Xs = (X - mean) / std
         values = [reference_logistic.objective(
-            Xs, y, *models._logistic_solve(Xs, y, "none", [k])[0][:2], "none")
+            Xs, y, *linear._logistic_solve(Xs, y, "none", [k])[0][:2], "none")
             for k in range(11)]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
@@ -857,8 +882,8 @@ class TestLogisticSolver:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(40, 18))
         y = (X @ rng.normal(size=18) > 0).astype(np.int64)
-        mean, std = models._standardize_fit(X)
-        [(w, b, steps, converged)] = models._logistic_solve(
+        mean, std = linear._standardize_fit(X)
+        [(w, b, steps, converged)] = linear._logistic_solve(
             (X - mean) / std, y, "none", [1000])
         assert converged and steps <= 50
         assert np.all(np.isfinite(w)) and math.isfinite(b)
@@ -894,9 +919,9 @@ class TestLinearSvmSolver:
     def test_no_worse_than_subgradient_descent(self, form, data):
         X, y = data
         penalty, loss = form
-        mean, std = models._standardize_fit(X)
+        mean, std = linear._standardize_fit(X)
         Xs = (X - mean) / std
-        w, b, _, converged = models._svm_solve(Xs, y, *form)
+        w, b, _, converged = linear._svm_solve(Xs, y, *form)
         ref, _ = reference_svm.fit_linear_svm(X, y, form, 0)
         objective = reference_svm.objective(Xs, y, w, b, *form)
         assert converged
@@ -905,7 +930,7 @@ class TestLinearSvmSolver:
         if loss == "squared_hinge":
             assert reference_svm.kkt_residual(Xs, y, w, b, penalty) < 2e-8
         elif penalty == "l2":
-            beta, *_ = models._hinge_dual_solve(Xs, y)
+            beta, *_ = linear._hinge_dual_solve(Xs, y)
             assert np.all((beta >= 0.0) & (beta <= 1.0 / len(y)))
             assert abs(objective - reference_svm.dual_objective(Xs, y, beta)) < 1e-8
 
@@ -916,17 +941,17 @@ class TestLinearSvmSolver:
         n = 3000
         X = rng.normal(size=(n, 18))
         y = (X[:, 0] + 0.8 * rng.normal(size=n) > 0.3).astype(float)
-        mean, std = models._standardize_fit(X)
+        mean, std = linear._standardize_fit(X)
         Xs = (X - mean) / std
         tracemalloc.start()
         try:
-            w, b, _, converged = models._svm_solve(Xs, y, *form)
+            w, b, _, converged = linear._svm_solve(Xs, y, *form)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert converged
         assert peak < 8 * n * n / 4
-        beta, *_ = models._hinge_dual_solve(Xs, y)
+        beta, *_ = linear._hinge_dual_solve(Xs, y)
         assert abs(reference_svm.objective(Xs, y, w, b, *form)
                    - reference_svm.dual_objective(Xs, y, beta)) < 1e-8
 
@@ -936,7 +961,7 @@ class TestLinearSvmSolver:
             spec = ClassifierSpec("linear_svm", {"penalty": penalty, "loss": loss})
             model = fit(spec, ds.X, ds.y, ds.feature_names)
             mean, std = model.standardization
-            w, b, _, _ = models._svm_solve((ds.X - mean) / std, ds.y, penalty, loss)
+            w, b, _, _ = linear._svm_solve((ds.X - mean) / std, ds.y, penalty, loss)
             assert model.parameters == {"weights": w.tolist(), "bias": b}
 
     def test_l1_with_hinge_is_refused(self, tmp_path):
@@ -946,7 +971,7 @@ class TestLinearSvmSolver:
             fit(ClassifierSpec("linear_svm", params), ds.X, ds.y,
                 ds.feature_names)
         with pytest.raises(ValueError, match="l1 with hinge is unsupported"):
-            models._svm_solve(ds.X, ds.y, "l1", "hinge")
+            linear._svm_solve(ds.X, ds.y, "l1", "hinge")
         assert skip_reason("linear_svm", {**params, "dual": False}) == \
             "l1 with hinge is unsupported"
         # a stored l1 + hinge model still loads and predicts from its weights

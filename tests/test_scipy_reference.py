@@ -24,7 +24,7 @@ from roadsift.geometry import (
     interpolate_spine,
     self_intersects,
 )
-from roadsift.ml.models import _log_loss_derivatives
+from roadsift.ml.linear import _log_loss_derivatives
 from roadsift.oracle import GeneratorBounds, _candidate_points
 
 import reference_geometry
