@@ -479,22 +479,27 @@ class TransmissionReport:
     max_latency_ms: float
 
 
+# a host name or IPv4 address without a colon, or an IPv6 literal in
+# brackets; then ASCII digits only, since int() takes spaces and non-ASCII
+# digits
+_TCP_TARGET = re.compile(r"tcp://(?:\[([^\[\]]+)\]|([^:\[\]]+)):([0-9]+)")
+
+
 def open_sink(target: str):
-    """file://path opens a binary file; tcp://host:port opens a socket
-    stream, for a non-empty host and a decimal port in 1..65535, checked
-    before any connection is tried. Anything with a write() method is
-    accepted directly."""
+    """file://path opens a binary file; tcp://host:port or
+    tcp://[IPv6 address]:port opens a socket stream, for a non-empty host
+    and a decimal port in 1..65535, checked before any connection is tried.
+    Anything with a write() method is accepted directly."""
     if target.startswith("file://"):
         return open(target[len("file://"):], "wb")
     if target.startswith("tcp://"):
-        host, _, port = target[len("tcp://"):].partition(":")
-        # int() takes spaces and non-ASCII digits, and getaddrinfo wraps a
-        # port past 65535 to 16 bits
-        if not (host and port.isascii() and port.isdigit()
-                and 1 <= int(port) <= 65535):
+        match = _TCP_TARGET.fullmatch(target)
+        # getaddrinfo wraps a port past 65535 to 16 bits
+        if not (match and 1 <= int(match[3]) <= 65535):
             raise ValueError(f"sink target {target!r} is not tcp://host:port "
-                             "with a host and a port in 1..65535")
-        sock = socket.create_connection((host, int(port)))
+                             "or tcp://[IPv6 address]:port with a port in "
+                             "1..65535")
+        sock = socket.create_connection((match[1] or match[2], int(match[3])))
         return sock.makefile("wb")
     raise ValueError(f"unsupported sink target {target!r}")
 

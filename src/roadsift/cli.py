@@ -326,9 +326,6 @@ def cmd_experiment(args) -> int:
     if unread:
         raise ValueError(f"protocol {args.protocol!r} with {selector} "
                          f"{choice!r} does not read {', '.join(map(repr, unread))}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     if seeds is None:
         _require(args, "seed")
         reps = 30 if args.repetitions is None else args.repetitions
@@ -342,7 +339,6 @@ def cmd_experiment(args) -> int:
                             "list of distinct integers")
     cost = selection.CostModel(**_given(args, "overhead_s"))
 
-    rows = []
     if args.protocol in ("fix", "reach"):
         _require(args, "dataset", "pool", "S" if args.protocol == "fix" else "N")
         pool_cfg = args.pool
@@ -357,21 +353,19 @@ def cmd_experiment(args) -> int:
         else:
             strategy = {"random": selection.RandomStrategy,
                         "road_length": selection.RoadLengthStrategy}[args.strategy]()
-        for seed in seeds:
+
+        def repetition(seed):
             pool = selection.build_pool(
                 tests, (pool_cfg["safe"], pool_cfg["unsafe"]), seed)
             if args.protocol == "fix":
                 res = selection.run_fix(pool, strategy, args.S, seed)
-                row = {"seed": seed, "unsafe_ratio": res.unsafe_ratio,
-                       "drawn": res.drawn, "backfilled": res.backfilled}
-            else:
-                res = selection.run_reach(pool, strategy, args.N, cost, seed)
-                row = {"seed": seed, "executed_count": res.executed_count,
-                       "elapsed_cost_safe": res.elapsed_cost_safe,
-                       "elapsed_cost_unsafe": res.elapsed_cost_unsafe,
-                       "fallback_used": int(res.fallback_used)}
-            rows.append(row)
-            (out / f"rep_{seed}.json").write_text(json.dumps(row, indent=2) + "\n")
+                return {"seed": seed, "unsafe_ratio": res.unsafe_ratio,
+                        "drawn": res.drawn, "backfilled": res.backfilled}
+            res = selection.run_reach(pool, strategy, args.N, cost, seed)
+            return {"seed": seed, "executed_count": res.executed_count,
+                    "elapsed_cost_safe": res.elapsed_cost_safe,
+                    "elapsed_cost_unsafe": res.elapsed_cost_unsafe,
+                    "fallback_used": int(res.fallback_used)}
     else:
         _require(args, "budget_s")
         cfg = selection.RealTimeConfig(
@@ -379,7 +373,8 @@ def cmd_experiment(args) -> int:
             model=None if args.model is None else load_model(args.model),
             cost=cost, driver=DriverConfig(**_given(args, risk_factor="rf")),
             **_given(args, "warmup_n", "retrain_every"))
-        for seed in seeds:
+
+        def repetition(seed):
             res = selection.run_realtime(cfg, seed)
             row = {"seed": seed, "executed_unsafe": res.executed_unsafe,
                    "executed_safe": res.executed_safe,
@@ -387,8 +382,15 @@ def cmd_experiment(args) -> int:
                    **{f"time_{k}": v for k, v in res.time_fractions.items()}}
             if res.post_mortem_accuracy is not None:
                 row["post_mortem_accuracy"] = res.post_mortem_accuracy
-            rows.append(row)
-            (out / f"rep_{seed}.json").write_text(json.dumps(row, indent=2) + "\n")
+            return row
+
+    # made only once the config has passed every check
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for seed in seeds:
+        rows.append(repetition(seed))
+        (out / f"rep_{seed}.json").write_text(json.dumps(rows[-1], indent=2) + "\n")
 
     _aggregate_csv(out / "aggregate.csv", rows)
     print(f"{args.protocol}: {len(rows)} repetitions -> {out}")

@@ -15,9 +15,14 @@ so experiment results are deterministic and fast.
 from __future__ import annotations
 
 import math
+import os
+import signal
+import threading
+from collections import deque
 from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from typing import ClassVar
 
 import numpy as np
@@ -379,6 +384,80 @@ class RealTimeResult:
     clock: dict[str, float]
 
 
+# roads a worker process has queued or in hand, ahead of the loop
+ROADS_IN_FLIGHT_PER_WORKER = 4
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _road_seeds(rng_seed: int) -> Iterator[int]:
+    """Per-road seeds, drawn in doubling blocks; generate_state is
+    prefix-stable, so road i gets the same seed whatever the block size."""
+    seed_seq = np.random.SeedSequence(rng_seed)
+    drawn = 0
+    while True:
+        block = seed_seq.generate_state(max(64, 2 * drawn))
+        yield from (int(seed) for seed in block[drawn:])
+        drawn = len(block)
+
+
+def _road(seed: int, driver: DriverConfig) -> tuple[FeatureVector, int, float]:
+    """Everything the real-time loop needs of one road before it predicts:
+    its features, and the verdict code and duration of its drive."""
+    road, spine = generate_road(seed)
+    features = features_from_segments(spine, segment_spine(spine))
+    outcome = _simulate(spine, driver, road.lane_width, keep_trace=False)
+    return features, label_code(outcome.label), outcome.duration
+
+
+def _fork_pool(workers: int):
+    """A pool of `workers` forked processes that ignore Ctrl-C, which the
+    parent alone handles; None where fork is not a start method, or while
+    another thread runs: a fork copies only the calling thread, so a lock
+    held by another one would stay held in the worker."""
+    # imported here, not at the top: every command imports this module,
+    # and these add about 15 ms and 1.5 MB to its start
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    if (threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return None
+    return ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+
+
+def _prepared_roads(rng_seed: int, driver: DriverConfig
+                    ) -> Iterator[tuple[FeatureVector, int, float]]:
+    """_road of each per-road seed, in seed order.
+
+    With more than one CPU, forked worker processes (_fork_pool) prepare a
+    fixed number of roads ahead of the reader; an exception from a road is
+    raised when the reader reaches that road. Closing the iterator cancels
+    the roads not yet started and joins the workers. Without a pool each
+    road is prepared in-process when it is asked for."""
+    seeds = _road_seeds(rng_seed)
+    workers = _worker_count()
+    pool = _fork_pool(workers) if workers > 1 else None
+    if pool is None:
+        yield from map(_road, seeds, repeat(driver))
+        return
+    try:
+        pending = deque(pool.submit(_road, seed, driver) for seed in
+                        islice(seeds, workers * ROADS_IN_FLIGHT_PER_WORKER))
+        while True:
+            road = pending.popleft().result()
+            pending.append(pool.submit(_road, next(seeds), driver))
+            yield road
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
     """Generate-predict-execute loop under a time budget.
 
@@ -391,7 +470,10 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
 
     Each step charges its declared cost to a virtual clock: generation,
     prediction and retraining from cfg.cost, an execution its simulated
-    drive time plus overhead. The run is therefore bit-reproducible.
+    drive time plus overhead. The run is therefore bit-reproducible. A
+    road, its features and its drive depend on its seed alone, so they are
+    prepared ahead of the loop (_prepared_roads); the results do not depend
+    on how many CPUs do that.
     """
     adaptive = cfg.mode == "adaptive"
     model = cfg.model
@@ -400,16 +482,6 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
             f"budget {cfg.budget_s}s cannot cover warm-up of {cfg.warmup_n}")
 
     clock = VirtualClock()
-    # per-road seeds are drawn in doubling blocks; generate_state is
-    # prefix-stable, so road i gets the same seed whatever the block size
-    seed_seq = np.random.SeedSequence(rng_seed)
-    seeds = seed_seq.generate_state(64)
-
-    def drive(road, spine) -> tuple[int, float]:
-        outcome = _simulate(spine, cfg.driver, road.lane_width,
-                            keep_trace=False)
-        return label_code(outcome.label), outcome.duration
-
     X_rows: list[np.ndarray] = []
     y_rows: list[int] = []
     since_retrain = 0
@@ -417,50 +489,46 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
     executed_unsafe = executed_safe = generated = 0
     predictions: list[int] = []
     truths: list[int] = []
-    rejected = []                    # (road, spine) predicted safe, not driven
+    rejected: list[int] = []         # truths of the roads predicted safe
 
-    while clock.total < cfg.budget_s:
-        if generated == len(seeds):
-            seeds = seed_seq.generate_state(2 * len(seeds))
-        road, spine = generate_road(int(seeds[generated]))
-        features = features_from_segments(spine, segment_spine(spine))
-        clock.charge("generation", cfg.cost.generation_s)
-        generated += 1
+    with closing(_prepared_roads(rng_seed, cfg.driver)) as roads:
+        while clock.total < cfg.budget_s:
+            features, truth, duration = next(roads)
+            clock.charge("generation", cfg.cost.generation_s)
+            generated += 1
 
-        predicted = None
-        if model is not None and not (adaptive and generated <= cfg.warmup_n):
-            predicted = int(model.predict_matrix(
-                model.feature_matrix([features]))[0])
-            clock.charge("prediction", cfg.cost.prediction_s)
-            if predicted != UNSAFE_CODE:
-                rejected.append((road, spine))
-                continue
+            predicted = None
+            if model is not None and not (adaptive and generated <= cfg.warmup_n):
+                predicted = int(model.predict_matrix(
+                    model.feature_matrix([features]))[0])
+                clock.charge("prediction", cfg.cost.prediction_s)
+                if predicted != UNSAFE_CODE:
+                    rejected.append(truth)
+                    continue
 
-        truth, duration = drive(road, spine)
-        if truth == UNSAFE_CODE:
-            executed_unsafe += 1
-            clock.charge("execution_unsafe", duration + cfg.cost.overhead_s)
-        else:
-            executed_safe += 1
-            clock.charge("execution_safe", duration + cfg.cost.overhead_s)
-        if predicted is not None:
-            predictions.append(predicted)
-            truths.append(truth)
-        if adaptive:
-            X_rows.append(features.as_array())
-            y_rows.append(truth)
-            since_retrain += 1
-            if since_retrain >= cfg.retrain_every and len(set(y_rows)) == 2:
-                model = fit(cfg.spec, np.vstack(X_rows), np.asarray(y_rows),
-                            FEATURE_NAMES, rng_seed)
-                clock.charge("retraining", cfg.cost.retrain_base_s
-                             + cfg.cost.retrain_per_row_s * len(y_rows))
-                since_retrain = 0
+            if truth == UNSAFE_CODE:
+                executed_unsafe += 1
+                clock.charge("execution_unsafe", duration + cfg.cost.overhead_s)
+            else:
+                executed_safe += 1
+                clock.charge("execution_safe", duration + cfg.cost.overhead_s)
+            if predicted is not None:
+                predictions.append(predicted)
+                truths.append(truth)
+            if adaptive:
+                X_rows.append(features.as_array())
+                y_rows.append(truth)
+                since_retrain += 1
+                if since_retrain >= cfg.retrain_every and len(set(y_rows)) == 2:
+                    model = fit(cfg.spec, np.vstack(X_rows), np.asarray(y_rows),
+                                FEATURE_NAMES, rng_seed)
+                    clock.charge("retraining", cfg.cost.retrain_base_s
+                                 + cfg.cost.retrain_per_row_s * len(y_rows))
+                    since_retrain = 0
 
-    # post-mortem: drive the rejected roads off the clock for ground truth
-    for road, spine in rejected:
-        predictions.append(SAFE_CODE)
-        truths.append(drive(road, spine)[0])
+    # post-mortem: the rejected roads' drives, off the clock, as ground truth
+    predictions += [SAFE_CODE] * len(rejected)
+    truths += rejected
     confusion = post_mortem_accuracy = None
     if predictions:
         confusion = confusion_from_predictions(

@@ -447,7 +447,8 @@ class TestPlayback:
         "tcp://localhost", "tcp://localhost:", "tcp://:8080",
         "tcp://localhost:0", "tcp://localhost:65536", "tcp://localhost:65616",
         "tcp://localhost:-1", "tcp://localhost: 80", "tcp://localhost:http",
-        "tcp://localhost:٨٠"])
+        "tcp://localhost:٨٠", "tcp://::1:8080", "tcp://[::1]", "tcp://[::1]:",
+        "tcp://[::1]8080", "tcp://[]:8080", "tcp://[::1:8080", "tcp://[::1]:0"])
     def test_a_bad_tcp_target_is_named_before_connecting(self, target,
                                                          monkeypatch):
         def connect(address):
@@ -456,6 +457,20 @@ class TestPlayback:
         with pytest.raises(ValueError) as err:
             open_sink(target)
         assert repr(target) in str(err.value)
+
+    def test_a_bracketed_ipv6_target_connects(self, monkeypatch):
+        addresses = []
+
+        class Socket:
+            def makefile(self, mode):
+                return io.BytesIO()
+
+        def connect(address):
+            addresses.append(address)
+            return Socket()
+        monkeypatch.setattr(canbus.socket, "create_connection", connect)
+        open_sink("tcp://[::1]:8080")
+        assert addresses == [("::1", 8080)]
 
     def test_a_tcp_target_connects_to_its_port(self, monkeypatch):
         addresses = []

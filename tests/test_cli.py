@@ -629,6 +629,25 @@ class TestExperiment:
         assert code == 2
         assert err.startswith(f"error: {cfg}: config key {key!r}: ")
 
+    @pytest.mark.parametrize("key, value", [
+        ("seeds", []), ("repetitions", 0), ("pool", {"safe": 2, "unsafe": -1})])
+    def test_a_refused_config_makes_no_output_directory(self, run_dir, tmp_path,
+                                                        key, value):
+        config = {"protocol": "fix",
+                  "dataset": str(run_dir / "simulation.full.json"),
+                  "strategy": "random", "S": 2,
+                  "pool": {"safe": 2, "unsafe": 1}, "seeds": [1], key: value}
+        seed = []
+        if key == "repetitions":
+            del config["seeds"]
+            seed = ["--seed", "1"]
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", str(cfg), *seed,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", [{"retrain_every": 0}, {"warmup_n": -1}])
     def test_out_of_range_realtime_setting_is_config_error(self, tmp_path, bad):
         cfg = tmp_path / "rt.json"

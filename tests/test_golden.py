@@ -18,6 +18,10 @@ The traced sets at risk factors 0.5 and 2.5 were recorded while the drive
 still clamped with the builtins min and max, before those clamps became
 conditional expressions, and held unchanged after.
 
+The real-time baseline and pretrained digests were recorded while the
+loop still prepared every road in-process, before roads were prepared in
+worker processes, and held unchanged after.
+
 The digests were recorded with numpy 2.4.6 and scipy 1.17.1 on glibc
 2.36, on an x86-64 CPU with AVX-512 and FMA. numpy picks some vector math
 kernels by CPU, and glibc's libm picks FMA code paths, so on another CPU
@@ -196,16 +200,37 @@ def test_extract_features_from_simulation(traced_set, tmp_path):
     assert out.read_bytes() == (traced_set / "features.csv").read_bytes()
 
 
-def test_realtime_adaptive(tmp_path):
+def realtime_digest(tmp_path, mode_keys):
+    """Digest of the aggregate of one real-time repetition at seed 3 with a
+    600 s budget."""
     cfg = tmp_path / "rt.json"
-    cfg.write_text(json.dumps({"protocol": "realtime", "mode": "adaptive",
-                               "budget_s": 600.0, "warmup_n": 8,
-                               "repetitions": 1}))
+    cfg.write_text(json.dumps({"protocol": "realtime", "budget_s": 600.0,
+                               "repetitions": 1, **mode_keys}))
     out = tmp_path / "rt"
     assert main(["experiment", "--config", str(cfg), "--seed", "3",
                  "--out", str(out)]) == 0
-    assert sha256(out / "aggregate.csv") == (
+    return sha256(out / "aggregate.csv")
+
+
+def test_realtime_adaptive(tmp_path):
+    assert realtime_digest(tmp_path, {"mode": "adaptive", "warmup_n": 8}) == (
         "ebcb389ca9f696098ff8587cd17cb45027253a2ed444ca006d1dde2fe5c8995d")
+
+
+def test_realtime_baseline(tmp_path):
+    assert realtime_digest(tmp_path, {"mode": "baseline"}) == (
+        "cc10c93b3c593db74317dd100110daa412bef71c9ae83632b4121570460d3a4e")
+
+
+def test_realtime_pretrained(data_set_1, tmp_path):
+    # a logistic model of data set 1, run at that set's risk factor
+    assert main(["benchmark", "--features", str(data_set_1),
+                 "--models", "logistic", "--k", "3", "--seed", "1",
+                 "--out", str(tmp_path / "bm")]) == 0
+    assert realtime_digest(tmp_path, {
+        "mode": "pretrained", "rf": 1.5,
+        "model": str(tmp_path / "bm" / "best_model.json")}) == (
+        "cf6db30b70d6083b4c01b8c497e428af3d5e166ffbebf4564cc943ebd1cf9486")
 
 
 def selection_digest(traced_set, tmp_path, protocol, strategy, target):

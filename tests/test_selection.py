@@ -1,5 +1,8 @@
 import json
 import math
+import multiprocessing
+import threading
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ from hypothesis import strategies as st
 
 from roadsift.ml import UNSAFE_CODE, load_model, save_model
 from roadsift.ml.models import TrainedClassifier
-from roadsift.oracle import UNSAFE
+from roadsift import selection
+from roadsift.oracle import UNSAFE, DriveTimeout
 from roadsift.selection import (
     BudgetTooSmall,
     CostModel,
@@ -349,7 +353,8 @@ class TestRealTime:
 
     def test_road_seeds_continue_past_first_block(self, monkeypatch):
         # seeds are drawn lazily in growing blocks; road i must still get
-        # element i of the run's seed sequence
+        # element i of the run's seed sequence. The recorder sees only the
+        # roads prepared in this process, so the run is pinned there
         import roadsift.selection as selection
         seen = []
         real = selection.generate_road
@@ -359,11 +364,82 @@ class TestRealTime:
             return real(seed, *args)
 
         monkeypatch.setattr(selection, "generate_road", recording)
+        monkeypatch.setattr(selection, "_worker_count", lambda: 1)
         res = run_realtime(RealTimeConfig(mode="baseline", budget_s=3000.0),
                            rng_seed=8)
         assert len(seen) == res.generated > 64
         expected = np.random.SeedSequence(8).generate_state(len(seen))
         assert seen == [int(s) for s in expected]
+
+
+class TestRealTimeWorkers:
+    """Roads prepared in worker processes give the results of roads prepared
+    in-process, and no worker outlives the run."""
+
+    @staticmethod
+    def run(workers, cfg, seed):
+        with patch.object(selection, "_worker_count", lambda: workers):
+            return run_realtime(cfg, seed)
+
+    @settings(max_examples=6, deadline=None)
+    @given(mode=st.sampled_from(RealTimeConfig.MODES),
+           budget_s=st.floats(30.0, 400.0), warmup_n=st.integers(0, 4),
+           seed=st.integers(0, 999))
+    def test_pool_matches_in_process(self, moderate_model, mode, budget_s,
+                                     warmup_n, seed):
+        kwargs = {"pretrained": {"model": moderate_model[0]},
+                  "adaptive": {"warmup_n": warmup_n}}.get(mode, {})
+        cfg = RealTimeConfig(mode=mode, budget_s=budget_s, **kwargs)
+        assert self.run(2, cfg, seed) == self.run(1, cfg, seed)
+
+    @pytest.mark.parametrize("other_thread", [False, True])
+    def test_roads_are_prepared_in_workers(self, monkeypatch, other_thread):
+        # a fork beside another thread could copy a lock it holds, so then
+        # the roads are prepared in this process
+        seen = []
+        real = selection.generate_road
+
+        def recording(seed, *args):
+            seen.append(seed)
+            return real(seed, *args)
+
+        monkeypatch.setattr(selection, "generate_road", recording)
+        cfg = RealTimeConfig(mode="baseline", budget_s=300.0)
+        if other_thread:
+            done = threading.Event()
+            thread = threading.Thread(target=done.wait)
+            thread.start()
+            try:
+                res = self.run(2, cfg, 1)
+            finally:
+                done.set()
+                thread.join(timeout=10)
+            assert not thread.is_alive()
+        else:
+            res = self.run(2, cfg, 1)
+        assert res.generated > 0
+        assert len(seen) == (res.generated if other_thread else 0)
+        assert multiprocessing.active_children() == []
+
+    def test_road_error_surfaces_at_its_road(self, monkeypatch):
+        # road 5 of seed 1 raises, wherever it was prepared
+        bad = int(np.random.SeedSequence(1).generate_state(6)[5])
+        real = selection.generate_road
+
+        def failing(seed, *args):
+            if seed == bad:
+                raise DriveTimeout(f"road {seed} timed out")
+            return real(seed, *args)
+
+        monkeypatch.setattr(selection, "generate_road", failing)
+        cfg = RealTimeConfig(mode="baseline", budget_s=900.0)
+        raised = []
+        for workers in (2, 1):
+            with pytest.raises(DriveTimeout) as info:
+                self.run(workers, cfg, 1)
+            raised.append((type(info.value), str(info.value)))
+            assert multiprocessing.active_children() == []
+        assert raised[0] == raised[1] == (DriveTimeout, f"road {bad} timed out")
 
 
 def _strategy(kind, model):
