@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from .inputs import is_number, json_files, read_json
 from .ml import (
     FAMILIES,
     ClassifierSpec,
+    EvalReport,
     FeatureMismatch,
     LabeledDataset,
     canonical_form,
@@ -55,6 +57,7 @@ from .oracle import (
     save_dataset,
     unsafe_fraction,
 )
+from .workers import in_order
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -157,11 +160,11 @@ def cmd_generate(args) -> int:
     _require(args, "n", "seed", "out")
     if args.n < 1:
         raise ValueError(f"-n must be >= 1, got {args.n}")
+    driver = DriverConfig(**_given(args, "mu", risk_factor="rf", oob_fraction="oob"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "roads").mkdir(exist_ok=True)
 
-    driver = DriverConfig(**_given(args, "mu", risk_factor="rf", oob_fraction="oob"))
     tests = build_dataset(args.n, driver, args.seed, **_given(args, "keep_traces"))
     for tc in tests:
         save_road(out / "roads" / f"{tc.id}.json", tc.id, tc.road)
@@ -202,27 +205,41 @@ def cmd_extract_features(args) -> int:
     return EXIT_OK
 
 
+def _family_report(ds: LabeledDataset, family: str, k: int,
+                   seed: int) -> EvalReport:
+    """One family's K-fold report. Module-level, so that a worker process
+    can run it; it calls kfold_evaluate by the name this module imports,
+    the name perfbench/tracer.py wraps."""
+    return kfold_evaluate(ds, ClassifierSpec(family), k, seed)
+
+
 def cmd_benchmark(args) -> int:
     _require(args, "features", "seed", "out")
     ds = _labelled_dataset_from_csv(args.features)
     k = K_FOLDS if args.k is None else args.k
     families = list(FAMILIES) if args.models in (None, "all") \
         else [f.strip() for f in args.models.split(",")]
-    for fam in families:
+    for i, fam in enumerate(families):
         if fam not in FAMILIES:
             raise ValueError(f"unknown model family {fam!r}")
+        if fam in families[:i]:
+            raise ValueError(f"model family {fam!r} is given twice")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     best = None
-    for fam in families:
-        report = kfold_evaluate(ds, ClassifierSpec(fam), k, args.seed)
-        (out / f"{fam}.report.json").write_text(
-            json.dumps(report.as_dict(), indent=2) + "\n")
-        print(f"{fam}: weighted F1 {report.weighted_avg_f1:.3f} "
-              f"(unsafe F1 {report.f1_unsafe:.3f})")
-        if best is None or report.weighted_avg_f1 > best[1]:
-            best = (fam, report.weighted_avg_f1)
+    # the families' K-folds run side by side where there are CPUs for them;
+    # their reports come back in family order
+    with closing(in_order(_family_report, [(ds, fam, k, args.seed)
+                                           for fam in families])) as reports:
+        for fam, report in zip(families, reports):
+            # made once a report is in hand, so a refused run leaves none
+            out.mkdir(parents=True, exist_ok=True)
+            (out / f"{fam}.report.json").write_text(
+                json.dumps(report.as_dict(), indent=2) + "\n")
+            print(f"{fam}: weighted F1 {report.weighted_avg_f1:.3f} "
+                  f"(unsafe F1 {report.f1_unsafe:.3f})")
+            if best is None or report.weighted_avg_f1 > best[1]:
+                best = (fam, report.weighted_avg_f1)
 
     fam = best[0]
     train = oversample_minority(ds, args.seed)

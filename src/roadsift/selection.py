@@ -15,10 +15,6 @@ so experiment results are deterministic and fast.
 from __future__ import annotations
 
 import math
-import os
-import signal
-import threading
-from collections import deque
 from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -45,6 +41,7 @@ from .oracle import (
     segment_spine,
 )
 from .oracle import _simulate  # deterministic oracle core
+from .workers import in_order
 
 
 class InsufficientClassRows(ValueError):
@@ -384,17 +381,6 @@ class RealTimeResult:
     clock: dict[str, float]
 
 
-# roads a worker process has queued or in hand, ahead of the loop
-ROADS_IN_FLIGHT_PER_WORKER = 4
-
-
-def _worker_count() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _road_seeds(rng_seed: int) -> Iterator[int]:
     """Per-road seeds, drawn in doubling blocks; generate_state is
     prefix-stable, so road i gets the same seed whatever the block size."""
@@ -415,49 +401,6 @@ def _road(seed: int, driver: DriverConfig) -> tuple[FeatureVector, int, float]:
     return features, label_code(outcome.label), outcome.duration
 
 
-def _fork_pool(workers: int):
-    """A pool of `workers` forked processes that ignore Ctrl-C, which the
-    parent alone handles; None where fork is not a start method, or while
-    another thread runs: a fork copies only the calling thread, so a lock
-    held by another one would stay held in the worker."""
-    # imported here, not at the top: every command imports this module,
-    # and these add about 15 ms and 1.5 MB to its start
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    if (threading.active_count() > 1
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return None
-    return ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
-
-
-def _prepared_roads(rng_seed: int, driver: DriverConfig
-                    ) -> Iterator[tuple[FeatureVector, int, float]]:
-    """_road of each per-road seed, in seed order.
-
-    With more than one CPU, forked worker processes (_fork_pool) prepare a
-    fixed number of roads ahead of the reader; an exception from a road is
-    raised when the reader reaches that road. Closing the iterator cancels
-    the roads not yet started and joins the workers. Without a pool each
-    road is prepared in-process when it is asked for."""
-    seeds = _road_seeds(rng_seed)
-    workers = _worker_count()
-    pool = _fork_pool(workers) if workers > 1 else None
-    if pool is None:
-        yield from map(_road, seeds, repeat(driver))
-        return
-    try:
-        pending = deque(pool.submit(_road, seed, driver) for seed in
-                        islice(seeds, workers * ROADS_IN_FLIGHT_PER_WORKER))
-        while True:
-            road = pending.popleft().result()
-            pending.append(pool.submit(_road, next(seeds), driver))
-            yield road
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
     """Generate-predict-execute loop under a time budget.
 
@@ -472,8 +415,9 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
     prediction and retraining from cfg.cost, an execution its simulated
     drive time plus overhead. The run is therefore bit-reproducible. A
     road, its features and its drive depend on its seed alone, so they are
-    prepared ahead of the loop (_prepared_roads); the results do not depend
-    on how many CPUs do that.
+    prepared (_road) through workers.in_order, in worker processes ahead of
+    the loop where there are CPUs for them; the results do not depend on
+    how many there are.
     """
     adaptive = cfg.mode == "adaptive"
     model = cfg.model
@@ -491,7 +435,8 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
     truths: list[int] = []
     rejected: list[int] = []         # truths of the roads predicted safe
 
-    with closing(_prepared_roads(rng_seed, cfg.driver)) as roads:
+    with closing(in_order(_road, zip(_road_seeds(rng_seed),
+                                     repeat(cfg.driver)))) as roads:
         while clock.total < cfg.budget_s:
             features, truth, duration = next(roads)
             clock.charge("generation", cfg.cost.generation_s)

@@ -220,6 +220,39 @@ class TestGenerate:
         assert main(["generate", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("command, flags, one_unsafe_row", [
+    ("generate", ["-n", "2", "--rf", "-1", "--seed", "1"], False),
+    ("generate", ["-n", "2", "--mu", "0", "--seed", "1"], False),
+    ("generate", ["-n", "2", "--oob", "2", "--seed", "1"], False),
+    ("benchmark", ["--k", "21"], False),          # run_dir holds 20 rows
+    ("benchmark", ["--k", "3"], True),
+])
+def test_a_refused_run_makes_no_output_directory(run_dir, tmp_path, command,
+                                                 flags, one_unsafe_row):
+    features = run_dir / "features.csv"
+    if one_unsafe_row:
+        lines = features.read_text().splitlines(keepends=True)
+        unsafe = [line for line in lines if line.rstrip().endswith(",unsafe")]
+        features = tmp_path / "f.csv"
+        features.write_text("".join(line for line in lines
+                                    if line not in unsafe[1:]))
+    if command == "benchmark":
+        flags = [*flags, "--features", str(features), "--seed", "1"]
+    out = tmp_path / "o"
+    assert main([command, *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_a_repeated_family_is_refused(run_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["benchmark", "--features", str(run_dir / "features.csv"),
+                 "--models", "logistic,naive_bayes,logistic", "--seed", "1",
+                 "--k", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: model family 'logistic' is given twice\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, config, key", [
     ("can-play", {"pacing": "slow"}, "pacing"),
     ("generate", {"n": "five"}, "n"),

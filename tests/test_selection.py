@@ -364,7 +364,7 @@ class TestRealTime:
             return real(seed, *args)
 
         monkeypatch.setattr(selection, "generate_road", recording)
-        monkeypatch.setattr(selection, "_worker_count", lambda: 1)
+        monkeypatch.setattr("roadsift.workers._cpu_count", lambda: 1)
         res = run_realtime(RealTimeConfig(mode="baseline", budget_s=3000.0),
                            rng_seed=8)
         assert len(seen) == res.generated > 64
@@ -378,7 +378,7 @@ class TestRealTimeWorkers:
 
     @staticmethod
     def run(workers, cfg, seed):
-        with patch.object(selection, "_worker_count", lambda: workers):
+        with patch("roadsift.workers._cpu_count", lambda: workers):
             return run_realtime(cfg, seed)
 
     @settings(max_examples=6, deadline=None)
