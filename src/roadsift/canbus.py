@@ -5,10 +5,11 @@ values into classic 8-byte CAN frames (Intel and Motorola byte orders),
 converts labelled drive traces into timestamped playback records, and
 streams them to a byte sink with optional real-time pacing.
 
-Conversion compiles the mapped messages' layout once per trace and packs
-each frame as an int. Records come out ordered by timestamp, then can_id,
-then message name; the frames of an instant that holds the same trace state
-as the one before are reused, not packed again.
+Conversion compiles the mapped messages' layout and each signal's
+quantisation once per trace and packs each frame as an int. Records come
+out ordered by timestamp, then can_id, then message name; the frames of an
+instant that holds the same trace state as the one before are reused, not
+packed again.
 
 Wire framing: timestamp_ms (u32 LE) | can_id (u32 LE) | dlc (u8) | data.
 """
@@ -21,7 +22,7 @@ import re
 import socket
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -237,24 +238,41 @@ def parse_dbc(text: str) -> CanDatabase:
 # A frame is handled as one int read little-endian from its bytes, so frame
 # bit index byte*8 + bit-in-byte is int bit index.
 
+def _codec(sig: CanSignalDef) -> tuple:
+    """What quantising a signal's values needs, computed once: its clamp
+    bounds, offset and scale, the range of its raw field and the mask of
+    the field's width."""
+    width = (1 << sig.bit_length) - 1
+    if sig.signed:
+        raw_min, raw_max = -(1 << (sig.bit_length - 1)), width >> 1
+    else:
+        raw_min, raw_max = 0, width
+    return (sig.minimum, sig.maximum, sig.offset, sig.scale,
+            raw_min, raw_max, width)
+
+
+def _raw(codec: tuple, value: float) -> int:
+    """The raw field of a physical value: clamp to [min, max], round to the
+    scale, saturate to the field's range, and take the two's complement
+    when signed. Each clamp keeps the rule of the builtins: max(value, lo)
+    is lo if lo > value else value, and min(value, hi) is hi if hi < value
+    else value, so a tie, a NaN or a -0.0 gives what they give."""
+    lo, hi, offset, scale, raw_min, raw_max, width = codec
+    value = lo if lo > value else value
+    value = hi if hi < value else value
+    raw = round((value - offset) / scale)
+    raw = raw_min if raw_min > raw else raw
+    raw = raw_max if raw_max < raw else raw
+    return raw & width
+
+
 def _quantise(sig: CanSignalDef, value: float, clamp: bool = True) -> int:
-    """The raw field of a physical value: clamp to [min, max] (or raise),
-    round to the scale, saturate to the field's range, and take the two's
-    complement when signed."""
-    if clamp:
-        value = min(max(value, sig.minimum), sig.maximum)
-    elif not sig.minimum <= value <= sig.maximum:
+    """The raw field of a physical value, as _raw gives it; with clamp
+    false, a value outside [min, max] raises instead."""
+    if not (clamp or sig.minimum <= value <= sig.maximum):
         raise ValueOutOfRange(
             f"{sig.name}: {value} outside [{sig.minimum}, {sig.maximum}]")
-    raw = round((value - sig.offset) / sig.scale)
-    if sig.signed:
-        lo = -(1 << (sig.bit_length - 1))
-        hi = (1 << (sig.bit_length - 1)) - 1
-        raw = min(max(raw, lo), hi)
-        raw &= (1 << sig.bit_length) - 1      # two's complement
-    else:
-        raw = min(max(raw, 0), (1 << sig.bit_length) - 1)
-    return raw
+    return _raw(_codec(sig), value)
 
 
 def _place(raw: int, start_bit: int, positions: tuple[int, ...] | None) -> int:
@@ -348,16 +366,16 @@ class PlaybackRecord(NamedTuple):
 
 def _compile(db: CanDatabase, mapping: SignalMapping) -> list[tuple]:
     """The layout of each mapped message, in (can_id, name) order:
-    (can_id, dlc, signals), each signal (trace field, factor, definition,
-    start bit, Motorola positions or None, mask clearing its bits), in
-    mapping order."""
+    (can_id, dlc, signals), each signal (trace field, factor, codec, start
+    bit, Motorola positions or None, mask clearing its bits), in mapping
+    order."""
     mapping.validate(db, TRACE_KEYS)
     per_message: dict[str, list] = {}
     for field_name, msg_name, sig_name, factor in mapping.entries:
         sig = db.by_name(msg_name).signal(sig_name)
         positions, mask = _layout(sig)
         per_message.setdefault(msg_name, []).append(
-            (field_name, factor, sig, sig.start_bit, positions, ~mask))
+            (field_name, factor, _codec(sig), sig.start_bit, positions, ~mask))
     messages = sorted((db.by_name(name) for name in per_message),
                       key=lambda msg: (msg.can_id, msg.name))
     return [(msg.can_id, msg.dlc, per_message[msg.name]) for msg in messages]
@@ -387,7 +405,11 @@ def convert_trace(trace, db: CanDatabase, mapping: SignalMapping,
     plan = _compile(db, mapping)
     times_ms = [round(state.t * 1000.0) for state in trace]
     last = len(trace) - 1
+    # each record is built as a tuple, without PlaybackRecord's per-call
+    # argument handling
+    new = tuple.__new__
     records = []
+    append = records.append
     idx = 0
     held = -1
     for ms in range(0, times_ms[-1] + 1, sample_period_ms):
@@ -399,12 +421,12 @@ def convert_trace(trace, db: CanDatabase, mapping: SignalMapping,
             frames = []
             for can_id, dlc, signals in plan:
                 bits = 0
-                for field_name, factor, sig, start_bit, positions, clear in signals:
-                    raw = _quantise(sig, getattr(state, field_name) * factor)
+                for field_name, factor, codec, start_bit, positions, clear in signals:
+                    raw = _raw(codec, getattr(state, field_name) * factor)
                     bits = bits & clear | _place(raw, start_bit, positions)
                 frames.append((can_id, dlc, bits.to_bytes(dlc, "little")))
         for can_id, dlc, data in frames:
-            records.append(PlaybackRecord(ms, can_id, dlc, data))
+            append(new(PlaybackRecord, (ms, can_id, dlc, data)))
     return records
 
 
@@ -415,9 +437,22 @@ CSV_HEADER = "timestamp_ms,can_id_hex,dlc,data_hex"
 
 
 def write_playback_csv(records: list[PlaybackRecord], path: str | Path) -> None:
+    """One line per record, under CSV_HEADER. The ",can_id,dlc,data" text
+    of each distinct frame is formatted once per file, since a held trace
+    state repeats its frames at several instants; a frame whose data cannot
+    be hashed, a bytearray, is formatted at each of its records."""
     lines = [CSV_HEADER]
-    for rec in records:
-        lines.append(f"{rec.timestamp_ms},{rec.can_id:x},{rec.dlc},{rec.data.hex()}")
+    append = lines.append
+    frame_texts: dict[tuple, str] = {}
+    for ts, can_id, dlc, data in records:
+        frame = can_id, dlc, data
+        try:
+            text = frame_texts[frame]
+        except KeyError:
+            text = frame_texts[frame] = f",{can_id:x},{dlc},{data.hex()}"
+        except TypeError:
+            text = f",{can_id:x},{dlc},{data.hex()}"
+        append(f"{ts}{text}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

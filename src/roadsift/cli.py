@@ -443,9 +443,9 @@ def cmd_can_convert(args) -> int:
     period = _given(args, sample_period_ms="period_ms")
     if period:                  # checked once, so also without traces
         canbus.check_sample_period(**period)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     tests = load_dataset(args.simulation)
+    out = Path(args.out)        # so a refused dataset leaves no directory
+    out.mkdir(parents=True, exist_ok=True)
     converted = 0
     for tc in tests:
         if not tc.outcome.trace:

@@ -16,12 +16,12 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, fields
-from functools import cache
-from itertools import chain
-from operator import attrgetter, itemgetter, le
+from dataclasses import dataclass
+from functools import cache, partial
+from itertools import chain, repeat
+from operator import add, attrgetter, itemgetter, le
 from pathlib import Path
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -88,8 +88,9 @@ class DriverConfig:
             raise ValueError(f"oob_fraction must be in (0, 1], got {self.oob_fraction}")
 
 
-@dataclass(frozen=True)
-class VehicleState:
+class VehicleState(NamedTuple):
+    """One drive step; a tuple, since the drive builds one per step and
+    load_dataset one per saved trace row."""
     t: float
     x: float
     y: float
@@ -102,10 +103,9 @@ class VehicleState:
 
 
 # the VehicleState fields, in field order, that a dataset file keeps for
-# each trace row; lateral_offset is not written, and load_dataset fills it
-# with zeros
-TRACE_KEYS = tuple(f.name for f in fields(VehicleState)
-                   if f.name != "lateral_offset")
+# each trace row: all but the last, lateral_offset, which is not written
+# and which load_dataset fills with zeros
+TRACE_KEYS = VehicleState._fields[:-1]
 
 
 @dataclass(frozen=True)
@@ -481,13 +481,14 @@ _FEATURES = _json_object(FEATURE_NAMES, 2)
 _POINT = _json_array(["%s", "%s"], 3)
 _STATE = _json_object(TRACE_KEYS, 3)
 _STATE_VALUES = itemgetter(*TRACE_KEYS)
+_new_state = partial(tuple.__new__, VehicleState)
 
 
 def save_dataset(path: str | Path, tests: list[TestCase]) -> None:
     """Write the labelled-dataset JSON consumed by the CAN conversion step:
     the bytes of json.dumps(rows, indent=1) and a newline, built from
     fixed templates, since json's indenting encoder is pure Python."""
-    state_values = attrgetter(*TRACE_KEYS)
+    state_values = itemgetter(slice(len(TRACE_KEYS)))
     feature_values = attrgetter(*FEATURE_NAMES)
     rows = []
     for tc in tests:
@@ -547,7 +548,9 @@ def _read_trace(states, keep: bool) -> tuple[VehicleState, ...]:
         j = next(j for j in range(1, len(times)) if times[j] < times[j - 1])
         raise ValueError(f"trace state {j}: t {times[j]!r} is before "
                          f"{times[j - 1]!r}")
-    return tuple(VehicleState(*row, 0.0) for row in rows)
+    # each state is built as a tuple from its row and a zero lateral_offset,
+    # without VehicleState's per-call argument handling
+    return tuple(map(_new_state, map(add, rows, repeat((0.0,)))))
 
 
 def load_dataset(path: str | Path, keep_traces: bool = True) -> list[TestCase]:

@@ -1,10 +1,15 @@
-"""Per-record CAN conversion as first written: every sample instant re-sorts
-the message names, looks each message and signal up by name, and packs
-every signal bit by bit. Kept as the reference the compiled conversion in
-roadsift.canbus must match record for record.
+"""Per-record CAN conversion and playback CSV writing as first written.
+
+The conversion re-sorts the message names at every sample instant, looks
+each message and signal up by name, and packs every signal bit by bit. The
+writer formats each record's line with one f-string. Kept as the references
+that the compiled conversion in roadsift.canbus must match record for
+record, and its CSV writer byte for byte.
 """
 
-from roadsift.canbus import MappingError, PlaybackRecord
+from pathlib import Path
+
+from roadsift.canbus import CSV_HEADER, MappingError, PlaybackRecord
 from roadsift.oracle import TRACE_KEYS
 
 
@@ -57,3 +62,11 @@ def convert_trace(trace, db, mapping, sample_period_ms=20):
                 data=bytes(frame)))
     records.sort(key=lambda r: (r.timestamp_ms, r.can_id))
     return records
+
+
+def write_playback_csv(records, path):
+    """One line per record, each formatted whole."""
+    lines = [CSV_HEADER]
+    for rec in records:
+        lines.append(f"{rec.timestamp_ms},{rec.can_id:x},{rec.dlc},{rec.data.hex()}")
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -271,10 +272,11 @@ class TestConvertTrace:
         assert keys == sorted(keys)
 
 
-def draw_message(data, can_id, name):
+def draw_message(data, can_id, name, bounds=st.floats(-5000.0, 5000.0)):
     """A message of random dlc with up to four signals (Intel and Motorola,
-    signed and unsigned) at random places; one that would overlap another or
-    leave the frame is dropped."""
+    signed and unsigned) at random places, each with [min, max] drawn from
+    bounds; one that would overlap another or leave the frame is
+    dropped."""
     dlc = data.draw(st.integers(1, 8))
     used: set[int] = set()
     signals = []
@@ -283,8 +285,7 @@ def draw_message(data, can_id, name):
         bit_length = data.draw(st.integers(1, min(24, dlc * 8)))
         start = data.draw(st.integers(
             0, dlc * 8 - (bit_length if order == LITTLE_ENDIAN else 1)))
-        lo, hi = sorted(data.draw(st.lists(
-            st.floats(-5000.0, 5000.0), min_size=2, max_size=2)))
+        lo, hi = sorted(data.draw(st.lists(bounds, min_size=2, max_size=2)))
         sig = CanSignalDef(
             f"s{k}", start, bit_length, order, data.draw(st.booleans()),
             data.draw(st.sampled_from([0.01, 0.25, 0.5, 1.0, 3.0])),
@@ -328,6 +329,41 @@ class TestCompiledConversion:
         period = data.draw(st.integers(1, 100))
         assert (convert_trace(trace, db, mapping, period)
                 == reference_canbus.convert_trace(trace, db, mapping, period))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_tie_and_special_values_match_reference_converter(self, data):
+        # with factors of +-1, a mapped value can be exactly a signal's
+        # minimum or maximum, a signed zero, an infinity or a NaN, where only
+        # the clamps' tie rule decides what is packed; a NaN reaches round()
+        # and must raise what the reference raises
+        bounds = st.floats(-5000.0, 5000.0) | st.sampled_from([0.0, -0.0])
+        db = CanDatabase(messages=tuple(
+            draw_message(data, can_id, name, bounds)
+            for can_id, name in ((256, "A"), (257, "B"))))
+        targets = [(msg.name, sig) for msg in db.messages
+                   for sig in msg.signals]
+        mapping = SignalMapping(entries=tuple(
+            (data.draw(st.sampled_from(TRACE_KEYS[1:])), msg_name, sig.name,
+             data.draw(st.sampled_from([1.0, -1.0])))
+            for msg_name, sig in data.draw(
+                st.lists(st.sampled_from(targets), min_size=1, max_size=6))))
+        specials = [math.nan, math.inf, -math.inf, 0.0, -0.0] + [
+            sign * end for _, sig in targets for end in (sig.minimum, sig.maximum)
+            for sign in (1.0, -1.0)]
+        values = st.sampled_from(specials) | st.floats(-1000.0, 1000.0)
+        trace = [VehicleState(0.02 * i, *data.draw(st.lists(
+                     values, min_size=7, max_size=7)), 0.0)
+                 for i in range(data.draw(st.integers(1, 6)))]
+        period = data.draw(st.integers(1, 50))
+
+        def outcome(convert):
+            try:
+                return convert(trace, db, mapping, period)
+            except Exception as exc:
+                return type(exc), str(exc)
+        assert (outcome(convert_trace)
+                == outcome(reference_canbus.convert_trace))
 
 
 class TestPlaybackCsv:
@@ -393,6 +429,29 @@ class TestPlaybackCsv:
         path.write_bytes(CSV_HEADER.encode() + b"\r\n0,100,2,aabb\r\n")
         assert read_playback_csv(path) == [PlaybackRecord(0, 0x100, 2,
                                                           b"\xaa\xbb")]
+
+    @given(data=st.data())
+    def test_matches_reference_writer(self, tmp_path_factory, data):
+        # few frames, so records repeat them, and frames that share a
+        # can_id, a dlc or a payload; a bytearray payload is not hashable
+        # and still written
+        frames = data.draw(st.lists(st.tuples(
+            st.sampled_from([0x100, 0x101, canbus.MAX_U32]),
+            st.sampled_from([0, 2, 8]),
+            st.sampled_from([b"", b"\xaa\xbb"]) | st.binary(max_size=8)),
+            min_size=1, max_size=6))
+        records = []
+        for ts in sorted(data.draw(st.lists(st.integers(0, canbus.MAX_U32),
+                                            max_size=30))):
+            can_id, dlc, payload = data.draw(st.sampled_from(frames))
+            if data.draw(st.booleans()):
+                payload = bytearray(payload)
+            records.append(PlaybackRecord(ts, can_id, dlc, payload))
+        base = tmp_path_factory.getbasetemp()
+        write_playback_csv(records, base / "new.csv")
+        reference_canbus.write_playback_csv(records, base / "reference.csv")
+        assert ((base / "new.csv").read_bytes()
+                == (base / "reference.csv").read_bytes())
 
     def test_header_only_is_empty_playback(self, tmp_path):
         path = tmp_path / "none.csv"

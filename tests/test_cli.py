@@ -1158,6 +1158,19 @@ class TestCanCommands:
         else:
             assert code == 2 and "sample_period_ms" in captured.err
 
+    @pytest.mark.parametrize("dataset", ["missing", "int_id"])
+    def test_a_refused_dataset_makes_no_output_directory(self, tiny_dataset,
+                                                         tmp_path, dataset):
+        sim = tmp_path / f"{dataset}.json"
+        if dataset == "int_id":
+            rows = copy.deepcopy(tiny_dataset)
+            rows[0]["id"] = 1
+            sim.write_text(json.dumps(rows))
+        out = tmp_path / "cvt"
+        assert main(["can-convert", "--simulation", str(sim),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     @settings(max_examples=15)
     @given(data=st.data())
     def test_a_changed_dataset_converts_or_is_named(self, tiny_dataset,

@@ -22,6 +22,11 @@ The real-time baseline and pretrained digests were recorded while the
 loop still prepared every road in-process, before roads were prepared in
 worker processes, and held unchanged after.
 
+The Motorola and signed CAN digest was recorded while the conversion still
+clamped with the builtins min and max and the playback writer formatted
+every line whole, before each signal's quantisation was compiled and each
+frame's text formatted once per file, and held unchanged after.
+
 The digests were recorded with numpy 2.4.6 and scipy 1.17.1 on glibc
 2.36, on an x86-64 CPU with AVX-512 and FMA. numpy picks some vector math
 kernels by CPU, and glibc's libm picks FMA code paths, so on another CPU
@@ -282,3 +287,49 @@ def test_strategy_without_filter(traced_set, tmp_path, protocol, strategy,
                                  target, digest):
     assert selection_digest(traced_set, tmp_path, protocol,
                             {"strategy": strategy}, target) == digest
+
+
+# Big-endian signed signals, one of them crossing a byte boundary from an
+# odd bit, and an Intel signal sharing a message with one; a mapping with
+# negative factors, whose clamp binds at a signal's minimum; a 7 ms period.
+# The default DBC is all Intel, so only this set reaches the Motorola bit
+# positions.
+MOTOROLA_DBC = """\
+BO_ 512 MOTION: 8 SIM
+ SG_ heading_deg : 7|16@0- (0.01,0) [-327.68|327.67] "deg" DUT
+ SG_ reverse_speed : 23|12@0- (0.05,0) [-20|100] "m/s" DUT
+
+BO_ 300 CONTROL: 4 SIM
+ SG_ steer_rad : 13|10@0- (0.001,0.1) [-0.4|0.6] "rad" DUT
+ SG_ throttle_pct : 0|5@1+ (4,0) [0|100] "%" DUT
+"""
+
+MOTOROLA_MAPPING = [
+    {"field": "heading", "message": "MOTION", "signal": "heading_deg",
+     "factor": 57.29577951308232},
+    {"field": "speed", "message": "MOTION", "signal": "reverse_speed",
+     "factor": -1.0},
+    {"field": "steering", "message": "CONTROL", "signal": "steer_rad",
+     "factor": -1.0},
+    {"field": "throttle", "message": "CONTROL", "signal": "throttle_pct",
+     "factor": 100.0},
+]
+
+
+def test_can_convert_motorola_signed(traced_set, tmp_path):
+    dbc = tmp_path / "motorola.dbc"
+    dbc.write_text(MOTOROLA_DBC)
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(json.dumps(MOTOROLA_MAPPING))
+    out = tmp_path / "can"
+    assert main(["can-convert", "--simulation",
+                 str(traced_set / "simulation.full.json"), "--dbc", str(dbc),
+                 "--mapping", str(mapping), "--period-ms", "7",
+                 "--out", str(out)]) == 0
+    playbacks = sorted(out.glob("*.canplayback.csv"))
+    assert len(playbacks) == 20
+    every = hashlib.sha256()
+    for path in playbacks:
+        every.update(path.read_bytes())
+    assert every.hexdigest() == (
+        "29149f12734bcb29255cf2ed361eec52ee45b8fa001fb174a8e201759930fe32")

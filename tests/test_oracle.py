@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import fields
 from operator import attrgetter
 
 import numpy as np
@@ -281,7 +280,7 @@ def _result_or_error(call):
         return type(exc), str(exc)
 
 
-_STATE_VALUES = attrgetter(*(f.name for f in fields(VehicleState)))
+_STATE_VALUES = attrgetter(*VehicleState._fields)
 
 
 def _drive_bits(drive, spine, cfg, lane_width, keep_trace):
@@ -375,8 +374,16 @@ class TestBuildDataset:
             assert b.road == a.road
             assert b.outcome.label == a.outcome.label
             assert b.outcome.duration == pytest.approx(a.outcome.duration)
-            assert len(b.outcome.trace) == len(a.outcome.trace)
+            # the file keeps every field but lateral_offset, which loads as 0
+            assert b.outcome.trace == tuple(
+                state._replace(lateral_offset=0.0) for state in a.outcome.trace)
+            assert all(type(state) is VehicleState
+                       for state in a.outcome.trace + b.outcome.trace)
             assert b.features == a.features
+        assert VehicleState._fields == (
+            "t", "x", "y", "heading", "speed", "steering", "throttle", "brake",
+            "lateral_offset")
+        assert TRACE_KEYS == VehicleState._fields[:-1]
 
     def test_dataset_read_without_traces(self, tmp_path):
         path = tmp_path / "simulation.full.json"
