@@ -543,7 +543,10 @@ def playback(records: list[PlaybackRecord], sink,
              pacing: str = AS_FAST_AS_POSSIBLE) -> TransmissionReport:
     """Write frames to the sink in timestamp order; real-time pacing sends
     each frame at its timestamp's offset from the first one, measured from
-    the start of playback, so write latency does not add up over a run."""
+    the start of playback, so write latency does not add up over a run.
+    An unknown pacing is a ValueError, raised before any frame is written."""
+    if pacing not in (AS_FAST_AS_POSSIBLE, REAL_TIME):
+        raise ValueError(f"pacing must be 'fast' or 'realtime', got {pacing!r}")
     latencies = []
     sent = 0
     start_s = ts0 = None

@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import add, attrgetter, itemgetter, le
 from pathlib import Path
 from typing import ClassVar, NamedTuple
@@ -82,6 +83,10 @@ class DriverConfig:
             raise ValueError(f"mu must be in (0, 2], got {self.mu}")
         if not 0.5 <= self.risk_factor <= 2.5:
             raise ValueError(f"risk_factor must be in [0.5, 2.5], got {self.risk_factor}")
+        for name in ("v_max", "a_brake"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0.0 < self.timestep <= 0.1:
             raise ValueError(f"timestep must be in (0, 0.1], got {self.timestep}")
         if not 0.0 < self.oob_fraction <= 1.0:
@@ -335,11 +340,10 @@ def simulate_drive(road: RoadPoints, cfg: DriverConfig) -> TestOutcome:
     return _simulate(spine, cfg, road.lane_width)
 
 
-@dataclass(frozen=True)
 class GeneratorBounds:
-    length_range: tuple[float, float] = (55.0, 3300.0)
-    max_attempts: int = 1000
-    # constants: the primitives every road is chained from
+    """Constants of the random road generator."""
+    length_range: ClassVar[tuple[float, float]] = (55.0, 3300.0)
+    max_attempts: ClassVar[int] = 1000
     min_primitives: ClassVar[int] = 2
     max_primitives: ClassVar[int] = 12
     straight_range: ClassVar[tuple[float, float]] = (20.0, 100.0)
@@ -353,7 +357,8 @@ class GeneratorBounds:
 _PRIMITIVE_KINDS = ("straight", "turn")
 
 
-def _candidate_points(rng: np.random.Generator, bounds: GeneratorBounds) -> list[tuple[float, float]]:
+def _candidate_points(rng: np.random.Generator) -> list[tuple[float, float]]:
+    bounds = GeneratorBounds
     n_prim = int(rng.integers(bounds.min_primitives, bounds.max_primitives + 1))
     x = MAP_SIZE * float(rng.uniform(0.35, 0.65))
     y = MAP_SIZE * float(rng.uniform(0.35, 0.65))
@@ -392,19 +397,18 @@ def _candidate_points(rng: np.random.Generator, bounds: GeneratorBounds) -> list
     return pts
 
 
-def generate_road(rng_seed: int, bounds: GeneratorBounds | None = None
-                  ) -> tuple[RoadPoints, RoadSpine]:
+def generate_road(rng_seed: int) -> tuple[RoadPoints, RoadSpine]:
     """Sample a valid random road: chained straight/arc primitives, rejected
     until in-map, non-self-intersecting, and inside the length bounds.
 
     Returns the road together with the spine it was accepted on, so callers
     do not interpolate it again."""
-    b = bounds or GeneratorBounds()
+    b = GeneratorBounds
     rng = np.random.default_rng(rng_seed)
     lo, hi = b.margin, MAP_SIZE - b.margin
 
     for _ in range(b.max_attempts):
-        pts = _candidate_points(rng, b)
+        pts = _candidate_points(rng)
         if len(pts) < 3:
             continue
         if not all(lo <= px <= hi and lo <= py <= hi for px, py in pts):
@@ -420,23 +424,36 @@ def generate_road(rng_seed: int, bounds: GeneratorBounds | None = None
         f"no valid road after {b.max_attempts} attempts (seed {rng_seed})")
 
 
+def road_seeds(rng_seed: int) -> Iterator[int]:
+    """Per-road seeds, drawn in doubling blocks; generate_state is
+    prefix-stable, so road i gets the same seed whatever the block size."""
+    seed_seq = np.random.SeedSequence(rng_seed)
+    drawn = 0
+    while True:
+        block = seed_seq.generate_state(max(64, 2 * drawn))
+        yield from (int(seed) for seed in block[drawn:])
+        drawn = len(block)
+
+
+def label_road(seed: int, cfg: DriverConfig, keep_trace: bool
+               ) -> tuple[RoadPoints, FeatureVector, TestOutcome]:
+    """Generate the road of a seed, extract its features from the spine it
+    was accepted on, and drive it: the one preparation of a labelled road."""
+    road, spine = generate_road(seed)
+    features = features_from_segments(spine, segment_spine(spine))
+    return road, features, _simulate(spine, cfg, road.lane_width, keep_trace)
+
+
 def build_dataset(n: int, cfg: DriverConfig, rng_seed: int,
                   keep_traces: bool = True) -> list[TestCase]:
-    """Generate, feature-extract, and label n tests. Deterministic in the
-    seed; per-road seeds come from a spawned sequence so test i does not
-    depend on n."""
+    """Generate, feature-extract, and label n tests. Test i takes seed 2i of
+    road_seeds, every other seed as datasets always have, so it depends on
+    the run's seed alone, not on n, and each seed's dataset is unchanged."""
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")
-    seeds = np.random.SeedSequence(rng_seed).generate_state(2 * n)
-    tests = []
-    for i in range(n):
-        road, spine = generate_road(int(seeds[2 * i]))
-        segments = segment_spine(spine)
-        vec = features_from_segments(spine, segments)
-        outcome = _simulate(spine, cfg, road.lane_width, keep_trace=keep_traces)
-        tests.append(TestCase(id=f"test_{i:05d}", road=road,
-                              features=vec, outcome=outcome))
-    return tests
+    seeds = islice(road_seeds(rng_seed), 0, 2 * n, 2)
+    return [TestCase(f"test_{i:05d}", *label_road(seed, cfg, keep_traces))
+            for i, seed in enumerate(seeds)]
 
 
 def unsafe_fraction(tests: list[TestCase]) -> float:

@@ -28,20 +28,16 @@ from .features import (
     SAFE_CODE,
     UNSAFE_CODE,
     FeatureVector,
-    features_from_segments,
     label_code,
 )
 from .ml.evaluate import confusion_from_predictions
 from .ml.models import ClassifierSpec, TrainedClassifier, fit
-from .oracle import (
-    DriverConfig,
-    TestCase,
-    generate_road,
-    interpolate_spine,  # unused here; perfbench/tracer.py wraps it under this name
-    segment_spine,
-)
-from .oracle import _simulate  # deterministic oracle core
+from .oracle import DriverConfig, TestCase, label_road, road_seeds
 from .workers import in_order
+
+# unused here: perfbench/tracer.py wraps these names; ROADMAP C2 drops them
+from .oracle import (_simulate, features_from_segments, generate_road,
+                     interpolate_spine, segment_spine)
 
 
 class InsufficientClassRows(ValueError):
@@ -381,26 +377,6 @@ class RealTimeResult:
     clock: dict[str, float]
 
 
-def _road_seeds(rng_seed: int) -> Iterator[int]:
-    """Per-road seeds, drawn in doubling blocks; generate_state is
-    prefix-stable, so road i gets the same seed whatever the block size."""
-    seed_seq = np.random.SeedSequence(rng_seed)
-    drawn = 0
-    while True:
-        block = seed_seq.generate_state(max(64, 2 * drawn))
-        yield from (int(seed) for seed in block[drawn:])
-        drawn = len(block)
-
-
-def _road(seed: int, driver: DriverConfig) -> tuple[FeatureVector, int, float]:
-    """Everything the real-time loop needs of one road before it predicts:
-    its features, and the verdict code and duration of its drive."""
-    road, spine = generate_road(seed)
-    features = features_from_segments(spine, segment_spine(spine))
-    outcome = _simulate(spine, driver, road.lane_width, keep_trace=False)
-    return features, label_code(outcome.label), outcome.duration
-
-
 def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
     """Generate-predict-execute loop under a time budget.
 
@@ -415,9 +391,9 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
     prediction and retraining from cfg.cost, an execution its simulated
     drive time plus overhead. The run is therefore bit-reproducible. A
     road, its features and its drive depend on its seed alone, so they are
-    prepared (_road) through workers.in_order, in worker processes ahead of
-    the loop where there are CPUs for them; the results do not depend on
-    how many there are.
+    prepared (oracle.label_road, trace-free) through workers.in_order, in
+    worker processes ahead of the loop where there are CPUs for them; the
+    results do not depend on how many there are.
     """
     adaptive = cfg.mode == "adaptive"
     model = cfg.model
@@ -435,10 +411,12 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
     truths: list[int] = []
     rejected: list[int] = []         # truths of the roads predicted safe
 
-    with closing(in_order(_road, zip(_road_seeds(rng_seed),
-                                     repeat(cfg.driver)))) as roads:
+    with closing(in_order(label_road, zip(road_seeds(rng_seed),
+                                          repeat(cfg.driver),
+                                          repeat(False)))) as roads:
         while clock.total < cfg.budget_s:
-            features, truth, duration = next(roads)
+            _, features, outcome = next(roads)
+            truth, duration = label_code(outcome.label), outcome.duration
             clock.charge("generation", cfg.cost.generation_s)
             generated += 1
 

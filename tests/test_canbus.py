@@ -477,6 +477,12 @@ class TestPlayback:
         assert report.frames_sent == 0
         assert report.mean_latency_ms == 0.0
 
+    def test_unknown_pacing_is_refused_before_any_frame(self):
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match="'bogus'"):
+            playback(self.make_records(), buf, "bogus")
+        assert buf.getvalue() == b""
+
     def test_sink_error_counts_frames(self):
         records = self.make_records()
 

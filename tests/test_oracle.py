@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import islice
 from operator import attrgetter
 
 import numpy as np
@@ -30,6 +31,7 @@ from roadsift.oracle import (
     generate_road,
     load_dataset,
     plan_speed_profile,
+    road_seeds,
     safe_speed,
     save_dataset,
     simulate_drive,
@@ -75,6 +77,10 @@ class TestConfigValidation:
         {"risk_factor": 0.4}, {"risk_factor": 2.6},
         {"timestep": 0.0}, {"timestep": 0.2},
         {"oob_fraction": 0.0}, {"oob_fraction": 1.2},
+        {"v_max": math.nan}, {"v_max": math.inf}, {"v_max": 0.0},
+        {"v_max": -1.0},
+        {"a_brake": math.nan}, {"a_brake": math.inf}, {"a_brake": 0.0},
+        {"a_brake": -1.0},
     ])
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ValueError):
@@ -326,10 +332,11 @@ class TestGenerator:
                 assert np.array_equal(getattr(spine, column),
                                       getattr(fresh, column))
 
-    def test_exhaustion(self):
-        bounds = GeneratorBounds(length_range=(3000.0, 3001.0), max_attempts=5)
+    def test_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(GeneratorBounds, "length_range", (3000.0, 3001.0))
+        monkeypatch.setattr(GeneratorBounds, "max_attempts", 5)
         with pytest.raises(GenerationExhausted):
-            generate_road(0, bounds)
+            generate_road(0)
 
 
 class TestBuildDataset:
@@ -341,13 +348,24 @@ class TestBuildDataset:
         frac = unsafe_fraction(moderate_tests)
         assert 0.2 < frac < 0.8
 
-    def test_prefix_stability(self):
+    @pytest.mark.parametrize("n, longer_n", [(4, 7), (30, 40)])
+    def test_prefix_stability(self, n, longer_n):
         # test i depends only on the master seed, not on n
-        short = build_dataset(4, DriverConfig(), rng_seed=99, keep_traces=False)
-        longer = build_dataset(7, DriverConfig(), rng_seed=99, keep_traces=False)
+        short = build_dataset(n, DriverConfig(), rng_seed=99, keep_traces=False)
+        longer = build_dataset(longer_n, DriverConfig(), rng_seed=99,
+                               keep_traces=False)
         for a, b in zip(short, longer):
             assert a.road == b.road
             assert a.outcome.label == b.outcome.label
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 300])
+    def test_road_seeds_give_the_dataset_seeds(self, n):
+        # road_seeds draws 64 words first; build_dataset takes every other
+        # seed, which must be generate_state(2 * n)[::2] on either side of it
+        for s in (0, 1, 7, 12345):
+            expected = np.random.SeedSequence(s).generate_state(2 * n)[::2]
+            assert (list(islice(road_seeds(s), 0, 2 * n, 2))
+                    == [int(seed) for seed in expected])
 
     def test_one_road_preparation_path(self):
         # build_dataset works on the spine generate_road accepted; features

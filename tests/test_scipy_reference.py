@@ -25,7 +25,7 @@ from roadsift.geometry import (
     self_intersects,
 )
 from roadsift.ml.linear import _log_loss_derivatives
-from roadsift.oracle import GeneratorBounds, _candidate_points
+from roadsift.oracle import _candidate_points
 
 import reference_geometry
 
@@ -50,7 +50,7 @@ def candidate_road(seed):
     leaves the map or crosses itself."""
     rng = np.random.default_rng(seed)
     while True:
-        pts = _candidate_points(rng, GeneratorBounds())
+        pts = _candidate_points(rng)
         try:
             return RoadPoints(points=tuple(pts), map_size=1e9)
         except DegenerateRoad:

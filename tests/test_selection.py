@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from roadsift.ml import UNSAFE_CODE, load_model, save_model
 from roadsift.ml.models import TrainedClassifier
-from roadsift import selection
+from roadsift import oracle
 from roadsift.oracle import UNSAFE, DriveTimeout
 from roadsift.selection import (
     BudgetTooSmall,
@@ -355,15 +355,14 @@ class TestRealTime:
         # seeds are drawn lazily in growing blocks; road i must still get
         # element i of the run's seed sequence. The recorder sees only the
         # roads prepared in this process, so the run is pinned there
-        import roadsift.selection as selection
         seen = []
-        real = selection.generate_road
+        real = oracle.generate_road
 
         def recording(seed, *args):
             seen.append(seed)
             return real(seed, *args)
 
-        monkeypatch.setattr(selection, "generate_road", recording)
+        monkeypatch.setattr(oracle, "generate_road", recording)
         monkeypatch.setattr("roadsift.workers._cpu_count", lambda: 1)
         res = run_realtime(RealTimeConfig(mode="baseline", budget_s=3000.0),
                            rng_seed=8)
@@ -397,13 +396,13 @@ class TestRealTimeWorkers:
         # a fork beside another thread could copy a lock it holds, so then
         # the roads are prepared in this process
         seen = []
-        real = selection.generate_road
+        real = oracle.generate_road
 
         def recording(seed, *args):
             seen.append(seed)
             return real(seed, *args)
 
-        monkeypatch.setattr(selection, "generate_road", recording)
+        monkeypatch.setattr(oracle, "generate_road", recording)
         cfg = RealTimeConfig(mode="baseline", budget_s=300.0)
         if other_thread:
             done = threading.Event()
@@ -424,14 +423,14 @@ class TestRealTimeWorkers:
     def test_road_error_surfaces_at_its_road(self, monkeypatch):
         # road 5 of seed 1 raises, wherever it was prepared
         bad = int(np.random.SeedSequence(1).generate_state(6)[5])
-        real = selection.generate_road
+        real = oracle.generate_road
 
         def failing(seed, *args):
             if seed == bad:
                 raise DriveTimeout(f"road {seed} timed out")
             return real(seed, *args)
 
-        monkeypatch.setattr(selection, "generate_road", failing)
+        monkeypatch.setattr(oracle, "generate_road", failing)
         cfg = RealTimeConfig(mode="baseline", budget_s=900.0)
         raised = []
         for workers in (2, 1):
