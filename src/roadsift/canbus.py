@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from .inputs import read_text
+from .inputs import NUMBER, is_number, read_json, read_text
 from .oracle import TRACE_KEYS
 
 LITTLE_ENDIAN = "little"
@@ -162,11 +162,13 @@ class CanDatabase:
 
 
 _LINE_KINDS = {"BO_ ": "message", "SG_ ": "signal"}
-_BO_RE = re.compile(r"^BO_\s+(\d+)\s+(\w+)\s*:\s*(\d+)\s+(\S+)\s*$")
+# ASCII digits, and the number text rule for scale, offset, min and max,
+# since int() and float() take non-ASCII digits, "_" and spaces
+_BO_RE = re.compile(r"^BO_\s+([0-9]+)\s+(\w+)\s*:\s*([0-9]+)\s+(\S+)\s*$")
 _SG_RE = re.compile(
-    r"^\s*SG_\s+(\w+)\s*:\s*(\d+)\|(\d+)@([01])([+-])\s*"
-    r"\(\s*([^,]+)\s*,\s*([^)]+)\s*\)\s*"
-    r"\[\s*([^|]+)\|([^\]]+)\s*\]\s*\"([^\"]*)\"\s*(.*)$")
+    r"^\s*SG_\s+(\w+)\s*:\s*([0-9]+)\|([0-9]+)@([01])([+-])\s*"
+    rf"\(\s*({NUMBER})\s*,\s*({NUMBER})\s*\)\s*"
+    rf"\[\s*({NUMBER})\s*\|\s*({NUMBER})\s*\]\s*\"([^\"]*)\"\s*(.*)$")
 
 
 def read_dbc(path: str | Path) -> CanDatabase:
@@ -177,6 +179,30 @@ def read_dbc(path: str | Path) -> CanDatabase:
         return parse_dbc(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+_MAPPING_KEYS = {"field", "message", "signal", "factor"}
+
+
+def read_mapping(path: str | Path) -> SignalMapping:
+    """A SignalMapping from a JSON list of objects with exactly the keys
+    field, message, signal and factor, a finite number. Raises ValueError
+    naming the file, and the entry where known."""
+    entries = read_json(path)
+    if not (isinstance(entries, list) and all(
+            isinstance(e, dict) and e.keys() >= _MAPPING_KEYS for e in entries)):
+        raise ValueError(f"{path}: each mapping entry needs the keys "
+                         f"{sorted(_MAPPING_KEYS)}")
+    for i, e in enumerate(entries):
+        unknown = sorted(e.keys() - _MAPPING_KEYS)
+        if unknown:
+            raise ValueError(f"{path}: entry {i}: unknown key {unknown[0]!r}")
+        if not is_number(e["factor"]):
+            raise ValueError(f"{path}: entry {i}: factor "
+                             f"{e['factor']!r} is not a finite number")
+    return SignalMapping(entries=tuple(
+        (e["field"], e["message"], e["signal"], float(e["factor"]))
+        for e in entries))
 
 
 def parse_dbc(text: str) -> CanDatabase:
@@ -456,13 +482,21 @@ def write_playback_csv(records: list[PlaybackRecord], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# a row's fields as write_playback_csv writes them, in ASCII only, since
+# int() and bytes.fromhex() take "_", spaces and non-ASCII digits
+_PLAYBACK_ROW = re.compile(
+    r"([0-9]+),([0-9a-fA-F]+),([0-9]+),((?:[0-9a-fA-F]{2})*)")
+
+
 def read_playback_csv(path: str | Path) -> list[PlaybackRecord]:
     """Read a file written by write_playback_csv; a file holding only the
     header is an empty playback. Raises ValueError naming the file, and
     the line where known, when it cannot be read or is not UTF-8, and
     CsvFormatError when it is empty, its header is wrong or a row is bad:
-    a field that does not parse, a timestamp or can_id outside the wire's
-    u32, a dlc past classic CAN's 8 bytes or unlike the data's length."""
+    a timestamp_ms or dlc that is not ASCII decimal digits, a can_id or
+    data that is not ASCII hex digits (data in pairs), a timestamp or
+    can_id outside the wire's u32, a dlc past classic CAN's 8 bytes or
+    unlike the data's length."""
     records = []
     prev_ts = None
     with io.StringIO(read_text(path), newline=None) as fh:
@@ -474,21 +508,24 @@ def read_playback_csv(path: str | Path) -> list[PlaybackRecord]:
             line = raw.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise CsvFormatError(path, lineno,
-                                     f"expected 4 fields, got {len(parts)}")
+            fields = _PLAYBACK_ROW.fullmatch(line)
+            if fields is None:
+                parts = line.split(",")
+                raise CsvFormatError(path, lineno, (
+                    f"expected 4 fields, got {len(parts)}" if len(parts) != 4
+                    else f"{line!r} is not a decimal timestamp_ms, a hex "
+                    "can_id, a decimal dlc and hex data bytes"))
             try:
-                ts = int(parts[0])
-                can_id = int(parts[1], 16)
-                dlc = int(parts[2])
-                data = bytes.fromhex(parts[3])
-            except ValueError as exc:
+                ts = int(fields[1])
+                can_id = int(fields[2], 16)
+                dlc = int(fields[3])
+            except ValueError as exc:         # past int()'s digit limit
                 raise CsvFormatError(path, lineno, str(exc)) from exc
-            if not (0 <= ts <= MAX_U32 and 0 <= can_id <= MAX_U32
+            data = bytes.fromhex(fields[4])
+            if not (ts <= MAX_U32 and can_id <= MAX_U32
                     and dlc == len(data) <= 8):
                 raise CsvFormatError(
-                    path, lineno, f"timestamp_ms {ts} and can_id {parts[1]} "
+                    path, lineno, f"timestamp_ms {ts} and can_id {fields[2]} "
                     f"must fit the wire's u32, and dlc {dlc} be the data's "
                     f"{len(data)} bytes, at most 8")
             if prev_ts is not None and ts < prev_ts:

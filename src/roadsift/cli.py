@@ -32,7 +32,7 @@ from .features import (
     write_feature_csv,
 )
 from .geometry import load_road, save_road
-from .inputs import is_number, json_files, read_json
+from .inputs import json_files, read_json
 from .ml import (
     FAMILIES,
     ClassifierSpec,
@@ -420,21 +420,8 @@ def cmd_can_convert(args) -> int:
         db = canbus.read_dbc(args.dbc)
     else:
         db = canbus.parse_dbc(canbus.DEFAULT_DBC)
-    mapping = canbus.DEFAULT_MAPPING
-    if args.mapping:
-        entries = read_json(args.mapping)
-        keys = {"field", "message", "signal", "factor"}
-        if not (isinstance(entries, list)
-                and all(isinstance(e, dict) and e.keys() >= keys for e in entries)):
-            raise ValueError(f"{args.mapping}: each mapping entry needs the "
-                             f"keys {sorted(keys)}")
-        for i, e in enumerate(entries):
-            if not is_number(e["factor"]):
-                raise ValueError(f"{args.mapping}: entry {i}: factor "
-                                 f"{e['factor']!r} is not a finite number")
-        mapping = canbus.SignalMapping(entries=tuple(
-            (e["field"], e["message"], e["signal"], float(e["factor"]))
-            for e in entries))
+    mapping = (canbus.read_mapping(args.mapping) if args.mapping
+               else canbus.DEFAULT_MAPPING)
     try:                        # checked once, so also without traces
         mapping.validate(db, canbus.TRACE_KEYS)
     except ValueError as exc:   # names the mapping, the DBC or both

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -27,7 +28,7 @@ from .geometry import (
     segment_spine,
     self_intersects,
 )
-from .inputs import is_number, read_text
+from .inputs import NUMBER, is_number, read_text
 
 # the oracle's verdicts, the only labels a test carries; a verdict's class
 # code, which the classifiers learn (unsafe is the positive class), is its
@@ -202,10 +203,18 @@ def write_feature_csv(path: str | Path, rows: list[tuple[str, FeatureVector, str
                 + [label if label is not None else ""])
 
 
+# the cells write_feature_csv writes; float() also takes "_", spaces,
+# non-ASCII digits, "inf" and "nan"
+_NUMBER_TEXT = re.compile(NUMBER)
+
+
 def _feature_row(line: list[str]) -> tuple[str, FeatureVector, str | None]:
     if len(line) != len(FEATURE_NAMES) + 2:
         raise ValueError(f"{len(line)} columns, expected {len(FEATURE_NAMES) + 2}")
     test_id, *cells, label = line
+    for n, v in zip(FEATURE_NAMES, cells):
+        if not _NUMBER_TEXT.fullmatch(v):
+            raise ValueError(f"{n} {v!r} is not a JSON number")
     values = {n: float(v) for n, v in zip(FEATURE_NAMES, cells)}
     for n in _INT_FEATURES:
         if not values[n].is_integer():

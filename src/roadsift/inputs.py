@@ -1,7 +1,7 @@
-"""The one reader of the files a user names, and the one number rule:
-read_text, read_json and read_json_rows raise ValueError naming the path
-(and the line where known) for a file that cannot be read, is not UTF-8 or
-not JSON.
+"""The one reader of the files a user names, and the one number rule for
+values and text: read_text, read_json and read_json_rows raise ValueError
+naming the path (and the line where known) for a file that cannot be read,
+is not UTF-8 or not JSON. Only json.loads parses JSON.
 """
 
 from __future__ import annotations
@@ -10,10 +10,6 @@ import json
 import math
 import re
 from pathlib import Path
-
-# json's own C scanner of one value and its whitespace rule
-_scan = json.JSONDecoder().scan_once
-_space = json.decoder.WHITESPACE.match
 
 
 def read_text(path: str | Path) -> str:
@@ -48,72 +44,23 @@ def _parsed(path: str | Path, text: str):
 
 
 def read_json_rows(path: str | Path, key: str, skip: re.Pattern):
-    """read_json of a file, except that in each object of a top-level list
-    the value of key is read as [] without being built when skip matches
-    its text; skip must match only the text of a JSON list. Every other
-    value is read by json's scanner, as json.loads reads it. A file this
-    scan does not follow (the top level is not a list, a separator is
-    missing, text follows the list, ...) is read by read_json's json.loads,
-    so the reader accepts what read_json accepts and raises its errors."""
+    """read_json of a file, except that in a top-level list each member
+    named key whose value skip matches is read as [] without being built:
+    one substitution cuts those values out of the text json.loads reads.
+    skip must match only the text of a JSON list, and by its lookahead
+    only in a top-level row. Text that then does not parse is read from
+    the file's own text as read_json reads it, so the reader accepts what
+    read_json accepts and raises its errors, at their lines."""
     text = read_text(path)
-    try:
-        return _rows(text, key, skip)
-    except (ValueError, StopIteration, RecursionError):
-        return _parsed(path, text)
-
-
-def _next(text: str, pos: int) -> tuple[str, int]:
-    """The character at pos and the position past it and the whitespace
-    after it."""
-    return text[pos:pos + 1], _space(text, pos + 1).end()
-
-
-def _rows(text: str, key: str, skip: re.Pattern) -> list:
-    """read_json_rows' scan of a JSON list; ValueError or StopIteration
-    where it stops following the text."""
-    c, pos = _next(text, _space(text).end())
-    if c != "[":
-        raise ValueError("not a list")
-    rows = []
-    if text.startswith("]", pos):
-        c, pos = _next(text, pos)
-    else:
-        c = ","
-        while c == ",":
-            row, pos = _row(text, pos, key, skip)
-            rows.append(row)
-            c, pos = _next(text, _space(text, pos).end())
-    if c != "]" or pos != len(text):
-        raise ValueError("not one list")
-    return rows
-
-
-def _row(text: str, pos: int, key: str, skip: re.Pattern) -> tuple[object, int]:
-    """The list item at pos and the position past it. An object is read
-    member by member, so that key's value can be skipped."""
-    if not text.startswith("{", pos):
-        return _scan(text, pos)
-    row = {}
-    c, pos = _next(text, pos)
-    if text.startswith("}", pos):
-        return row, pos + 1
-    c = ","
-    while c == ",":
-        if not text.startswith('"', pos):
-            raise ValueError("no member name")
-        name, pos = _scan(text, pos)
-        c, pos = _next(text, _space(text, pos).end())
-        if c != ":":
-            raise ValueError("no colon")
-        skipped = skip.match(text, pos) if name == key else None
-        if skipped:
-            row[name], pos = [], skipped.end()
-        else:
-            row[name], pos = _scan(text, pos)
-        c, pos = _next(text, _space(text, pos).end())
-    if c != "}":
-        raise ValueError("no closing brace")
-    return row, pos
+    if text.lstrip().startswith("["):
+        name = json.dumps(key)
+        # (?<!\\): in a name such as "x\"trace", the escaped quote starts none
+        member = re.compile(rf"(?<!\\){re.escape(name)}: (?:{skip.pattern})")
+        try:
+            return json.loads(member.sub(lambda _: f"{name}: []", text))
+        except (ValueError, RecursionError):
+            pass
+    return _parsed(path, text)
 
 
 def json_files(directory: str | Path) -> list[Path]:
@@ -125,6 +72,13 @@ def json_files(directory: str | Path) -> list[Path]:
                       if p.name.endswith(".json"))
     except OSError as exc:
         raise ValueError(f"{directory}: {exc.strerror or exc}") from None
+
+
+# the JSON number grammar in ASCII digits: the one rule for number text.
+# NaN and Infinity are not in it. At most 100 digits before the point keep
+# an integer under int()'s limit on the digits it converts. The optional
+# parts are written "(?:...|)", which re matches faster than "(?:...)?"
+NUMBER = r"-?(?:[1-9][0-9]{0,99}|0)(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|)"
 
 
 def are_numbers(values) -> bool:

@@ -44,7 +44,14 @@ from .geometry import (
     segment_spine,
     self_intersects,
 )
-from .inputs import are_numbers, is_number, positive, read_json, read_json_rows
+from .inputs import (
+    NUMBER,
+    are_numbers,
+    is_number,
+    positive,
+    read_json,
+    read_json_rows,
+)
 
 
 class NonPositiveRadius(ValueError):
@@ -525,22 +532,22 @@ def save_dataset(path: str | Path, tests: list[TestCase]) -> None:
     Path(path).write_text(_json_array(rows, 0) + "\n")
 
 
-# the JSON number grammar in ASCII digits; NaN and Infinity are not in it.
-# At most 100 digits before the point keep an integer under int()'s limit
-# on the digits it converts. The optional parts are written "(?:...|)",
-# which re matches faster than "(?:...)?"
-_NUMBER = r"-?(?:[1-9][0-9]{0,99}|0)(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|)"
-
-
 @cache
 def _saved_trace() -> re.Pattern:
     """The text of a trace as save_dataset lays it out, from the writer's
-    own templates with a number in place of each %s: the only trace text
-    a trace-free read skips. Compiled on first use, not at import."""
-    state = re.escape(_STATE).replace("%s", _NUMBER)
+    own templates with a number in place of each %s, then the lookahead of
+    a row's close: the only trace text a trace-free read skips. A nested
+    object that closes like a row after such a trace is cut too; it can
+    sit only in a value load_dataset refuses, drops or ignores, so at most
+    the repr of a value its error quotes changes. Compiled on first use."""
+    state = re.escape(_STATE).replace("%s", NUMBER)
     head, sep, tail = re.escape(_json_array(["%s", "%s"], 2)).split("%s")
-    return re.compile(f"{re.escape(_json_array([], 2))}"
-                      f"|{head}{state}(?:{sep}{state})*{tail}")
+    row_close = re.escape(_ROW.rsplit("%s", 1)[1])
+    _, row_sep, list_close = _json_array(["%s", "%s"], 0).split("%s")
+    return re.compile(f"(?:{re.escape(_json_array([], 2))}"
+                      f"|{head}{state}(?:{sep}{state})*{tail})"
+                      f"(?={row_close}(?:{re.escape(row_sep + _ROW[0])}"
+                      f"|{re.escape(list_close)}))")
 
 
 def _read_trace(states, keep: bool) -> tuple[VehicleState, ...]:

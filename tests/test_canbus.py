@@ -79,6 +79,22 @@ class TestParseDbc:
             parse_dbc(DEFAULT_DBC + "SG_ broken\n")
         assert err.value.line == len(DEFAULT_DBC.splitlines()) + 1
 
+    # digits int() and float() read that are not ASCII, and number text
+    # outside the JSON grammar
+    @pytest.mark.parametrize("old, new, line", [
+        ("BO_ 256 VEHICLE_DYNAMICS: 8", "BO_ \u0662\u0665\u0666 VEHICLE_DYNAMICS: 8", 1),
+        ("VEHICLE_DYNAMICS: 8", "VEHICLE_DYNAMICS: \u0668", 1),
+        ("0|16@1+", "\u0660|16@1+", 2),
+        ("(0.01,0)", "(0.0_1,0)", 2), ("(0.01,0)", "(0.01,\u0660)", 2),
+        ("[0|655.35]", "[.0|655.35]", 2), ("[0|655.35]", "[0|655.35e]", 2),
+        ("[0|655.35]", "[0|inf]", 2)])
+    def test_number_text_outside_ascii_is_a_syntax_error(self, old, new, line):
+        text = DEFAULT_DBC.replace(old, new, 1)
+        assert text != DEFAULT_DBC
+        with pytest.raises(DbcSyntaxError) as err:
+            parse_dbc(text)
+        assert err.value.line == line
+
     def test_file_read_as_its_text(self, tmp_path):
         path = tmp_path / "default.dbc"
         path.write_text(DEFAULT_DBC)
@@ -423,6 +439,19 @@ class TestPlaybackCsv:
         with pytest.raises(ValueError) as err:
             read_playback_csv(path)
         assert str(err.value).startswith(f"{path}, line 2002: ")
+
+    # field text int() and bytes.fromhex() read that the writer never writes
+    @pytest.mark.parametrize("row", [
+        "1_0,100,2,aabb", "+10,100,2,aabb", "\u0661,100,2,aabb",
+        "0,0x100,2,aabb", "0,1_00,2,aabb", "0, 100,2,aabb",
+        "0,100, 2,aabb", "0,100,\u0662,aabb", "0,100,2,0a 0b"])
+    def test_field_text_outside_the_writer_names_the_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{CSV_HEADER}\n0,100,2,aabb\n{row}\n")
+        with pytest.raises(CsvFormatError) as err:
+            read_playback_csv(path)
+        assert err.value.line == 3
+        assert str(err.value).startswith(f"{path}, line 3: ")
 
     def test_crlf_lines_read(self, tmp_path):
         path = tmp_path / "crlf.csv"

@@ -1277,6 +1277,20 @@ class TestCanCommands:
                      "--dbc", str(bad), "--out", str(tmp_path / "c")]) == 2
 
 
+def test_a_mapping_key_not_read_is_refused(run_dir, tmp_path):
+    entries = [dict(zip(("field", "message", "signal", "factor"), entry))
+               for entry in canbus.DEFAULT_MAPPING.entries]
+    entries[1]["offset"] = 100
+    mapping = tmp_path / "map.json"
+    mapping.write_text(json.dumps(entries))
+    code, err = run_main(["can-convert", "--simulation",
+                          str(run_dir / "simulation.full.json"),
+                          "--mapping", str(mapping),
+                          "--out", str(tmp_path / "c")])
+    assert code == 2 and f"{mapping}: entry 1: unknown key 'offset'" in err
+    assert not (tmp_path / "c").exists()
+
+
 def json_rows_reference(path, key, skip):
     """What read_json_rows reads, the plain way: read_json, then every
     list-valued key of a top-level row object replaced by []."""

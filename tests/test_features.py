@@ -299,6 +299,21 @@ class TestFeatureCsv:
         mantissa = value.replace(".", "").replace("-", "").lstrip("0")
         assert len(mantissa) >= 9
 
+    # number text float() reads that the writer never writes
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", " 2 ", "+2", ".5",
+                                      "2.", "0x10", "1e999_0"])
+    def test_number_text_outside_json_names_the_line(self, tmp_path, cell):
+        path = tmp_path / "features.csv"
+        write_feature_csv(path, [("t0", extract_features(generate_road(0)[0]),
+                                  "safe")])
+        header, row = path.read_text().splitlines()
+        cells = row.split(",")
+        cells[2] = cell                     # length
+        path.write_text(f"{header}\n{','.join(cells)}\n")
+        with pytest.raises(ValueError) as info:
+            read_feature_csv(path)
+        assert str(info.value).startswith(f"{path}, line 2: length {cell!r}")
+
 
 class TestVerdictVocabulary:
     def test_codes_index_the_labels(self):

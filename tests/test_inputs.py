@@ -179,6 +179,14 @@ ROW_CASES = {
     "row_not_object": (lambda t: t.replace("[\n {", "[\n 7,\n {", 1), [0, 1]),
     "row_closed_by_bracket": (lambda t: t.replace("\n }", "\n ]", 1), []),
     "trailing_comma": (lambda t: t.replace("\n }", "\n },", 1), []),
+    "trace_under_escaped_quote_name": (
+        lambda t: t.replace('"trace": ', '"x\\"trace": ', 1), [1]),
+    "trace_closing_features_as_a_row": (
+        lambda t: t.replace('\n  },\n  "label"',
+                            ',\n  "trace": %s\n },\n  "label"'
+                            % t[slice(*_first_trace(t))], 1), [0, 1]),
+    "trace_not_last_member": (
+        lambda t: t.replace("\n  ]\n }", '\n  ],\n  "x": 1\n }', 1), [1]),
 }
 
 
