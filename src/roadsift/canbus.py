@@ -163,12 +163,14 @@ class CanDatabase:
 
 _LINE_KINDS = {"BO_ ": "message", "SG_ ": "signal"}
 # ASCII digits, and the number text rule for scale, offset, min and max,
-# since int() and float() take non-ASCII digits, "_" and spaces
-_BO_RE = re.compile(r"^BO_\s+([0-9]+)\s+(\w+)\s*:\s*([0-9]+)\s+(\S+)\s*$")
+# since int() and float() take non-ASCII digits, "_" and spaces; names are
+# C identifiers and spacing is ASCII, as re.ASCII makes \w and \s
+_BO_RE = re.compile(r"^BO_\s+([0-9]+)\s+(\w+)\s*:\s*([0-9]+)\s+(\S+)\s*$",
+                    re.ASCII)
 _SG_RE = re.compile(
     r"^\s*SG_\s+(\w+)\s*:\s*([0-9]+)\|([0-9]+)@([01])([+-])\s*"
     rf"\(\s*({NUMBER})\s*,\s*({NUMBER})\s*\)\s*"
-    rf"\[\s*({NUMBER})\s*\|\s*({NUMBER})\s*\]\s*\"([^\"]*)\"\s*(.*)$")
+    rf"\[\s*({NUMBER})\s*\|\s*({NUMBER})\s*\]\s*\"([^\"]*)\"\s*(.*)$", re.ASCII)
 
 
 def read_dbc(path: str | Path) -> CanDatabase:
@@ -292,15 +294,6 @@ def _raw(codec: tuple, value: float) -> int:
     return raw & width
 
 
-def _quantise(sig: CanSignalDef, value: float, clamp: bool = True) -> int:
-    """The raw field of a physical value, as _raw gives it; with clamp
-    false, a value outside [min, max] raises instead."""
-    if not (clamp or sig.minimum <= value <= sig.maximum):
-        raise ValueOutOfRange(
-            f"{sig.name}: {value} outside [{sig.minimum}, {sig.maximum}]")
-    return _raw(_codec(sig), value)
-
-
 def _place(raw: int, start_bit: int, positions: tuple[int, ...] | None) -> int:
     """The frame bits of a raw field."""
     if positions is None:
@@ -323,8 +316,12 @@ def _layout(sig: CanSignalDef) -> tuple[tuple[int, ...] | None, int]:
 def encode_signal(sig: CanSignalDef, value: float, frame: bytearray,
                   clamp: bool = True) -> None:
     """Pack a physical value into the frame buffer, touching only the
-    signal's own bits."""
-    raw = _quantise(sig, value, clamp)
+    signal's own bits, the raw field as _raw gives it; with clamp false, a
+    value outside [min, max] raises instead."""
+    if not (clamp or sig.minimum <= value <= sig.maximum):
+        raise ValueOutOfRange(
+            f"{sig.name}: {value} outside [{sig.minimum}, {sig.maximum}]")
+    raw = _raw(_codec(sig), value)
     positions, mask = _layout(sig)
     bits = (int.from_bytes(frame, "little") & ~mask
             | _place(raw, sig.start_bit, positions))
@@ -490,22 +487,24 @@ _PLAYBACK_ROW = re.compile(
 
 def read_playback_csv(path: str | Path) -> list[PlaybackRecord]:
     """Read a file written by write_playback_csv; a file holding only the
-    header is an empty playback. Raises ValueError naming the file, and
-    the line where known, when it cannot be read or is not UTF-8, and
-    CsvFormatError when it is empty, its header is wrong or a row is bad:
-    a timestamp_ms or dlc that is not ASCII decimal digits, a can_id or
-    data that is not ASCII hex digits (data in pairs), a timestamp or
-    can_id outside the wire's u32, a dlc past classic CAN's 8 bytes or
-    unlike the data's length."""
+    header is an empty playback. Each line is read as written, only its
+    newline removed, and an empty line is skipped. Raises ValueError
+    naming the file, and the line where known, when it cannot be read or
+    is not UTF-8, and CsvFormatError when it is empty, its header is wrong
+    or a row is bad: a timestamp_ms or dlc that is not ASCII decimal
+    digits, a can_id or data that is not ASCII hex digits (data in pairs),
+    a timestamp or can_id outside the wire's u32, a dlc past classic CAN's
+    8 bytes or unlike the data's length."""
     records = []
     prev_ts = None
     with io.StringIO(read_text(path), newline=None) as fh:
         first = fh.readline()
-        if first.strip() != CSV_HEADER:
-            raise CsvFormatError(path, 1, f"bad header {first.strip()!r}" if first
+        header = first.rstrip("\n")
+        if header != CSV_HEADER:
+            raise CsvFormatError(path, 1, f"bad header {header!r}" if first
                                  else f"empty file, expected {CSV_HEADER!r}")
         for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
+            line = raw.rstrip("\n")
             if not line:
                 continue
             fields = _PLAYBACK_ROW.fullmatch(line)

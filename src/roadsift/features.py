@@ -23,10 +23,8 @@ from .geometry import (
     RoadPoints,
     RoadSegment,
     RoadSpine,
-    SelfIntersecting,
-    interpolate_spine,
+    checked_spine,
     segment_spine,
-    self_intersects,
 )
 from .inputs import NUMBER, is_number, read_text
 
@@ -177,9 +175,7 @@ def extract_features(road: RoadPoints, config: GeometryConfig | None = None) -> 
     the spine folds back on itself.
     """
     cfg = config or GeometryConfig()
-    spine = interpolate_spine(road, cfg)
-    if self_intersects(spine, road.lane_width):
-        raise SelfIntersecting("road spine passes too close to itself")
+    spine = checked_spine(road, cfg)
     segments = segment_spine(spine, cfg)
     return features_from_segments(spine, segments)
 

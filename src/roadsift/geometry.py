@@ -298,6 +298,15 @@ def self_intersects(spine: RoadSpine, lane_width: float) -> bool:
                        & (s[b][:, None, :] - s[a][:, :, None] > exclusion)))
 
 
+def checked_spine(road: RoadPoints, config: GeometryConfig | None = None) -> RoadSpine:
+    """interpolate_spine of a road that may be measured or driven: raises
+    SelfIntersecting when the spine folds back on itself."""
+    spine = interpolate_spine(road, config)
+    if self_intersects(spine, road.lane_width):
+        raise SelfIntersecting("road spine passes too close to itself")
+    return spine
+
+
 def _classify(kappa: np.ndarray, threshold: float) -> np.ndarray:
     out = np.zeros(len(kappa), dtype=np.int8)
     out[kappa >= threshold] = 1
@@ -329,18 +338,13 @@ def _merge_short_runs(runs: list[list[int]], s: np.ndarray,
         # absorb into the longer neighbour; ties go left for determinism
         if right is None or (left is not None and run_len(left) >= run_len(right)):
             left[2] = runs[shortest][2]
-            del runs[shortest]
         else:
             right[1] = runs[shortest][1]
+        del runs[shortest]
+        # runs are maximal: only the two the merge made adjacent can share a kind
+        if 0 < shortest < len(runs) and runs[shortest - 1][0] == runs[shortest][0]:
+            runs[shortest - 1][2] = runs[shortest][2]
             del runs[shortest]
-        # adjacent runs of equal kind collapse
-        i = 0
-        while i < len(runs) - 1:
-            if runs[i][0] == runs[i + 1][0]:
-                runs[i][2] = runs[i + 1][2]
-                del runs[i + 1]
-            else:
-                i += 1
     return runs
 
 

@@ -215,8 +215,9 @@ def _best_sse_cuts(Xt, g, index, lo, size, sums, features, min_leaf,
     (boosting's gradients): (feature, threshold, rows on the left, sum of g
     on the left) of each node's best cut, or None when it has no valid
     cut. A cut scores Friedman's improvement or the reduction in the
-    squared error of g, and every valid cut competes. sums is unused: each
-    candidate's running sum gives its own node total.
+    squared error of g, and every valid cut competes on every feature.
+    sums is unused: each candidate's running sum gives its own node total;
+    so is features: only the forest draws them, through _best_gain_cuts.
 
     A flat running sum over nodes next to each other is exact only for
     integers, so the nodes are scored as one padded (candidates, nodes,
@@ -225,10 +226,7 @@ def _best_sse_cuts(Xt, g, index, lo, size, sums, features, min_leaf,
     m, width = len(size), int(size.max())
     c = np.arange(width)
     cols = lo[:, None] + np.minimum(c, size[:, None] - 1)
-    if features is None:
-        feature = np.arange(len(Xt))[:, None, None]
-    else:
-        feature = features.T[:, :, None]
+    feature = np.arange(len(Xt))[:, None, None]
     rows = index.take(feature * index.shape[1] + cols)
     xs = Xt.take(rows + feature * Xt.shape[1])
     cum = g.take(rows)
@@ -256,9 +254,8 @@ def _best_sse_cuts(Xt, g, index, lo, size, sums, features, min_leaf,
     r = won[node]
     col = score.argmax(axis=2)[r, node]
     cut = (r * m + node) * width + col
-    return _picks(m, node, r if features is None else features[node, r],
-                  _threshold(xs.take(cut), xs.take(cut + 1)), col + 1,
-                  cum.take(cut))
+    return _picks(m, node, r, _threshold(xs.take(cut), xs.take(cut + 1)),
+                  col + 1, cum.take(cut))
 
 
 class _Criterion(NamedTuple):

@@ -38,7 +38,7 @@ from .geometry import (
     MAP_SIZE,
     RoadPoints,
     RoadSpine,
-    SelfIntersecting,
+    checked_spine,
     interpolate_spine,
     road_from_json,
     segment_spine,
@@ -341,10 +341,7 @@ def _simulate(spine: RoadSpine, cfg: DriverConfig, lane_width: float,
 
 def simulate_drive(road: RoadPoints, cfg: DriverConfig) -> TestOutcome:
     """Drive the road once and return the verdict with its state trace."""
-    spine = interpolate_spine(road)
-    if self_intersects(spine, road.lane_width):
-        raise SelfIntersecting("cannot drive a self-intersecting road")
-    return _simulate(spine, cfg, road.lane_width)
+    return _simulate(checked_spine(road), cfg, road.lane_width)
 
 
 class GeneratorBounds:
@@ -416,8 +413,6 @@ def generate_road(rng_seed: int) -> tuple[RoadPoints, RoadSpine]:
 
     for _ in range(b.max_attempts):
         pts = _candidate_points(rng)
-        if len(pts) < 3:
-            continue
         if not all(lo <= px <= hi and lo <= py <= hi for px, py in pts):
             continue
         road = RoadPoints(points=tuple(pts))

@@ -185,16 +185,21 @@ def _screen(pool: TestPool, strategy, rng_seed: int, predicted: dict[str, int]
         yield test, True
 
 
+def _confusion(judged: list[tuple[int, int]]) -> tuple[int, int, int, int] | None:
+    """(tp, fp, tn, fn) of (truth, verdict) pairs; None when there are none."""
+    if not judged:
+        return None
+    truths, verdicts = zip(*judged)
+    return confusion_from_predictions(np.array(truths), np.array(verdicts))
+
+
 def _filter_confusion(pool: TestPool, predicted: dict[str, int]
                       ) -> tuple[int, int, int, int] | None:
     """(tp, fp, tn, fn) of a filter's verdicts on the tests it judged, scored
     against ground truth read after the protocol has finished; None when
     nothing was judged, i.e. the strategy does not filter."""
-    if not predicted:
-        return None
-    return confusion_from_predictions(
-        np.array([pool.reveal_post_mortem(tid) for tid in predicted]),
-        np.array(list(predicted.values())))
+    return _confusion([(pool.reveal_post_mortem(tid), verdict)
+                       for tid, verdict in predicted.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +411,8 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
     y_rows: list[int] = []
     since_retrain = 0
 
-    executed_unsafe = executed_safe = generated = 0
-    predictions: list[int] = []
-    truths: list[int] = []
-    rejected: list[int] = []         # truths of the roads predicted safe
+    executed_unsafe = executed_safe = generated = rejected = 0
+    judged: list[tuple[int, int]] = []     # (truth, verdict) of each predicted road
 
     with closing(in_order(label_road, zip(road_seeds(rng_seed),
                                           repeat(cfg.driver),
@@ -420,13 +423,13 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
             clock.charge("generation", cfg.cost.generation_s)
             generated += 1
 
-            predicted = None
             if model is not None and not (adaptive and generated <= cfg.warmup_n):
                 predicted = int(model.predict_matrix(
                     model.feature_matrix([features]))[0])
                 clock.charge("prediction", cfg.cost.prediction_s)
+                judged.append((truth, predicted))
                 if predicted != UNSAFE_CODE:
-                    rejected.append(truth)
+                    rejected += 1
                     continue
 
             if truth == UNSAFE_CODE:
@@ -435,9 +438,6 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
             else:
                 executed_safe += 1
                 clock.charge("execution_safe", duration + cfg.cost.overhead_s)
-            if predicted is not None:
-                predictions.append(predicted)
-                truths.append(truth)
             if adaptive:
                 X_rows.append(features.as_array())
                 y_rows.append(truth)
@@ -449,20 +449,15 @@ def run_realtime(cfg: RealTimeConfig, rng_seed: int) -> RealTimeResult:
                                  + cfg.cost.retrain_per_row_s * len(y_rows))
                     since_retrain = 0
 
-    # post-mortem: the rejected roads' drives, off the clock, as ground truth
-    predictions += [SAFE_CODE] * len(rejected)
-    truths += rejected
-    confusion = post_mortem_accuracy = None
-    if predictions:
-        confusion = confusion_from_predictions(
-            np.array(truths), np.array(predictions))
-        tp, fp, tn, fn = confusion
-        post_mortem_accuracy = (tp + tn) / max(tp + fp + tn + fn, 1)
+    # the rejected roads' truths come from their drives, off the clock
+    confusion = _confusion(judged)
+    post_mortem_accuracy = (None if confusion is None
+                            else (confusion[0] + confusion[2]) / len(judged))
 
     return RealTimeResult(
         executed_unsafe=executed_unsafe,
         executed_safe=executed_safe,
-        rejected=len(rejected),
+        rejected=rejected,
         generated=generated,
         time_fractions=clock.fractions(),
         confusion=confusion,

@@ -2,7 +2,8 @@
 written, on scipy: CubicSpline(..., bc_type="natural") for the spine and
 cKDTree.query_pairs for the close sample pairs. Kept as the reference that
 roadsift.geometry's own spline and pair test must match bit for bit;
-scipy is a test-only dependency.
+scipy is a test-only dependency. Also the merge of short curvature runs as
+first written, which rescans every pair of runs after each merge.
 """
 
 import math
@@ -62,3 +63,33 @@ def self_intersects(spine, lane_width):
         return False
     s = spine.s
     return bool(np.any(np.abs(s[pairs[:, 0]] - s[pairs[:, 1]]) > exclusion))
+
+
+def merge_short_runs(runs, s, min_length):
+    def run_len(r):
+        return s[r[2]] - s[r[1]]
+
+    runs = [list(r) for r in runs]
+    while len(runs) > 1:
+        lengths = [run_len(r) for r in runs]
+        shortest = min(range(len(runs)), key=lambda i: (lengths[i], i))
+        if lengths[shortest] >= min_length:
+            break
+        left = runs[shortest - 1] if shortest > 0 else None
+        right = runs[shortest + 1] if shortest < len(runs) - 1 else None
+        # absorb into the longer neighbour; ties go left for determinism
+        if right is None or (left is not None and run_len(left) >= run_len(right)):
+            left[2] = runs[shortest][2]
+            del runs[shortest]
+        else:
+            right[1] = runs[shortest][1]
+            del runs[shortest]
+        # adjacent runs of equal kind collapse
+        i = 0
+        while i < len(runs) - 1:
+            if runs[i][0] == runs[i + 1][0]:
+                runs[i][2] = runs[i + 1][2]
+                del runs[i + 1]
+            else:
+                i += 1
+    return runs

@@ -95,6 +95,18 @@ class TestParseDbc:
             parse_dbc(text)
         assert err.value.line == line
 
+    # names are C identifiers and spacing is ASCII
+    @pytest.mark.parametrize("text, line", [
+        ('BO_ 256 V\u00c9HICULE: 8 SIM\n SG_ s : 0|16@1+ (1,0) [0|1] "" D', 1),
+        ('BO_ 256 VEHICLE: 8 SIM\n SG_ s\u00e9 : 0|16@1+ (1,0) [0|1] "" D', 2),
+        ('BO_ 256 VEHICLE:\u00a08 SIM\n SG_ s : 0|16@1+ (1,0) [0|1] "" D', 1),
+        ('BO_ 256 VEHICLE: 8 SIM\n SG_ s :\u20030|16@1+ (1,0) [0|1] "" D', 2)],
+        ids=["message_name", "signal_name", "message_space", "signal_space"])
+    def test_text_outside_ascii_is_a_syntax_error(self, text, line):
+        with pytest.raises(DbcSyntaxError) as err:
+            parse_dbc(text)
+        assert err.value.line == line
+
     def test_file_read_as_its_text(self, tmp_path):
         path = tmp_path / "default.dbc"
         path.write_text(DEFAULT_DBC)
@@ -452,6 +464,22 @@ class TestPlaybackCsv:
             read_playback_csv(path)
         assert err.value.line == 3
         assert str(err.value).startswith(f"{path}, line 3: ")
+
+    # a row is read as written: no space around it, ASCII or not
+    @pytest.mark.parametrize("row", [" 0,100,2,aabb ", "\u00a00,100,2,aabb\u00a0"],
+                             ids=["space", "nbsp"])
+    def test_padded_row_names_the_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{CSV_HEADER}\n{row}\n")
+        with pytest.raises(CsvFormatError) as err:
+            read_playback_csv(path)
+        assert err.value.line == 2
+
+    def test_empty_lines_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text(f"{CSV_HEADER}\n\n0,100,2,aabb\n\n")
+        assert read_playback_csv(path) == [PlaybackRecord(0, 0x100, 2,
+                                                          b"\xaa\xbb")]
 
     def test_crlf_lines_read(self, tmp_path):
         path = tmp_path / "crlf.csv"

@@ -14,6 +14,7 @@ from roadsift.geometry import (
     DegenerateRoad,
     GeometryConfig,
     RoadPoints,
+    SelfIntersecting,
     interpolate_spine,
     load_road,
     save_road,
@@ -22,6 +23,7 @@ from roadsift.geometry import (
 )
 from roadsift.oracle import DriverConfig, generate_road, simulate_drive
 
+import reference_geometry
 from conftest import arc_between_straights, straight_points
 
 
@@ -114,6 +116,16 @@ class TestSelfIntersects:
         spine = make_spine(pts)
         assert self_intersects(spine, 4.0)
 
+    def test_features_and_drive_refuse_alike(self):
+        t = np.linspace(0.0, 2.0 * math.pi, 25)[:-1]
+        road = RoadPoints(points=tuple(
+            (250 + 60 * math.sin(a), 250 + 45 * math.sin(2 * a)) for a in t))
+        with pytest.raises(SelfIntersecting) as measured:
+            extract_features(road)
+        with pytest.raises(SelfIntersecting) as driven:
+            simulate_drive(road, DriverConfig())
+        assert str(measured.value) == str(driven.value)
+
     def test_hairpin_legs_5m_apart(self):
         # two long antiparallel legs joined by a 180 turn, legs 5 m apart
         pts = [(60.0 + d, 100.0) for d in np.arange(0.0, 120.0 + 1e-9, 10.0)]
@@ -148,6 +160,28 @@ class TestSegmentSpine:
         runs = geometry._runs(codes)
         assert runs == loop_runs(codes)
         assert all(type(v) is int for run in runs for v in run)
+
+    @settings(max_examples=500)
+    @given(data=st.data())
+    def test_merge_matches_the_full_rescan(self, data):
+        # spans of a few samples, some longer than min_length and some not;
+        # with two kinds, the neighbours of every absorbed run share a kind.
+        # Steps from a short list, so run lengths tie. The runs are maximal,
+        # as _runs gives them
+        kinds = data.draw(st.sampled_from([[0, 1], [-1, 0, 1]]))
+        spans = data.draw(st.lists(st.tuples(st.sampled_from(kinds),
+                                             st.integers(1, 12)),
+                                   min_size=1, max_size=12))
+        codes = np.repeat(np.array([k for k, _ in spans], dtype=np.int8),
+                          [n for _, n in spans])
+        steps = data.draw(st.lists(
+            st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.0, 3.0),
+            min_size=len(codes) - 1, max_size=len(codes) - 1))
+        s = np.concatenate([[0.0], np.cumsum(steps)])
+        min_length = data.draw(st.floats(0.0, 12.0))
+        runs = geometry._runs(codes)
+        assert (geometry._merge_short_runs(runs, s, min_length)
+                == reference_geometry.merge_short_runs(runs, s, min_length))
 
     def test_straight_road_single_segment(self):
         spine = make_spine(straight_points())
