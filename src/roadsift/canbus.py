@@ -161,7 +161,10 @@ class CanDatabase:
         raise MappingError(f"no message named {name}")
 
 
-_LINE_KINDS = {"BO_ ": "message", "SG_ ": "signal"}
+# a line's kind is its keyword, followed by ASCII whitespace: BO_TX_BU_ and
+# the other keywords are not message or signal lines
+_LINE_KINDS = {"BO_": "message", "SG_": "signal"}
+_LINE_KIND_RE = re.compile(r"(BO_|SG_)\s", re.ASCII)
 # ASCII digits, and the number text rule for scale, offset, min and max,
 # since int() and float() take non-ASCII digits, "_" and spaces; names are
 # C identifiers and spacing is ASCII, as re.ASCII makes \w and \s
@@ -218,9 +221,10 @@ def parse_dbc(text: str) -> CanDatabase:
     last = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
-        kind = _LINE_KINDS.get(stripped[:4])
-        if kind is None:
+        keyword = _LINE_KIND_RE.match(stripped)
+        if keyword is None:
             continue
+        kind = _LINE_KINDS[keyword.group(1)]
         m = (_BO_RE if kind == "message" else _SG_RE).match(stripped)
         if not m:
             raise DbcSyntaxError(f"bad {kind} line: {stripped!r}", lineno)

@@ -19,6 +19,7 @@ import csv
 import json
 import sys
 from contextlib import closing
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,12 +53,16 @@ from .ml import (
 )
 from .oracle import (
     DriverConfig,
-    build_dataset,
+    TestCase,
+    labelled_tests,
     load_dataset,
     save_dataset,
     unsafe_fraction,
 )
 from .workers import in_order
+
+# unused here: perfbench/tracer.py wraps this name
+from .oracle import build_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -163,17 +168,27 @@ def cmd_generate(args) -> int:
     driver = DriverConfig(**_given(args, "mu", risk_factor="rf", oob_fraction="oob"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "roads").mkdir(exist_ok=True)
 
-    tests = build_dataset(args.n, driver, args.seed, **_given(args, "keep_traces"))
-    for tc in tests:
+    kept = []                   # each test as it is written, without its trace
+
+    def tests():
+        for tc in labelled_tests(args.n, driver, args.seed,
+                                 **_given(args, "keep_traces")):
+            kept.append(TestCase(tc.id, tc.road, tc.features,
+                                 replace(tc.outcome, trace=())))
+            yield tc
+
+    # each row is written as its road is labelled, so no two traces are
+    # held at once; the other artifacts follow once the dataset is in place
+    save_dataset(out / "simulation.full.json", tests())
+    (out / "roads").mkdir(exist_ok=True)
+    for tc in kept:
         save_road(out / "roads" / f"{tc.id}.json", tc.id, tc.road)
-    save_dataset(out / "simulation.full.json", tests)
     write_feature_csv(
         out / "features.csv",
-        [(tc.id, tc.features, tc.outcome.label) for tc in tests])
+        [(tc.id, tc.features, tc.outcome.label) for tc in kept])
     print(f"generated {args.n} tests, unsafe fraction "
-          f"{unsafe_fraction(tests):.3f}, artifacts in {out}")
+          f"{unsafe_fraction(kept):.3f}, artifacts in {out}")
     return EXIT_OK
 
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain, islice, repeat
@@ -48,6 +49,7 @@ from .inputs import (
     NUMBER,
     are_numbers,
     is_number,
+    json_texts,
     positive,
     read_json,
     read_json_rows,
@@ -446,16 +448,23 @@ def label_road(seed: int, cfg: DriverConfig, keep_trace: bool
     return road, features, _simulate(spine, cfg, road.lane_width, keep_trace)
 
 
-def build_dataset(n: int, cfg: DriverConfig, rng_seed: int,
-                  keep_traces: bool = True) -> list[TestCase]:
-    """Generate, feature-extract, and label n tests. Test i takes seed 2i of
-    road_seeds, every other seed as datasets always have, so it depends on
-    the run's seed alone, not on n, and each seed's dataset is unchanged."""
+def labelled_tests(n: int, cfg: DriverConfig, rng_seed: int,
+                   keep_traces: bool = True) -> Iterator[TestCase]:
+    """Generate, feature-extract, and label n tests, one at a time as they
+    are drawn. Test i takes seed 2i of road_seeds, every other seed as
+    datasets always have, so it depends on the run's seed alone, not on n,
+    and each seed's dataset is unchanged."""
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")
     seeds = islice(road_seeds(rng_seed), 0, 2 * n, 2)
-    return [TestCase(f"test_{i:05d}", *label_road(seed, cfg, keep_traces))
-            for i, seed in enumerate(seeds)]
+    return (TestCase(f"test_{i:05d}", *label_road(seed, cfg, keep_traces))
+            for i, seed in enumerate(seeds))
+
+
+def build_dataset(n: int, cfg: DriverConfig, rng_seed: int,
+                  keep_traces: bool = True) -> list[TestCase]:
+    """The n tests of labelled_tests, as one list."""
+    return list(labelled_tests(n, cfg, rng_seed, keep_traces))
 
 
 def unsafe_fraction(tests: list[TestCase]) -> float:
@@ -479,19 +488,6 @@ def _json_object(keys: tuple[str, ...], depth: int) -> str:
             + "\n" + " " * depth + "}")
 
 
-def _json_scalars(values: list) -> tuple[str, ...]:
-    """The json text of each value. Finite floats are their repr, as in
-    json; NaN, infinities and anything that is not a float go through
-    json.dumps."""
-    try:
-        texts = tuple(map(float.__repr__, values))
-    except TypeError:                 # an int, a bool, a string
-        return tuple(map(json.dumps, values))
-    if all(map(math.isfinite, values)):
-        return texts
-    return tuple(map(json.dumps, values))
-
-
 # the text of one dataset row and its parts, as json.dumps(rows, indent=1)
 # lays them out: a row is nested one level deep, a trace state three
 _ROW = _json_object(("id", "road_points", "lane_width", "map_size",
@@ -499,32 +495,58 @@ _ROW = _json_object(("id", "road_points", "lane_width", "map_size",
 _FEATURES = _json_object(FEATURE_NAMES, 2)
 _POINT = _json_array(["%s", "%s"], 3)
 _STATE = _json_object(TRACE_KEYS, 3)
+# a saved trace state's TRACE_KEYS values, and a VehicleState's fields that
+# are saved: all but the last
 _STATE_VALUES = itemgetter(*TRACE_KEYS)
+_STATE_FIELDS = itemgetter(slice(len(TRACE_KEYS)))
+_FEATURE_VALUES = attrgetter(*FEATURE_NAMES)
+# the text of a top-level list before, between and after its rows
+_LIST_OPEN, _LIST_SEP, _LIST_CLOSE = _json_array(["%s", "%s"], 0).split("%s")
 _new_state = partial(tuple.__new__, VehicleState)
 
 
-def save_dataset(path: str | Path, tests: list[TestCase]) -> None:
+def _row_text(tc: TestCase) -> str:
+    """A test's row in the text of json.dumps(rows, indent=1)."""
+    road, outcome = tc.road, tc.outcome
+    points = list(chain.from_iterable(road.points))
+    trace = list(chain.from_iterable(map(_STATE_FIELDS, outcome.trace)))
+    return _ROW % (
+        json.dumps(tc.id),
+        _json_array([_POINT] * len(road.points), 2) % json_texts(points),
+        json.dumps(road.lane_width),
+        json.dumps(road.map_size),
+        _FEATURES % tuple(map(json.dumps, _FEATURE_VALUES(tc.features))),
+        json.dumps(outcome.label),
+        json.dumps(outcome.duration),
+        _json_array([_STATE] * len(outcome.trace), 2) % json_texts(trace),
+    )
+
+
+def save_dataset(path: str | Path, tests: Iterable[TestCase]) -> None:
     """Write the labelled-dataset JSON consumed by the CAN conversion step:
     the bytes of json.dumps(rows, indent=1) and a newline, built from
-    fixed templates, since json's indenting encoder is pure Python."""
-    state_values = itemgetter(slice(len(TRACE_KEYS)))
-    feature_values = attrgetter(*FEATURE_NAMES)
-    rows = []
-    for tc in tests:
-        road, outcome = tc.road, tc.outcome
-        points = list(chain.from_iterable(road.points))
-        trace = list(chain.from_iterable(map(state_values, outcome.trace)))
-        rows.append(_ROW % (
-            json.dumps(tc.id),
-            _json_array([_POINT] * len(road.points), 2) % _json_scalars(points),
-            json.dumps(road.lane_width),
-            json.dumps(road.map_size),
-            _FEATURES % tuple(map(json.dumps, feature_values(tc.features))),
-            json.dumps(outcome.label),
-            json.dumps(outcome.duration),
-            _json_array([_STATE] * len(outcome.trace), 2) % _json_scalars(trace),
-        ))
-    Path(path).write_text(_json_array(rows, 0) + "\n")
+    fixed templates, since json's indenting encoder is pure Python.
+
+    tests may be any iterable; each row is written as its test arrives, so
+    a generator's tests are never held together. The rows go to a
+    temporary sibling, path + ".tmp", which replaces path once the last
+    row is in; on any exception, KeyboardInterrupt included, it is
+    removed, so a failed write leaves no dataset file and an old one as it
+    was."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            sep = _LIST_OPEN
+            for tc in tests:
+                fh.write(sep)
+                fh.write(_row_text(tc))
+                sep = _LIST_SEP
+            fh.write("[]\n" if sep is _LIST_OPEN else _LIST_CLOSE + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @cache
@@ -538,11 +560,10 @@ def _saved_trace() -> re.Pattern:
     state = re.escape(_STATE).replace("%s", NUMBER)
     head, sep, tail = re.escape(_json_array(["%s", "%s"], 2)).split("%s")
     row_close = re.escape(_ROW.rsplit("%s", 1)[1])
-    _, row_sep, list_close = _json_array(["%s", "%s"], 0).split("%s")
     return re.compile(f"(?:{re.escape(_json_array([], 2))}"
                       f"|{head}{state}(?:{sep}{state})*{tail})"
-                      f"(?={row_close}(?:{re.escape(row_sep + _ROW[0])}"
-                      f"|{re.escape(list_close)}))")
+                      f"(?={row_close}(?:{re.escape(_LIST_SEP + _ROW[0])}"
+                      f"|{re.escape(_LIST_CLOSE)}))")
 
 
 def _read_trace(states, keep: bool) -> tuple[VehicleState, ...]:

@@ -71,6 +71,23 @@ class TestParseDbc:
         db = parse_dbc('VERSION "1.0"\nBU_: ECU\n' + DEFAULT_DBC)
         assert len(db.messages) == 3
 
+    # any ASCII whitespace after the keyword, as the line patterns' \s+
+    @pytest.mark.parametrize("space", ["\t", "  ", " \t"],
+                             ids=["tab", "two_spaces", "space_tab"])
+    def test_a_keyword_then_any_ascii_space_parses(self, space):
+        text = (f"BO_{space}256 X: 8 E\n"
+                f' SG_{space}s : 0|16@1+ (1,0) [0|1] "" D')
+        assert parse_dbc(text) == parse_dbc(
+            'BO_ 256 X: 8 E\n SG_ s : 0|16@1+ (1,0) [0|1] "" D')
+
+    # keywords that start like BO_ or SG_, a bare keyword, and a keyword
+    # followed by a space that is not ASCII
+    @pytest.mark.parametrize("line", [
+        "BO_TX_BU_ 256 : E;", "SG_MUL_VAL_ 256 s m 0-0;", "BO_", "SG_",
+        "BO_\u00a0256 Z: 8 E"])
+    def test_other_keywords_are_ignored(self, line):
+        assert parse_dbc(DEFAULT_DBC + line + "\n") == parse_dbc(DEFAULT_DBC)
+
     def test_syntax_error_carries_line_number(self):
         with pytest.raises(DbcSyntaxError) as err:
             parse_dbc("BO_ oops\n")

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -218,6 +219,38 @@ class TestGenerate:
         cfg.write_text(json.dumps({"n": 3, "seed": 7, "out": str(tmp_path / "o"),
                                    "bogus": 1}))
         assert main(["generate", "--config", str(cfg)]) == 2
+
+    def test_memory_does_not_grow_with_the_dataset(self, tmp_path):
+        # rows are written as their roads are labelled and only trace-free
+        # tests are held, so 4x the roads must not double the peak
+        peaks = {}
+        for n in (10, 40):
+            tracemalloc.start()
+            try:
+                code, _ = run_main(["generate", "-n", str(n), "--rf", "1.5",
+                                    "--seed", "3", "--out", str(tmp_path / str(n))])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[40] < 2 * peaks[10]
+
+    def test_a_failed_road_leaves_no_dataset(self, tmp_path, monkeypatch):
+        label_road = oracle.label_road
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("road 3 failed")
+            return label_road(*args)
+
+        monkeypatch.setattr(oracle, "label_road", failing)
+        out = tmp_path / "o"
+        code, err = run_main(["generate", "-n", "5", "--seed", "1",
+                              "--out", str(out)])
+        assert (code, err) == (3, "error: road 3 failed\n")
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, flags, one_unsafe_row", [

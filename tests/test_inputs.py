@@ -187,6 +187,12 @@ ROW_CASES = {
                             % t[slice(*_first_trace(t))], 1), [0, 1]),
     "trace_not_last_member": (
         lambda t: t.replace("\n  ]\n }", '\n  ],\n  "x": 1\n }', 1), [1]),
+    # an ASCII byte JSON refuses, in a file cut on its bytes
+    "nul_byte_in_id": (lambda t: t.replace('"id": "', '"id": "\x00', 1), []),
+    # a file that is not ASCII is decoded, then cut
+    "non_ascii_member": (
+        lambda t: t.replace('{\n  "id"', '{\n  "\u00e9": "\u00fc",\n  "id"', 1),
+        [0, 1]),
 }
 
 

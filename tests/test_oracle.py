@@ -29,6 +29,7 @@ from roadsift.oracle import (
     VehicleState,
     build_dataset,
     generate_road,
+    labelled_tests,
     load_dataset,
     plan_speed_profile,
     road_seeds,
@@ -37,6 +38,7 @@ from roadsift.oracle import (
     simulate_drive,
     unsafe_fraction,
 )
+from roadsift import oracle
 from roadsift.oracle import _simulate
 
 import reference_drive
@@ -343,6 +345,21 @@ class TestBuildDataset:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             build_dataset(0, DriverConfig(), rng_seed=1)
+        with pytest.raises(ValueError):         # when called, not when drawn
+            labelled_tests(0, DriverConfig(), rng_seed=1)
+
+    def test_labelled_tests_draws_one_test_at_a_time(self, monkeypatch):
+        cfg = DriverConfig()
+        whole = build_dataset(3, cfg, rng_seed=8)
+        calls = []
+        label_road = oracle.label_road
+        monkeypatch.setattr(oracle, "label_road",
+                            lambda *a: calls.append(a) or label_road(*a))
+        lazy = labelled_tests(3, cfg, rng_seed=8)
+        assert calls == []
+        first = next(lazy)
+        assert len(calls) == 1
+        assert [first, *lazy] == whole
 
     def test_moderate_fraction_in_window(self, moderate_tests):
         frac = unsafe_fraction(moderate_tests)
@@ -497,6 +514,28 @@ class TestDatasetWriter:
     def test_no_tests(self, tmp_path):
         save_dataset(tmp_path / "d.json", [])
         assert (tmp_path / "d.json").read_text() == _json_reference([])
+
+    @pytest.mark.parametrize("given", ["generator", "list", "no_rows"])
+    def test_any_iterable_of_tests(self, tmp_path, given):
+        tests = [] if given == "no_rows" else build_dataset(3, DriverConfig(), 5)
+        path = tmp_path / "d.json"
+        save_dataset(path, tests if given == "list" else (tc for tc in tests))
+        assert path.read_text() == _json_reference(tests)
+        assert [p.name for p in tmp_path.iterdir()] == ["d.json"]
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_a_failed_write_leaves_the_old_file(self, tmp_path, error):
+        path = tmp_path / "d.json"
+        path.write_text("old")
+
+        def tests():
+            yield from build_dataset(2, DriverConfig(), 5)
+            raise error("stopped")
+
+        with pytest.raises(error):
+            save_dataset(path, tests())
+        assert [p.name for p in tmp_path.iterdir()] == ["d.json"]
+        assert path.read_text() == "old"
 
     @settings(max_examples=15)
     @given(tests=_test_cases(st.floats(allow_nan=False, allow_infinity=False),
