@@ -53,7 +53,6 @@ from .ml import (
 )
 from .oracle import (
     DriverConfig,
-    TestCase,
     labelled_tests,
     load_dataset,
     save_dataset,
@@ -174,12 +173,12 @@ def cmd_generate(args) -> int:
     def tests():
         for tc in labelled_tests(args.n, driver, args.seed,
                                  **_given(args, "keep_traces")):
-            kept.append(TestCase(tc.id, tc.road, tc.features,
-                                 replace(tc.outcome, trace=())))
+            kept.append(replace(tc, outcome=replace(tc.outcome, trace=())))
             yield tc
 
-    # each row is written as its road is labelled, so no two traces are
-    # held at once; the other artifacts follow once the dataset is in place
+    # each row is written as its road is labelled, so at most two traces
+    # are held at once; the other artifacts follow once the dataset is in
+    # place
     save_dataset(out / "simulation.full.json", tests())
     (out / "roads").mkdir(exist_ok=True)
     for tc in kept:

@@ -15,12 +15,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .inputs import is_vector, json_texts, positive, read_json
+from .inputs import is_vector, positive, read_json
 
 STRAIGHT = "straight"
 LEFT_TURN = "left"
@@ -433,20 +432,11 @@ def load_road(path: str | Path) -> tuple[str, RoadPoints]:
         raise ValueError(f"{path}: {exc}") from None
 
 
-# the text of a road file and of one of its points, as json.dumps(obj,
-# indent=2) lays them out
-_ROAD_FILE = ('{\n  "id": %s,\n  "lane_width": %s,\n  "map_size": %s,\n'
-              '  "road_points": [\n%s\n  ]\n}\n')
-_ROAD_POINT = "    [\n      %s,\n      %s\n    ]"
-
-
 def save_road(path: str | Path, road_id: str, road: RoadPoints) -> None:
-    """Write a road file: the bytes of json.dumps(obj, indent=2) and a
-    newline for obj = {"id", "lane_width", "map_size", "road_points"},
-    built from fixed templates, since json's indenting encoder is pure
-    Python."""
-    points = ",\n".join([_ROAD_POINT] * len(road.points)) % json_texts(
-        list(chain.from_iterable(road.points)))
-    Path(path).write_text(_ROAD_FILE % (
-        json.dumps(road_id), json.dumps(road.lane_width),
-        json.dumps(road.map_size), points))
+    obj = {
+        "id": road_id,
+        "lane_width": road.lane_width,
+        "map_size": road.map_size,
+        "road_points": [[x, y] for x, y in road.points],
+    }
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n")

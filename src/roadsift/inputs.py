@@ -15,7 +15,13 @@ from pathlib import Path
 def read_text(path: str | Path) -> str:
     """A file's text; raises ValueError naming the file when it cannot be
     read, and the line of the first byte that is not UTF-8."""
-    return _decoded(path, _read_bytes(path))
+    data = _read_bytes(path)
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: byte {data[exc.start]:#04x} "
+                         "is not UTF-8") from None
 
 
 def _read_bytes(path: str | Path) -> bytes:
@@ -23,15 +29,6 @@ def _read_bytes(path: str | Path) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror or exc}") from None
-
-
-def _decoded(path: str | Path, data: bytes) -> str:
-    try:
-        return data.decode()
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}, line {line}: byte {data[exc.start]:#04x} "
-                         "is not UTF-8") from None
 
 
 def read_json(path: str | Path):
@@ -55,38 +52,35 @@ def read_json_rows(path: str | Path, key: str, skip: re.Pattern):
     named key whose value skip matches is read as [] without being built:
     one substitution cuts those values out of the text json.loads reads.
     skip must match only the text of a JSON list, and by its lookahead
-    only in a top-level row. An ASCII file is cut as bytes, with skip's
-    pattern encoded, and only the cut text is decoded, so no str of the
-    whole file is made and the file's bytes are freed before the parse;
-    any other file is decoded first, as read_text does. Text that then
-    does not parse is read again as read_json reads it, so the reader
-    accepts what read_json accepts and raises its errors, at their
-    lines."""
+    only in a top-level row. The file's bytes are cut, with skip's pattern
+    encoded, and only the cut text is decoded, so no str of the whole
+    file is made and its bytes are freed before the parse; since UTF-8
+    puts no ASCII byte inside another character and the name and pattern
+    are ASCII, the cut is the one the decoded text would get. Text that
+    then does not decode or parse is read again as read_json reads it, so
+    the reader accepts what read_json accepts and raises its errors, at
+    their lines."""
     data = _read_bytes(path)
-    is_ascii = data.isascii()
-    cut = _cut(data if is_ascii else _decoded(path, data), key, skip)
+    cut = _cut(data, key, skip)
     del data
     if cut is not None:
         try:
-            return json.loads(cut.decode() if is_ascii else cut)
-        except (ValueError, RecursionError):
+            return json.loads(cut.decode())
+        except (ValueError, RecursionError):   # UnicodeDecodeError too
             pass
     return read_json(path)
 
 
-def _cut(text: str | bytes, key: str, skip: re.Pattern) -> str | bytes | None:
-    """text with each member named key whose value skip matches replaced
-    by key: [], or None when text's top level does not open a list. Bytes
-    are cut with the pattern encoded."""
+def _cut(data: bytes, key: str, skip: re.Pattern) -> bytes | None:
+    """data with each member named key whose value skip matches replaced
+    by key: [], or None when data's top level does not open a list."""
+    if not data.lstrip().startswith(b"["):
+        return None
     name = json.dumps(key)
     # (?<!\\): in a name such as "x\"trace", the escaped quote starts none
-    member = rf"(?<!\\){re.escape(name)}: (?:{skip.pattern})"
-    empty, opening = f"{name}: []", "["
-    if isinstance(text, bytes):
-        member, empty, opening = member.encode(), empty.encode(), b"["
-    if not text.lstrip().startswith(opening):
-        return None
-    return re.sub(member, lambda _: empty, text)
+    member = rf"(?<!\\){re.escape(name)}: (?:{skip.pattern})".encode()
+    empty = f"{name}: []".encode()
+    return re.sub(member, lambda _: empty, data)
 
 
 def json_files(directory: str | Path) -> list[Path]:
@@ -129,19 +123,6 @@ def positive(name: str, value) -> float:
     if not (is_number(value) and value > 0):
         raise ValueError(f"{name} {value!r} is not a finite number > 0")
     return float(value)
-
-
-def json_texts(values: list) -> tuple[str, ...]:
-    """The json text of each value. Finite floats are their repr, as in
-    json; NaN, infinities and anything that is not a float go through
-    json.dumps."""
-    try:
-        texts = tuple(map(float.__repr__, values))
-    except TypeError:                 # an int, a bool, a string
-        return tuple(map(json.dumps, values))
-    if all(map(math.isfinite, values)):
-        return texts
-    return tuple(map(json.dumps, values))
 
 
 def is_vector(value, d: int) -> bool:

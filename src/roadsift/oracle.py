@@ -49,7 +49,6 @@ from .inputs import (
     NUMBER,
     are_numbers,
     is_number,
-    json_texts,
     positive,
     read_json,
     read_json_rows,
@@ -488,6 +487,19 @@ def _json_object(keys: tuple[str, ...], depth: int) -> str:
             + "\n" + " " * depth + "}")
 
 
+def _json_scalars(values: list) -> tuple[str, ...]:
+    """The json text of each value. Finite floats are their repr, as in
+    json; NaN, infinities and anything that is not a float go through
+    json.dumps."""
+    try:
+        texts = tuple(map(float.__repr__, values))
+    except TypeError:                 # an int, a bool, a string
+        return tuple(map(json.dumps, values))
+    if all(map(math.isfinite, values)):
+        return texts
+    return tuple(map(json.dumps, values))
+
+
 # the text of one dataset row and its parts, as json.dumps(rows, indent=1)
 # lays them out: a row is nested one level deep, a trace state three
 _ROW = _json_object(("id", "road_points", "lane_width", "map_size",
@@ -512,13 +524,13 @@ def _row_text(tc: TestCase) -> str:
     trace = list(chain.from_iterable(map(_STATE_FIELDS, outcome.trace)))
     return _ROW % (
         json.dumps(tc.id),
-        _json_array([_POINT] * len(road.points), 2) % json_texts(points),
+        _json_array([_POINT] * len(road.points), 2) % _json_scalars(points),
         json.dumps(road.lane_width),
         json.dumps(road.map_size),
         _FEATURES % tuple(map(json.dumps, _FEATURE_VALUES(tc.features))),
         json.dumps(outcome.label),
         json.dumps(outcome.duration),
-        _json_array([_STATE] * len(outcome.trace), 2) % json_texts(trace),
+        _json_array([_STATE] * len(outcome.trace), 2) % _json_scalars(trace),
     )
 
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -65,25 +64,6 @@ class TestRoadPoints:
         rid, back = load_road(tmp_path / "r.json")
         assert rid == "road_1"
         assert back == road
-
-    @settings(max_examples=40)
-    @given(road_id=st.text(max_size=8),
-           xs=st.lists(st.floats(0.0, 200.0), min_size=3, max_size=6),
-           ys=st.lists(st.floats(0.0, 200.0), min_size=3, max_size=6),
-           lane_width=st.one_of(st.floats(0.1, 10.0), st.integers(1, 10)),
-           map_size=st.one_of(st.floats(200.0, 1e6), st.integers(200, 10**6),
-                              st.just(math.inf)))
-    def test_road_file_bytes_match_json(self, tmp_path_factory, road_id, xs,
-                                        ys, lane_width, map_size):
-        # x rises by 10 m a point, so consecutive points never repeat
-        points = tuple((10.0 * k + x / 20.0, y)
-                       for k, (x, y) in enumerate(zip(xs, ys)))
-        road = RoadPoints(points=points, lane_width=lane_width, map_size=map_size)
-        path = tmp_path_factory.mktemp("road") / "r.json"
-        save_road(path, road_id, road)
-        obj = {"id": road_id, "lane_width": lane_width, "map_size": map_size,
-               "road_points": [[x, y] for x, y in road.points]}
-        assert path.read_text() == json.dumps(obj, indent=2) + "\n"
 
 
 class TestInterpolateSpine:

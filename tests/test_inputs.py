@@ -189,7 +189,7 @@ ROW_CASES = {
         lambda t: t.replace("\n  ]\n }", '\n  ],\n  "x": 1\n }', 1), [1]),
     # an ASCII byte JSON refuses, in a file cut on its bytes
     "nul_byte_in_id": (lambda t: t.replace('"id": "', '"id": "\x00', 1), []),
-    # a file that is not ASCII is decoded, then cut
+    # a member named outside ASCII: its UTF-8 bytes hold no ASCII byte
     "non_ascii_member": (
         lambda t: t.replace('{\n  "id"', '{\n  "\u00e9": "\u00fc",\n  "id"', 1),
         [0, 1]),
