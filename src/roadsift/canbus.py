@@ -5,11 +5,14 @@ values into classic 8-byte CAN frames (Intel and Motorola byte orders),
 converts labelled drive traces into timestamped playback records, and
 streams them to a byte sink with optional real-time pacing.
 
-Conversion compiles the mapped messages' layout and each signal's
-quantisation once per trace and packs each frame as an int. Records come
-out ordered by timestamp, then can_id, then message name; the frames of an
-instant that holds the same trace state as the one before are reused, not
-packed again.
+Conversion works on arrays. One searchsorted over the rounded state times
+finds the trace state each sample instant holds; each mapped signal is
+quantised over the held states in one numpy pass, the same quantiser
+encode_signal uses, and each mapped message's frames are packed as a
+uint64 column, one frame per held state. convert_trace expands them into
+records, ordered by timestamp, then can_id, then message name;
+write_trace_playback writes the same playback CSV straight from them,
+formatting each held frame's text once.
 
 Wire framing: timestamp_ms (u32 LE) | can_id (u32 LE) | dlc (u8) | data.
 """
@@ -23,8 +26,12 @@ import socket
 import struct
 import time
 from dataclasses import dataclass, replace
+from itertools import starmap
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from .inputs import NUMBER, is_number, read_json, read_text
 from .oracle import TRACE_KEYS
@@ -165,6 +172,8 @@ class CanDatabase:
 # the other keywords are not message or signal lines
 _LINE_KINDS = {"BO_": "message", "SG_": "signal"}
 _LINE_KIND_RE = re.compile(r"(BO_|SG_)\s", re.ASCII)
+# the whitespace of re.ASCII's \s, the only space a line may be padded with
+_ASCII_SPACE = " \t\n\r\f\v"
 # ASCII digits, and the number text rule for scale, offset, min and max,
 # since int() and float() take non-ASCII digits, "_" and spaces; names are
 # C identifiers and spacing is ASCII, as re.ASCII makes \w and \s
@@ -212,7 +221,8 @@ def read_mapping(path: str | Path) -> SignalMapping:
 
 def parse_dbc(text: str) -> CanDatabase:
     """Parse the BO_/SG_ subset; other line kinds are ignored. A line that
-    does not parse is a DbcSyntaxError; a message or signal that is out of
+    does not parse, or is padded with space outside ASCII, is a
+    DbcSyntaxError; a message or signal that is out of
     range or overlaps another signal, a message that reuses a message name
     or can_id and a signal that reuses a name in its message raise their
     own error, prefixed with the line."""
@@ -225,6 +235,9 @@ def parse_dbc(text: str) -> CanDatabase:
         if keyword is None:
             continue
         kind = _LINE_KINDS[keyword.group(1)]
+        if stripped != raw.strip(_ASCII_SPACE):
+            raise DbcSyntaxError(f"{kind} line padded with space outside "
+                                 f"ASCII: {raw!r}", lineno)
         m = (_BO_RE if kind == "message" else _SG_RE).match(stripped)
         if not m:
             raise DbcSyntaxError(f"bad {kind} line: {stripped!r}", lineno)
@@ -283,23 +296,46 @@ def _codec(sig: CanSignalDef) -> tuple:
             raw_min, raw_max, width)
 
 
-def _raw(codec: tuple, value: float) -> int:
-    """The raw field of a physical value: clamp to [min, max], round to the
-    scale, saturate to the field's range, and take the two's complement
-    when signed. Each clamp keeps the rule of the builtins: max(value, lo)
-    is lo if lo > value else value, and min(value, hi) is hi if hi < value
-    else value, so a tie, a NaN or a -0.0 gives what they give."""
-    lo, hi, offset, scale, raw_min, raw_max, width = codec
-    value = lo if lo > value else value
-    value = hi if hi < value else value
-    raw = round((value - offset) / scale)
-    raw = raw_min if raw_min > raw else raw
-    raw = raw_max if raw_max < raw else raw
-    return raw & width
+def _quantise(columns: list[tuple[tuple, np.ndarray]]) -> list[np.ndarray]:
+    """The raw fields, as uint64 arrays, of columns of physical values, each
+    with its signal's codec: clamp to [min, max], round to the scale, half
+    to even as round() does, saturate to the field's range, and take the
+    two's complement when signed.
+
+    Each clamp keeps the rule of the builtins: max(value, lo) is lo if
+    lo > value else value, and min(value, hi) is hi if hi < value else
+    value, so a tie, a NaN or a -0.0 gives what they give. Saturation is
+    exact also for fields wider than float64's 53-bit mantissa, whose
+    raw_max is not a float: a rounded value is compared with raw_min and
+    with raw_max + 1, a power of two, both exact floats, and raw_max is set
+    as an int. The first value, rows before columns, whose scaled form is
+    not finite (a NaN) raises what round() raises for it."""
+    scaled = []
+    for (lo, hi, offset, scale, *_), values in columns:
+        values = np.where(lo > values, lo, values)
+        values = np.where(hi < values, hi, values)
+        scaled.append((values - offset) / scale)
+    if scaled:
+        bad = ~np.isfinite(np.column_stack(scaled))
+        if bad.any():
+            row, col = divmod(int(bad.argmax()), len(scaled))
+            round(float(scaled[col][row]))
+    raws = []
+    for (codec, _), x in zip(columns, scaled):
+        *_, raw_min, raw_max, width = codec
+        x = np.rint(x)
+        x = np.where(raw_min > x, raw_min, x)
+        over = x >= float(raw_max + 1)
+        # the rest fit the field's int type; raw_max is set after the cast
+        dtype = np.int64 if raw_min else np.uint64
+        raw = np.where(over, dtype(raw_max), np.where(over, 0.0, x).astype(dtype))
+        raws.append(raw.view(np.uint64) & np.uint64(width))
+    return raws
 
 
-def _place(raw: int, start_bit: int, positions: tuple[int, ...] | None) -> int:
-    """The frame bits of a raw field."""
+def _place(raw, start_bit: int, positions: tuple[int, ...] | None):
+    """The frame bits of a raw field: an int's, or of each of a uint64
+    array's."""
     if positions is None:
         return raw << start_bit
     bits = 0
@@ -320,12 +356,12 @@ def _layout(sig: CanSignalDef) -> tuple[tuple[int, ...] | None, int]:
 def encode_signal(sig: CanSignalDef, value: float, frame: bytearray,
                   clamp: bool = True) -> None:
     """Pack a physical value into the frame buffer, touching only the
-    signal's own bits, the raw field as _raw gives it; with clamp false, a
-    value outside [min, max] raises instead."""
+    signal's own bits, the raw field as _quantise gives it; with clamp
+    false, a value outside [min, max] raises instead."""
     if not (clamp or sig.minimum <= value <= sig.maximum):
         raise ValueOutOfRange(
             f"{sig.name}: {value} outside [{sig.minimum}, {sig.maximum}]")
-    raw = _raw(_codec(sig), value)
+    raw = int(_quantise([(_codec(sig), np.array([value], dtype=float))])[0][0])
     positions, mask = _layout(sig)
     bits = (int.from_bytes(frame, "little") & ~mask
             | _place(raw, sig.start_bit, positions))
@@ -394,15 +430,16 @@ class PlaybackRecord(NamedTuple):
 def _compile(db: CanDatabase, mapping: SignalMapping) -> list[tuple]:
     """The layout of each mapped message, in (can_id, name) order:
     (can_id, dlc, signals), each signal (trace field, factor, codec, start
-    bit, Motorola positions or None, mask clearing its bits), in mapping
-    order."""
+    bit, Motorola positions or None, uint64 mask clearing its bits), in
+    mapping order."""
     mapping.validate(db, TRACE_KEYS)
     per_message: dict[str, list] = {}
     for field_name, msg_name, sig_name, factor in mapping.entries:
         sig = db.by_name(msg_name).signal(sig_name)
         positions, mask = _layout(sig)
         per_message.setdefault(msg_name, []).append(
-            (field_name, factor, _codec(sig), sig.start_bit, positions, ~mask))
+            (field_name, factor, _codec(sig), sig.start_bit, positions,
+             np.uint64(~mask & (1 << 64) - 1)))
     messages = sorted((db.by_name(name) for name in per_message),
                       key=lambda msg: (msg.can_id, msg.name))
     return [(msg.can_id, msg.dlc, per_message[msg.name]) for msg in messages]
@@ -413,47 +450,72 @@ def check_sample_period(sample_period_ms: int) -> None:
         raise ValueError(f"sample_period_ms must be >= 1, got {sample_period_ms}")
 
 
+def _held_frames(trace, db: CanDatabase, mapping: SignalMapping,
+                 sample_period_ms: int) -> tuple[list, list, list]:
+    """The zero-order hold of a trace: its sample instants in ms, the row of
+    the held state at each instant, and each held state's frames,
+    (can_id, dlc, data) in (can_id, name) order.
+
+    A state is read, by attribute, only when an instant holds it. Each
+    mapped signal is quantised over the held states in one pass, and each
+    message's frames are packed as a uint64 column; the first bad value in
+    (instant, message, mapping entry) order raises."""
+    check_sample_period(sample_period_ms)
+    if not trace:
+        raise MappingError("empty trace")
+    plan = _compile(db, mapping)
+    times_ms = [round(state.t * 1000.0) for state in trace]
+    instants = np.arange(0, times_ms[-1] + 1, sample_period_ms)
+    # an instant holds the last state before the first later one whose time
+    # is past it, sorted or not: k states after the first are held once the
+    # latest of their times is at or before the instant
+    latest = np.maximum.accumulate(np.array(times_ms[1:], dtype=float))
+    states, rows = np.unique(np.searchsorted(latest, instants, side="right"),
+                             return_inverse=True)
+    held = [trace[k] for k in states.tolist()]
+    fields = {entry[0] for _, _, signals in plan for entry in signals}
+    columns = {name: np.fromiter(map(attrgetter(name), held), float, len(held))
+               for name in fields}
+    # an infinity times 0 is a NaN, which quantising refuses, and an
+    # overflow an infinity, which it clamps: no numpy warning for either
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = [(codec, columns[name] * factor) for _, _, signals in plan
+                  for name, factor, codec, *_ in signals]
+    raws = iter(_quantise(values))
+    per_message = []
+    for can_id, dlc, signals in plan:
+        bits = np.zeros(len(held), np.uint64)
+        for *_, start_bit, positions, clear in signals:
+            bits = bits & clear | _place(next(raws), start_bit, positions)
+        per_message.append([(can_id, dlc, frame.to_bytes(dlc, "little"))
+                            for frame in bits.tolist()])
+    # with no mapped message, each held state has no frames
+    frames = list(zip(*per_message)) or [()] * len(held)
+    return instants.tolist(), rows.tolist(), frames
+
+
 def convert_trace(trace, db: CanDatabase, mapping: SignalMapping,
                   sample_period_ms: int = 20) -> list[PlaybackRecord]:
     """Zero-order-hold resample of the trace, one record per mapped message
     per sample instant, ordered by timestamp, then can_id, then message
     name.
 
-    The layout is compiled once per call, and the frames of an instant are
-    reused for the following instants while they hold the same trace state.
-    Within a frame, mapped signals are written in mapping order, so a signal
-    mapped twice carries the later entry's value.
+    Each held trace state's frames are packed once and reused at each
+    instant that holds it. Within a frame, mapped signals are written in
+    mapping order, so a signal mapped twice carries the later entry's
+    value.
 
     trace: sequence of VehicleState-like objects (attribute access).
     """
-    check_sample_period(sample_period_ms)
-    if not trace:
-        raise MappingError("empty trace")
-    plan = _compile(db, mapping)
-    times_ms = [round(state.t * 1000.0) for state in trace]
-    last = len(trace) - 1
+    instants, rows, frames = _held_frames(trace, db, mapping, sample_period_ms)
     # each record is built as a tuple, without PlaybackRecord's per-call
     # argument handling
     new = tuple.__new__
     records = []
     append = records.append
-    idx = 0
-    held = -1
-    for ms in range(0, times_ms[-1] + 1, sample_period_ms):
-        while idx < last and times_ms[idx + 1] <= ms:
-            idx += 1
-        if idx != held:
-            held = idx
-            state = trace[idx]
-            frames = []
-            for can_id, dlc, signals in plan:
-                bits = 0
-                for field_name, factor, codec, start_bit, positions, clear in signals:
-                    raw = _raw(codec, getattr(state, field_name) * factor)
-                    bits = bits & clear | _place(raw, start_bit, positions)
-                frames.append((can_id, dlc, bits.to_bytes(dlc, "little")))
-        for can_id, dlc, data in frames:
-            append(new(PlaybackRecord, (ms, can_id, dlc, data)))
+    for ms, row in zip(instants, rows):
+        for frame in frames[row]:
+            append(new(PlaybackRecord, (ms, *frame)))
     return records
 
 
@@ -463,24 +525,45 @@ def convert_trace(trace, db: CanDatabase, mapping: SignalMapping,
 CSV_HEADER = "timestamp_ms,can_id_hex,dlc,data_hex"
 
 
+def _frame_text(can_id: int, dlc: int, data: bytes) -> str:
+    """A playback CSV line after its timestamp."""
+    return f",{can_id:x},{dlc},{data.hex()}"
+
+
+def _write_csv(path: str | Path, rows: str) -> None:
+    """A playback CSV of rows, each a newline, then its line."""
+    Path(path).write_text(f"{CSV_HEADER}{rows}\n")
+
+
 def write_playback_csv(records: list[PlaybackRecord], path: str | Path) -> None:
     """One line per record, under CSV_HEADER. The ",can_id,dlc,data" text
     of each distinct frame is formatted once per file, since a held trace
     state repeats its frames at several instants; a frame whose data cannot
     be hashed, a bytearray, is formatted at each of its records."""
-    lines = [CSV_HEADER]
-    append = lines.append
+    rows = []
+    append = rows.append
     frame_texts: dict[tuple, str] = {}
     for ts, can_id, dlc, data in records:
         frame = can_id, dlc, data
         try:
             text = frame_texts[frame]
         except KeyError:
-            text = frame_texts[frame] = f",{can_id:x},{dlc},{data.hex()}"
+            text = frame_texts[frame] = _frame_text(*frame)
         except TypeError:
-            text = f",{can_id:x},{dlc},{data.hex()}"
-        append(f"{ts}{text}")
-    Path(path).write_text("\n".join(lines) + "\n")
+            text = _frame_text(*frame)
+        append(f"\n{ts}{text}")
+    _write_csv(path, "".join(rows))
+
+
+def write_trace_playback(trace, db: CanDatabase, mapping: SignalMapping,
+                         path: str | Path, sample_period_ms: int = 20) -> None:
+    """The file write_playback_csv writes of convert_trace's records, and
+    the same errors, without building the records: each held frame's text
+    is formatted once, and each instant's lines are joined at once."""
+    instants, rows, frames = _held_frames(trace, db, mapping, sample_period_ms)
+    texts = [("", *starmap(_frame_text, state)) for state in frames]
+    _write_csv(path, "".join([f"\n{ms}".join(texts[row])
+                              for ms, row in zip(instants, rows)]))
 
 
 # a row's fields as write_playback_csv writes them, in ASCII only, since
@@ -584,9 +667,18 @@ def playback(records: list[PlaybackRecord], sink,
     """Write frames to the sink in timestamp order; real-time pacing sends
     each frame at its timestamp's offset from the first one, measured from
     the start of playback, so write latency does not add up over a run.
-    An unknown pacing is a ValueError, raised before any frame is written."""
+    An unknown pacing, or a record the wire cannot carry, is a ValueError,
+    raised before any frame is written: a record's timestamp_ms and can_id
+    must fit the wire's u32, and its dlc be its data's length, at most 8."""
     if pacing not in (AS_FAST_AS_POSSIBLE, REAL_TIME):
         raise ValueError(f"pacing must be 'fast' or 'realtime', got {pacing!r}")
+    for i, (ts, can_id, dlc, data) in enumerate(records):
+        if not (0 <= ts <= MAX_U32 and 0 <= can_id <= MAX_U32
+                and dlc == len(data) <= 8):
+            raise ValueError(
+                f"record {i}: timestamp_ms {ts} and can_id {can_id} must fit "
+                f"the wire's u32, and dlc {dlc} be the data's {len(data)} "
+                "bytes, at most 8")
     latencies = []
     sent = 0
     start_s = ts0 = None

@@ -451,8 +451,8 @@ def cmd_can_convert(args) -> int:
     for tc in tests:
         if not tc.outcome.trace:
             continue
-        records = canbus.convert_trace(tc.outcome.trace, db, mapping, **period)
-        canbus.write_playback_csv(records, out / f"{tc.id}.canplayback.csv")
+        canbus.write_trace_playback(tc.outcome.trace, db, mapping,
+                                    out / f"{tc.id}.canplayback.csv", **period)
         converted += 1
     if not converted:
         print(f"{args.simulation} holds no traces (generated with --no-traces?)")

@@ -1,5 +1,7 @@
 import io
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,14 +37,18 @@ from roadsift.canbus import (
     playback,
     read_dbc,
     read_frames,
+    read_mapping,
     read_playback_csv,
     write_playback_csv,
 )
+from roadsift.cli import main
 from roadsift.oracle import (
     TRACE_KEYS,
     DriverConfig,
     VehicleState,
+    build_dataset,
     generate_road,
+    save_dataset,
     simulate_drive,
 )
 
@@ -123,6 +129,20 @@ class TestParseDbc:
         with pytest.raises(DbcSyntaxError) as err:
             parse_dbc(text)
         assert err.value.line == line
+
+    # str.strip() takes these spaces around a line; the format does not
+    @pytest.mark.parametrize("text, line", [
+        ('\u2003BO_ 256 X: 8 E\n SG_ s : 0|16@1+ (1,0) [0|1] "" D', 1),
+        ('BO_ 256 X: 8 E\u00a0\n SG_ s : 0|16@1+ (1,0) [0|1] "" D', 1),
+        ('BO_ 256 X: 8 E\n\u00a0SG_ s : 0|16@1+ (1,0) [0|1] "" D', 2),
+        ('BO_ 256 X: 8 E\n SG_ s : 0|16@1+ (1,0) [0|1] "" D \u2003', 2)],
+        ids=["message_lead", "message_trail", "signal_lead", "signal_trail"])
+    def test_line_padded_outside_ascii_is_a_syntax_error(self, text, line):
+        with pytest.raises(DbcSyntaxError) as err:
+            parse_dbc(text)
+        assert err.value.line == line
+        assert parse_dbc(text.replace("\u2003", " ").replace("\u00a0", "\t")) \
+            == parse_dbc('BO_ 256 X: 8 E\n SG_ s : 0|16@1+ (1,0) [0|1] "" D')
 
     def test_file_read_as_its_text(self, tmp_path):
         path = tmp_path / "default.dbc"
@@ -249,6 +269,41 @@ class TestCodec:
         encode_signal(sig, value, frame)
         assert abs(decode_signal(sig, frame) - value) <= scale / 2 + 1e-9
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_encoder(self, data):
+        # wide fields, whose raw range ends are not all floats, with [min,
+        # max] reaching past them; values at the ends, signed zeros,
+        # infinities and NaNs, which must raise what the reference raises
+        bit_length = data.draw(st.integers(54, 64) | st.integers(1, 64))
+        order = data.draw(st.sampled_from([LITTLE_ENDIAN, BIG_ENDIAN]))
+        # the raw LSB's bit in the frame read little-endian (Intel) or
+        # big-endian (Motorola), where either signal's bits run upward
+        lsb = data.draw(st.integers(0, 64 - bit_length))
+        msb = lsb + bit_length - 1
+        start = lsb if order == LITTLE_ENDIAN else (7 - msb // 8) * 8 + msb % 8
+        ends = st.sampled_from([0.0, -0.0, 2.0 ** 53, 2.0 ** 63, 2.0 ** 64,
+                                -2.0 ** 63, 1e25, -1e25])
+        lo, hi = sorted(data.draw(st.lists(ends | st.floats(-1e25, 1e25),
+                                           min_size=2, max_size=2)))
+        sig = CanSignalDef("s", start, bit_length, order, data.draw(st.booleans()),
+                           data.draw(st.sampled_from([0.25, 1.0, 3.0])),
+                           data.draw(st.sampled_from([0.0, -100.0, 37.5])), lo, hi)
+        specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, lo, hi,
+                    2.0 ** 63 - 1024, 2.0 ** 64 - 2048, -2.0 ** 63]
+        value = data.draw(st.sampled_from(specials)
+                          | st.floats(-1e25, 1e25) | st.floats())
+        prefill = data.draw(st.binary(min_size=8, max_size=8))
+
+        def outcome(encode):
+            frame = bytearray(prefill)
+            try:
+                encode(sig, value, frame)
+            except Exception as exc:
+                return type(exc), str(exc)
+            return bytes(frame)
+        assert outcome(encode_signal) == outcome(reference_canbus.encode_signal)
+
 
 def flat_trace(duration_s, dt=0.05, speed=10.0):
     steps = int(round(duration_s / dt))
@@ -310,6 +365,33 @@ class TestConvertTrace:
             expected = state.speed * 3.6
             assert abs(decode_signal(speed_sig, rec.data) - expected) <= 0.005 + 1e-9
 
+    def test_times_going_back_hold_as_the_reference_does(self):
+        # an instant holds the state before the first later one past it,
+        # even when a state after that one is back in time
+        db = parse_dbc(DEFAULT_DBC)
+        trace = [state._replace(t=t, speed=float(i)) for i, (state, t) in
+                 enumerate(zip(flat_trace(1.0), [0.0, 0.1, 0.05, 0.2, 0.03, 0.3]))]
+        assert (convert_trace(trace, db, DEFAULT_MAPPING, 10)
+                == reference_canbus.convert_trace(trace, db, DEFAULT_MAPPING, 10))
+
+    # an infinity times a zero factor is a NaN, and a product past the
+    # float range an infinity: the reference's outcome, with no warning
+    @pytest.mark.parametrize("factor, value", [
+        (0.0, math.inf), (100.0, 1e308), (-100.0, 1e308)])
+    def test_products_outside_the_floats_convert_as_the_reference_does(
+            self, factor, value):
+        db = parse_dbc(DEFAULT_DBC)
+        mapping = SignalMapping(entries=(
+            ("speed", "VEHICLE_DYNAMICS", "speed_kmh", factor),))
+        trace = [flat_trace(0.0)[0]._replace(speed=value)]
+
+        def outcome(convert):
+            try:
+                return convert(trace, db, mapping, 20)
+            except Exception as exc:
+                return type(exc), str(exc)
+        assert outcome(convert_trace) == outcome(reference_canbus.convert_trace)
+
     def test_sorted_by_timestamp_then_id(self):
         db = parse_dbc(DEFAULT_DBC)
         records = convert_trace(flat_trace(2.0), db, DEFAULT_MAPPING, 50)
@@ -319,15 +401,18 @@ class TestConvertTrace:
 
 def draw_message(data, can_id, name, bounds=st.floats(-5000.0, 5000.0)):
     """A message of random dlc with up to four signals (Intel and Motorola,
-    signed and unsigned) at random places, each with [min, max] drawn from
-    bounds; one that would overlap another or leave the frame is
-    dropped."""
-    dlc = data.draw(st.integers(1, 8))
+    signed and unsigned, up to 64 bits wide) at random places, each with
+    [min, max] drawn from bounds; one that would overlap another or leave
+    the frame is dropped."""
+    # full frames, and fields within 7 bits of the frame's width, as often
+    # as the rest: wide fields are rare in uniform draws
+    dlc = data.draw(st.integers(1, 8) | st.just(8))
     used: set[int] = set()
     signals = []
     for k in range(data.draw(st.integers(1, 4))):
         order = data.draw(st.sampled_from([LITTLE_ENDIAN, BIG_ENDIAN]))
-        bit_length = data.draw(st.integers(1, min(24, dlc * 8)))
+        top = min(64, dlc * 8)
+        bit_length = data.draw(st.integers(1, top) | st.integers(top - 7, top))
         start = data.draw(st.integers(
             0, dlc * 8 - (bit_length if order == LITTLE_ENDIAN else 1)))
         lo, hi = sorted(data.draw(st.lists(bounds, min_size=2, max_size=2)))
@@ -409,6 +494,84 @@ class TestCompiledConversion:
                 return type(exc), str(exc)
         assert (outcome(convert_trace)
                 == outcome(reference_canbus.convert_trace))
+
+
+def dbc_text(db: CanDatabase) -> str:
+    """The DBC text of a database, each number as its repr."""
+    lines = []
+    for msg in db.messages:
+        lines.append(f"BO_ {msg.can_id} {msg.name}: {msg.dlc} E")
+        for sig in msg.signals:
+            order = 1 if sig.byte_order == LITTLE_ENDIAN else 0
+            lines.append(
+                f" SG_ {sig.name} : {sig.start_bit}|{sig.bit_length}@{order}"
+                f"{'-' if sig.signed else '+'} ({sig.scale!r},{sig.offset!r}) "
+                f'[{sig.minimum!r}|{sig.maximum!r}] "" D')
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def labelled_test():
+    """One labelled test without its trace, to carry drawn traces."""
+    return build_dataset(1, DriverConfig(), rng_seed=1, keep_traces=False)[0]
+
+
+class TestCanConvertFiles:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_files_match_reference_converter_and_writer(
+            self, labelled_test, tmp_path_factory, data):
+        # a DBC and a mapping file, Intel and Motorola, signed and unsigned
+        # signals up to 64 bits wide, with [min, max] and trace values past
+        # 2**53 so that wide raw fields are exact or saturate; a trace with
+        # repeated and sub-millisecond timestamps
+        names = data.draw(st.lists(st.sampled_from(["PEDALS", "STEERING", "A", "Z"]),
+                                   min_size=1, max_size=4, unique=True))
+        ids = data.draw(st.lists(st.integers(256, 262), min_size=len(names),
+                                 max_size=len(names), unique=True))
+        wide = st.floats(-1e20, 1e20) | st.sampled_from(
+            [2.0 ** 53 + 2, 2.0 ** 62, 2.0 ** 63, -2.0 ** 63, 2.0 ** 64,
+             1e19, -1e19, 1e25, -1e25])
+        db = CanDatabase(messages=tuple(
+            draw_message(data, can_id, name, st.floats(-5000.0, 5000.0) | wide)
+            for can_id, name in zip(ids, names)))
+        targets = [(msg.name, sig.name) for msg in db.messages
+                   for sig in msg.signals]
+        entries = [
+            {"field": data.draw(st.sampled_from(TRACE_KEYS)), "message": msg_name,
+             "signal": sig_name,
+             "factor": data.draw(st.sampled_from([1.0, -2.5, 3.6, 100.0, 1e-3]))}
+            for msg_name, sig_name in data.draw(
+                st.lists(st.sampled_from(targets), min_size=1, max_size=8)
+                if targets else st.just([]))]
+        t = data.draw(st.sampled_from([0.0, 0.0004, 0.013]))
+        trace = []
+        for _ in range(data.draw(st.integers(1, 25))):
+            values = data.draw(st.lists(st.floats(-1000.0, 1000.0) | wide,
+                                        min_size=7, max_size=7))
+            trace.append(VehicleState(t, *values, 0.0))
+            t += data.draw(st.sampled_from(
+                [0.0, 0.0002, 0.0006, 0.001, 0.02, 0.05, 0.137]))
+        period = data.draw(st.integers(1, 100))
+
+        base = tmp_path_factory.getbasetemp()
+        dbc, mapping_file, sim = (base / "drawn.dbc", base / "drawn_mapping.json",
+                                  base / "drawn.full.json")
+        dbc.write_text(dbc_text(db))
+        assert parse_dbc(dbc.read_text()) == db
+        mapping_file.write_text(json.dumps(entries))
+        test = replace(labelled_test, outcome=replace(labelled_test.outcome,
+                                                      trace=tuple(trace)))
+        save_dataset(sim, [test])
+        out = base / "drawn_can"
+        assert main(["can-convert", "--simulation", str(sim), "--dbc", str(dbc),
+                     "--mapping", str(mapping_file), "--period-ms", str(period),
+                     "--out", str(out)]) == 0
+        reference = base / "drawn_reference.csv"
+        reference_canbus.write_playback_csv(reference_canbus.convert_trace(
+            trace, db, read_mapping(mapping_file), period), reference)
+        assert ((out / f"{test.id}.canplayback.csv").read_bytes()
+                == reference.read_bytes())
 
 
 class TestPlaybackCsv:
@@ -555,6 +718,24 @@ class TestPlayback:
         buf = io.BytesIO()
         with pytest.raises(ValueError, match="'bogus'"):
             playback(self.make_records(), buf, "bogus")
+        assert buf.getvalue() == b""
+
+    # the second record cannot be framed: a dlc unlike its data's length
+    # or past 8, or a timestamp_ms or can_id outside the wire's u32
+    @pytest.mark.parametrize("record", [
+        PlaybackRecord(0, 0x100, 2, b"\xaa\xbb\xcc"),
+        PlaybackRecord(0, 0x100, 9, bytes(9)),
+        PlaybackRecord(2 ** 32, 0x100, 0, b""),
+        PlaybackRecord(-1, 0x100, 0, b""),
+        PlaybackRecord(0, 2 ** 32, 0, b""),
+        PlaybackRecord(0, -1, 0, b"")],
+        ids=["dlc_not_data_length", "dlc_past_8", "timestamp_past_u32",
+             "negative_timestamp", "can_id_past_u32", "negative_can_id"])
+    def test_a_record_the_wire_cannot_carry_is_refused_before_any_frame(
+            self, record):
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match="^record 1: "):
+            playback([PlaybackRecord(0, 0x100, 0, b""), record], buf)
         assert buf.getvalue() == b""
 
     def test_sink_error_counts_frames(self):
