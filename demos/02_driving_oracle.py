@@ -28,10 +28,10 @@ for rf in (0.7, 1.0, 1.5, 2.0):
     bar = "#" * int(round(40 * frac))
     print(f"  rf {rf:3.1f}  {frac:5.1%}  {bar}")
 
-# peek at one trace
+# peek at one trace: one row per step, its columns oracle.TRACE_COLUMNS
 out = simulate_drive(road, DriverConfig(risk_factor=2.0))
 print(f"\nrf 2.0 trace tail (verdict: {out.label}):")
 print("      t      x        y     speed   steer   offset")
-for st in out.trace[-5:]:
-    print(f"  {st.t:6.2f} {st.x:8.2f} {st.y:8.2f} {st.speed:7.2f} "
-          f"{st.steering:7.3f} {st.lateral_offset:8.3f}")
+for t, x, y, _, speed, steering, _, _, offset in out.trace[-5:].tolist():
+    print(f"  {t:6.2f} {x:8.2f} {y:8.2f} {speed:7.2f} "
+          f"{steering:7.3f} {offset:8.3f}")

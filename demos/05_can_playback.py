@@ -20,7 +20,12 @@ from roadsift.canbus import (
     read_frames,
     write_playback_csv,
 )
-from roadsift.oracle import DriverConfig, generate_road, simulate_drive
+from roadsift.oracle import (
+    TRACE_COLUMNS,
+    DriverConfig,
+    generate_road,
+    simulate_drive,
+)
 
 db = parse_dbc(DEFAULT_DBC)
 print("CAN database:")
@@ -48,10 +53,11 @@ print(f"streamed {report.frames_sent} frames -> {target} "
       f"(mean write latency {report.mean_latency_ms:.4f} ms)")
 
 # decode the first dynamics frame back to km/h
+start_speed = outcome.trace[0, TRACE_COLUMNS.index("speed")]
 blob = target.read_bytes()
 first_dyn = next(r for r in read_frames(blob) if r.can_id == 0x100)
 speed_sig = db.by_name("VEHICLE_DYNAMICS").signal("speed_kmh")
 kmh = decode_signal(speed_sig, first_dyn.data)
 print(f"first VEHICLE_DYNAMICS frame at t={first_dyn.timestamp_ms} ms "
       f"decodes to {kmh:.2f} km/h "
-      f"(trace start speed {outcome.trace[0].speed * 3.6:.2f} km/h)")
+      f"(trace start speed {start_speed * 3.6:.2f} km/h)")

@@ -5,9 +5,10 @@ values into classic 8-byte CAN frames (Intel and Motorola byte orders),
 converts labelled drive traces into timestamped playback records, and
 streams them to a byte sink with optional real-time pacing.
 
-Conversion works on arrays. One searchsorted over the rounded state times
-finds the trace state each sample instant holds; each mapped signal is
-quantised over the held states in one numpy pass, the same quantiser
+Conversion works on arrays. A trace is the (steps, 9) float64 array of a
+drive, its columns oracle.TRACE_COLUMNS. One searchsorted over its rounded
+state times finds the row each sample instant holds; each mapped signal is
+quantised over the held rows' column in one numpy pass, the same quantiser
 encode_signal uses, and each mapped message's frames are packed as a
 uint64 column, one frame per held state. convert_trace expands them into
 records, ordered by timestamp, then can_id, then message name;
@@ -27,7 +28,6 @@ import struct
 import time
 from dataclasses import dataclass, replace
 from itertools import starmap
-from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -452,19 +452,20 @@ def check_sample_period(sample_period_ms: int) -> None:
 
 def _held_frames(trace, db: CanDatabase, mapping: SignalMapping,
                  sample_period_ms: int) -> tuple[list, list, list]:
-    """The zero-order hold of a trace: its sample instants in ms, the row of
-    the held state at each instant, and each held state's frames,
+    """The zero-order hold of a trace array: its sample instants in ms, the
+    row of the held state at each instant, and each held state's frames,
     (can_id, dlc, data) in (can_id, name) order.
 
-    A state is read, by attribute, only when an instant holds it. Each
-    mapped signal is quantised over the held states in one pass, and each
-    message's frames are packed as a uint64 column; the first bad value in
-    (instant, message, mapping entry) order raises."""
+    The held states' rows are sliced out once, and each mapped field read
+    as their column at its TRACE_KEYS index. Each mapped signal is
+    quantised over the held states in one pass, and each message's frames
+    are packed as a uint64 column; the first bad value in (instant,
+    message, mapping entry) order raises."""
     check_sample_period(sample_period_ms)
-    if not trace:
+    if not len(trace):
         raise MappingError("empty trace")
     plan = _compile(db, mapping)
-    times_ms = [round(state.t * 1000.0) for state in trace]
+    times_ms = list(map(round, (trace[:, 0] * 1000.0).tolist()))
     instants = np.arange(0, times_ms[-1] + 1, sample_period_ms)
     # an instant holds the last state before the first later one whose time
     # is past it, sorted or not: k states after the first are held once the
@@ -472,14 +473,12 @@ def _held_frames(trace, db: CanDatabase, mapping: SignalMapping,
     latest = np.maximum.accumulate(np.array(times_ms[1:], dtype=float))
     states, rows = np.unique(np.searchsorted(latest, instants, side="right"),
                              return_inverse=True)
-    held = [trace[k] for k in states.tolist()]
-    fields = {entry[0] for _, _, signals in plan for entry in signals}
-    columns = {name: np.fromiter(map(attrgetter(name), held), float, len(held))
-               for name in fields}
+    held = trace[states]
     # an infinity times 0 is a NaN, which quantising refuses, and an
     # overflow an infinity, which it clamps: no numpy warning for either
     with np.errstate(invalid="ignore", over="ignore"):
-        values = [(codec, columns[name] * factor) for _, _, signals in plan
+        values = [(codec, held[:, TRACE_KEYS.index(name)] * factor)
+                  for _, _, signals in plan
                   for name, factor, codec, *_ in signals]
     raws = iter(_quantise(values))
     per_message = []
@@ -505,18 +504,12 @@ def convert_trace(trace, db: CanDatabase, mapping: SignalMapping,
     mapping order, so a signal mapped twice carries the later entry's
     value.
 
-    trace: sequence of VehicleState-like objects (attribute access).
+    trace: a (steps, len(oracle.TRACE_COLUMNS)) float64 array, as a drive
+    or load_dataset gives it; its first column is the time in seconds.
     """
     instants, rows, frames = _held_frames(trace, db, mapping, sample_period_ms)
-    # each record is built as a tuple, without PlaybackRecord's per-call
-    # argument handling
-    new = tuple.__new__
-    records = []
-    append = records.append
-    for ms, row in zip(instants, rows):
-        for frame in frames[row]:
-            append(new(PlaybackRecord, (ms, *frame)))
-    return records
+    return [PlaybackRecord(ms, *frame)
+            for ms, row in zip(instants, rows) for frame in frames[row]]
 
 
 # ---------------------------------------------------------------------------
@@ -536,23 +529,9 @@ def _write_csv(path: str | Path, rows: str) -> None:
 
 
 def write_playback_csv(records: list[PlaybackRecord], path: str | Path) -> None:
-    """One line per record, under CSV_HEADER. The ",can_id,dlc,data" text
-    of each distinct frame is formatted once per file, since a held trace
-    state repeats its frames at several instants; a frame whose data cannot
-    be hashed, a bytearray, is formatted at each of its records."""
-    rows = []
-    append = rows.append
-    frame_texts: dict[tuple, str] = {}
-    for ts, can_id, dlc, data in records:
-        frame = can_id, dlc, data
-        try:
-            text = frame_texts[frame]
-        except KeyError:
-            text = frame_texts[frame] = _frame_text(*frame)
-        except TypeError:
-            text = _frame_text(*frame)
-        append(f"\n{ts}{text}")
-    _write_csv(path, "".join(rows))
+    """One line per record, under CSV_HEADER."""
+    _write_csv(path, "".join([f"\n{ts}{_frame_text(can_id, dlc, data)}"
+                              for ts, can_id, dlc, data in records]))
 
 
 def write_trace_playback(trace, db: CanDatabase, mapping: SignalMapping,

@@ -52,6 +52,7 @@ from .ml import (
     shared_fit_key,
 )
 from .oracle import (
+    NO_TRACE,
     DriverConfig,
     labelled_tests,
     load_dataset,
@@ -173,7 +174,7 @@ def cmd_generate(args) -> int:
     def tests():
         for tc in labelled_tests(args.n, driver, args.seed,
                                  **_given(args, "keep_traces")):
-            kept.append(replace(tc, outcome=replace(tc.outcome, trace=())))
+            kept.append(replace(tc, outcome=replace(tc.outcome, trace=NO_TRACE)))
             yield tc
 
     # each row is written as its road is labelled, so at most two traces
@@ -449,7 +450,7 @@ def cmd_can_convert(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     converted = 0
     for tc in tests:
-        if not tc.outcome.trace:
+        if not len(tc.outcome.trace):
             continue
         canbus.write_trace_playback(tc.outcome.trace, db, mapping,
                                     out / f"{tc.id}.canplayback.csv", **period)

@@ -19,11 +19,11 @@ import os
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import chain, islice, repeat
-from operator import add, attrgetter, itemgetter, le
+from functools import cache
+from itertools import chain, islice
+from operator import attrgetter, itemgetter, le
 from pathlib import Path
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
@@ -101,33 +101,27 @@ class DriverConfig:
             raise ValueError(f"oob_fraction must be in (0, 1], got {self.oob_fraction}")
 
 
-class VehicleState(NamedTuple):
-    """One drive step; a tuple, since the drive builds one per step and
-    load_dataset one per saved trace row."""
-    t: float
-    x: float
-    y: float
-    heading: float
-    speed: float
-    steering: float
-    throttle: float
-    brake: float
-    lateral_offset: float
-
-
-# the VehicleState fields, in field order, that a dataset file keeps for
-# each trace row: all but the last, lateral_offset, which is not written
-# and which load_dataset fills with zeros
-TRACE_KEYS = VehicleState._fields[:-1]
+# the columns of a trace, one row per drive step. A dataset file keeps
+# TRACE_KEYS for each row: all but the last column, lateral_offset, which
+# is not written and which load_dataset fills with zeros
+TRACE_KEYS = ("t", "x", "y", "heading", "speed", "steering", "throttle",
+              "brake")
+TRACE_COLUMNS = (*TRACE_KEYS, "lateral_offset")
+# the trace of an outcome that keeps none: one shared read-only array
+NO_TRACE = np.empty((0, len(TRACE_COLUMNS)))
+NO_TRACE.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class TestOutcome:
+    """A drive's verdict. Its trace is a (steps, len(TRACE_COLUMNS))
+    float64 array, or NO_TRACE when not kept; an array has no truth value
+    and no == that gives one, so outcomes are not compared whole."""
     __test__ = False              # not a pytest class despite the name
     label: str                    # SAFE | UNSAFE
     duration: float               # s of simulated driving
     max_abs_lateral_offset: float
-    trace: tuple[VehicleState, ...]
+    trace: np.ndarray
 
 
 @dataclass
@@ -185,8 +179,9 @@ def _simulate(spine: RoadSpine, cfg: DriverConfig, lane_width: float,
     ends UNSAFE when the car leaves its lane, lane_width wide and centred on
     the spine, and SAFE within 0.5 m of the road's end.
 
-    keep_trace=True records one VehicleState per step; with False the
-    outcome's trace is empty and no state is built. Label, duration and
+    keep_trace=True adds each step's TRACE_COLUMNS values to one flat list,
+    which becomes the outcome's trace array, a row per step; with False
+    the trace is NO_TRACE and no step is recorded. Label, duration and
     max_abs_lateral_offset are the same either way.
 
     Raises DriveTimeout if neither end is reached within the step cap of
@@ -241,7 +236,7 @@ def _simulate(spine: RoadSpine, cfg: DriverConfig, lane_width: float,
     t = 0.0
     max_steps = int((spine.total_length / 1.0 + 120.0) / dt)
 
-    trace: list[VehicleState] = []
+    trace: list[float] = []     # the steps' rows, one after another
     max_off = 0.0
     failed = False
 
@@ -273,8 +268,8 @@ def _simulate(spine: RoadSpine, cfg: DriverConfig, lane_width: float,
         if oob >= oob_fraction:
             failed = True
             if keep_trace:
-                trace.append(VehicleState(t, x, y, heading, speed, steer,
-                                          throttle, brake, offset))
+                trace += (t, x, y, heading, speed, steer, throttle, brake,
+                          offset)
             break
 
         progress = s_arc[ptr] + hx * ex + hy * ey
@@ -311,8 +306,7 @@ def _simulate(spine: RoadSpine, cfg: DriverConfig, lane_width: float,
         brake = -accel / a_brake if accel < 0.0 else 0.0
 
         if keep_trace:
-            trace.append(VehicleState(t, x, y, heading, speed, steer,
-                                      throttle, brake, offset))
+            trace += (t, x, y, heading, speed, steer, throttle, brake, offset)
 
         # kinematic bicycle with a friction-circle yaw-rate cap: demanding
         # more lateral acceleration than the tyres have makes the car run wide
@@ -337,7 +331,8 @@ def _simulate(spine: RoadSpine, cfg: DriverConfig, lane_width: float,
         label=UNSAFE if failed else SAFE,
         duration=duration,
         max_abs_lateral_offset=max_off,
-        trace=tuple(trace))
+        trace=(np.array(trace).reshape(-1, len(TRACE_COLUMNS)) if keep_trace
+               else NO_TRACE))
 
 
 def simulate_drive(road: RoadPoints, cfg: DriverConfig) -> TestOutcome:
@@ -507,21 +502,18 @@ _ROW = _json_object(("id", "road_points", "lane_width", "map_size",
 _FEATURES = _json_object(FEATURE_NAMES, 2)
 _POINT = _json_array(["%s", "%s"], 3)
 _STATE = _json_object(TRACE_KEYS, 3)
-# a saved trace state's TRACE_KEYS values, and a VehicleState's fields that
-# are saved: all but the last
+# a saved trace state's TRACE_KEYS values
 _STATE_VALUES = itemgetter(*TRACE_KEYS)
-_STATE_FIELDS = itemgetter(slice(len(TRACE_KEYS)))
 _FEATURE_VALUES = attrgetter(*FEATURE_NAMES)
 # the text of a top-level list before, between and after its rows
 _LIST_OPEN, _LIST_SEP, _LIST_CLOSE = _json_array(["%s", "%s"], 0).split("%s")
-_new_state = partial(tuple.__new__, VehicleState)
 
 
 def _row_text(tc: TestCase) -> str:
     """A test's row in the text of json.dumps(rows, indent=1)."""
     road, outcome = tc.road, tc.outcome
     points = list(chain.from_iterable(road.points))
-    trace = list(chain.from_iterable(map(_STATE_FIELDS, outcome.trace)))
+    trace = outcome.trace[:, :len(TRACE_KEYS)].ravel().tolist()
     return _ROW % (
         json.dumps(tc.id),
         _json_array([_POINT] * len(road.points), 2) % _json_scalars(points),
@@ -578,15 +570,15 @@ def _saved_trace() -> re.Pattern:
                       f"|{re.escape(_LIST_CLOSE)}))")
 
 
-def _read_trace(states, keep: bool) -> tuple[VehicleState, ...]:
-    """The trace of a dataset row, or () when not kept. Raises TypeError
-    or ValueError unless states is a list and, when kept, each state an
-    object whose TRACE_KEYS values are finite numbers, t never
-    decreasing."""
+def _read_trace(states, keep: bool) -> np.ndarray:
+    """The trace array of a dataset row, its lateral_offsets 0, or NO_TRACE
+    when not kept. Raises TypeError or ValueError unless states is a list
+    and, when kept, each state an object whose TRACE_KEYS values are
+    finite numbers, t never decreasing."""
     if type(states) is not list:
         raise TypeError(f"trace is not a list: {states!r}")
     if not keep:
-        return ()
+        return NO_TRACE
     if not set(map(type, states)) <= {dict}:
         raise TypeError("a trace state is not an object")
     rows = list(map(_STATE_VALUES, states))
@@ -600,16 +592,17 @@ def _read_trace(states, keep: bool) -> tuple[VehicleState, ...]:
         j = next(j for j in range(1, len(times)) if times[j] < times[j - 1])
         raise ValueError(f"trace state {j}: t {times[j]!r} is before "
                          f"{times[j - 1]!r}")
-    # each state is built as a tuple from its row and a zero lateral_offset,
-    # without VehicleState's per-call argument handling
-    return tuple(map(_new_state, map(add, rows, repeat((0.0,)))))
+    trace = np.zeros((len(rows), len(TRACE_COLUMNS)))
+    trace[:, :len(TRACE_KEYS)] = np.array(rows, float).reshape(
+        -1, len(TRACE_KEYS))
+    return trace
 
 
 def load_dataset(path: str | Path, keep_traces: bool = True) -> list[TestCase]:
     """Read a file written by save_dataset. Trace rows get a zero
     lateral_offset and outcomes a zero max_abs_lateral_offset, since the
     file keeps neither; with keep_traces false every outcome's trace is
-    empty, and the trace states are not checked: a trace laid out as
+    NO_TRACE, and the trace states are not checked: a trace laid out as
     save_dataset writes it is checked as JSON text and not built, any
     other trace is parsed and dropped. Raises ValueError naming
     the file, and the row where known, when the file cannot be read or is

@@ -1,6 +1,8 @@
-"""Shared road constructions and a small labelled dataset fixture."""
+"""Shared road constructions, trace helpers and a small labelled dataset
+fixture."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -14,13 +16,36 @@ from roadsift.ml import (
     fit,
     oversample_minority,
 )
-from roadsift.oracle import DriverConfig, build_dataset
+from roadsift.oracle import TRACE_COLUMNS, DriverConfig, build_dataset
 from roadsift.selection import RandomStrategy
 
 # Tier-1 runs the same examples every time, and fit-heavy examples are not
 # failed for running slowly on a loaded machine.
 settings.register_profile("tier1", deadline=None, derandomize=True)
 settings.load_profile("tier1")
+
+
+# a trace row with its values by name, as the reference drive records a
+# step and the reference CAN converter reads one
+TraceState = namedtuple("TraceState", TRACE_COLUMNS)
+
+
+def trace_states(trace):
+    """The rows of a trace array as TraceStates."""
+    return [TraceState(*row) for row in trace.tolist()]
+
+
+def outcome_bits(outcome):
+    """An outcome's fields with its trace as shape and bytes, so that two
+    outcomes compare equal only when every trace value is the same float,
+    -0.0 and 0.0 apart."""
+    return (outcome.label, outcome.duration, outcome.max_abs_lateral_offset,
+            outcome.trace.shape, outcome.trace.tobytes())
+
+
+def case_bits(tc):
+    """A test's fields, its outcome as outcome_bits."""
+    return tc.id, tc.road, tc.features, outcome_bits(tc.outcome)
 
 
 def straight_points(length=100.0, n=3, y=100.0, x0=100.0):

@@ -15,8 +15,9 @@ from roadsift.oracle import (
     DriveTimeout,
     DriverConfig,
     TestOutcome,
-    VehicleState,
 )
+
+from conftest import TraceState as VehicleState
 
 
 def plan_speed_profile(spine: RoadSpine, cfg: DriverConfig) -> np.ndarray:

@@ -43,9 +43,10 @@ from roadsift.canbus import (
 )
 from roadsift.cli import main
 from roadsift.oracle import (
+    NO_TRACE,
+    TRACE_COLUMNS,
     TRACE_KEYS,
     DriverConfig,
-    VehicleState,
     build_dataset,
     generate_road,
     save_dataset,
@@ -53,6 +54,9 @@ from roadsift.oracle import (
 )
 
 import reference_canbus
+from conftest import trace_states
+
+SPEED = TRACE_COLUMNS.index("speed")
 
 
 class TestParseDbc:
@@ -307,10 +311,9 @@ class TestCodec:
 
 def flat_trace(duration_s, dt=0.05, speed=10.0):
     steps = int(round(duration_s / dt))
-    return [VehicleState(t=i * dt, x=0.0, y=0.0, heading=0.05, speed=speed,
-                         steering=0.02, throttle=0.4, brake=0.0,
-                         lateral_offset=0.0)
-            for i in range(steps + 1)]
+    # t, x, y, heading, speed, steering, throttle, brake, lateral_offset
+    return np.array([(i * dt, 0.0, 0.0, 0.05, speed, 0.02, 0.4, 0.0, 0.0)
+                     for i in range(steps + 1)])
 
 
 class TestConvertTrace:
@@ -335,7 +338,7 @@ class TestConvertTrace:
     def test_empty_trace_rejected(self):
         db = parse_dbc(DEFAULT_DBC)
         with pytest.raises(MappingError):
-            convert_trace([], db, DEFAULT_MAPPING, 100)
+            convert_trace(NO_TRACE, db, DEFAULT_MAPPING, 100)
 
     def test_bad_mapping_rejected(self):
         db = parse_dbc(DEFAULT_DBC)
@@ -344,7 +347,7 @@ class TestConvertTrace:
             convert_trace(flat_trace(1.0), db, bad, 100)
 
     def test_lateral_offset_not_mappable(self):
-        # a VehicleState has the attribute, but dataset files do not keep it
+        # a trace array has the column, but dataset files do not keep it
         # and load_dataset fills it with zeros
         db = parse_dbc(DEFAULT_DBC)
         bad = SignalMapping(entries=(("lateral_offset", "PEDALS", "brake_pct", 1.0),))
@@ -357,9 +360,10 @@ class TestConvertTrace:
         records = convert_trace(out.trace, db, DEFAULT_MAPPING, 20)
         speed_sig = db.by_name("VEHICLE_DYNAMICS").signal("speed_kmh")
         dyn = [r for r in records if r.can_id == 0x100]
+        states = trace_states(out.trace)
         for rec in dyn[:50]:
             # zero-order hold: last state at or before the instant
-            state = max((s for s in out.trace
+            state = max((s for s in states
                          if round(s.t * 1000.0) <= rec.timestamp_ms),
                         key=lambda s: s.t)
             expected = state.speed * 3.6
@@ -369,10 +373,12 @@ class TestConvertTrace:
         # an instant holds the state before the first later one past it,
         # even when a state after that one is back in time
         db = parse_dbc(DEFAULT_DBC)
-        trace = [state._replace(t=t, speed=float(i)) for i, (state, t) in
-                 enumerate(zip(flat_trace(1.0), [0.0, 0.1, 0.05, 0.2, 0.03, 0.3]))]
+        trace = flat_trace(1.0)[:6]
+        trace[:, 0] = [0.0, 0.1, 0.05, 0.2, 0.03, 0.3]
+        trace[:, SPEED] = range(6)
         assert (convert_trace(trace, db, DEFAULT_MAPPING, 10)
-                == reference_canbus.convert_trace(trace, db, DEFAULT_MAPPING, 10))
+                == reference_canbus.convert_trace(trace_states(trace), db,
+                                                  DEFAULT_MAPPING, 10))
 
     # an infinity times a zero factor is a NaN, and a product past the
     # float range an infinity: the reference's outcome, with no warning
@@ -383,14 +389,16 @@ class TestConvertTrace:
         db = parse_dbc(DEFAULT_DBC)
         mapping = SignalMapping(entries=(
             ("speed", "VEHICLE_DYNAMICS", "speed_kmh", factor),))
-        trace = [flat_trace(0.0)[0]._replace(speed=value)]
+        trace = flat_trace(0.0)
+        trace[0, SPEED] = value
 
-        def outcome(convert):
+        def outcome(convert, trace):
             try:
                 return convert(trace, db, mapping, 20)
             except Exception as exc:
                 return type(exc), str(exc)
-        assert outcome(convert_trace) == outcome(reference_canbus.convert_trace)
+        assert (outcome(convert_trace, trace)
+                == outcome(reference_canbus.convert_trace, trace_states(trace)))
 
     def test_sorted_by_timestamp_then_id(self):
         db = parse_dbc(DEFAULT_DBC)
@@ -453,12 +461,14 @@ class TestCompiledConversion:
         for _ in range(data.draw(st.integers(1, 25))):
             values = data.draw(st.lists(st.floats(-1000.0, 1000.0),
                                         min_size=7, max_size=7))
-            trace.append(VehicleState(t, *values, 0.0))
+            trace.append((t, *values, 0.0))
             t += data.draw(st.sampled_from(
                 [0.0, 0.0002, 0.0006, 0.001, 0.02, 0.05, 0.137]))
+        trace = np.array(trace)
         period = data.draw(st.integers(1, 100))
         assert (convert_trace(trace, db, mapping, period)
-                == reference_canbus.convert_trace(trace, db, mapping, period))
+                == reference_canbus.convert_trace(trace_states(trace), db,
+                                                  mapping, period))
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -482,18 +492,18 @@ class TestCompiledConversion:
             sign * end for _, sig in targets for end in (sig.minimum, sig.maximum)
             for sign in (1.0, -1.0)]
         values = st.sampled_from(specials) | st.floats(-1000.0, 1000.0)
-        trace = [VehicleState(0.02 * i, *data.draw(st.lists(
+        trace = np.array([(0.02 * i, *data.draw(st.lists(
                      values, min_size=7, max_size=7)), 0.0)
-                 for i in range(data.draw(st.integers(1, 6)))]
+                 for i in range(data.draw(st.integers(1, 6)))])
         period = data.draw(st.integers(1, 50))
 
-        def outcome(convert):
+        def outcome(convert, trace):
             try:
                 return convert(trace, db, mapping, period)
             except Exception as exc:
                 return type(exc), str(exc)
-        assert (outcome(convert_trace)
-                == outcome(reference_canbus.convert_trace))
+        assert (outcome(convert_trace, trace)
+                == outcome(reference_canbus.convert_trace, trace_states(trace)))
 
 
 def dbc_text(db: CanDatabase) -> str:
@@ -549,9 +559,10 @@ class TestCanConvertFiles:
         for _ in range(data.draw(st.integers(1, 25))):
             values = data.draw(st.lists(st.floats(-1000.0, 1000.0) | wide,
                                         min_size=7, max_size=7))
-            trace.append(VehicleState(t, *values, 0.0))
+            trace.append((t, *values, 0.0))
             t += data.draw(st.sampled_from(
                 [0.0, 0.0002, 0.0006, 0.001, 0.02, 0.05, 0.137]))
+        trace = np.array(trace)
         period = data.draw(st.integers(1, 100))
 
         base = tmp_path_factory.getbasetemp()
@@ -561,7 +572,7 @@ class TestCanConvertFiles:
         assert parse_dbc(dbc.read_text()) == db
         mapping_file.write_text(json.dumps(entries))
         test = replace(labelled_test, outcome=replace(labelled_test.outcome,
-                                                      trace=tuple(trace)))
+                                                      trace=trace))
         save_dataset(sim, [test])
         out = base / "drawn_can"
         assert main(["can-convert", "--simulation", str(sim), "--dbc", str(dbc),
@@ -569,7 +580,8 @@ class TestCanConvertFiles:
                      "--out", str(out)]) == 0
         reference = base / "drawn_reference.csv"
         reference_canbus.write_playback_csv(reference_canbus.convert_trace(
-            trace, db, read_mapping(mapping_file), period), reference)
+            trace_states(trace), db, read_mapping(mapping_file), period),
+            reference)
         assert ((out / f"{test.id}.canplayback.csv").read_bytes()
                 == reference.read_bytes())
 

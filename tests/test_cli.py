@@ -19,7 +19,7 @@ from roadsift.features import FEATURE_NAMES, read_feature_csv
 from roadsift.ml import FAMILIES, ClassifierSpec, fit, save_model
 from roadsift.canbus import DEFAULT_DBC, parse_dbc, decode_signal, read_playback_csv
 from roadsift.inputs import read_json
-from roadsift.oracle import load_dataset
+from roadsift.oracle import TRACE_COLUMNS, load_dataset
 
 
 @pytest.fixture(scope="module")
@@ -1154,8 +1154,8 @@ class TestCanCommands:
         db = parse_dbc(DEFAULT_DBC)
         sig = db.by_name("VEHICLE_DYNAMICS").signal("speed_kmh")
         dyn = next(r for r in records if r.can_id == 0x100)
-        assert abs(decode_signal(sig, dyn.data)
-                   - first.outcome.trace[0].speed * 3.6) <= 0.005 + 1e-9
+        speed = first.outcome.trace[0, TRACE_COLUMNS.index("speed")]
+        assert abs(decode_signal(sig, dyn.data) - speed * 3.6) <= 0.005 + 1e-9
 
         target = tmp_path / "frames.bin"
         assert main(["can-play", "--playback", str(csvs[0]),

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the package in src/."""
+"""Each demo script runs to completion against the package in src/, with
+every warning an error."""
 
 import os
 import subprocess
@@ -16,7 +17,8 @@ def test_demo_runs(demo, tmp_path):
     # run in place: a demo writes into its working directory, not beside itself
     before = set((ROOT / "demos").rglob("*"))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
     assert set((ROOT / "demos").rglob("*")) == before

@@ -1,7 +1,6 @@
 import json
 import math
 from itertools import islice
-from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -16,7 +15,9 @@ from roadsift.features import (
 )
 from roadsift.geometry import RoadPoints, RoadSpine, interpolate_spine
 from roadsift.oracle import (
+    NO_TRACE,
     SAFE,
+    TRACE_COLUMNS,
     TRACE_KEYS,
     UNSAFE,
     DriveTimeout,
@@ -26,7 +27,6 @@ from roadsift.oracle import (
     NonPositiveRadius,
     TestCase,
     TestOutcome,
-    VehicleState,
     build_dataset,
     generate_road,
     labelled_tests,
@@ -42,7 +42,15 @@ from roadsift import oracle
 from roadsift.oracle import _simulate
 
 import reference_drive
-from conftest import arc_between_straights, straight_points
+from conftest import (
+    arc_between_straights,
+    case_bits,
+    outcome_bits,
+    straight_points,
+)
+
+SPEED, THROTTLE, BRAKE, OFFSET = map(TRACE_COLUMNS.index, (
+    "speed", "throttle", "brake", "lateral_offset"))
 
 
 class TestSafeSpeed:
@@ -167,7 +175,7 @@ class TestSimulateDrive:
         cfg = DriverConfig(risk_factor=1.5)
         a = simulate_drive(road, cfg)
         b = simulate_drive(road, cfg)
-        assert a == b
+        assert outcome_bits(a) == outcome_bits(b)
 
     def test_trace_sanity(self):
         road, _ = generate_road(8)
@@ -175,19 +183,19 @@ class TestSimulateDrive:
         out = simulate_drive(road, cfg)
         trace = out.trace
         assert len(trace) > 10
-        dv = np.diff([st.speed for st in trace])
+        dv = np.diff(trace[:, SPEED])
         limit = max(cfg.a_accel, cfg.a_brake) * cfg.timestep + 1e-9
         assert np.max(np.abs(dv)) <= limit
-        offs = np.array([st.lateral_offset for st in trace])
-        speeds = np.array([st.speed for st in trace])
+        offs = trace[:, OFFSET]
+        speeds = trace[:, SPEED]
         assert np.all(np.abs(np.diff(offs)) <= speeds[:-1] * cfg.timestep + 0.05)
 
     def test_throttle_brake_mutually_exclusive(self):
         out = simulate_drive(generate_road(8)[0], DriverConfig())
-        for st in out.trace:
-            assert st.throttle * st.brake == 0.0
-            assert 0.0 <= st.throttle <= 1.0
-            assert 0.0 <= st.brake <= 1.0
+        for throttle, brake in out.trace[:, [THROTTLE, BRAKE]].tolist():
+            assert throttle * brake == 0.0
+            assert 0.0 <= throttle <= 1.0
+            assert 0.0 <= brake <= 1.0
 
     def test_label_recheckable_from_trace(self):
         cfg = DriverConfig()
@@ -196,7 +204,7 @@ class TestSimulateDrive:
             threshold = (road.lane_width / 2.0 - cfg.vehicle_width / 2.0
                          + cfg.oob_fraction * cfg.vehicle_width)
             out = simulate_drive(road, cfg)
-            max_off = max(abs(st.lateral_offset) for st in out.trace)
+            max_off = np.abs(out.trace[:, OFFSET]).max()
             fired = max_off >= threshold - 1e-9
             assert fired == (out.label == UNSAFE)
 
@@ -215,9 +223,9 @@ class TestSimulateDrive:
         assert bare.label == traced.label
         assert bare.duration == traced.duration
         assert bare.max_abs_lateral_offset == traced.max_abs_lateral_offset
-        assert bare.trace == ()
-        assert traced.trace
-        assert traced.trace[-1].t <= traced.duration
+        assert bare.trace is NO_TRACE
+        assert len(traced.trace)
+        assert traced.trace[-1, 0] <= traced.duration
 
     @settings(max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1), rf=st.floats(0.5, 2.5),
@@ -288,18 +296,16 @@ def _result_or_error(call):
         return type(exc), str(exc)
 
 
-_STATE_VALUES = attrgetter(*VehicleState._fields)
-
-
 def _drive_bits(drive, spine, cfg, lane_width, keep_trace):
     """A drive's outcome with every float as float.hex text, so that -0.0
-    differs from 0.0; or the error the drive raises."""
+    differs from 0.0; or the error the drive raises. The trace may be an
+    array or the reference's states, one row each."""
     def bits():
         out = drive(spine, cfg, lane_width, keep_trace=keep_trace)
         return (out.label, out.duration.hex(),
                 out.max_abs_lateral_offset.hex(),
-                [tuple(map(float.hex, _STATE_VALUES(state)))
-                 for state in out.trace])
+                [tuple(map(float.hex, row)) for row in
+                 np.reshape(out.trace, (-1, len(TRACE_COLUMNS))).tolist()])
     return _result_or_error(bits)
 
 
@@ -359,7 +365,8 @@ class TestBuildDataset:
         assert calls == []
         first = next(lazy)
         assert len(calls) == 1
-        assert [first, *lazy] == whole
+        assert (list(map(case_bits, [first, *lazy]))
+                == list(map(case_bits, whole)))
 
     def test_moderate_fraction_in_window(self, moderate_tests):
         frac = unsafe_fraction(moderate_tests)
@@ -393,7 +400,7 @@ class TestBuildDataset:
             fresh = simulate_drive(tc.road, cfg)
             assert tc.outcome.label == fresh.label
             assert tc.outcome.duration == fresh.duration
-            assert tc.outcome.trace == fresh.trace
+            assert outcome_bits(tc.outcome) == outcome_bits(fresh)
 
     def test_duration_scale(self, moderate_tests):
         durations = [t.outcome.duration for t in moderate_tests[:50]]
@@ -409,24 +416,26 @@ class TestBuildDataset:
             assert b.road == a.road
             assert b.outcome.label == a.outcome.label
             assert b.outcome.duration == pytest.approx(a.outcome.duration)
-            # the file keeps every field but lateral_offset, which loads as 0
-            assert b.outcome.trace == tuple(
-                state._replace(lateral_offset=0.0) for state in a.outcome.trace)
-            assert all(type(state) is VehicleState
-                       for state in a.outcome.trace + b.outcome.trace)
+            # the file keeps every column but lateral_offset, which loads as 0
+            expected = a.outcome.trace.copy()
+            expected[:, OFFSET] = 0.0
+            assert b.outcome.trace.tobytes() == expected.tobytes()
+            assert all(trace.dtype == np.float64
+                       and trace.shape == (len(trace), len(TRACE_COLUMNS))
+                       for trace in (a.outcome.trace, b.outcome.trace))
             assert b.features == a.features
-        assert VehicleState._fields == (
+        assert TRACE_COLUMNS == (
             "t", "x", "y", "heading", "speed", "steering", "throttle", "brake",
             "lateral_offset")
-        assert TRACE_KEYS == VehicleState._fields[:-1]
+        assert TRACE_KEYS == TRACE_COLUMNS[:-1]
 
     def test_dataset_read_without_traces(self, tmp_path):
         path = tmp_path / "simulation.full.json"
         save_dataset(path, build_dataset(4, DriverConfig(), rng_seed=6))
         full = load_dataset(path)
         lean = load_dataset(path, keep_traces=False)
-        assert all(t.outcome.trace for t in full)
-        assert all(t.outcome.trace == () for t in lean)
+        assert all(len(t.outcome.trace) for t in full)
+        assert all(t.outcome.trace is NO_TRACE for t in lean)
         assert ([(t.id, t.road, t.features, t.outcome.label, t.outcome.duration)
                  for t in lean]
                 == [(t.id, t.road, t.features, t.outcome.label, t.outcome.duration)
@@ -442,8 +451,8 @@ def _json_reference(tests):
              "features": tc.features.as_dict(),
              "label": tc.outcome.label,
              "duration_s": tc.outcome.duration,
-             "trace": [{k: getattr(st_, k) for k in TRACE_KEYS}
-                       for st_ in tc.outcome.trace]}
+             "trace": [dict(zip(TRACE_KEYS, row))
+                       for row in tc.outcome.trace.tolist()]}
             for tc in tests]
     return json.dumps(rows, indent=1) + "\n"
 
@@ -478,8 +487,9 @@ def _test_cases(draw, floats, readable=False):
         outcome = TestOutcome(label=draw(st.sampled_from([SAFE, UNSAFE])),
                               duration=draw(positive),
                               max_abs_lateral_offset=0.0,
-                              trace=tuple(VehicleState(*values, 0.0)
-                                          for values in states))
+                              trace=np.array(
+                                  [(*values, 0.0) for values in states],
+                                  float).reshape(-1, len(TRACE_COLUMNS)))
         tests.append(TestCase(
             id=test_id,
             road=RoadPoints(points=points, lane_width=draw(positive)),
@@ -493,12 +503,12 @@ def _edge_case():
     features = FeatureVector(**{
         name: 7 if name in _INT_FEATURES else value
         for name, value in zip(FEATURE_NAMES, values)})
-    trace = (VehicleState(*_EDGE_FLOATS, 0.5, -2.0, 0.0),)
+    trace = np.array([(*_EDGE_FLOATS, 0.5, -2.0, 0.0)])
     road = RoadPoints(points=((0.0, 5e-324), (10.0, 200.0), (20.0, 1.5)))
     return [TestCase(id="edge", road=road, features=features,
                      outcome=TestOutcome(UNSAFE, math.inf, 0.0, trace)),
             TestCase(id="bare", road=road, features=features,
-                     outcome=TestOutcome(SAFE, -0.0, 0.0, ()))]
+                     outcome=TestOutcome(SAFE, -0.0, 0.0, NO_TRACE))]
 
 
 class TestDatasetWriter:
@@ -550,7 +560,5 @@ class TestDatasetWriter:
             assert b.features == a.features
             assert b.outcome.label == a.outcome.label
             assert b.outcome.duration == a.outcome.duration
-            assert ([[getattr(st_, k) for k in TRACE_KEYS]
-                     for st_ in b.outcome.trace]
-                    == [[getattr(st_, k) for k in TRACE_KEYS]
-                        for st_ in a.outcome.trace])
+            assert (b.outcome.trace[:, :len(TRACE_KEYS)].tolist()
+                    == a.outcome.trace[:, :len(TRACE_KEYS)].tolist())

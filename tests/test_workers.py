@@ -5,12 +5,13 @@ raise, and none outlives its reader."""
 import multiprocessing
 import time
 from contextlib import closing
-from itertools import count
+from itertools import count, islice
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 
-from roadsift import workers
+from roadsift import oracle, workers
 from roadsift.cli import kfold_evaluate, main
 from roadsift.ml import ClassifierSpec
 from roadsift.workers import in_order
@@ -67,6 +68,22 @@ def test_one_cpu_or_one_item_starts_no_pool(cpus, items):
             patch.object(workers, "_fork_pool", no_pool):
         assert list(in_order(square_late_first, [(i,) for i in range(items)])) == [
             i * i for i in range(items)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_trace_arrays_come_back_bit_for_bit(cpus):
+    # a traced drive's array pickles back from a worker with its dtype,
+    # shape and every byte, so a -0.0 counts
+    cfg = oracle.DriverConfig(risk_factor=1.5)
+    calls = [(seed, cfg, True) for seed in islice(oracle.road_seeds(3), 4)]
+    with patch.object(workers, "_cpu_count", lambda: cpus):
+        mapped = [outcome.trace for *_, outcome in
+                  in_order(oracle.label_road, calls)]
+    assert multiprocessing.active_children() == []
+    direct = [oracle.label_road(*call)[2].trace for call in calls]
+    assert all(trace.dtype == np.float64 and len(trace) for trace in mapped)
+    assert ([(trace.shape, trace.tobytes()) for trace in mapped]
+            == [(trace.shape, trace.tobytes()) for trace in direct])
 
 
 def bench(capsys, cpus, features, out, *models):
