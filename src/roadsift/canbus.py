@@ -229,7 +229,9 @@ def parse_dbc(text: str) -> CanDatabase:
     messages: dict[str, CanMessageDef] = {}     # by name, in file order
     names_by_id: dict[int, str] = {}
     last = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # universal newlines only: str.splitlines also breaks at \f, \x85,
+    # U+2028 and others, which would shift every later line's number
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
         stripped = raw.strip()
         keyword = _LINE_KIND_RE.match(stripped)
         if keyword is None:
@@ -625,8 +627,7 @@ _TCP_TARGET = re.compile(r"tcp://(?:\[([^\[\]]+)\]|([^:\[\]]+)):([0-9]+)")
 def open_sink(target: str):
     """file://path opens a binary file; tcp://host:port or
     tcp://[IPv6 address]:port opens a socket stream, for a non-empty host
-    and a decimal port in 1..65535, checked before any connection is tried.
-    Anything with a write() method is accepted directly."""
+    and a decimal port in 1..65535, checked before any connection is tried."""
     if target.startswith("file://"):
         return open(target[len("file://"):], "wb")
     if target.startswith("tcp://"):
@@ -646,11 +647,13 @@ def playback(records: list[PlaybackRecord], sink,
     """Write frames to the sink in timestamp order; real-time pacing sends
     each frame at its timestamp's offset from the first one, measured from
     the start of playback, so write latency does not add up over a run.
-    An unknown pacing, or a record the wire cannot carry, is a ValueError,
-    raised before any frame is written: a record's timestamp_ms and can_id
-    must fit the wire's u32, and its dlc be its data's length, at most 8."""
+    An unknown pacing, or a record the wire cannot carry or out of order,
+    is a ValueError, raised before any frame is written: a record's
+    timestamp_ms and can_id must fit the wire's u32, its dlc be its data's
+    length, at most 8, and its timestamp_ms not be below the one before."""
     if pacing not in (AS_FAST_AS_POSSIBLE, REAL_TIME):
         raise ValueError(f"pacing must be 'fast' or 'realtime', got {pacing!r}")
+    prev_ts = 0
     for i, (ts, can_id, dlc, data) in enumerate(records):
         if not (0 <= ts <= MAX_U32 and 0 <= can_id <= MAX_U32
                 and dlc == len(data) <= 8):
@@ -658,6 +661,10 @@ def playback(records: list[PlaybackRecord], sink,
                 f"record {i}: timestamp_ms {ts} and can_id {can_id} must fit "
                 f"the wire's u32, and dlc {dlc} be the data's {len(data)} "
                 "bytes, at most 8")
+        if ts < prev_ts:
+            raise ValueError(f"record {i}: timestamp_ms {ts} decreases from "
+                             f"{prev_ts}")
+        prev_ts = ts
     latencies = []
     sent = 0
     start_s = ts0 = None

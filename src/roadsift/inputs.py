@@ -1,7 +1,8 @@
 """The one reader of the files a user names, and the one number rule for
-values and text: read_text, read_json and read_json_rows raise ValueError
-naming the path (and the line where known) for a file that cannot be read,
-is not UTF-8 or not JSON. Only json.loads parses JSON.
+values and text: read_text, read_json and read_json_cut, which parses a
+file's bytes after a caller's cut, raise ValueError naming the path (and
+the line where known) for a file that cannot be read, is not UTF-8 or not
+JSON. Only json.loads parses JSON.
 """
 
 from __future__ import annotations
@@ -35,10 +36,7 @@ def read_json(path: str | Path):
     """A JSON file's value; raises ValueError naming the file as read_text
     does, and when it is not JSON, holds an integer too long for int() to
     convert or is nested too deep to parse."""
-    return _parsed(path, read_text(path))
-
-
-def _parsed(path: str | Path, text: str):
+    text = read_text(path)
     try:
         return json.loads(text)
     except ValueError as exc:     # JSONDecodeError, or int()'s digit limit
@@ -47,40 +45,19 @@ def _parsed(path: str | Path, text: str):
         raise ValueError(f"{path}: JSON nested too deep to parse") from None
 
 
-def read_json_rows(path: str | Path, key: str, skip: re.Pattern):
-    """read_json of a file, except that in a top-level list each member
-    named key whose value skip matches is read as [] without being built:
-    one substitution cuts those values out of the text json.loads reads.
-    skip must match only the text of a JSON list, and by its lookahead
-    only in a top-level row. The file's bytes are cut, with skip's pattern
-    encoded, and only the cut text is decoded, so no str of the whole
-    file is made and its bytes are freed before the parse; since UTF-8
-    puts no ASCII byte inside another character and the name and pattern
-    are ASCII, the cut is the one the decoded text would get. Text that
-    then does not decode or parse is read again as read_json reads it, so
-    the reader accepts what read_json accepts and raises its errors, at
-    their lines."""
+def read_json_cut(path: str | Path, pattern: re.Pattern, replacement: bytes):
+    """json.loads of a file's bytes with each match of the bytes pattern
+    replaced by replacement. No str of the whole file is made, and its
+    bytes are freed before the parse. Cut text that does not decode or
+    parse is read again by read_json, so its errors and their lines are
+    read_json's."""
     data = _read_bytes(path)
-    cut = _cut(data, key, skip)
+    cut = pattern.sub(lambda _: replacement, data)
     del data
-    if cut is not None:
-        try:
-            return json.loads(cut.decode())
-        except (ValueError, RecursionError):   # UnicodeDecodeError too
-            pass
-    return read_json(path)
-
-
-def _cut(data: bytes, key: str, skip: re.Pattern) -> bytes | None:
-    """data with each member named key whose value skip matches replaced
-    by key: [], or None when data's top level does not open a list."""
-    if not data.lstrip().startswith(b"["):
-        return None
-    name = json.dumps(key)
-    # (?<!\\): in a name such as "x\"trace", the escaped quote starts none
-    member = rf"(?<!\\){re.escape(name)}: (?:{skip.pattern})".encode()
-    empty = f"{name}: []".encode()
-    return re.sub(member, lambda _: empty, data)
+    try:
+        return json.loads(cut.decode())
+    except (ValueError, RecursionError):   # UnicodeDecodeError too
+        return read_json(path)
 
 
 def json_files(directory: str | Path) -> list[Path]:
@@ -103,7 +80,7 @@ NUMBER = r"-?(?:[1-9][0-9]{0,99}|0)(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|)"
 
 def are_numbers(values) -> bool:
     """The number rule: whether every value is a JSON number, not a bool,
-    that a float holds finitely. It takes a whole list, so that a trace of
+    that a float holds finitely. It takes a whole list, so that a list of
     thousands of values is checked by a few C loops, not a call a value."""
     try:
         return (set(map(type, values)) <= {int, float}

@@ -20,7 +20,6 @@ from .evaluate import (
 )
 from .gridsearch import GridCell, grid_search, grid_sizes, iter_cells, skip_reason
 from .models import (
-    DEFAULT_HYPERPARAMETERS,
     FAMILIES,
     GRID_DOMAINS,
     ClassifierSpec,

@@ -6,8 +6,8 @@ and gradient-boosted depth-3 trees. Unsafe is the positive class (1)
 everywhere; every tie breaks toward unsafe, the fail-safe direction.
 
 A family is one record, a _Family in _RECORDS, which holds all that is
-particular to it, from its grid domain to its predictor. FAMILIES,
-GRID_DOMAINS and DEFAULT_HYPERPARAMETERS are derived from the records.
+particular to it, from its grid domain to its predictor. FAMILIES and
+GRID_DOMAINS are derived from the records.
 
 All training is deterministic. The tree families' fitters, the grower
 they share and the tree format are in trees.py; the linear families'
@@ -267,8 +267,6 @@ _RECORDS = {
 FAMILIES = tuple(_RECORDS)
 # hyperparameter domains; grid-search sweeps exactly these lists
 GRID_DOMAINS = {name: family.domain for name, family in _RECORDS.items()}
-DEFAULT_HYPERPARAMETERS = {name: family.defaults
-                           for name, family in _RECORDS.items()}
 
 
 def canonical_form(spec: ClassifierSpec, n_features: int) -> tuple:

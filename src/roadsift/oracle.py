@@ -51,7 +51,7 @@ from .inputs import (
     is_number,
     positive,
     read_json,
-    read_json_rows,
+    read_json_cut,
 )
 
 
@@ -502,6 +502,9 @@ _ROW = _json_object(("id", "road_points", "lane_width", "map_size",
 _FEATURES = _json_object(FEATURE_NAMES, 2)
 _POINT = _json_array(["%s", "%s"], 3)
 _STATE = _json_object(TRACE_KEYS, 3)
+# a row's text before its trace, the last member: it starts with a raw
+# newline, which no JSON string holds
+_TRACE_AT = _ROW.rsplit("%s", 2)[1].encode()
 # a saved trace state's TRACE_KEYS values
 _STATE_VALUES = itemgetter(*TRACE_KEYS)
 _FEATURE_VALUES = attrgetter(*FEATURE_NAMES)
@@ -555,19 +558,18 @@ def save_dataset(path: str | Path, tests: Iterable[TestCase]) -> None:
 
 @cache
 def _saved_trace() -> re.Pattern:
-    """The text of a trace as save_dataset lays it out, from the writer's
-    own templates with a number in place of each %s, then the lookahead of
-    a row's close: the only trace text a trace-free read skips. A nested
-    object that closes like a row after such a trace is cut too; it can
-    sit only in a value load_dataset refuses, drops or ignores, so at most
-    the repr of a value its error quotes changes. Compiled on first use."""
+    """The bytes of a row's trace member as save_dataset writes a
+    non-empty trace: _TRACE_AT, then the writer's own templates with a
+    number in place of each %s. A trace-free read replaces each match by
+    _TRACE_AT and []. No JSON string holds the anchor's raw newline, so in
+    a file that parses, a match is a member named trace whose value is
+    such a list; outside a row it can sit only in a value load_dataset
+    refuses, drops or ignores, so at most the repr of a value its error
+    quotes changes. Compiled on first use."""
     state = re.escape(_STATE).replace("%s", NUMBER)
     head, sep, tail = re.escape(_json_array(["%s", "%s"], 2)).split("%s")
-    row_close = re.escape(_ROW.rsplit("%s", 1)[1])
-    return re.compile(f"(?:{re.escape(_json_array([], 2))}"
-                      f"|{head}{state}(?:{sep}{state})*{tail})"
-                      f"(?={row_close}(?:{re.escape(_LIST_SEP + _ROW[0])}"
-                      f"|{re.escape(_LIST_CLOSE)}))")
+    return re.compile(re.escape(_TRACE_AT)
+                      + f"{head}{state}(?:{sep}{state})*{tail}".encode())
 
 
 def _read_trace(states, keep: bool) -> np.ndarray:
@@ -603,15 +605,15 @@ def load_dataset(path: str | Path, keep_traces: bool = True) -> list[TestCase]:
     lateral_offset and outcomes a zero max_abs_lateral_offset, since the
     file keeps neither; with keep_traces false every outcome's trace is
     NO_TRACE, and the trace states are not checked: a trace laid out as
-    save_dataset writes it is checked as JSON text and not built, any
-    other trace is parsed and dropped. Raises ValueError naming
-    the file, and the row where known, when the file cannot be read or is
-    not a JSON list of objects, a key is missing, a value has the wrong
-    type or is not finite, an id is not a string or repeats one before it,
-    a duration is not > 0, a trace goes back in time or a label is neither
-    "safe" nor "unsafe"."""
+    save_dataset writes it is cut from the file's bytes by _saved_trace
+    and never built, any other trace is parsed and dropped. Raises
+    ValueError naming the file, and the row where known, when the file
+    cannot be read or is not a JSON list of objects, a key is missing, a
+    value has the wrong type or is not finite, an id is not a string or
+    repeats one before it, a duration is not > 0, a trace goes back in
+    time or a label is neither "safe" nor "unsafe"."""
     rows = (read_json(path) if keep_traces
-            else read_json_rows(path, "trace", _saved_trace()))
+            else read_json_cut(path, _saved_trace(), _TRACE_AT + b"[]"))
     if not isinstance(rows, list):
         raise ValueError(f"{path}: top level is not a list of rows")
     tests = []

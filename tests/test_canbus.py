@@ -148,6 +148,38 @@ class TestParseDbc:
         assert parse_dbc(text.replace("\u2003", " ").replace("\u00a0", "\t")) \
             == parse_dbc('BO_ 256 X: 8 E\n SG_ s : 0|16@1+ (1,0) [0|1] "" D')
 
+    # str.splitlines breaks at these too; a DBC line ends only at \n, \r\n
+    # or \r, so the bad line keeps its number in the file
+    @pytest.mark.parametrize("char", ["\f", "\x85", "\u2028"],
+                             ids=["form_feed", "next_line", "line_separator"])
+    def test_a_break_in_a_comment_keeps_the_line_numbers(self, char):
+        text = DEFAULT_DBC + f'CM_ "a{char}b";\nBO_ 300 BAD: 9 X\n'
+        line = DEFAULT_DBC.count("\n") + 2
+        with pytest.raises(ValueError) as err:
+            parse_dbc(text)
+        assert str(err.value) == f"line {line}: BAD: dlc 9 outside 0..8"
+
+    # out of range, refused by the message or signal and named by its line
+    @pytest.mark.parametrize("line, error", [
+        ("BO_ 256 X: 9 E", "line 1: X: dlc 9 outside 0..8"),
+        (' SG_ s : 0|0@1+ (1,0) [0|1] "" D',
+         "line 2: s: bit_length 0 outside 1..64"),
+        (' SG_ s : 0|65@1+ (1,0) [0|1] "" D',
+         "line 2: s: bit_length 65 outside 1..64"),
+        (' SG_ s : 64|8@1+ (1,0) [0|1] "" D',
+         "line 2: s: start_bit 64 outside 0..63"),
+        (' SG_ s : 0|8@1+ (1,0) [2|1] "" D', "line 2: s: min > max"),
+        (' SG_ s : 0|8@1+ (1e-320,0) [0|1e300] "" D',
+         "line 2: s: [min, max] has no finite raw values at this scale and "
+         "offset")],
+        ids=["dlc", "bit_length_0", "bit_length_65", "start_bit", "min_max",
+             "no_finite_raw"])
+    def test_a_value_out_of_range_names_its_line(self, line, error):
+        text = (line if line.startswith("BO_") else "BO_ 256 X: 8 E\n" + line)
+        with pytest.raises(ValueError) as err:
+            parse_dbc(text)
+        assert str(err.value) == error
+
     def test_file_read_as_its_text(self, tmp_path):
         path = tmp_path / "default.dbc"
         path.write_text(DEFAULT_DBC)
@@ -667,6 +699,14 @@ class TestPlaybackCsv:
             read_playback_csv(path)
         assert err.value.line == 2
 
+    def test_a_timestamp_past_the_int_digit_limit_names_the_line(self,
+                                                                  tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(f"{CSV_HEADER}\n{'9' * 5000},100,2,aabb\n")
+        with pytest.raises(CsvFormatError) as err:
+            read_playback_csv(path)
+        assert err.value.line == 2 and "digit" in str(err.value)
+
     def test_empty_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.csv"
         path.write_text(f"{CSV_HEADER}\n\n0,100,2,aabb\n\n")
@@ -749,6 +789,18 @@ class TestPlayback:
         with pytest.raises(ValueError, match="^record 1: "):
             playback([PlaybackRecord(0, 0x100, 0, b""), record], buf)
         assert buf.getvalue() == b""
+
+    def test_a_timestamp_going_back_is_refused_before_any_frame(self):
+        buf = io.BytesIO()
+        with pytest.raises(ValueError,
+                           match="^record 1: timestamp_ms 0 decreases from 20$"):
+            playback([PlaybackRecord(20, 0x100, 0, b""),
+                      PlaybackRecord(0, 0x100, 0, b"")], buf)
+        assert buf.getvalue() == b""
+
+    def test_an_unknown_sink_scheme_is_refused(self):
+        with pytest.raises(ValueError, match="unsupported sink target 'udp://x:1'"):
+            open_sink("udp://x:1")
 
     def test_sink_error_counts_frames(self):
         records = self.make_records()

@@ -290,6 +290,7 @@ def test_a_repeated_family_is_refused(run_dir, tmp_path, capsys):
     ("can-play", {"pacing": "slow"}, "pacing"),
     ("generate", {"n": "five"}, "n"),
     ("experiment", {"protocol": "fix", "S": "six"}, "S"),
+    ("generate", {"keep_traces": 1}, "keep_traces"),
 ])
 def test_config_value_parsed_like_its_flag(tmp_path, capsys, command, config,
                                            key):
@@ -299,6 +300,34 @@ def test_config_value_parsed_like_its_flag(tmp_path, capsys, command, config,
     assert main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(key) in err
+
+
+def test_a_flag_wins_over_its_config_value_and_null_is_not_given(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "seed": 7, "mu": None}))
+    assert main(["generate", "--config", str(cfg), "-n", "2",
+                 "--out", str(tmp_path / "flag")]) == 0
+    assert main(["generate", "-n", "2", "--seed", "7",
+                 "--out", str(tmp_path / "plain")]) == 0
+    for name in ("features.csv", "simulation.full.json"):
+        assert (tmp_path / "flag" / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["extract-features"], "need --roads or --simulation"),
+    (["predict", "--model", "{model}"], "need --roads or --features"),
+    (["benchmark", "--features", "{features}", "--models", "bogus",
+      "--seed", "1"], "unknown model family 'bogus'"),
+], ids=["extract_features", "predict", "benchmark"])
+def test_a_missing_or_unknown_input_is_named(run_dir, full_model, tmp_path,
+                                             argv, error):
+    paths = {"model": full_model, "features": run_dir / "features.csv"}
+    out = tmp_path / "o"
+    code, err = run_main([arg.format(**paths) for arg in argv]
+                         + ["--out", str(out)])
+    assert (code, err) == (2, f"error: {error}\n")
+    assert not out.exists()
 
 
 class TestExtractAndPredict:
@@ -1324,13 +1353,14 @@ def test_a_mapping_key_not_read_is_refused(run_dir, tmp_path):
     assert not (tmp_path / "c").exists()
 
 
-def json_rows_reference(path, key, skip):
-    """What read_json_rows reads, the plain way: read_json, then every
-    list-valued key of a top-level row object replaced by []."""
+def json_rows_reference(path, pattern, replacement):
+    """What load_dataset's trace-free read reads, the plain way: read_json,
+    then every list-valued trace of a top-level row object replaced by
+    []."""
     rows = read_json(path)
     for row in rows if isinstance(rows, list) else ():
-        if isinstance(row, dict) and isinstance(row.get(key), list):
-            row[key] = []
+        if isinstance(row, dict) and isinstance(row.get("trace"), list):
+            row["trace"] = []
     return rows
 
 
@@ -1380,15 +1410,15 @@ class TestTraceFreeRead:
             blob = changed_space(data, text)
         path = tmp_path_factory.getbasetemp() / "trace_free.full.json"
         path.write_bytes(blob)
-        with mock.patch.object(oracle, "read_json_rows", json_rows_reference):
+        with mock.patch.object(oracle, "read_json_cut", json_rows_reference):
             want = read_or_refused(path)
         assert read_or_refused(path) == want
 
     def test_every_saved_trace_matches_the_pattern(self, run_dir):
-        text = (run_dir / "simulation.full.json").read_text()
-        starts = [m.end() for m in re.finditer('"trace": ', text)]
+        data = (run_dir / "simulation.full.json").read_bytes()
+        starts = [m.start() for m in re.finditer(b',\n  "trace": ', data)]
         assert len(starts) == 20
-        assert all(oracle._saved_trace().match(text, at) for at in starts)
+        assert all(oracle._saved_trace().match(data, at) for at in starts)
 
     def test_a_compact_dataset_gives_the_same_outputs(self, run_dir, full_model,
                                                       tmp_path):
@@ -1397,7 +1427,7 @@ class TestTraceFreeRead:
         saved = run_dir / "simulation.full.json"
         compact = tmp_path / "compact.full.json"
         compact.write_text(json.dumps(json.loads(saved.read_text())))
-        assert not oracle._saved_trace().search(compact.read_text())
+        assert not oracle._saved_trace().search(compact.read_bytes())
         outputs = {}
         for sim in (saved, compact):
             out = tmp_path / f"{sim.stem}_out"

@@ -5,7 +5,10 @@ import dataclasses
 import json
 import math
 import re
+from functools import reduce
+from operator import getitem
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -15,11 +18,12 @@ from roadsift.inputs import (
     json_files,
     positive,
     read_json,
-    read_json_rows,
+    read_json_cut,
     read_text,
 )
-from roadsift.oracle import DriverConfig, build_dataset, save_dataset
-from roadsift.oracle import _saved_trace
+from roadsift import oracle
+from roadsift.oracle import DriverConfig, build_dataset, load_dataset, save_dataset
+from roadsift.oracle import _TRACE_AT, _saved_trace
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "roadsift"
 
@@ -146,9 +150,10 @@ def _with_first_speed(text: str, value: str) -> str:
     return text[:m.start(1)] + value + text[m.end(1):]
 
 
-# (how the saved text is changed, which rows' traces the reader skips):
-# each must read as json.loads reads it, but for those traces, or fail with
-# read_json's error
+# (how the saved text is changed, whose traces the trace-free cut reads as
+# []: a row by its index among the object rows, or an object by its path
+# from the top level): each must read as json.loads reads it, but for
+# those traces, or fail with read_json's error
 ROW_CASES = {
     "unchanged": (lambda t: t, [0, 1]),
     "second_trace_key_wins": (
@@ -175,7 +180,8 @@ ROW_CASES = {
     "trailing_text": (lambda t: t + "x", []),
     "second_list": (lambda t: t + "[]", []),
     "byte_order_mark": (lambda t: "\ufeff" + t, []),
-    "top_level_object": (lambda t: '{"rows": %s}' % t, []),
+    "top_level_object": (
+        lambda t: '{"rows": %s}' % t, [("rows", 0), ("rows", 1)]),
     "row_not_object": (lambda t: t.replace("[\n {", "[\n 7,\n {", 1), [0, 1]),
     "row_closed_by_bracket": (lambda t: t.replace("\n }", "\n ]", 1), []),
     "trailing_comma": (lambda t: t.replace("\n }", "\n },", 1), []),
@@ -184,9 +190,10 @@ ROW_CASES = {
     "trace_closing_features_as_a_row": (
         lambda t: t.replace('\n  },\n  "label"',
                             ',\n  "trace": %s\n },\n  "label"'
-                            % t[slice(*_first_trace(t))], 1), [0, 1]),
+                            % t[slice(*_first_trace(t))], 1),
+        [(0, "features"), 0, 1]),
     "trace_not_last_member": (
-        lambda t: t.replace("\n  ]\n }", '\n  ],\n  "x": 1\n }', 1), [1]),
+        lambda t: t.replace("\n  ]\n }", '\n  ],\n  "x": 1\n }', 1), [0, 1]),
     # an ASCII byte JSON refuses, in a file cut on its bytes
     "nul_byte_in_id": (lambda t: t.replace('"id": "', '"id": "\x00', 1), []),
     # a member named outside ASCII: its UTF-8 bytes hold no ASCII byte
@@ -205,13 +212,48 @@ def test_read_json_rows_reads_as_json_does(saved_text, tmp_path, case):
         want = read_json(path)
     except ValueError as exc:
         with pytest.raises(ValueError) as info:
-            read_json_rows(path, "trace", _saved_trace())
+            _cut_read(path)
         assert str(info.value) == str(exc)
         return
     rows = [row for row in want if isinstance(row, dict)] \
         if isinstance(want, list) else []
-    for i in skipped:
-        rows[i]["trace"] = []
-    got = read_json_rows(path, "trace", _saved_trace())
+    for at in skipped:
+        (reduce(getitem, at, want) if isinstance(at, tuple) else rows[at])[
+            "trace"] = []
+    got = _cut_read(path)
     # as JSON text, so that a NaN equals itself and 1 differs from 1.0
     assert json.dumps(got) == json.dumps(want)
+
+
+def _cut_read(path):
+    """What load_dataset reads of a file when it keeps no traces."""
+    return read_json_cut(path, _saved_trace(), _TRACE_AT + b"[]")
+
+
+def _loaded(path):
+    """load_dataset(path, keep_traces=False), or the text of its
+    ValueError."""
+    try:
+        return load_dataset(path, keep_traces=False)
+    except ValueError as exc:
+        return str(exc)
+
+
+# the cases whose cut reaches a trace member that is not a row's last or
+# not in a top-level list: load_dataset refuses or ignores where it sits,
+# so it makes of the file what it makes of it uncut
+@pytest.mark.parametrize("case, loads", [
+    ("top_level_object", "top level is not a list of rows"),
+    ("trace_closing_features_as_a_row", "unexpected keyword argument 'trace'"),
+    ("trace_not_last_member", 2),
+])
+def test_a_wider_cut_loads_as_the_whole_text_does(saved_text, tmp_path, case,
+                                                  loads):
+    path = tmp_path / "rows.json"
+    path.write_text(ROW_CASES[case][0](saved_text))
+    with mock.patch.object(oracle, "read_json_cut",
+                           lambda path, *_: read_json(path)):
+        want = _loaded(path)
+    got = _loaded(path)
+    assert got == want
+    assert loads in got if isinstance(loads, str) else len(got) == loads

@@ -19,6 +19,7 @@ from roadsift.ml import (
     UNSAFE_CODE,
     ClassifierSpec,
     CorruptModelFile,
+    EmptySplit,
     FeatureMismatch,
     LabeledDataset,
     SingleClassDataset,
@@ -156,6 +157,44 @@ class TestSplit:
         assert train.class_counts() == (2034, 2034)
         assert len(holdout) == 5638 - 4068
         assert set(train.ids) & set(holdout.ids) == set()
+
+
+class TestRefusals:
+    def test_a_dataset_of_unequal_lengths(self):
+        with pytest.raises(ValueError, match="X, y, ids must have equal length"):
+            LabeledDataset(np.zeros((3, 2)), np.zeros(2), NAMES2,
+                           ("a", "b", "c"))
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5])
+    def test_a_split_fraction_outside_0_1(self, fraction):
+        with pytest.raises(ValueError, match="train_fraction must be in"):
+            split(separable_ds(20), fraction, 0)
+
+    def test_a_split_with_an_empty_side(self):
+        # one row of each class: 0.1 of one row rounds to none
+        with pytest.raises(EmptySplit, match="empty side"):
+            split(make_ds(np.eye(2), [0, 1]), 0.1, 0)
+
+    def test_too_few_rows_for_a_balanced_training_set(self):
+        with pytest.raises(EmptySplit, match="not enough rows"):
+            balanced_training_set(make_ds(np.eye(2), [0, 1]), 0.8, 0)
+
+    def test_fewer_than_two_folds(self):
+        with pytest.raises(ValueError, match="k must be >= 2, got 1"):
+            kfold_evaluate(separable_ds(20), ClassifierSpec("naive_bayes"), 1, 0)
+
+    def test_fit_many_with_a_seed_count_unlike_its_sets(self):
+        ds = separable_ds(20)
+        with pytest.raises(ValueError, match="1 seeds for 2 training sets"):
+            list(fit_many([ClassifierSpec("naive_bayes")],
+                          [(ds.X, ds.y)] * 2, NAMES2, [0]))
+
+    def test_fit_many_with_mixed_families(self):
+        ds = separable_ds(20)
+        with pytest.raises(ValueError, match="specs of one family"):
+            list(fit_many([ClassifierSpec("naive_bayes"),
+                           ClassifierSpec("logistic")],
+                          [(ds.X, ds.y)], NAMES2, [0]))
 
 
 class TestKFold:

@@ -441,6 +441,17 @@ class TestBuildDataset:
                 == [(t.id, t.road, t.features, t.outcome.label, t.outcome.duration)
                     for t in full])
 
+    def test_a_trace_state_that_is_not_an_object_is_named(self, tmp_path):
+        path = tmp_path / "simulation.full.json"
+        save_dataset(path, build_dataset(2, DriverConfig(), rng_seed=6))
+        rows = json.loads(path.read_text())
+        rows[1]["trace"][0] = [0.0] * len(TRACE_KEYS)
+        path.write_text(json.dumps(rows))
+        with pytest.raises(ValueError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}, row 1: a trace state is not an object"
+        assert len(load_dataset(path, keep_traces=False)) == 2
+
 
 def _json_reference(tests):
     """A dataset file as json.dumps(rows, indent=1) lays it out."""
