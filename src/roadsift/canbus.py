@@ -39,6 +39,7 @@ from .oracle import TRACE_KEYS
 LITTLE_ENDIAN = "little"
 BIG_ENDIAN = "big"
 MAX_U32 = (1 << 32) - 1     # the wire's timestamp and can_id fields
+SAMPLE_PERIOD_MS = 20       # resampling period of a trace, unless one is given
 
 
 class DbcSyntaxError(ValueError):
@@ -114,16 +115,10 @@ class CanSignalDef:
         if self.byte_order == LITTLE_ENDIAN:
             return [self.start_bit + k for k in range(self.bit_length)]
         # Motorola: start_bit is the MSB; walk down within the byte, then on
-        # to bit 7 of the next byte
-        positions = []
-        byte_i, bit_i = divmod(self.start_bit, 8)
-        for _ in range(self.bit_length):
-            positions.append(byte_i * 8 + bit_i)
-            bit_i -= 1
-            if bit_i < 0:
-                bit_i = 7
-                byte_i += 1
-        return positions[::-1]
+        # to bit 7 of the next byte. Along that walk, index ^ 7 (byte*8 +
+        # 7 - bit-in-byte) counts up by one
+        return [((self.start_bit ^ 7) + k) ^ 7
+                for k in reversed(range(self.bit_length))]
 
 
 @dataclass(frozen=True)
@@ -183,6 +178,11 @@ _SG_RE = re.compile(
     r"^\s*SG_\s+(\w+)\s*:\s*([0-9]+)\|([0-9]+)@([01])([+-])\s*"
     rf"\(\s*({NUMBER})\s*,\s*({NUMBER})\s*\)\s*"
     rf"\[\s*({NUMBER})\s*\|\s*({NUMBER})\s*\]\s*\"([^\"]*)\"\s*(.*)$", re.ASCII)
+# a DBC line ends at \n, \r\n or \r, not at \f, \x85 or U+2028 as in
+# str.splitlines, and not inside a string: "[^"]*", as a char_string holds
+# no " or \. Each match is a line and its end: a break, none, or an open "
+_LINE_BREAK_RE = re.compile(r"\r\n?|\n")
+_DBC_LINE_RE = re.compile(r'((?:[^"\r\n]+|"[^"]*")*)(\r\n?|\n|"|\Z)')
 
 
 def read_dbc(path: str | Path) -> CanDatabase:
@@ -220,18 +220,22 @@ def read_mapping(path: str | Path) -> SignalMapping:
 
 
 def parse_dbc(text: str) -> CanDatabase:
-    """Parse the BO_/SG_ subset; other line kinds are ignored. A line that
-    does not parse, or is padded with space outside ASCII, is a
-    DbcSyntaxError; a message or signal that is out of
-    range or overlaps another signal, a message that reuses a message name
-    or can_id and a signal that reuses a name in its message raise their
-    own error, prefixed with the line."""
+    """Parse the BO_/SG_ subset; other line kinds are ignored, and a line
+    break inside a string does not end a line. A line that does not parse,
+    or is padded with space outside ASCII, and a string not closed are a
+    DbcSyntaxError; a message or signal that is out of range or overlaps
+    another signal, a message that reuses a message name or can_id and a
+    signal that reuses a name in its message raise their own error,
+    prefixed with the line."""
     messages: dict[str, CanMessageDef] = {}     # by name, in file order
     names_by_id: dict[int, str] = {}
     last = None
-    # universal newlines only: str.splitlines also breaks at \f, \x85,
-    # U+2028 and others, which would shift every later line's number
-    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
+    next_line = 1               # the file line the next DBC line starts on
+    for raw, end in _DBC_LINE_RE.findall(text):
+        lineno = next_line
+        next_line += len(_LINE_BREAK_RE.findall(raw + end))
+        if end == '"':          # next_line is the line where it opens
+            raise DbcSyntaxError("string not closed", next_line)
         stripped = raw.strip()
         keyword = _LINE_KIND_RE.match(stripped)
         if keyword is None:
@@ -496,7 +500,7 @@ def _held_frames(trace, db: CanDatabase, mapping: SignalMapping,
 
 
 def convert_trace(trace, db: CanDatabase, mapping: SignalMapping,
-                  sample_period_ms: int = 20) -> list[PlaybackRecord]:
+                  sample_period_ms: int = SAMPLE_PERIOD_MS) -> list[PlaybackRecord]:
     """Zero-order-hold resample of the trace, one record per mapped message
     per sample instant, ordered by timestamp, then can_id, then message
     name.
@@ -537,7 +541,8 @@ def write_playback_csv(records: list[PlaybackRecord], path: str | Path) -> None:
 
 
 def write_trace_playback(trace, db: CanDatabase, mapping: SignalMapping,
-                         path: str | Path, sample_period_ms: int = 20) -> None:
+                         path: str | Path,
+                         sample_period_ms: int = SAMPLE_PERIOD_MS) -> None:
     """The file write_playback_csv writes of convert_trace's records, and
     the same errors, without building the records: each held frame's text
     is formatted once, and each instant's lines are joined at once."""

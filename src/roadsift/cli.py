@@ -140,6 +140,15 @@ def _require(args, *names):
             raise ValueError(f"--{name.replace('_', '-')} is required")
 
 
+def _one_input(args, first: str, second: str) -> str:
+    """The name of the one of two inputs the user gave: not neither, not both."""
+    given = [name for name in (first, second) if getattr(args, name) is not None]
+    if len(given) != 1:
+        raise ValueError(f"--{first} and --{second} are mutually exclusive"
+                         if given else f"need --{first} or --{second}")
+    return given[0]
+
+
 def _given(args, *names, **renamed) -> dict:
     """Keyword arguments for the settings the user gave, by their own name or
     renamed (parameter="setting"); the library's defaults stand for the rest."""
@@ -208,13 +217,11 @@ def _road_features(roads: str) -> list[tuple[str, FeatureVector]]:
 
 def cmd_extract_features(args) -> int:
     _require(args, "out")
-    if args.simulation is not None:
+    if _one_input(args, "roads", "simulation") == "simulation":
         rows = [(tc.id, tc.features, tc.outcome.label)
                 for tc in load_dataset(args.simulation, keep_traces=False)]
-    elif args.roads is not None:
-        rows = [(road_id, vec, None) for road_id, vec in _road_features(args.roads)]
     else:
-        raise ValueError("need --roads or --simulation")
+        rows = [(road_id, vec, None) for road_id, vec in _road_features(args.roads)]
     write_feature_csv(args.out, rows)
     print(f"wrote {len(rows)} feature rows to {args.out}")
     return EXIT_OK
@@ -307,13 +314,12 @@ def cmd_rank_features(args) -> int:
 
 def cmd_predict(args) -> int:
     _require(args, "model", "out")
+    source = _one_input(args, "roads", "features")
     model = load_model(args.model)
-    if args.features is not None:
+    if source == "features":
         rows = [(tid, vec) for tid, vec, _ in read_feature_csv(args.features)]
-    elif args.roads is not None:
-        rows = _road_features(args.roads)
     else:
-        raise ValueError("need --roads or --features")
+        rows = _road_features(args.roads)
     try:
         X = model.feature_matrix([v for _, v in rows])
     except FeatureMismatch as exc:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .geometry import (
     STRAIGHT,
-    GeometryConfig,
     RoadPoints,
     RoadSegment,
     RoadSpine,
@@ -150,8 +149,8 @@ def extract_statistics(segments: list[RoadSegment]) -> dict:
 def extract_diversity(spine: RoadSpine, segments: list[RoadSegment]) -> dict:
     """Chord-polygon areas: full road diversity is the sum over segments,
     mean diversity divides by the segment count. segment_spine reports a
-    chord area below straight_area_epsilon as 0, so a straight road has
-    zero full and mean diversity."""
+    chord area below geometry.STRAIGHT_AREA_EPSILON as 0, so a straight
+    road has zero full and mean diversity."""
     areas = [seg.chord_area for seg in segments]
     full = float(sum(areas))
     return {
@@ -168,16 +167,14 @@ def features_from_segments(spine: RoadSpine, segments: list[RoadSegment]) -> Fea
     return FeatureVector(**out)
 
 
-def extract_features(road: RoadPoints, config: GeometryConfig | None = None) -> FeatureVector:
+def extract_features(road: RoadPoints) -> FeatureVector:
     """Full pipeline: interpolate, validate, segment, extract.
 
     Raises DegenerateRoad for bad control points and SelfIntersecting when
     the spine folds back on itself.
     """
-    cfg = config or GeometryConfig()
-    spine = checked_spine(road, cfg)
-    segments = segment_spine(spine, cfg)
-    return features_from_segments(spine, segments)
+    spine = checked_spine(road)
+    return features_from_segments(spine, segment_spine(spine))
 
 
 def _format_value(name: str, value: float) -> str:

@@ -5,7 +5,8 @@ C2 interpolating cubic through those points on the centripetal (square-root
 chord) parameter, resampled at a fixed arc-length step with heading and
 curvature taken from the analytic spline derivatives. Segmentation
 partitions the spine samples into maximal straight / left-turn / right-turn
-runs by signed curvature.
+runs by signed curvature. The step, thresholds and clamp are the module
+constants below, the same for every road in every experiment.
 
 Sign convention: positive curvature = left turn.
 """
@@ -28,6 +29,11 @@ RIGHT_TURN = "right"
 _MIN_POINT_SPACING = 1e-9
 LANE_WIDTH = 4.0      # m, lane of every generated road
 MAP_SIZE = 500.0      # m, side of the square map
+SAMPLING_STEP = 1.0                   # m, max spacing between spine samples
+STRAIGHT_CURVATURE_THRESHOLD = 0.005  # 1/m, |k| below = straight
+MIN_SEGMENT_LENGTH = 5.0              # m, shorter runs merge into a neighbour
+MIN_RADIUS = 2.0                      # m, curvature clamp = 1/MIN_RADIUS
+STRAIGHT_AREA_EPSILON = 1e-3          # m^2, chord area of a true straight
 
 
 class DegenerateRoad(ValueError):
@@ -36,15 +42,6 @@ class DegenerateRoad(ValueError):
 
 class SelfIntersecting(ValueError):
     """Road spine folds back onto itself closer than two lane widths."""
-
-
-@dataclass(frozen=True)
-class GeometryConfig:
-    sampling_step: float = 1.0            # m, max spacing between spine samples
-    straight_curvature_threshold: float = 0.005   # 1/m, |k| below = straight
-    min_segment_length: float = 5.0       # m, shorter runs merge into a neighbour
-    min_radius: float = 2.0               # m, curvature clamp = 1/min_radius
-    straight_area_epsilon: float = 1e-3   # m^2, chord area of a true straight
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,7 @@ class RoadSegment:
     turn_angle: float         # deg, |cumulative heading change|
     radius: float | None      # m, None for straights
     chord_area: float         # m^2, area between samples and closing chord;
-                              # 0 when below straight_area_epsilon
+                              # 0 when below STRAIGHT_AREA_EPSILON
 
 
 def _wrap_angle(a):
@@ -208,28 +205,27 @@ def _arc_steps(xy: np.ndarray) -> np.ndarray:
     return np.sqrt(step[0] * step[0] + step[1] * step[1])
 
 
-def interpolate_spine(road: RoadPoints, config: GeometryConfig | None = None) -> RoadSpine:
+def interpolate_spine(road: RoadPoints) -> RoadSpine:
     """Interpolate control points into an arc-length sampled road spine.
 
     Natural C2 cubic through every control point on the centripetal
     parameter. Heading and curvature come from the analytic spline
-    derivatives; curvature is clamped to +-1/min_radius.
+    derivatives; curvature is clamped to +-1/MIN_RADIUS.
     """
-    cfg = config or GeometryConfig()
     pts = road.as_array()
     knots = _centripetal_knots(pts)
     coeffs = _natural_spline(knots, pts)
 
     # dense pre-pass to build the arc-length -> parameter map
     approx_len = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
-    n_fine = max(32, int(math.ceil(approx_len / (cfg.sampling_step / 4.0))))
+    n_fine = max(32, int(math.ceil(approx_len / (SAMPLING_STEP / 4.0))))
     tq_fine = np.linspace(knots[0], knots[-1], n_fine + 1)
     arc_fine = np.concatenate(
         [[0.0], np.cumsum(_arc_steps(_value(*_pieces(knots, coeffs, tq_fine))))])
     total = float(arc_fine[-1])
 
-    # emit samples at uniform arc spacing strictly below the configured step
-    n_out = max(2, int(math.ceil(total / (0.98 * cfg.sampling_step))))
+    # emit samples at uniform arc spacing strictly below SAMPLING_STEP
+    n_out = max(2, int(math.ceil(total / (0.98 * SAMPLING_STEP))))
     targets = np.linspace(0.0, total, n_out + 1)
     idx = np.clip(np.searchsorted(arc_fine, targets, side="right") - 1,
                   0, len(arc_fine) - 2)
@@ -246,7 +242,7 @@ def interpolate_spine(road: RoadPoints, config: GeometryConfig | None = None) ->
     speed_sq = d1[0] ** 2 + d1[1] ** 2
     denom = np.maximum(speed_sq, 1e-12) ** 1.5
     kappa = (d1[0] * d2[1] - d1[1] * d2[0]) / denom
-    kappa = np.clip(kappa, -1.0 / cfg.min_radius, 1.0 / cfg.min_radius)
+    kappa = np.clip(kappa, -1.0 / MIN_RADIUS, 1.0 / MIN_RADIUS)
 
     s = np.concatenate([[0.0], np.cumsum(_arc_steps(pos))])
     # C order: a column dot product (the shoelace area) rounds by layout
@@ -298,10 +294,10 @@ def self_intersects(spine: RoadSpine, lane_width: float) -> bool:
                        & (s[b][:, None, :] - s[a][:, :, None] > exclusion)))
 
 
-def checked_spine(road: RoadPoints, config: GeometryConfig | None = None) -> RoadSpine:
+def checked_spine(road: RoadPoints) -> RoadSpine:
     """interpolate_spine of a road that may be measured or driven: raises
     SelfIntersecting when the spine folds back on itself."""
-    spine = interpolate_spine(road, config)
+    spine = interpolate_spine(road)
     if self_intersects(spine, road.lane_width):
         raise SelfIntersecting("road spine passes too close to itself")
     return spine
@@ -354,25 +350,25 @@ def _shoelace_area(xy: np.ndarray) -> float:
         np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
-def segment_spine(spine: RoadSpine, config: GeometryConfig | None = None) -> list[RoadSegment]:
+def segment_spine(spine: RoadSpine) -> list[RoadSegment]:
     """Partition the spine samples into maximal straight / left / right runs.
 
-    Runs shorter than min_segment_length are merged into their longer
-    neighbour. Turn angle is the absolute summed heading increment inside the
+    Samples with |curvature| below STRAIGHT_CURVATURE_THRESHOLD are straight.
+    Runs shorter than MIN_SEGMENT_LENGTH merge into their longer neighbour.
+    Turn angle is the absolute summed heading increment inside the
     segment (degrees); turn radius is length / angle. Chord area is the
     shoelace area between the segment's samples and its closing chord; an
-    area below straight_area_epsilon is reported as 0, so the rounding
+    area below STRAIGHT_AREA_EPSILON is reported as 0, so the rounding
     residue of collinear samples does not count as diversity.
     """
-    cfg = config or GeometryConfig()
     kappa = spine.curvature
     s = spine.s
     heading = spine.heading
     xy = spine.xy
 
     runs = _merge_short_runs(
-        _runs(_classify(kappa, cfg.straight_curvature_threshold)),
-        s, cfg.min_segment_length)
+        _runs(_classify(kappa, STRAIGHT_CURVATURE_THRESHOLD)),
+        s, MIN_SEGMENT_LENGTH)
 
     n = len(s)
     segments = []
@@ -389,7 +385,7 @@ def segment_spine(spine: RoadSpine, config: GeometryConfig | None = None) -> lis
         if kind != STRAIGHT:
             radius = float(s[b] - s[a]) / max(angle_rad, 1e-12)
         area = _shoelace_area(xy[a:b + 1]) if b - a >= 2 else 0.0
-        if area < cfg.straight_area_epsilon:
+        if area < STRAIGHT_AREA_EPSILON:
             area = 0.0
         segments.append(RoadSegment(
             kind=kind, start_index=a, end_index=b,

@@ -12,29 +12,27 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
 
-from roadsift.geometry import (
-    GeometryConfig,
-    RoadSpine,
-    _centripetal_knots,
-    _wrap_angle,
-)
+from roadsift import geometry
+from roadsift.geometry import RoadSpine, _centripetal_knots, _wrap_angle
 
 
-def interpolate_spine(road, config=None):
-    cfg = config or GeometryConfig()
+def interpolate_spine(road):
+    # the settings are read here, at call time, so that a test that patches
+    # geometry.SAMPLING_STEP or MIN_RADIUS patches this spine too
+    step, min_radius = geometry.SAMPLING_STEP, geometry.MIN_RADIUS
     pts = road.as_array()
     knots = _centripetal_knots(pts)
     spline = CubicSpline(knots, pts, bc_type="natural", axis=0)
 
     approx_len = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
-    n_fine = max(32, int(math.ceil(approx_len / (cfg.sampling_step / 4.0))))
+    n_fine = max(32, int(math.ceil(approx_len / (step / 4.0))))
     tq_fine = np.linspace(knots[0], knots[-1], n_fine + 1)
     pos_fine = spline(tq_fine)
     arc_fine = np.concatenate(
         [[0.0], np.cumsum(np.linalg.norm(np.diff(pos_fine, axis=0), axis=1))])
     total = float(arc_fine[-1])
 
-    n_out = max(2, int(math.ceil(total / (0.98 * cfg.sampling_step))))
+    n_out = max(2, int(math.ceil(total / (0.98 * step))))
     targets = np.linspace(0.0, total, n_out + 1)
     idx = np.clip(np.searchsorted(arc_fine, targets, side="right") - 1,
                   0, len(arc_fine) - 2)
@@ -48,7 +46,7 @@ def interpolate_spine(road, config=None):
     speed_sq = d1[:, 0] ** 2 + d1[:, 1] ** 2
     denom = np.maximum(speed_sq, 1e-12) ** 1.5
     kappa = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / denom
-    kappa = np.clip(kappa, -1.0 / cfg.min_radius, 1.0 / cfg.min_radius)
+    kappa = np.clip(kappa, -1.0 / min_radius, 1.0 / min_radius)
 
     s = np.concatenate(
         [[0.0], np.cumsum(np.linalg.norm(np.diff(pos, axis=0), axis=1))])

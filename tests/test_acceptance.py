@@ -27,7 +27,8 @@ from roadsift.canbus import (
 )
 from roadsift.cli import main
 from roadsift.features import features_from_segments
-from roadsift.geometry import STRAIGHT, GeometryConfig, interpolate_spine, segment_spine
+from roadsift import geometry
+from roadsift.geometry import STRAIGHT, interpolate_spine, segment_spine
 from roadsift.ml import (
     ClassifierSpec,
     LabeledDataset,
@@ -111,7 +112,7 @@ def trained_logistic(big_dataset):
 
 
 @criterion(1, "geometry oracle equivalence")
-def test_criterion_1_geometry_equivalence():
+def test_criterion_1_geometry_equivalence(monkeypatch):
     started = time.perf_counter()
     for seed in range(200):
         road, _ = generate_road(seed)
@@ -133,7 +134,9 @@ def test_criterion_1_geometry_equivalence():
         # the same road; segment boundaries located by projecting the coarse
         # boundary point onto the fine polyline. Central differences in the
         # interior, one-sided at the ends, 4th-order where the stencil fits.
-        fine = interpolate_spine(road, GeometryConfig(sampling_step=0.25))
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "SAMPLING_STEP", 0.25)
+            fine = interpolate_spine(road)
         fxy = fine.xy
         h_fd = np.empty(len(fxy))
         h_fd[1:-1] = np.arctan2(fxy[2:, 1] - fxy[:-2, 1],

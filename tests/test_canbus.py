@@ -159,6 +159,34 @@ class TestParseDbc:
             parse_dbc(text)
         assert str(err.value) == f"line {line}: BAD: dlc 9 outside 0..8"
 
+    # a DBC string may hold line breaks; a keyword after one is comment text
+    @pytest.mark.parametrize("comment", [
+        "first line\nSG_ of the comment", "first line\nBO_ 300 Y: 8 E",
+        "first line\r\nSG_ of\rthe comment"],
+        ids=["signal_keyword", "message_keyword", "crlf_and_cr"])
+    def test_a_string_across_lines_is_one_line(self, comment):
+        text = 'BO_ 256 X: 8 E\n SG_ s : 0|16@1+ (1,0) [0|1] "" D\n'
+        assert parse_dbc(text + f'CM_ SG_ 256 s "{comment}";\n') \
+            == parse_dbc(text)
+
+    def test_a_line_after_a_string_across_lines_keeps_its_number(self):
+        text = DEFAULT_DBC + 'CM_ "a\nSG_ of the comment";\nBO_ 300 BAD: 9 X\n'
+        line = DEFAULT_DBC.count("\n") + 3
+        with pytest.raises(ValueError) as err:
+            parse_dbc(text)
+        assert str(err.value) == f"line {line}: BAD: dlc 9 outside 0..8"
+
+    @pytest.mark.parametrize("text, line", [
+        ('BO_ 256 X: 8 E\nCM_ "no end\n', 2),
+        ('BO_ 256 X: 8 E\nCM_ "a\nb" "c\r\nd\n', 3),
+        ('BO_ 256 X: 8 E\n SG_ s : 0|16@1+ (1,0) [0|1] "" D "', 2)],
+        ids=["comment", "after_a_string_across_lines", "end_of_file"])
+    def test_a_string_not_closed_names_the_line_it_opens(self, text, line):
+        with pytest.raises(DbcSyntaxError) as err:
+            parse_dbc(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: string not closed"
+
     # out of range, refused by the message or signal and named by its line
     @pytest.mark.parametrize("line, error", [
         ("BO_ 256 X: 9 E", "line 1: X: dlc 9 outside 0..8"),

@@ -319,10 +319,17 @@ def test_a_flag_wins_over_its_config_value_and_null_is_not_given(tmp_path):
     (["predict", "--model", "{model}"], "need --roads or --features"),
     (["benchmark", "--features", "{features}", "--models", "bogus",
       "--seed", "1"], "unknown model family 'bogus'"),
-], ids=["extract_features", "predict", "benchmark"])
+    # a second input is refused, not ignored, even one that does not exist
+    (["extract-features", "--simulation", "{simulation}", "--roads",
+      "/nonexistent"], "--roads and --simulation are mutually exclusive"),
+    (["predict", "--model", "{model}", "--features", "{features}", "--roads",
+      "/nonexistent"], "--roads and --features are mutually exclusive"),
+], ids=["extract_features", "predict", "benchmark",
+        "extract_features_both_inputs", "predict_both_inputs"])
 def test_a_missing_or_unknown_input_is_named(run_dir, full_model, tmp_path,
                                              argv, error):
-    paths = {"model": full_model, "features": run_dir / "features.csv"}
+    paths = {"model": full_model, "features": run_dir / "features.csv",
+             "simulation": run_dir / "simulation.full.json"}
     out = tmp_path / "o"
     code, err = run_main([arg.format(**paths) for arg in argv]
                          + ["--out", str(out)])

@@ -21,8 +21,8 @@ from roadsift.features import (
     read_feature_csv,
     write_feature_csv,
 )
+from roadsift import geometry
 from roadsift.geometry import (
-    GeometryConfig,
     RoadPoints,
     SelfIntersecting,
     interpolate_spine,
@@ -33,9 +33,8 @@ from roadsift.oracle import generate_road
 from conftest import analytic_arc_spine, arc_between_straights, straight_points
 
 
-def features_of(points, config=None):
-    road = RoadPoints(points=points)
-    return extract_features(road, config)
+def features_of(points):
+    return extract_features(RoadPoints(points=points))
 
 
 def s_curve_points(radius=20.0, arc_deg=90.0, lead=40.0, step_deg=3.0):
@@ -65,10 +64,11 @@ class TestAttributes:
         assert (vec.num_l_turns, vec.num_r_turns, vec.num_straights) == (0, 0, 1)
         assert vec.total_angle == pytest.approx(0.0, abs=0.05)
 
-    def test_s_curve_counts_and_total_angle(self):
+    def test_s_curve_counts_and_total_angle(self, monkeypatch):
         # 0.5 m sampling halves the boundary quantization of the run split,
         # which otherwise eats ~1.5 deg per turn boundary at this radius
-        vec = features_of(s_curve_points(), GeometryConfig(sampling_step=0.5))
+        monkeypatch.setattr(geometry, "SAMPLING_STEP", 0.5)
+        vec = features_of(s_curve_points())
         assert vec.num_l_turns == 1
         assert vec.num_r_turns == 1
         assert vec.total_angle == pytest.approx(180.0, abs=4.0)
@@ -150,12 +150,13 @@ class TestDiversity:
         assert vec.full_road_diversity == 0.0
         assert vec.mean_road_diversity == 0.0
 
-    def test_straight_area_epsilon_is_read(self):
+    def test_straight_area_epsilon_is_read(self, monkeypatch):
         spine = analytic_arc_spine(radius=10.0, arc_deg=180.0, step=1.0)
         default = extract_diversity(spine, segment_spine(spine))
         assert default["full_road_diversity"] == pytest.approx(
             math.pi * 100.0 / 2.0, rel=0.01)
-        coarse = segment_spine(spine, GeometryConfig(straight_area_epsilon=1e3))
+        monkeypatch.setattr(geometry, "STRAIGHT_AREA_EPSILON", 1e3)
+        coarse = segment_spine(spine)
         assert extract_diversity(spine, coarse)["full_road_diversity"] == 0.0
 
     def test_half_disk_area(self):
@@ -245,22 +246,24 @@ class TestExtractFeatures:
                 continue
             assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-9)
 
-    def test_scaling_covariance(self):
-        # scaling coordinates by c with config thresholds scaled to match:
-        # lengths and radii scale by c, areas by c^2, counts and angles fixed
+    def test_scaling_covariance(self, monkeypatch):
+        # scaling coordinates by c with the geometry thresholds scaled to
+        # match: lengths and radii scale by c, areas by c^2, counts and
+        # angles fixed
         base = np.asarray(arc_between_straights(radius=20.0, arc_deg=120.0))
-        cfg0 = GeometryConfig()
-        a = extract_features(RoadPoints(points=tuple(map(tuple, base))), cfg0)
+        a = extract_features(RoadPoints(points=tuple(map(tuple, base))))
         c = 1.7
         scaled = (base - base.min(axis=0)) * c + 30.0
-        cfg1 = GeometryConfig(
-            sampling_step=cfg0.sampling_step * c,
-            straight_curvature_threshold=cfg0.straight_curvature_threshold / c,
-            min_segment_length=cfg0.min_segment_length * c,
-            min_radius=cfg0.min_radius * c,
-            straight_area_epsilon=cfg0.straight_area_epsilon * c * c)
+        g = geometry
+        monkeypatch.setattr(g, "SAMPLING_STEP", g.SAMPLING_STEP * c)
+        monkeypatch.setattr(g, "STRAIGHT_CURVATURE_THRESHOLD",
+                            g.STRAIGHT_CURVATURE_THRESHOLD / c)
+        monkeypatch.setattr(g, "MIN_SEGMENT_LENGTH", g.MIN_SEGMENT_LENGTH * c)
+        monkeypatch.setattr(g, "MIN_RADIUS", g.MIN_RADIUS * c)
+        monkeypatch.setattr(g, "STRAIGHT_AREA_EPSILON",
+                            g.STRAIGHT_AREA_EPSILON * c * c)
         b = extract_features(
-            RoadPoints(points=tuple(map(tuple, scaled)), map_size=900.0), cfg1)
+            RoadPoints(points=tuple(map(tuple, scaled)), map_size=900.0))
         assert (a.num_l_turns, a.num_r_turns, a.num_straights) == \
             (b.num_l_turns, b.num_r_turns, b.num_straights)
         assert b.total_angle == pytest.approx(a.total_angle, rel=1e-6)

@@ -12,7 +12,6 @@ from roadsift.geometry import (
     RIGHT_TURN,
     STRAIGHT,
     DegenerateRoad,
-    GeometryConfig,
     RoadPoints,
     SelfIntersecting,
     interpolate_spine,
@@ -383,23 +382,25 @@ class TestInvariants:
         k_err = np.abs(kappa_fd - 0.5 * (spine.curvature[:-1] + spine.curvature[1:]))
         return h_err, k_err
 
-    def test_heading_curvature_match_finite_differences(self):
+    def test_heading_curvature_match_finite_differences(self, monkeypatch):
         # central differences converge O(h^2); 0.15 m sampling keeps the
         # discretization error itself below the 1e-3 agreement bound
-        fine = GeometryConfig(sampling_step=0.15)
+        monkeypatch.setattr(geometry, "SAMPLING_STEP", 0.15)
         for pts in (arc_between_straights(radius=20.0, arc_deg=120.0),
                     arc_between_straights(radius=30.0, arc_deg=90.0, side=-1.0)):
-            spine = interpolate_spine(RoadPoints(points=pts), fine)
+            spine = interpolate_spine(RoadPoints(points=pts))
             h_err, k_err = self._fd_errors(spine)
             assert np.max(h_err) < 1e-3
             assert np.max(k_err) < 1e-3
 
-    def test_finite_difference_agreement_generated_roads(self):
+    def test_finite_difference_agreement_generated_roads(self, monkeypatch):
         # primitive junctions put curvature-slope kinks in the spline, where
-        # finite differences lag; bulk agreement still has to hold
-        fine = GeometryConfig(sampling_step=0.2)
-        for seed in (3, 11):
-            spine = interpolate_spine(generate_road(seed)[0], fine)
+        # finite differences lag; bulk agreement still has to hold. The
+        # roads are generated at the default step, then sampled finer
+        roads = [generate_road(seed)[0] for seed in (3, 11)]
+        monkeypatch.setattr(geometry, "SAMPLING_STEP", 0.2)
+        for road in roads:
+            spine = interpolate_spine(road)
             h_err, k_err = self._fd_errors(spine)
             assert np.quantile(h_err, 0.99) < 1e-3
             assert np.max(h_err) < 1e-2

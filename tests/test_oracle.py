@@ -1,6 +1,7 @@
 import json
 import math
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,26 +54,32 @@ SPEED, THROTTLE, BRAKE, OFFSET = map(TRACE_COLUMNS.index, (
     "speed", "throttle", "brake", "lateral_offset"))
 
 
+@pytest.fixture
+def uncapped(monkeypatch):
+    """v_max out of reach, so safe_speed is the friction law alone."""
+    monkeypatch.setattr(DriverConfig, "v_max", 1e9)
+
+
 class TestSafeSpeed:
-    def test_friction_law(self):
-        cfg = DriverConfig(mu=0.6, risk_factor=1.0, v_max=1e9)
+    def test_friction_law(self, uncapped):
+        cfg = DriverConfig(mu=0.6, risk_factor=1.0)
         v = safe_speed(50.0, cfg)
         assert v == pytest.approx(math.sqrt(0.6 * 50.0 * 9.81), abs=1e-12)
         assert v == pytest.approx(17.157, abs=5e-3)
 
-    def test_arranged_identity(self):
-        cfg = DriverConfig(mu=1.0, risk_factor=1.0, v_max=1e9)
+    def test_arranged_identity(self, uncapped):
+        cfg = DriverConfig(mu=1.0, risk_factor=1.0)
         assert safe_speed(1.0 / 9.81, cfg) == pytest.approx(1.0, abs=1e-12)
 
-    def test_linear_in_risk_factor(self):
-        reckless = DriverConfig(risk_factor=1.2, v_max=1e9)
-        cautious = DriverConfig(risk_factor=0.7, v_max=1e9)
+    def test_linear_in_risk_factor(self, uncapped):
+        reckless = DriverConfig(risk_factor=1.2)
+        cautious = DriverConfig(risk_factor=0.7)
         ratio = safe_speed(25.0, reckless) / safe_speed(25.0, cautious)
         assert ratio == pytest.approx(12.0 / 7.0, abs=1e-12)
 
-    def test_v_max_cap(self):
-        cfg = DriverConfig(v_max=10.0, risk_factor=2.0)
-        assert safe_speed(1000.0, cfg) == 10.0
+    def test_v_max_cap(self, monkeypatch):
+        monkeypatch.setattr(DriverConfig, "v_max", 10.0)
+        assert safe_speed(1000.0, DriverConfig(risk_factor=2.0)) == 10.0
 
     def test_non_positive_radius(self):
         with pytest.raises(NonPositiveRadius):
@@ -93,7 +100,9 @@ class TestConfigValidation:
         {"a_brake": -1.0},
     ])
     def test_rejects_out_of_range(self, kw):
-        with pytest.raises(ValueError):
+        # v_max, a_brake and timestep are vehicle constants, not settings
+        constant = {"v_max", "a_brake", "timestep"} & set(kw)
+        with pytest.raises(TypeError if constant else ValueError):
             DriverConfig(**kw)
 
 
@@ -155,16 +164,17 @@ class TestSimulateDrive:
         pts.extend((ex - d, ey) for d in np.arange(10.0, 40.0 + 1e-9, 10.0))
         return RoadPoints(points=tuple(pts), lane_width=lane_width)
 
-    def test_forced_departure_on_hairpin(self):
+    def test_forced_departure_on_hairpin(self, monkeypatch):
         # brake disabled
-        out = simulate_drive(self.hairpin(1.8),
-                             DriverConfig(risk_factor=2.5, a_brake=1e-9))
+        monkeypatch.setattr(DriverConfig, "a_brake", 1e-9)
+        out = simulate_drive(self.hairpin(1.8), DriverConfig(risk_factor=2.5))
         assert out.label == UNSAFE
 
-    def test_road_lane_width_is_driven(self):
+    def test_road_lane_width_is_driven(self, monkeypatch):
         # a narrower lane is left sooner; wider than 2 m the hairpin
         # self-intersects
-        cfg = DriverConfig(risk_factor=2.5, a_brake=1e-9)
+        monkeypatch.setattr(DriverConfig, "a_brake", 1e-9)
+        cfg = DriverConfig(risk_factor=2.5)
         narrow = simulate_drive(self.hairpin(1.0), cfg)
         wide = simulate_drive(self.hairpin(1.8), cfg)
         assert narrow.label == wide.label == UNSAFE
@@ -208,10 +218,11 @@ class TestSimulateDrive:
             fired = max_off >= threshold - 1e-9
             assert fired == (out.label == UNSAFE)
 
-    def test_step_cap_raises(self):
+    def test_step_cap_raises(self, monkeypatch):
         # at 0.5 m/s this road needs more simulated time than the cap allows
+        monkeypatch.setattr(DriverConfig, "v_max", 0.5)
         with pytest.raises(DriveTimeout):
-            simulate_drive(generate_road(3)[0], DriverConfig(v_max=0.5))
+            simulate_drive(generate_road(3)[0], DriverConfig())
 
     @settings(max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), rf=st.floats(0.5, 2.5))
@@ -252,10 +263,12 @@ class TestSimulateDrive:
         infinities and zeros of either sign."""
         road, spine = generate_road(seed)
         spine = _poisoned(spine, poison)
-        cfg = DriverConfig(risk_factor=rf, timestep=timestep)
+        cfg = DriverConfig(risk_factor=rf)
         args = (spine, cfg, road.lane_width, keep_trace)
-        assert (_drive_bits(_simulate, *args)
-                == _drive_bits(reference_drive._simulate, *args))
+        # hypothesis refuses function-scoped fixtures such as monkeypatch
+        with mock.patch.object(DriverConfig, "timestep", timestep):
+            assert (_drive_bits(_simulate, *args)
+                    == _drive_bits(reference_drive._simulate, *args))
         assert (_result_or_error(lambda: plan_speed_profile(spine, cfg).tobytes())
                 == _result_or_error(lambda: reference_drive.plan_speed_profile(
                     spine, cfg).tobytes()))
