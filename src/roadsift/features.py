@@ -146,7 +146,7 @@ def extract_statistics(segments: list[RoadSegment]) -> dict:
     }
 
 
-def extract_diversity(spine: RoadSpine, segments: list[RoadSegment]) -> dict:
+def extract_diversity(segments: list[RoadSegment]) -> dict:
     """Chord-polygon areas: full road diversity is the sum over segments,
     mean diversity divides by the segment count. segment_spine reports a
     chord area below geometry.STRAIGHT_AREA_EPSILON as 0, so a straight
@@ -163,7 +163,7 @@ def features_from_segments(spine: RoadSpine, segments: list[RoadSegment]) -> Fea
     out: dict = {}
     out.update(extract_attributes(spine, segments))
     out.update(extract_statistics(segments))
-    out.update(extract_diversity(spine, segments))
+    out.update(extract_diversity(segments))
     return FeatureVector(**out)
 
 

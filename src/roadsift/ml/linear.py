@@ -64,27 +64,41 @@ def _min_norm_subgradient(g, theta, l1):
 def _l1_model_minimiser(H, g, theta, l1):
     """Minimiser u of the Newton model g·(u - theta) + (u - theta)·H·(u -
     theta)/2 + l1·‖u_w‖₁ of the objective around theta, by feature-sign
-    search (Lee, Battle, Raina & Ng, NIPS 2006) from theta's signs.
+    search (Lee, Battle, Raina & Ng, NIPS 2006) from theta's signs, or,
+    when theta has no nonzero weight (the first step of every fit), from
+    the signs of the model's minimiser without the l1 term.
 
     On a sign pattern the l1 term is linear, so the pattern's minimiser is
-    one linear solve in its free coordinates: the bias and the nonzero
-    weights. A step toward it stops where a weight would change sign, and
-    that weight drops out at zero. Once the minimiser keeps its pattern, the
-    zero weight whose model gradient exceeds l1 the most joins with the sign
-    that lowers the model. Every move lowers the model. Ends when no zero
-    weight's model gradient exceeds l1, or after _INNER_SOLVES solves."""
+    one linear solve in its free coordinates: the bias and the weights the
+    pattern signs. A step toward it stops where a weight would change sign,
+    and that weight drops out at zero. Once the minimiser keeps its pattern,
+    the zero weight whose model gradient exceeds l1 the most joins with the
+    sign that lowers the model. Every move lowers the model. Ends when no
+    zero weight's model gradient exceeds l1 by more than 1e-3·_GRAD_TOL,
+    and returns that pattern's exact solve. The model is strictly convex, so
+    the pattern, and so the result, does not depend on the start; only where
+    the rows leave columns linearly dependent, and the damping alone makes
+    the minimiser unique, can two patterns both pass that test. At most
+    _INNER_SOLVES solves, the start's included."""
     m = len(theta)
     c = g - H @ theta               # the model's smooth gradient is c + H u
     u = theta.copy()
     s = np.sign(u)
     s[-1] = 0.0
+    solves = _INNER_SOLVES
+    if not s.any():
+        s = -np.sign(np.linalg.solve(H, c))
+        s[-1] = 0.0
+        solves -= 1
     free = s != 0.0
     free[-1] = True
-    for _ in range(_INNER_SOLVES):
+    for _ in range(solves):
+        idx = np.flatnonzero(free)
         target = np.zeros(m)
-        target[free] = np.linalg.solve(H[np.ix_(free, free)],
-                                       -(c + l1 * s)[free])
-        flips = np.flatnonzero(free[:-1] & (np.sign(target[:-1]) != s[:-1]))
+        target[idx] = np.linalg.solve(H[idx[:, None], idx],
+                                      -(c[idx] + l1 * s[idx]))
+        weights = idx[:-1]              # the bias is last, and always free
+        flips = weights[np.sign(target[weights]) != s[weights]]
         if flips.size:
             cross = u[flips] / (u[flips] - target[flips])
             first = float(cross.min())
@@ -156,8 +170,12 @@ def _newton_solve(Xs, y, loss, l1, l2, caps):
     Each step takes the Newton quadratic model of the row loss at the
     current point (IRLS for the log-loss). Without an l1 term the step
     solves one (d+1)×(d+1) linear system; with one, _l1_model_minimiser
-    minimises the model plus the l1 term. A backtracking (Armijo) line
-    search on the true objective damps the step. The solve stops as
+    minimises the model plus the l1 term: by feature-sign search from the
+    current signs, or at the first step (theta = 0) from the signs of the
+    model's minimiser without the l1 term, ending on one exact solve on the
+    minimiser's sign pattern. A backtracking (Armijo) line search on the
+    true objective damps the step; the rows' scores at the accepted point
+    serve the next step's derivatives. The solve stops as
     converged when every entry of the minimum-norm subgradient is below
     _GRAD_TOL, and as stalled when the line search finds no decrease or the
     step moves no coordinate by more than _STEP_TOL; a cap ends it, not
@@ -172,19 +190,22 @@ def _newton_solve(Xs, y, loss, l1, l2, caps):
     A = np.hstack([Xs, np.ones((n, 1))])
     sign = 1.0 - 2.0 * y
     ridge = np.append(np.full(d, 2.0 * l2), 0.0)
+    diagonal = np.diag_indices(d + 1)
 
     def objective(theta):
+        """The objective at theta, and the rows' signed scores there."""
         w = theta[:-1]
-        value = loss.mean(sign * (A @ theta))
-        return float(value + l2 * (w @ w) + l1 * np.abs(w).sum())
+        margins = sign * (A @ theta)
+        value = loss.mean(margins)
+        return float(value + l2 * (w @ w) + l1 * np.abs(w).sum()), margins
 
     theta = np.zeros(d + 1)
-    f = objective(theta)
+    f, margins = objective(theta)
     moved = math.inf
     reports = []
     converged = False
     for steps in range(caps[-1] + 1):
-        slope, curvature = loss.derivatives(sign * (A @ theta))
+        slope, curvature = loss.derivatives(margins)
         g = A.T @ (sign * slope) / n + ridge * theta
         kkt = float(np.max(np.abs(_min_norm_subgradient(g, theta, l1))))
         if kkt < _GRAD_TOL:
@@ -197,7 +218,7 @@ def _newton_solve(Xs, y, loss, l1, l2, caps):
         if moved <= _STEP_TOL:
             break
         H = (A.T * (curvature / n)) @ A
-        H[np.diag_indices_from(H)] += ridge + _DAMPING * H.diagonal().max()
+        H[diagonal] += ridge + _DAMPING * H.diagonal().max()
         if l1:
             step = _l1_model_minimiser(H, g, theta, l1) - theta
             w, sw = theta[:-1], step[:-1]
@@ -209,14 +230,14 @@ def _newton_solve(Xs, y, loss, l1, l2, caps):
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = theta + t * step
-            f_trial = objective(trial)
+            f_trial, trial_margins = objective(trial)
             if f_trial <= f + _ARMIJO * t * decrease:
                 break
             t *= 0.5
         else:
             break
         moved = float(np.max(np.abs(trial - theta)))
-        theta, f = trial, f_trial
+        theta, f, margins = trial, f_trial, trial_margins
     final = (theta[:-1], float(theta[-1]), steps, converged)
     return reports + [final] * (len(caps) - len(reports))
 

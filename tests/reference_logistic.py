@@ -3,6 +3,11 @@ descent from zero that stops when no coordinate moves by 1e-6 or after
 max_iter steps. Kept as the reference the converged solver in
 roadsift.ml.linear must do no worse than on the same objective.
 
+l1_model_minimiser is the feature-sign search of the proximal Newton
+step as first written: it starts every call from theta's signs, from no
+weight at all when theta is zero, and indexes by boolean masks. The
+package's _l1_model_minimiser must return the same bits.
+
 fit_logistic fits one form on one set, as linear._fit_logistic (the fitter
 of the logistic record in models._RECORDS) does for each; objective
 evaluates the penalised mean log-loss that both minimise, independently of
@@ -11,7 +16,7 @@ the package.
 
 import numpy as np
 
-from roadsift.ml.linear import _standardize_fit
+from roadsift.ml.linear import _GRAD_TOL, _INNER_SOLVES, _standardize_fit
 
 ALPHA = 1e-4
 
@@ -72,3 +77,47 @@ def fit_logistic(X, y, form, seed):
         if step < 1e-6:
             break
     return {"weights": w.tolist(), "bias": b}, (mean, std)
+
+
+def l1_model_minimiser(H, g, theta, l1):
+    """Minimiser u of the Newton model g·(u - theta) + (u - theta)·H·(u -
+    theta)/2 + l1·‖u_w‖₁ of the objective around theta, by feature-sign
+    search (Lee, Battle, Raina & Ng, NIPS 2006) from theta's signs.
+
+    On a sign pattern the l1 term is linear, so the pattern's minimiser is
+    one linear solve in its free coordinates: the bias and the nonzero
+    weights. A step toward it stops where a weight would change sign, and
+    that weight drops out at zero. Once the minimiser keeps its pattern, the
+    zero weight whose model gradient exceeds l1 the most joins with the sign
+    that lowers the model. Every move lowers the model. Ends when no zero
+    weight's model gradient exceeds l1, or after _INNER_SOLVES solves."""
+    m = len(theta)
+    c = g - H @ theta               # the model's smooth gradient is c + H u
+    u = theta.copy()
+    s = np.sign(u)
+    s[-1] = 0.0
+    free = s != 0.0
+    free[-1] = True
+    for _ in range(_INNER_SOLVES):
+        target = np.zeros(m)
+        target[free] = np.linalg.solve(H[np.ix_(free, free)],
+                                       -(c + l1 * s)[free])
+        flips = np.flatnonzero(free[:-1] & (np.sign(target[:-1]) != s[:-1]))
+        if flips.size:
+            cross = u[flips] / (u[flips] - target[flips])
+            first = float(cross.min())
+            u = u + first * (target - u)
+            gone = flips[cross <= first]
+            u[gone] = 0.0
+            s[gone] = 0.0
+            free[gone] = False
+            continue
+        u = target
+        grad = c + H @ u
+        excess = np.where(free, -np.inf, np.abs(grad) - l1)
+        j = int(excess.argmax())
+        if excess[j] <= 1e-3 * _GRAD_TOL:
+            break
+        s[j] = -np.sign(grad[j])
+        free[j] = True
+    return u

@@ -201,7 +201,7 @@ def test_criterion_2_diversity():
 
     spine = analytic_arc_spine(radius=10.0, arc_deg=180.0, step=1.0)
     segs = segment_spine(spine)
-    div = extract_diversity(spine, segs)
+    div = extract_diversity(segs)
     assert div["full_road_diversity"] == pytest.approx(math.pi * 50.0, rel=0.01)
 
     vec = extract_features(RoadPoints(points=straight_points()))

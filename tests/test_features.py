@@ -152,19 +152,19 @@ class TestDiversity:
 
     def test_straight_area_epsilon_is_read(self, monkeypatch):
         spine = analytic_arc_spine(radius=10.0, arc_deg=180.0, step=1.0)
-        default = extract_diversity(spine, segment_spine(spine))
+        default = extract_diversity(segment_spine(spine))
         assert default["full_road_diversity"] == pytest.approx(
             math.pi * 100.0 / 2.0, rel=0.01)
         monkeypatch.setattr(geometry, "STRAIGHT_AREA_EPSILON", 1e3)
         coarse = segment_spine(spine)
-        assert extract_diversity(spine, coarse)["full_road_diversity"] == 0.0
+        assert extract_diversity(coarse)["full_road_diversity"] == 0.0
 
     def test_half_disk_area(self):
         # 180-degree arc of radius 10: area between arc and chord = pi r^2 / 2
         spine = analytic_arc_spine(radius=10.0, arc_deg=180.0, step=1.0)
         segs = segment_spine(spine)
         assert len(segs) == 1
-        div = extract_diversity(spine, segs)
+        div = extract_diversity(segs)
         assert div["full_road_diversity"] == pytest.approx(
             math.pi * 100.0 / 2.0, rel=0.01)
 
@@ -172,7 +172,7 @@ class TestDiversity:
         spine = analytic_arc_spine(radius=10.0, arc_deg=180.0, step=1.0, lead=40.0)
         segs = segment_spine(spine)
         assert len(segs) == 2
-        div = extract_diversity(spine, segs)
+        div = extract_diversity(segs)
         assert div["full_road_diversity"] == pytest.approx(157.08, rel=0.012)
         assert div["mean_road_diversity"] == pytest.approx(157.08 / 2.0, rel=0.012)
 

@@ -2,8 +2,9 @@
 
 Any change to road generation, driving, feature extraction, dataset output
 (with and without traces) and its reading back, road files, CAN conversion
-and wire framing, the six-family benchmark, a random-forest benchmark on a
-second data set, the decision-tree, logistic and SVM grids, the real-time
+and wire framing, the six-family benchmark, the random-forest and boosting
+benchmarks and the logistic and SVM grids on a second data set, the
+decision-tree, logistic and SVM grids, the real-time
 loop or FIX / REACH selection, with or without a model, shows up here as a
 changed digest, so an intended change must update a digest in the same
 commit and say why.
@@ -21,6 +22,11 @@ conditional expressions, and held unchanged after.
 The real-time baseline and pretrained digests were recorded while the
 loop still prepared every road in-process, before roads were prepared in
 worker processes, and held unchanged after.
+
+The logistic and SVM grid digests on the second data set were recorded
+while feature-sign search still started each proximal Newton step's search
+from theta's signs alone, before the first step started from the signs of
+the model's minimiser without the l1 term, and held unchanged after.
 
 The Motorola and signed CAN digest was recorded while the conversion still
 clamped with the builtins min and max and the playback writer formatted
@@ -112,6 +118,20 @@ def data_set_2(tmp_path_factory):
     assert main(["generate", "-n", "60", "--rf", "1.5", "--no-traces",
                  "--seed", "7", "--out", str(out)]) == 0
     return out / "features.csv"
+
+
+@pytest.mark.parametrize("family, digest", [
+    ("logistic",
+     "574cbdece14629cbe294facf8513460ce9352872cce9e66fdf05fe29908fa0bc"),
+    ("linear_svm",
+     "cc0d79e44b782c2c28aa8f1da27d9300cb2de3d4060c49fbd18a3cf0218c0742"),
+], ids=["logistic", "linear_svm"])
+def test_linear_grid_data_set_2(data_set_2, tmp_path, family, digest):
+    grid = tmp_path / "grid.csv"
+    assert main(["grid-search", "--family", family,
+                 "--features", str(data_set_2), "--k", "3", "--seed", "5",
+                 "--out", str(grid)]) == 0
+    assert sha256(grid) == digest
 
 
 def ensemble_digest(features, tmp_path, family):

@@ -951,6 +951,63 @@ SVM_FORMS = sorted({canonical_form(ClassifierSpec("linear_svm", cell), 1)
                     if skip_reason("linear_svm", cell) is None})
 
 
+@st.composite
+def newton_models(draw):
+    """(H, g, theta, l1) as a proximal Newton step hands them to the
+    feature-sign search: H = AᵀDA/n plus the ridge and the damping, with A
+    the standardised rows and a bias column and D the loss's curvature at
+    theta, and g the gradient of the smooth part there; theta is zero,
+    sparse or dense.
+
+    From a theta with no nonzero weight the search starts on the signs of
+    the model's minimiser without the l1 term. Where the rows that curve
+    the loss leave the nonzero columns of A linearly dependent, only the
+    damping (1e-10 of H's largest entry) makes that minimiser unique, and
+    the first search, which adds one weight at a time, may stop short of it
+    within its tolerance of 1e-3·_GRAD_TOL, on another pattern. Such ties
+    are not drawn from a zero theta."""
+    X, y = draw(st.one_of(separable_matrices(), overlapping_matrices()))
+    n, d = X.shape
+    mean, std = linear._standardize_fit(X)
+    A = np.hstack([(X - mean) / std, np.ones((n, 1))])
+    sign = 1.0 - 2.0 * y
+    loss = draw(st.sampled_from([linear._LOG_LOSS, linear._SQUARED_HINGE]))
+    l1 = draw(st.sampled_from([1e-4, 1e-3]))
+    l2 = draw(st.sampled_from([0.0, 1e-4]))
+    values = draw(st.sampled_from([st.just(0), st.integers(-8, 8),
+                                   st.integers(1, 8) | st.integers(-8, -1)]))
+    theta = np.asarray(draw(st.lists(values, min_size=d + 1,
+                                     max_size=d + 1)), dtype=float) / 4.0
+    ridge = np.append(np.full(d, 2.0 * l2), 0.0)
+    slope, curvature = loss.derivatives(sign * (A @ theta))
+    assume(curvature.any())
+    if not theta[:-1].any():
+        curved = A[curvature > 0.0][:, np.any(A != 0.0, axis=0)]
+        assume(np.linalg.matrix_rank(curved) == curved.shape[1])
+    g = A.T @ (sign * slope) / n + ridge * theta
+    H = (A.T * (curvature / n)) @ A
+    H[np.diag_indices(d + 1)] += ridge + linear._DAMPING * H.diagonal().max()
+    return H, g, theta, l1
+
+
+class TestFeatureSignSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(model=newton_models())
+    def test_matches_the_first_search_and_meets_kkt(self, model):
+        H, g, theta, l1 = model
+        u = linear._l1_model_minimiser(H, g, theta, l1)
+        reference = reference_logistic.l1_model_minimiser(H, g, theta, l1)
+        assert u.tobytes() == reference.tobytes()
+        # the model's gradient at u: zero in the bias, -l1·sign(u_j) in a
+        # nonzero weight, within [-l1, l1] in a zero one
+        grad = g - H @ theta + H @ u
+        tol = 1e-3 * linear._GRAD_TOL
+        w, gw = u[:-1], grad[:-1]
+        assert abs(grad[-1]) <= tol
+        assert np.all(np.abs(gw + l1 * np.sign(w))[w != 0.0] <= tol)
+        assert np.all(np.abs(gw)[w == 0.0] <= l1 + tol)
+
+
 class TestLinearSvmSolver:
     @pytest.mark.parametrize("form", SVM_FORMS, ids="-".join)
     @settings(max_examples=30, deadline=None)

@@ -273,6 +273,26 @@ class TestSimulateDrive:
                 == _result_or_error(lambda: reference_drive.plan_speed_profile(
                     spine, cfg).tobytes()))
 
+    @pytest.mark.parametrize("a_brake", [2.0, 15.0])
+    def test_a_brake_is_read(self, a_brake, monkeypatch):
+        """At a braking limit other than 6 m/s², the speed profile and the
+        drive equal the reference's at that limit, bit for bit, and the
+        profile differs from the one at 6 m/s²: the profile's backward pass
+        and the drive's deceleration clamp both read the limit."""
+        cfg = DriverConfig(risk_factor=1.5)
+        for seed in (3, 7):
+            road, spine = generate_road(seed)
+            default = plan_speed_profile(spine, cfg).tobytes()
+            with monkeypatch.context() as patch:
+                patch.setattr(DriverConfig, "a_brake", a_brake)
+                profile = plan_speed_profile(spine, cfg).tobytes()
+                assert profile == reference_drive.plan_speed_profile(
+                    spine, cfg).tobytes()
+                assert profile != default
+                args = (spine, cfg, road.lane_width, True)
+                assert (_drive_bits(_simulate, *args)
+                        == _drive_bits(reference_drive._simulate, *args))
+
     def test_risk_monotonicity(self):
         counts = []
         for rf in (0.7, 1.0, 1.5, 2.0):
